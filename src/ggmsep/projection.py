@@ -9,7 +9,9 @@ possible for any distribution missing those edges.
 
 ``fit_graph_mle`` minimizes the Gaussian negative log likelihood over
 precision matrices supported on a given graph (diagonal always free)
-inside a Frobenius ball, the inner optimization behind graph scores.
+inside a Frobenius ball, the inner optimization behind graph scores. On a
+chordal graph whose unconstrained optimum lies inside the ball it returns
+that optimum in closed form; otherwise it runs projected gradient descent.
 """
 
 from __future__ import annotations
@@ -177,6 +179,13 @@ class FitOptions:
 class FitResult:
     """Constrained-MLE output: fitted precision plus convergence diagnostics.
 
+    termination says why the fit stopped: "closed_form" (the chordal
+    closed form passed its optimality check; iterations is 0),
+    "tolerance" (the gradient mapping reached gradient_tolerance),
+    "max_iterations" (the iteration cap was hit first) or "stalled" (the
+    line search found no acceptable step, or an accepted move could no
+    longer change the iterate).
+
     objective_trace holds the accepted objective values, non-increasing up
     to the objective's rounding error: an accepted value exceeds its
     predecessor by at most 16 * eps * (|log det theta| + |tr(sigma_hat
@@ -191,6 +200,7 @@ class FitResult:
     iterations: int
     converged: bool
     projected_gradient_norm: float
+    termination: str
     objective_trace: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
@@ -199,6 +209,7 @@ class FitResult:
             "objective": self.objective,
             "iterations": self.iterations,
             "converged": self.converged,
+            "termination": self.termination,
             "projected_gradient_norm": self.projected_gradient_norm,
         }
 
@@ -252,12 +263,75 @@ def _gradient_map_norm(x: np.ndarray, grad: np.ndarray, mask: np.ndarray, gamma:
     return float(np.linalg.norm(x - _project_feasible(x - grad, mask, gamma)))
 
 
+def _slope_direction(move: np.ndarray, cand: np.ndarray, gamma: float) -> np.ndarray:
+    # When the ball binds, the gradient has an O(1) component along the
+    # sphere's normal (the multiplier), while the rescale onto the sphere
+    # leaves eps-sized rounding in every entry of the move. Near the optimum
+    # that rounding outweighs the tangential decrease in <grad, move>, and
+    # the line search fails at random. The move's normal part is second
+    # order in the step, so the slopes are taken along its tangential part.
+    if not math.isfinite(gamma) or float(np.linalg.norm(cand)) < gamma * (1.0 - 1e-12):
+        return move
+    return move - (float(np.sum(move * cand)) / float(np.sum(cand * cand))) * cand
+
+
 def _bb_step(dx: np.ndarray, dgrad: np.ndarray, fallback: float) -> float:
     num = float(np.sum(dx * dx))
     den = float(np.sum(dx * dgrad))
     if num == 0.0 or den <= 0.0 or not math.isfinite(den):
         return fallback
     return min(max(num / den, 1e-12), 1e10)
+
+
+def _perfect_families(graph: EdgeSet) -> Optional[list[tuple[int, list[int]]]]:
+    # Maximum-cardinality search, ties broken by lowest index. The graph is
+    # chordal iff every vertex's earlier-numbered neighbours form a clique
+    # (Tarjan & Yannakakis, 1984). Returns, in search order, each vertex
+    # with those neighbours, or None at the first vertex that fails.
+    p = graph.p
+    adjacency: list[set[int]] = [set() for _ in range(p)]
+    for i, j in graph.edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    weight = [0] * p
+    unnumbered = set(range(p))
+    families = []
+    for _ in range(p):
+        v = max(unnumbered, key=lambda u: (weight[u], -u))
+        unnumbered.remove(v)
+        parents = adjacency[v] - unnumbered
+        if any(not parents <= adjacency[a] | {a} for a in parents):
+            return None
+        families.append((v, sorted(parents)))
+        for u in adjacency[v] & unnumbered:
+            weight[u] += 1
+    return families
+
+
+def _chordal_mle(sig: np.ndarray, families: list[tuple[int, list[int]]]) -> Optional[np.ndarray]:
+    # The chordal MLE factors along the perfect ordering as (I-B)^T D^-1
+    # (I-B): each vertex's regression on its earlier neighbours contributes
+    # w w^T / r with w = e_v - B_v and r its residual variance. Every term
+    # lives on a clique, so off-support entries stay exactly zero. None when
+    # a conditioning block or residual variance is not positive.
+    theta = np.zeros_like(sig)
+    for v, parents in families:
+        if parents:
+            try:
+                lower = np.linalg.cholesky(sig[np.ix_(parents, parents)])
+            except np.linalg.LinAlgError:
+                return None
+            coef = cho_solve((lower, True), sig[parents, v])
+            resid = float(sig[v, v] - sig[v, parents] @ coef)
+            w = np.concatenate(([1.0], -coef))
+        else:
+            resid = float(sig[v, v])
+            w = np.ones(1)
+        if not resid > 0:
+            return None
+        family = [v, *parents]
+        theta[np.ix_(family, family)] += np.outer(w, w) / resid
+    return theta
 
 
 def fit_graph_mle(
@@ -269,33 +343,50 @@ def fit_graph_mle(
     initial: Optional[PrecisionMatrix] = None,
 ) -> FitResult:
     """Minimize nll over PD matrices supported on `graph` (plus diagonal)
-    with Frobenius norm at most gamma.
+    with Frobenius norm at most gamma. gamma=inf disables the ball.
 
-    Projected gradient descent with Armijo backtracking. Trial steps use a
-    Barzilai-Borwein scale from the previous accepted move; candidates
-    outside the PD cone cost +inf and are rejected by the line search, so
-    every iterate is feasible and strictly PD. A candidate is accepted when
-    it passes the Armijo test ``f(cand) <= f(x) + armijo_constant *
-    <grad(x), move>`` without raising f. Near the optimum that decrease
-    falls below the rounding error of f, which is bounded by
-    16 * eps * (|log det cand| + |tr(sigma_hat cand)|); when |f(cand) -
-    f(x)| is within that bound, the candidate is accepted instead if
-    ``<grad(cand), move> <= (1 - 2 * armijo_constant) * |<grad(x), move>|``
-    (the approximate Armijo condition of Hager & Zhang, 2005). The bound
-    scales with both terms of f, not with f, because they can cancel to
-    an f far smaller than either.
+    Two paths, chosen from the graph itself:
+
+    - Closed form. When `graph` is chordal (maximum-cardinality search
+      finds a perfect ordering), the unconstrained MLE is built directly
+      from sigma_hat as (I-B)^T D^-1 (I-B), where row v of B regresses v on
+      its earlier-numbered neighbours and D holds the residual variances
+      (Dempster 1972; Lauritzen 1996, ch. 5). It is returned, with
+      iterations=0, termination="closed_form" and a one-entry
+      objective_trace, only if it lies in the ball, is positive definite
+      and its gradient mapping is at most gradient_tolerance. The problem
+      is convex, so an unconstrained optimum inside the ball is the
+      constrained optimum.
+    - Projected gradient descent otherwise: the graph is not chordal, a
+      conditioning block of sigma_hat is singular, the ball binds, or the
+      check fails. Trial steps use a Barzilai-Borwein scale from the
+      previous accepted move; candidates outside the PD cone cost +inf and
+      are rejected by the line search, so every iterate is feasible and
+      strictly PD. A candidate is accepted when it passes the Armijo test
+      ``f(cand) <= f(x) + armijo_constant * <grad(x), move>`` without
+      raising f. Near the optimum that decrease falls below the rounding
+      error of f, which is bounded by 16 * eps * (|log det cand| +
+      |tr(sigma_hat cand)|); when |f(cand) - f(x)| is within that bound,
+      the candidate is accepted instead if ``<grad(cand), move> <= (1 - 2
+      * armijo_constant) * |<grad(x), move>|`` (the approximate Armijo
+      condition of Hager & Zhang, 2005). The bound scales with both terms
+      of f, not with f, because they can cancel to an f far smaller than
+      either. When the candidate lies on the ball's sphere, both inner
+      products take the move's tangential part in place of the move.
 
     Convergence is declared when the unit-step gradient mapping
     ``x - project(x - grad)`` has Frobenius norm at most
-    gradient_tolerance. gamma=inf disables the ball. The run also stops,
-    with converged=False, when the line search finds no acceptable step or
-    when an accepted move leaves f bit-identical and is no larger than eps
-    times the iterate's norm (a null move: the iterate can no longer
-    change).
+    gradient_tolerance (termination="tolerance"). The iterative run also
+    stops, with converged=False, at max_iterations
+    (termination="max_iterations"), or with termination="stalled" when the
+    line search finds no acceptable step or when an accepted move leaves f
+    bit-identical and is no larger than eps times the iterate's norm (a
+    null move: the iterate can no longer change).
 
-    Starts from diag(1 / sigma_hat diagonal), rescaled into the ball if
-    needed; a non-converged run returns its best (last) iterate with
-    converged=False rather than raising.
+    The iterative run starts from `initial`, or else from diag(1 /
+    sigma_hat diagonal), rescaled into the ball if needed; `initial` does
+    not affect the closed form. A non-converged run returns its best
+    (last) iterate with converged=False rather than raising.
     """
     if graph.p != sigma_hat.p:
         raise DimensionMismatch(f"orders differ: graph p={graph.p}, sigma p={sigma_hat.p}")
@@ -307,6 +398,23 @@ def fit_graph_mle(
         raise InfeasibleStart("sigma_hat has a nonpositive diagonal entry; no diagonal start exists")
     mask = _support_mask(graph)
     eye = np.eye(graph.p)
+
+    families = _perfect_families(graph)
+    closed = None if families is None else _chordal_mle(sig, families)
+    if closed is not None and not float(np.linalg.norm(closed)) > gamma:
+        f, lower, _ = _barrier_objective(closed, sig)
+        if lower is not None:
+            gnorm = _gradient_map_norm(closed, _gradient(lower, sig, eye), mask, gamma)
+            if gnorm <= opts.gradient_tolerance:
+                return FitResult(
+                    theta_hat=PrecisionMatrix(closed),
+                    objective=f,
+                    iterations=0,
+                    converged=True,
+                    projected_gradient_norm=gnorm,
+                    termination="closed_form",
+                    objective_trace=(f,),
+                )
 
     x = np.diag(1.0 / diag) if initial is None else np.array(initial.matrix)
     x = _project_feasible(x, mask, gamma)
@@ -330,7 +438,8 @@ def fit_graph_mle(
                 t *= opts.backtracking_ratio
                 continue
             f_cand, lower_cand, noise = _barrier_objective(cand, sig)
-            decrease = float(np.sum(grad * move))
+            direction = _slope_direction(move, cand, gamma)
+            decrease = float(np.sum(grad * direction))
             if f_cand <= f + opts.armijo_constant * decrease and f_cand <= f:
                 new_grad = _gradient(lower_cand, sig, eye)
                 break
@@ -339,7 +448,7 @@ def fit_graph_mle(
                 # by the slope at the candidate instead (Hager & Zhang's
                 # approximate Armijo condition).
                 cand_grad = _gradient(lower_cand, sig, eye)
-                if float(np.sum(cand_grad * move)) <= (1.0 - 2.0 * opts.armijo_constant) * abs(decrease):
+                if float(np.sum(cand_grad * direction)) <= (1.0 - 2.0 * opts.armijo_constant) * abs(decrease):
                     new_grad = cand_grad
                     break
             t *= opts.backtracking_ratio
@@ -354,11 +463,19 @@ def fit_graph_mle(
         iterations += 1
         gnorm = _gradient_map_norm(x, grad, mask, gamma)
 
+    converged = gnorm <= opts.gradient_tolerance
+    if converged:
+        termination = "tolerance"
+    elif iterations >= opts.max_iterations:
+        termination = "max_iterations"
+    else:
+        termination = "stalled"
     return FitResult(
         theta_hat=PrecisionMatrix(x),
         objective=f,
         iterations=iterations,
-        converged=gnorm <= opts.gradient_tolerance,
+        converged=converged,
         projected_gradient_norm=gnorm,
+        termination=termination,
         objective_trace=tuple(trace),
     )

@@ -63,18 +63,23 @@ class SelectionResult:
     """Scores for every candidate and the index of the minimum.
 
     Ties break toward the lowest index. A candidate whose fit raised gets
-    score +inf and a None fit result.
+    score +inf and a None fit result. unconverged lists, in index order,
+    the candidates whose fit returned converged=False: they are still
+    ranked by their last objective, which only bounds their score from
+    above.
     """
 
     selected_index: int
     scores: tuple[float, ...]
     fit_results: tuple[Optional[FitResult], ...]
+    unconverged: tuple[int, ...]
 
     def to_dict(self) -> dict:
         return {
             "selected_index": self.selected_index,
             "scores": list(self.scores),
             "fit_results": [r.to_dict() if r is not None else None for r in self.fit_results],
+            "unconverged": list(self.unconverged),
         }
 
 
@@ -116,7 +121,10 @@ def select_graph(
     for idx, value in enumerate(scores):
         if value < scores[best]:
             best = idx
-    return SelectionResult(selected_index=best, scores=tuple(scores), fit_results=tuple(fits))
+    unconverged = tuple(idx for idx, fit in enumerate(fits) if fit is not None and not fit.converged)
+    return SelectionResult(
+        selected_index=best, scores=tuple(scores), fit_results=tuple(fits), unconverged=unconverged
+    )
 
 
 def sample_size_bound(

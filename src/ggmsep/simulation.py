@@ -604,7 +604,9 @@ def run_selection_experiment(
     and record whether the truth won. Aggregates carry success rates with
     95% Wilson intervals and the mean score margin over the best rival;
     with include_population=True the sweep is repeated once against the
-    exact covariance, where selection must succeed outright.
+    exact covariance, where selection must succeed outright. Extras count
+    the candidate fits that returned converged=False (unconverged_fits),
+    population pass included.
     """
     p = cfg.dimensions[0]
     theta_star = chain_precision(p, cfg.chain_diagonal, cfg.chain_coupling)
@@ -621,6 +623,7 @@ def run_selection_experiment(
     sigma_star = invert(theta_star)
 
     records = []
+    unconverged = 0
     for grid_index, n in enumerate(cfg.sample_sizes):
         for trial in range(cfg.trials):
             seed = trial_seed(cfg.base_seed, grid_index, trial)
@@ -629,6 +632,7 @@ def run_selection_experiment(
             if cfg.use_true_diagonal:
                 sigma_hat = corrected_covariance(sigma_hat, np.diag(sigma_star.matrix))
             result = select_graph(collection, sigma_hat, cfg.gamma, cfg.fit)
+            unconverged += len(result.unconverged)
             margin = min(result.scores[1:]) - result.scores[0]
             records.append(
                 {
@@ -664,6 +668,7 @@ def run_selection_experiment(
     extras: dict = {"separation_constant": c_theta_star(theta_star)}
     if cfg.include_population:
         population = select_graph(collection, sigma_star, cfg.gamma, cfg.fit)
+        unconverged += len(population.unconverged)
         gaps = [s - population.scores[0] for s in population.scores[1:]]
         extras["population"] = {
             "selected_index": population.selected_index,
@@ -671,6 +676,7 @@ def run_selection_experiment(
             "score_gaps": gaps,
             "min_gap": min(gaps),
         }
+    extras["unconverged_fits"] = unconverged
     return ExperimentReport(
         kind="selection",
         config=cfg.to_dict(),

@@ -267,14 +267,17 @@ def test_criterion_7_selection_sample_complexity():
     log_c = math.log(report.extras["separation_constant"])
     gaps_ok = population["success"] and all(g >= log_c - 1e-6 for g in population["score_gaps"])
 
-    ok = trend_ok and reaches and gaps_ok and elapsed < 600.0
+    unconverged = report.extras["unconverged_fits"]
+
+    ok = trend_ok and reaches and gaps_ok and unconverged == 0 and elapsed < 600.0
     _line(7, "chain-model selection: rate trend, 0.95 threshold, population gaps", ok,
           f"rates {['%.3f' % r for r in rates]}, min pop gap {population['min_gap']:.3f} "
-          f">= log c {log_c:.3f}, {elapsed:.1f}s")
+          f">= log c {log_c:.3f}, {unconverged} unconverged fits, {elapsed:.1f}s")
     assert trend_ok
     assert reaches
     assert population["success"]
     assert all(g >= log_c - 1e-6 for g in population["score_gaps"])
+    assert unconverged == 0
     assert elapsed < 600.0
 
 

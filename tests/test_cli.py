@@ -130,7 +130,9 @@ class TestFitAndSelect:
     def test_fit_not_converged_exits_4_but_writes(self, tmp_path, capsys):
         theta = random_sparse_precision(5, np.random.default_rng(3))
         sigma_path = write_json(tmp_path / "sigma.json", matrix_doc(invert(theta)))
-        graph_path = write_json(tmp_path / "graph.json", edge_set_doc(EdgeSet.complete(5)))
+        # the 5-cycle is not chordal, so the fit iterates and one step cannot converge
+        cycle = EdgeSet(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        graph_path = write_json(tmp_path / "graph.json", edge_set_doc(cycle))
         out_path = tmp_path / "fit.json"
         code, _, _ = run(capsys, "fit", sigma_path, graph_path,
                          "--gamma", "inf", "--max-iterations", "1", "--out", out_path)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ggmsep import (
@@ -258,6 +260,7 @@ class TestFitGraphMle:
             sigma, EdgeSet.complete(6).without((1, 3)), math.inf, FitOptions(gradient_tolerance=1e-16)
         )
         assert not result.converged
+        assert result.termination == "stalled"
         assert result.iterations < 1000
 
     def test_iterates_stay_feasible(self):
@@ -279,6 +282,16 @@ class TestFitGraphMle:
         constrained = fit_graph_mle(sigma, EdgeSet.complete(4), gamma)
         assert constrained.converged
         assert_allclose(np.linalg.norm(constrained.theta_hat.matrix), gamma, rtol=1e-6)
+
+    def test_binding_ball_fit_does_not_stall(self):
+        # on the sphere the normal gradient is O(1) and the rescale leaves
+        # eps-sized rounding in the move; slopes taken along the raw move
+        # made the line search fail at gradient map 1.25e-8 for this gamma
+        theta = chain_precision(6)
+        sigma = empirical_covariance(sample(theta, 200, 469))
+        result = fit_graph_mle(sigma, edge_set_of(theta), 2.055756665897253)
+        assert result.converged
+        assert result.termination == "tolerance"
 
     def test_nesting_of_feasible_sets(self):
         sigma = invert(random_sparse_precision(6, np.random.default_rng(22)))
@@ -311,11 +324,13 @@ class TestFitGraphMle:
             fit_graph_mle(sigma, EdgeSet(2), 0.0)
 
     def test_singular_covariance_stays_bounded(self):
-        # n < p second-moment matrix: the ball keeps the problem bounded
+        # n < p second-moment matrix: the ball keeps the problem bounded, and
+        # the chordal closed form meets a singular block and falls back
         rng = np.random.default_rng(27)
         rows = rng.standard_normal((2, 4))
         sigma = CovarianceMatrix(rows.T @ rows / 2)
         result = fit_graph_mle(sigma, EdgeSet.complete(4), 8.0, FitOptions(max_iterations=300))
+        assert result.iterations > 0
         assert np.linalg.norm(result.theta_hat.matrix) <= 8.0 * (1 + 1e-10)
         assert math.isfinite(result.objective)
 
@@ -323,9 +338,101 @@ class TestFitGraphMle:
         sigma = invert(random_sparse_precision(3, np.random.default_rng(28)))
         result = fit_graph_mle(sigma, EdgeSet.complete(3), math.inf)
         doc = result.to_dict()
-        assert set(doc) == {"theta_hat", "objective", "iterations", "converged", "projected_gradient_norm"}
+        assert set(doc) == {
+            "theta_hat", "objective", "iterations", "converged", "termination", "projected_gradient_norm"
+        }
         assert doc["theta_hat"]["p"] == 3
         assert len(doc["theta_hat"]["entries"]) == 9
+
+
+@st.composite
+def chordal_supports(draw):
+    """Random chordal graphs: forests, K_p minus one edge, and the fill-in
+    of a random graph along a random elimination order."""
+    p = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["forest", "complete_minus_edge", "elimination"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(p).tolist()
+    if kind == "forest":
+        edges = [(v, order[int(rng.integers(k))]) for k, v in enumerate(order) if k and rng.random() < 0.8]
+        return EdgeSet(p, edges)
+    if kind == "complete_minus_edge":
+        return EdgeSet.complete(p).without(tuple(order[:2]))
+    adjacency = {v: set() for v in range(p)}
+    for i in range(p):
+        for j in range(i + 1, p):
+            if rng.random() < 0.35:
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    for v in order:
+        later = list(adjacency[v])
+        for a in later:
+            adjacency[a].discard(v)
+            adjacency[a].update(u for u in later if u != a)
+    return EdgeSet(p, [(v, u) for v in range(p) for u in adjacency[v]])
+
+
+def _sample_covariance(p, seed):
+    truth = random_sparse_precision(p, np.random.default_rng(seed))
+    return empirical_covariance(sample(truth, 2 * p + 5, seed))
+
+
+def _support(graph):
+    mask = np.eye(graph.p, dtype=bool)
+    for i, j in graph.edges:
+        mask[i, j] = mask[j, i] = True
+    return mask
+
+
+def _non_increasing(trace):
+    return all(later <= earlier + 1e-12 for earlier, later in zip(trace, trace[1:]))
+
+
+CYCLES = [EdgeSet(p, [(k, (k + 1) % p) for k in range(p)]) for p in (4, 5)]
+
+
+class TestChordalClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=chordal_supports(), seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_satisfies_kkt(self, graph, seed):
+        sigma = _sample_covariance(graph.p, seed)
+        result = fit_graph_mle(sigma, graph, math.inf)
+        assert result.termination == "closed_form"
+        assert result.converged and result.iterations == 0
+        assert result.objective_trace == (result.objective,)
+        theta = result.theta_hat.matrix
+        support = _support(graph)
+        assert np.all(theta[~support] == 0.0)
+        residual = sigma.matrix - np.linalg.inv(theta)
+        assert np.max(np.abs(residual[support])) <= 1e-9 * np.max(np.abs(sigma.matrix))
+
+    @settings(max_examples=10, deadline=None)
+    @given(cycle=st.sampled_from(CYCLES), seed=st.integers(0, 2**32 - 1))
+    def test_cycles_take_the_iterative_path(self, cycle, seed):
+        result = fit_graph_mle(_sample_covariance(cycle.p, seed), cycle, math.inf)
+        assert result.termination == "tolerance"
+        assert result.converged and result.iterations > 0
+        assert _non_increasing(result.objective_trace)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shrink=st.floats(0.3, 0.95))
+    def test_binding_ball_falls_back(self, seed, shrink):
+        theta = chain_precision(6)
+        graph = edge_set_of(theta)
+        sigma = empirical_covariance(sample(theta, 200, seed))
+        free = fit_graph_mle(sigma, graph, math.inf)
+        assert free.termination == "closed_form"
+        gamma = shrink * float(np.linalg.norm(free.theta_hat.matrix))
+        bound = fit_graph_mle(sigma, graph, gamma)
+        assert bound.termination == "tolerance"
+        assert bound.converged and bound.iterations > 0
+        assert _non_increasing(bound.objective_trace)
+        assert np.linalg.norm(bound.theta_hat.matrix) <= gamma * (1 + 1e-12)
+
+    def test_termination_reports_the_iteration_cap(self):
+        result = fit_graph_mle(_sample_covariance(5, 3), CYCLES[1], math.inf, FitOptions(max_iterations=1))
+        assert result.termination == "max_iterations"
+        assert not result.converged and result.iterations == 1
 
 
 class TestFitOptions:

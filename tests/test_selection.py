@@ -1,5 +1,6 @@
 """Graph scores, the minimum-score selector, and the sample-size formula."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -128,6 +129,24 @@ class TestSelectGraph:
         assert math.isinf(result.scores[0])
         assert result.fit_results[0] is None
 
+    def test_unconverged_candidate_is_flagged(self, monkeypatch):
+        sigma = invert(random_sparse_precision(4, np.random.default_rng(8)))
+        stalled = EdgeSet(4, [(0, 1)])
+        good = EdgeSet(4, [(2, 3)])
+        real_fit = selection_module.fit_graph_mle
+
+        def stalling_fit(sigma_hat, graph, gamma, opts=FitOptions()):
+            result = real_fit(sigma_hat, graph, gamma, opts)
+            if graph == stalled:
+                return dataclasses.replace(result, converged=False, termination="stalled")
+            return result
+
+        monkeypatch.setattr(selection_module, "fit_graph_mle", stalling_fit)
+        result = select_graph(CandidateCollection([good, stalled, good]), sigma, 20.0)
+        assert result.unconverged == (1,)
+        assert result.to_dict()["unconverged"] == [1]
+        assert math.isfinite(result.scores[1])
+
     def test_all_fits_failed(self):
         # zero diagonal makes every candidate's initialization impossible
         sigma = CovarianceMatrix([[0.0, 0.0], [0.0, 1.0]])
@@ -141,6 +160,7 @@ class TestSelectGraph:
         assert doc["selected_index"] == 1
         assert len(doc["scores"]) == 2
         assert doc["fit_results"][0]["converged"] is True
+        assert doc["unconverged"] == []
 
 
 class TestSampleSizeBound:

@@ -1,5 +1,6 @@
 """Sampling, model generators, and the three experiment drivers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from ggmsep import (
     sample,
     trial_seed,
 )
+from ggmsep import selection as selection_module
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 
@@ -255,6 +257,21 @@ class TestSelectionExperiment:
         population = report.extras["population"]
         assert population["success"]
         assert population["min_gap"] >= math.log(report.extras["separation_constant"]) - 1e-6
+
+    def test_unconverged_fits_are_counted(self, monkeypatch):
+        real_fit = selection_module.fit_graph_mle
+
+        def stalling_fit(sigma_hat, graph, gamma, opts=FitOptions()):
+            result = real_fit(sigma_hat, graph, gamma, opts)
+            if len(graph) == 0:
+                return dataclasses.replace(result, converged=False, termination="stalled")
+            return result
+
+        # the p=2 chain has one rival, the empty graph, and only its fits stall
+        monkeypatch.setattr(selection_module, "fit_graph_mle", stalling_fit)
+        report = run_selection_experiment(self._config(dimensions=(2,)))
+        assert report.extras["unconverged_fits"] == 2 * 6 + 1
+        assert run_selection_experiment(self._config()).extras["unconverged_fits"] == 0
 
     def test_corrected_covariance_not_worse_than_plain(self):
         plain = run_selection_experiment(self._config(sample_sizes=(60,)))
