@@ -7,7 +7,7 @@ invert back. Route two is numerical: minimize the Gaussian negative log
 likelihood over precision matrices whose support omits the edge. They must
 agree, and the KL paid must equal the conditional mutual information of
 the severed edge. (The complete graph minus one edge is chordal, so the
-fit is exact in closed form; a non-chordal support makes it iterate.) The same story holds for severing a whole star.
+fit is exact in closed form; on a non-chordal support it takes Newton steps.) The same story holds for severing a whole star.
 
 Run: python3 demos/projection_and_fitting.py
 """
@@ -64,7 +64,7 @@ def main() -> None:
 
     print()
     # K_p minus one edge is chordal, so the fit above was closed-form; a
-    # 6-cycle is not, and its fit iterates
+    # 6-cycle is not, and its fit takes damped Newton steps
     cycle = EdgeSet(6, [(k, (k + 1) % 6) for k in range(6)])
     iterative = fit_graph_mle(sigma, cycle, math.inf)
     trace = iterative.objective_trace

@@ -6,8 +6,9 @@ randomness enters experiments only through the configured (or --seed
 overridden) base seed.
 
 Exit codes: 0 success, 2 unreadable or invalid input, 3 math-domain error
-(for example a matrix that is not positive definite), 4 fit did not
-converge (the result is still written).
+(for example a matrix that is not positive definite), 4 a fit did not
+converge (fit, or any candidate's fit in select; the result is still
+written).
 """
 
 from __future__ import annotations
@@ -60,9 +61,6 @@ def _fit_options(args: argparse.Namespace) -> FitOptions:
     return FitOptions(
         max_iterations=args.max_iterations,
         gradient_tolerance=args.gradient_tolerance,
-        initial_step=args.initial_step,
-        backtracking_ratio=args.backtracking_ratio,
-        armijo_constant=args.armijo_constant,
     )
 
 
@@ -72,9 +70,6 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
                         help="Frobenius-ball radius; 'inf' disables the ball")
     parser.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
     parser.add_argument("--gradient-tolerance", type=float, default=defaults.gradient_tolerance)
-    parser.add_argument("--initial-step", type=float, default=defaults.initial_step)
-    parser.add_argument("--backtracking-ratio", type=float, default=defaults.backtracking_ratio)
-    parser.add_argument("--armijo-constant", type=float, default=defaults.armijo_constant)
 
 
 def _cmd_kl(args: argparse.Namespace) -> int:
@@ -123,7 +118,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     collection = CandidateCollection(load_candidates(args.candidates))
     result = select_graph(collection, sigma, args.gamma, _fit_options(args))
     _emit(args, result.to_dict())
-    return EXIT_OK
+    return EXIT_NOT_CONVERGED if result.unconverged else EXIT_OK
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -137,8 +132,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         extra = set(doc) - {"d_values"}
         if extra:
             raise ValueError(f"unknown counterexample config keys: {sorted(extra)}")
-        if "d_values" not in doc:
-            raise ValueError("counterexample config needs d_values")
+        if not isinstance(doc.get("d_values"), list):
+            raise ValueError("counterexample config needs d_values, a list of integers")
         report = run_counterexample_experiment(doc["d_values"])
     else:
         if args.seed is not None:

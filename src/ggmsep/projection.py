@@ -11,17 +11,19 @@ possible for any distribution missing those edges.
 precision matrices supported on a given graph (diagonal always free)
 inside a Frobenius ball, the inner optimization behind graph scores. On a
 chordal graph whose unconstrained optimum lies inside the ball it returns
-that optimum in closed form; otherwise it runs projected gradient descent.
+that optimum in closed form; otherwise it runs damped Newton steps in the
+p + |E| coordinates of the support, each minimizing the quadratic model of
+the objective over the ball.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .core import (
     CovarianceMatrix,
@@ -145,34 +147,20 @@ def nll_gradient(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> np.ndar
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the projected-gradient fit."""
+    """Stopping rule of the constrained fit: an iteration cap and the
+    gradient-mapping tolerance at which a fit counts as converged."""
 
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-8
-    initial_step: float = 1.0
-    backtracking_ratio: float = 0.5
-    armijo_constant: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise InvalidParameters("max_iterations must be >= 1")
         if not self.gradient_tolerance > 0:
             raise InvalidParameters("gradient_tolerance must be positive")
-        if not self.initial_step > 0:
-            raise InvalidParameters("initial_step must be positive")
-        if not 0.0 < self.backtracking_ratio < 1.0:
-            raise InvalidParameters("backtracking_ratio must be in (0, 1)")
-        if not self.armijo_constant > 0:
-            raise InvalidParameters("armijo_constant must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "max_iterations": self.max_iterations,
-            "gradient_tolerance": self.gradient_tolerance,
-            "initial_step": self.initial_step,
-            "backtracking_ratio": self.backtracking_ratio,
-            "armijo_constant": self.armijo_constant,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,17 +170,13 @@ class FitResult:
     termination says why the fit stopped: "closed_form" (the chordal
     closed form passed its optimality check; iterations is 0),
     "tolerance" (the gradient mapping reached gradient_tolerance),
-    "max_iterations" (the iteration cap was hit first) or "stalled" (the
-    line search found no acceptable step, or an accepted move could no
-    longer change the iterate).
+    "max_iterations" (the iteration cap was hit first) or "stalled" (a
+    Newton step with decrement below 1/4 did not reduce the gradient
+    mapping, so rounding error dominates it).
 
-    objective_trace holds the accepted objective values, non-increasing up
-    to the objective's rounding error: an accepted value exceeds its
-    predecessor by at most 16 * eps * (|log det theta| + |tr(sigma_hat
-    theta)|) at the accepted theta (eps = 2.2e-16): 2-4e-14 for the p <= 8
-    fits of the test suite, 7e-13 for an unconstrained p = 100 fit, where
-    the trace term alone is p. It is diagnostic only and not part of the
-    JSON document.
+    objective_trace holds the objective at the start and after every
+    Newton step, non-increasing up to rounding. It is diagnostic only and
+    not part of the JSON document.
     """
 
     theta_hat: PrecisionMatrix
@@ -214,73 +198,113 @@ class FitResult:
         }
 
 
-_EPS = float(np.finfo(float).eps)
-# Rounding-error bound of the objective, as a multiple of
-# |log det theta| + |tr(sigma_hat theta)|.
-_NOISE_FACTOR = 16.0 * _EPS
+_HESSIAN_BLOCK = 64
+# Relative accuracy of ||coords + d|| = gamma when the ball binds, and a cap
+# on the Newton steps (Cholesky factorizations) spent reaching it.
+_SECULAR_TOLERANCE = 1e-15
+_SECULAR_STEPS = 50
 
 
-def _support_mask(graph: EdgeSet) -> np.ndarray:
-    mask = np.eye(graph.p, dtype=bool)
-    for i, j in graph.edges:
-        mask[i, j] = mask[j, i] = True
-    return mask
+class _SupportBasis:
+    """Orthonormal basis, in the Frobenius inner product, of the symmetric
+    matrices supported on a graph plus the diagonal: e_i e_i^T for every
+    vertex, then (e_i e_j^T + e_j e_i^T) / sqrt(2) for every edge.
+
+    In these coordinates the Euclidean norm is the Frobenius norm, so the
+    ball is a Euclidean ball and projecting onto it is a rescale."""
+
+    def __init__(self, graph: EdgeSet) -> None:
+        edges = sorted(graph.edges)
+        self.p = graph.p
+        self.rows = np.array([*range(graph.p), *(i for i, _ in edges)], dtype=np.intp)
+        self.cols = np.array([*range(graph.p), *(j for _, j in edges)], dtype=np.intp)
+        self.scale = np.where(self.rows == self.cols, 1.0, math.sqrt(2.0))
+
+    def coordinates(self, arr: np.ndarray) -> np.ndarray:
+        # coordinates of the projection of a symmetric matrix onto the
+        # support; applied to a gradient matrix, the gradient in coordinates
+        return self.scale * arr[self.rows, self.cols]
+
+    def matrix(self, coords: np.ndarray) -> np.ndarray:
+        arr = np.zeros((self.p, self.p))
+        entries = coords / self.scale
+        arr[self.rows, self.cols] = entries
+        arr[self.cols, self.rows] = entries
+        return arr
+
+    def hessian(self, cov: np.ndarray) -> np.ndarray:
+        """Hessian of nll in coordinates, given cov = inv(theta).
+
+        Entry (a, b) is tr(cov E_a cov E_b) = w_a w_b (cov_ik cov_jl +
+        cov_il cov_jk) for basis elements E_a at (i, j) and E_b at (k, l),
+        with w = 1/sqrt(2) on the diagonal and 1 on edges. It is filled a
+        block of rows at a time, so no temporary is larger than a block.
+        """
+        m = self.rows.size
+        weight = self.scale / math.sqrt(2.0)
+        hess = np.empty((m, m))
+        for start in range(0, m, _HESSIAN_BLOCK):
+            block = slice(start, start + _HESSIAN_BLOCK)
+            at_rows, at_cols = cov[self.rows[block]], cov[self.cols[block]]
+            out = hess[block]
+            np.multiply(at_rows[:, self.rows], at_cols[:, self.cols], out=out)
+            out += at_rows[:, self.cols] * at_cols[:, self.rows]
+            out *= np.outer(weight[block], weight)
+        return hess
 
 
-def _project_feasible(arr: np.ndarray, mask: np.ndarray, gamma: float) -> np.ndarray:
-    # Zeroing off-support entries is the orthogonal projection onto the
-    # support subspace; since that subspace passes through the ball's
-    # center, following it with a rescale into the ball projects exactly
-    # onto the intersection.
-    out = np.where(mask, arr, 0.0)
-    if math.isfinite(gamma):
-        norm = float(np.linalg.norm(out))
-        if norm > gamma:
-            out = out * (gamma / norm)
-    return out
-
-
-def _barrier_objective(arr: np.ndarray, sig: np.ndarray) -> tuple[float, Optional[np.ndarray], float]:
-    # -log det is +inf outside the PD cone, which is how the line search
-    # rejects steps that leave it. The third value bounds the rounding
-    # error of the objective; it scales with both terms, not with their
-    # difference, which can be far smaller than either.
+def _barrier_objective(arr: np.ndarray, sig: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+    # -log det is +inf outside the PD cone, where no Cholesky factor exists.
     try:
         lower = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:
-        return math.inf, None, math.inf
+        return math.inf, None
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    fit_term = float(np.sum(sig * arr))
-    return -log_det + fit_term, lower, _NOISE_FACTOR * (abs(log_det) + abs(fit_term))
+    return -log_det + float(np.sum(sig * arr)), lower
 
 
-def _gradient(lower: np.ndarray, sig: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    inverse = cho_solve((lower, True), eye)
-    return sig - 0.5 * (inverse + inverse.T)
+def _covariance(lower: np.ndarray) -> np.ndarray:
+    """inv(theta) from theta's lower Cholesky factor, exactly symmetric."""
+    inverse = cho_solve((lower, True), np.eye(lower.shape[0]))
+    return 0.5 * (inverse + inverse.T)
 
 
-def _gradient_map_norm(x: np.ndarray, grad: np.ndarray, mask: np.ndarray, gamma: float) -> float:
-    return float(np.linalg.norm(x - _project_feasible(x - grad, mask, gamma)))
+def _into_ball(coords: np.ndarray, gamma: float) -> np.ndarray:
+    norm = float(np.linalg.norm(coords))
+    return coords * (gamma / norm) if norm > gamma else coords
 
 
-def _slope_direction(move: np.ndarray, cand: np.ndarray, gamma: float) -> np.ndarray:
-    # When the ball binds, the gradient has an O(1) component along the
-    # sphere's normal (the multiplier), while the rescale onto the sphere
-    # leaves eps-sized rounding in every entry of the move. Near the optimum
-    # that rounding outweighs the tangential decrease in <grad, move>, and
-    # the line search fails at random. The move's normal part is second
-    # order in the step, so the slopes are taken along its tangential part.
-    if not math.isfinite(gamma) or float(np.linalg.norm(cand)) < gamma * (1.0 - 1e-12):
-        return move
-    return move - (float(np.sum(move * cand)) / float(np.sum(cand * cand))) * cand
+def _gradient_map_norm(coords: np.ndarray, grad: np.ndarray, gamma: float) -> float:
+    return float(np.linalg.norm(coords - _into_ball(coords - grad, gamma)))
 
 
-def _bb_step(dx: np.ndarray, dgrad: np.ndarray, fallback: float) -> float:
-    num = float(np.sum(dx * dx))
-    den = float(np.sum(dx * dgrad))
-    if num == 0.0 or den <= 0.0 or not math.isfinite(den):
-        return fallback
-    return min(max(num / den, 1e-12), 1e10)
+def _newton_step(
+    hess: np.ndarray, grad: np.ndarray, coords: np.ndarray, gamma: float, nu: float
+) -> tuple[np.ndarray, float, float]:
+    """Step d minimizing <grad, d> + d^T hess d / 2 over ||coords + d|| <=
+    gamma, its Newton decrement sqrt(d^T hess d), and the ball's multiplier
+    nu: (hess + nu I) d = -(grad + nu coords), with nu = 0 or ||coords +
+    d|| = gamma. 1 / ||coords + d(nu)|| is concave and increasing, so
+    Newton's method on it (More & Sorensen, 1983), started from the
+    previous step's nu, lands below the root at most once and then rises
+    to it monotonically."""
+    # Fortran order lets LAPACK factor the buffer in place, without a copy
+    shifted = np.empty_like(hess, order="F")
+    diagonal = np.diag_indices_from(shifted)
+    for _ in range(_SECULAR_STEPS):
+        np.copyto(shifted, hess)
+        shifted[diagonal] += nu
+        lower = cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+        step = -cho_solve((lower, True), grad + nu * coords, check_finite=False)
+        target = coords + step
+        norm = float(np.linalg.norm(target))
+        if (nu == 0.0 and norm <= gamma) or abs(norm - gamma) <= _SECULAR_TOLERANCE * gamma:
+            break
+        slope = solve_triangular(lower, target, lower=True, check_finite=False)
+        nu = max(nu + (norm / float(np.linalg.norm(slope))) ** 2 * (norm - gamma) / gamma, 0.0)
+    if norm > gamma:
+        step = target * (gamma / norm) - coords
+    return step, math.sqrt(max(float(step @ (hess @ step)), 0.0)), nu
 
 
 def _perfect_families(graph: EdgeSet) -> Optional[list[tuple[int, list[int]]]]:
@@ -357,36 +381,30 @@ def fit_graph_mle(
       and its gradient mapping is at most gradient_tolerance. The problem
       is convex, so an unconstrained optimum inside the ball is the
       constrained optimum.
-    - Projected gradient descent otherwise: the graph is not chordal, a
-      conditioning block of sigma_hat is singular, the ball binds, or the
-      check fails. Trial steps use a Barzilai-Borwein scale from the
-      previous accepted move; candidates outside the PD cone cost +inf and
-      are rejected by the line search, so every iterate is feasible and
-      strictly PD. A candidate is accepted when it passes the Armijo test
-      ``f(cand) <= f(x) + armijo_constant * <grad(x), move>`` without
-      raising f. Near the optimum that decrease falls below the rounding
-      error of f, which is bounded by 16 * eps * (|log det cand| +
-      |tr(sigma_hat cand)|); when |f(cand) - f(x)| is within that bound,
-      the candidate is accepted instead if ``<grad(cand), move> <= (1 - 2
-      * armijo_constant) * |<grad(x), move>|`` (the approximate Armijo
-      condition of Hager & Zhang, 2005). The bound scales with both terms
-      of f, not with f, because they can cancel to an f far smaller than
-      either. When the candidate lies on the ball's sphere, both inner
-      products take the move's tangential part in place of the move.
+    - Damped Newton otherwise: the graph is not chordal, a conditioning
+      block of sigma_hat is singular, the ball binds, or the check fails.
+      It works in the p + |E| coordinates of an orthonormal basis of the
+      support, with a dense Hessian, so a step costs O((p + |E|)^3). Step
+      d minimizes the quadratic model of nll over the ball and the
+      iterate moves to theta + d / (1 + lam), lam = sqrt(d^T H d) the
+      Newton decrement. nll is self-concordant, so that move stays
+      positive definite and lowers nll by at least lam - log(1 + lam)
+      without a line search (Nesterov & Nemirovski 1994; Tran-Dinh,
+      Kyrillidis & Cevher 2015 for the constrained step), and as a convex
+      combination of two points in the ball it stays in the ball.
 
     Convergence is declared when the unit-step gradient mapping
     ``x - project(x - grad)`` has Frobenius norm at most
-    gradient_tolerance (termination="tolerance"). The iterative run also
+    gradient_tolerance (termination="tolerance"). The Newton run also
     stops, with converged=False, at max_iterations
-    (termination="max_iterations"), or with termination="stalled" when the
-    line search finds no acceptable step or when an accepted move leaves f
-    bit-identical and is no larger than eps times the iterate's norm (a
-    null move: the iterate can no longer change).
+    (termination="max_iterations"), or with termination="stalled" when a
+    step taken with lam < 1/4, where Newton converges quadratically, fails
+    to reduce the gradient mapping: only rounding error can do that.
 
-    The iterative run starts from `initial`, or else from diag(1 /
+    The Newton run starts from `initial`, or else from diag(1 /
     sigma_hat diagonal), rescaled into the ball if needed; `initial` does
-    not affect the closed form. A non-converged run returns its best
-    (last) iterate with converged=False rather than raising.
+    not affect the closed form. A non-converged run returns its last
+    iterate with converged=False rather than raising.
     """
     if graph.p != sigma_hat.p:
         raise DimensionMismatch(f"orders differ: graph p={graph.p}, sigma p={sigma_hat.p}")
@@ -396,15 +414,15 @@ def fit_graph_mle(
     diag = np.diag(sig)
     if np.any(diag <= 0):
         raise InfeasibleStart("sigma_hat has a nonpositive diagonal entry; no diagonal start exists")
-    mask = _support_mask(graph)
-    eye = np.eye(graph.p)
+    basis = _SupportBasis(graph)
 
     families = _perfect_families(graph)
     closed = None if families is None else _chordal_mle(sig, families)
     if closed is not None and not float(np.linalg.norm(closed)) > gamma:
-        f, lower, _ = _barrier_objective(closed, sig)
+        f, lower = _barrier_objective(closed, sig)
         if lower is not None:
-            gnorm = _gradient_map_norm(closed, _gradient(lower, sig, eye), mask, gamma)
+            grad = basis.coordinates(sig - _covariance(lower))
+            gnorm = _gradient_map_norm(basis.coordinates(closed), grad, gamma)
             if gnorm <= opts.gradient_tolerance:
                 return FitResult(
                     theta_hat=PrecisionMatrix(closed),
@@ -416,52 +434,35 @@ def fit_graph_mle(
                     objective_trace=(f,),
                 )
 
-    x = np.diag(1.0 / diag) if initial is None else np.array(initial.matrix)
-    x = _project_feasible(x, mask, gamma)
-    f, lower, _ = _barrier_objective(x, sig)
-    if not math.isfinite(f):
+    start = np.diag(1.0 / diag) if initial is None else initial.matrix
+    coords = _into_ball(basis.coordinates(start), gamma)
+    f, lower = _barrier_objective(basis.matrix(coords), sig)
+    if lower is None:
         raise InvalidParameters("initial point is not positive definite after projection")
 
-    grad = _gradient(lower, sig, eye)
-    gnorm = _gradient_map_norm(x, grad, mask, gamma)
-    trace = [f]
-    step = opts.initial_step
+    trace = []
     iterations = 0
-
-    while gnorm > opts.gradient_tolerance and iterations < opts.max_iterations:
-        t = step
-        new_grad = None
-        while t > 1e-20:
-            cand = _project_feasible(x - t * grad, mask, gamma)
-            move = cand - x
-            if not np.any(move):
-                t *= opts.backtracking_ratio
-                continue
-            f_cand, lower_cand, noise = _barrier_objective(cand, sig)
-            direction = _slope_direction(move, cand, gamma)
-            decrease = float(np.sum(grad * direction))
-            if f_cand <= f + opts.armijo_constant * decrease and f_cand <= f:
-                new_grad = _gradient(lower_cand, sig, eye)
-                break
-            if math.isfinite(f_cand) and abs(f_cand - f) <= noise:
-                # The objective cannot resolve this decrease; judge the step
-                # by the slope at the candidate instead (Hager & Zhang's
-                # approximate Armijo condition).
-                cand_grad = _gradient(lower_cand, sig, eye)
-                if float(np.sum(cand_grad * direction)) <= (1.0 - 2.0 * opts.armijo_constant) * abs(decrease):
-                    new_grad = cand_grad
-                    break
-            t *= opts.backtracking_ratio
-        if new_grad is None:
-            break
-        if f_cand == f and np.linalg.norm(move) <= _EPS * np.linalg.norm(x):
-            # a null move: the iterate can no longer change
-            break
-        step = _bb_step(move, new_grad - grad, fallback=opts.initial_step)
-        x, f, grad = cand, f_cand, new_grad
+    nu = 0.0
+    gnorm = decrement = math.inf
+    while True:
+        cov = _covariance(lower)
+        grad = basis.coordinates(sig - cov)
+        previous, gnorm = gnorm, _gradient_map_norm(coords, grad, gamma)
         trace.append(f)
+        if gnorm <= opts.gradient_tolerance or iterations >= opts.max_iterations:
+            break
+        if decrement < 0.25 and gnorm >= previous:
+            break
+        try:
+            step, decrement, nu = _newton_step(basis.hessian(cov), grad, coords, gamma, nu)
+        except np.linalg.LinAlgError:
+            break
+        cand = coords + step / (1.0 + decrement)
+        f_cand, lower_cand = _barrier_objective(basis.matrix(cand), sig)
+        if lower_cand is None:
+            break
+        coords, f, lower = cand, f_cand, lower_cand
         iterations += 1
-        gnorm = _gradient_map_norm(x, grad, mask, gamma)
 
     converged = gnorm <= opts.gradient_tolerance
     if converged:
@@ -471,7 +472,7 @@ def fit_graph_mle(
     else:
         termination = "stalled"
     return FitResult(
-        theta_hat=PrecisionMatrix(x),
+        theta_hat=PrecisionMatrix(basis.matrix(coords)),
         objective=f,
         iterations=iterations,
         converged=converged,

@@ -277,6 +277,33 @@ def random_omega_inf_member(
     return PrecisionMatrix(arr)
 
 
+def _checked_fields(what: str, doc: Mapping, defaults: object) -> dict:
+    # Checks JSON values against the types of the defaults' fields: bool
+    # for bool, integer for int, any number for float, and a list of
+    # integers for a tuple. Nested objects are left to the caller.
+    def is_int(value: object) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    unknown = set(doc) - {f.name for f in dataclasses.fields(defaults)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        default = getattr(defaults, key)
+        if isinstance(default, bool):
+            ok = isinstance(value, bool)
+        elif isinstance(default, int):
+            ok = is_int(value)
+        elif isinstance(default, float):
+            ok = is_int(value) or isinstance(value, float)
+        elif isinstance(default, tuple):
+            ok = isinstance(value, (list, tuple)) and all(is_int(v) for v in value)
+        else:
+            ok = True
+        if not ok:
+            raise ValueError(f"{what} key {key!r} has a value of the wrong type: {value!r}")
+    return dict(doc)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared configuration for the randomized experiment drivers.
@@ -316,15 +343,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
+        """Parse a JSON config document; ValueError names any unknown key or
+        any value of the wrong type."""
+        kwargs = _checked_fields("config", doc, cls())
         if "fit" in kwargs:
             if not isinstance(kwargs["fit"], Mapping):
                 raise ValueError("fit must be an object of fit options")
-            kwargs["fit"] = FitOptions(**kwargs["fit"])
+            kwargs["fit"] = FitOptions(**_checked_fields("fit", kwargs["fit"], FitOptions()))
         for key in ("dimensions", "sample_sizes"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])

@@ -139,6 +139,18 @@ class TestFitAndSelect:
         assert code == 4
         assert json.loads(out_path.read_text())["converged"] is False
 
+    def test_select_with_unconverged_candidate_exits_4_but_writes(self, tmp_path, capsys):
+        theta = random_sparse_precision(5, np.random.default_rng(3))
+        sigma_path = write_json(tmp_path / "sigma.json", matrix_doc(invert(theta)))
+        cycle = EdgeSet(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        candidates = [cycle, EdgeSet(5)]
+        cand_path = write_json(tmp_path / "candidates.json", [edge_set_doc(g) for g in candidates])
+        out_path = tmp_path / "select.json"
+        code, _, _ = run(capsys, "select", sigma_path, cand_path,
+                         "--gamma", "inf", "--max-iterations", "1", "--out", out_path)
+        assert code == 4
+        assert json.loads(out_path.read_text())["unconverged"] == [0]
+
     def test_fit_invalid_gamma_exits_3(self, tmp_path, capsys):
         sigma_path = write_json(tmp_path / "sigma.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
         graph_path = write_json(tmp_path / "graph.json", {"p": 2, "edges": []})
@@ -199,6 +211,24 @@ class TestExperiment:
         assert header == "n,p,s,success_rate,ci_low,ci_high,mean_gap"
         report = json.loads((out_dir / "selection_report.json").read_text())
         assert report["extras"]["population"]["success"] is True
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"fit": {"bogus": 1}}, "bogus"),
+        ({"fit": {"armijo_constant": 1e-4}}, "armijo_constant"),
+        ({"gamma": "inf"}, "gamma"),
+        ({"trials": 2.5}, "trials"),
+    ])
+    def test_invalid_selection_config_exits_2_naming_the_key(self, tmp_path, capsys, doc, named):
+        config = write_json(tmp_path / "config.json", doc)
+        code, _, err = run(capsys, "experiment", "selection", config, "--out", tmp_path / "o", "--quiet")
+        assert code == 2
+        assert named in err
+
+    def test_counterexample_d_values_not_a_list_exits_2(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", {"d_values": 3})
+        code, _, err = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o")
+        assert code == 2
+        assert "d_values" in err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = write_json(tmp_path / "config.json", {"d_values": [1], "bogus": 3})
