@@ -2,8 +2,9 @@
 """Two routes to the KL-closest model without an edge, meeting in the middle.
 
 Route one is covariance surgery: replace Cov(X_i, X_j) by the value that
-zeroes the partial covariance given the rest, keep everything else, and
-invert back. Route two is numerical: minimize the Gaussian negative log
+zeroes the partial covariance given the rest and keep everything else (the
+library does it as a rank-2 update of the precision, without forming the
+covariance). Route two is numerical: minimize the Gaussian negative log
 likelihood over precision matrices whose support omits the edge. They must
 agree, and the KL paid must equal the conditional mutual information of
 the severed edge. (The complete graph minus one edge is chordal, so the

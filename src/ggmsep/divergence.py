@@ -11,15 +11,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import solve_triangular
 
 from .core import (
     PrecisionMatrix,
     _cholesky_lower,
     edge_set_of,
     factorize,
-    invert,
-    schur_complement,
 )
 from .errors import (
     DimensionMismatch,
@@ -72,14 +70,16 @@ def kl_gaussian(theta1: PrecisionMatrix, theta2: PrecisionMatrix) -> float:
 
     Closed form for zero-mean Gaussians:
         0.5 * (tr(theta2 @ inv(theta1)) - p + log det theta1 - log det theta2).
-    Asymmetric in its arguments; zero iff the matrices coincide.
+    With Cholesky factors theta_k = L_k L_k^T the trace is
+    ||inv(L1) L2||_F^2, one triangular solve, so inv(theta1) is never
+    formed. Asymmetric in its arguments; zero iff the matrices coincide.
     """
     if theta1.p != theta2.p:
         raise DimensionMismatch(f"orders differ: {theta1.p} vs {theta2.p}")
     f1 = factorize(theta1)
     f2 = factorize(theta2)
-    sigma1 = cho_solve((f1.factor, True), np.eye(theta1.p))
-    trace = float(np.sum(theta2.matrix * sigma1))
+    half = solve_triangular(f1.factor, f2.factor, lower=True, check_finite=False)
+    trace = float(np.sum(half * half))
     value = 0.5 * (trace - theta1.p + f1.log_determinant - f2.log_determinant)
     return 0.0 if abs(value) < _KL_ZERO_TOL else value
 
@@ -106,46 +106,34 @@ def conditional_mutual_info(theta: PrecisionMatrix, i: int, j: int) -> float:
     return -0.5 * math.log1p(-b / a)
 
 
-def _conditional_logdet(sigma: np.ndarray, target: tuple[int, ...], given: tuple[int, ...]) -> float:
-    """log det Cov(X_target | X_given), from the joint covariance array.
-
-    Marginalizes to target + given first (a covariance submatrix), then
-    takes the Schur complement of the given block.
-    """
-    idx = target + given
-    sub = sigma[np.ix_(idx, idx)]
-    cond = schur_complement(sub, range(len(target))) if given else sub
-    lower = _cholesky_lower(cond)
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
-
-
 def block_conditional_mutual_info(theta: PrecisionMatrix, i: int, subset: Iterable[int]) -> float:
     """I(X_i; X_subset | everything else) under N(0, inv(theta)), in nats.
 
-    Entropy decomposition through conditional covariances: with R the
-    remaining coordinates,
-        0.5 * (log det Cov(X_i | R) + log det Cov(X_S | R)
-               - log det Cov(X_{i union S} | R)).
-    When {i} + subset exhausts the vertices, R is empty and this is the
-    plain mutual information I(X_i; X_subset).
+    Depends only on the block over A = {i} + subset: by the entropy
+    decomposition through conditional covariances it is
+        0.5 * (log t_ii + log det theta_SS - log det theta_AA),
+    evaluated as -0.5 * log1p(-b^T inv(theta_SS) b / t_ii) with b =
+    theta[subset, i], from one Cholesky factor of theta_SS. A zero coupling
+    gives exactly 0, and a one-element subset reduces to
+    conditional_mutual_info. When A exhausts the vertices this is the plain
+    mutual information I(X_i; X_subset).
     """
     p = theta.p
     i = int(i)
-    s = tuple(sorted({int(v) for v in subset}))
+    s = sorted({int(v) for v in subset})
     if not s:
         raise EmptySet("subset is empty")
     if not 0 <= i < p or s[0] < 0 or s[-1] >= p:
         raise IndexOutOfRange(f"vertex indices must lie in [0, {p})")
     if i in s:
         raise IndexOverlap(f"vertex {i} appears in the subset")
-    sigma = invert(theta).matrix
-    rest = tuple(v for v in range(p) if v != i and v not in set(s))
-    value = 0.5 * (
-        _conditional_logdet(sigma, (i,), rest)
-        + _conditional_logdet(sigma, s, rest)
-        - _conditional_logdet(sigma, (i,) + s, rest)
-    )
-    return 0.0 if -_KL_ZERO_TOL < value < 0.0 else value
+    arr = theta.matrix
+    lower = _cholesky_lower(arr[np.ix_(s, s)])
+    whitened = solve_triangular(lower, arr[s, i], lower=True, check_finite=False)
+    ratio = float(whitened @ whitened) / float(arr[i, i])
+    if ratio >= 1.0:
+        raise NotPositiveDefinite(f"block over vertex {i} and its subset is numerically singular")
+    return -0.5 * math.log1p(-ratio)
 
 
 def c_theta_star(theta: PrecisionMatrix, zero_tol: float = 1e-12) -> float:

@@ -5,7 +5,12 @@ covariance entries being severed are replaced by the values implied by
 zero partial covariance given the remaining coordinates. That leaves every
 other conditional of the distribution untouched, so the divergence paid is
 exactly the corresponding conditional mutual information, the smallest
-possible for any distribution missing those edges.
+possible for any distribution missing those edges. They compute it on the
+precision side (Lauritzen 1996, ch. 5): the marginal of the remaining
+coordinates R and the regression of the severed block A on them are kept,
+and Cov(X_A | X_R) is replaced by its block-diagonal part. That is a
+rank-2 update of the precision after one |A| x |A| Cholesky factor, so the
+covariance is never formed.
 
 ``fit_graph_mle`` minimizes the Gaussian negative log likelihood over
 precision matrices supported on a given graph (diagonal always free)
@@ -62,41 +67,76 @@ def _validate_vertex(p: int, v: int) -> int:
     return v
 
 
+def _sever(theta1: PrecisionMatrix, v: int, s: list[int]) -> PrecisionMatrix:
+    # Precision-side surgery over A = s + [v] (v last) against the rest R.
+    # Theta2 = Theta + N^T (K - Theta_AA) N with N = inv(Theta_AA) Theta[A, :],
+    # whose A columns are the identity. K - Theta_AA = -[[b b^T / t_vv, b],
+    # [b^T, beta]] for b = Theta_Sv and beta = b^T inv(Theta_SS) b, so the
+    # update is U H U^T with U = N^T [b~, e_v] and a 2x2 H. The last row of
+    # Theta_AA's Cholesky factor is [inv(L_SS) b, sqrt(t_vv - beta)].
+    arr = theta1.matrix
+    a = [*s, v]
+    severed = set(a)
+    rest = [u for u in range(theta1.p) if u not in severed]
+    lower = _cholesky_lower(arr[np.ix_(a, a)])
+    coupling = arr[s, v]
+    t_vv = float(arr[v, v])
+    beta = float(lower[-1, :-1] @ lower[-1, :-1])
+    basis = np.zeros((theta1.p, 2))
+    basis[s, 0] = coupling
+    basis[v, 1] = 1.0
+    if rest:
+        regression = cho_solve((lower, True), arr[np.ix_(a, rest)])
+        basis[rest, 0] = coupling @ regression[:-1]
+        basis[rest, 1] = regression[-1]
+    gap = -np.array([[1.0 / t_vv, 1.0], [1.0, beta]])
+    theta2 = arr + basis @ gap @ basis.T
+    theta2[v, s] = 0.0
+    theta2[s, v] = 0.0
+    return PrecisionMatrix(theta2)
+
+
 def project_remove_edge(theta1: PrecisionMatrix, edge: Iterable[int]) -> PrecisionMatrix:
     """Precision of the KL-closest distribution whose graph drops one edge.
 
-    Sigma[i, j] is replaced by Sigma[i, rest] @ inv(Sigma[rest, rest]) @
-    Sigma[rest, j] (zero when p == 2 and nothing remains), which zeroes the
-    partial covariance of (X_i, X_j) given the rest while preserving both
-    one-dimensional conditionals and the marginal of the rest. The KL
-    divergence from theta1's Gaussian to the result equals
-    conditional_mutual_info(theta1, i, j).
+    In covariance terms, Sigma[i, j] is replaced by Sigma[i, rest] @
+    inv(Sigma[rest, rest]) @ Sigma[rest, j] (zero when p == 2 and nothing
+    remains), which zeroes the partial covariance of (X_i, X_j) given the
+    rest while preserving both one-dimensional conditionals and the
+    marginal of the rest. The KL divergence from theta1's Gaussian to the
+    result equals conditional_mutual_info(theta1, i, j).
+
+    Computed on the precision side without forming Sigma: with A = {i, j},
+    R the rest and C = inv(theta1[A, A]) = Cov(X_A | X_R), the result has
+    Theta2_AA = K = diag(1/C_ii, 1/C_jj), Theta2_AR = K C Theta_AR and
+    Theta2_RR = Theta_RR + Theta_RA (C K C - C) Theta_AR, a rank-2 update.
+    One 2x2 Cholesky factor, O(p^2) in all, plus the validation of the
+    result.
     """
     i, j = (int(v) for v in edge)
     if i == j:
         raise SameVertex(f"edge endpoints coincide: ({i}, {j})")
     i, j = _validate_vertex(theta1.p, i), _validate_vertex(theta1.p, j)
-    sigma = np.array(invert(theta1).matrix)
-    rest = [v for v in range(theta1.p) if v != i and v != j]
-    if rest:
-        lower = _cholesky_lower(sigma[np.ix_(rest, rest)])
-        target = float(sigma[i, rest] @ cho_solve((lower, True), sigma[rest, j]))
-    else:
-        target = 0.0
-    sigma[i, j] = sigma[j, i] = target
-    theta2 = np.array(invert(CovarianceMatrix(sigma)).matrix)
-    theta2[i, j] = theta2[j, i] = 0.0
-    return PrecisionMatrix(theta2)
+    return _sever(theta1, i, [j])
 
 
 def project_remove_star(theta1: PrecisionMatrix, vertex: int, neighbors: Iterable[int]) -> PrecisionMatrix:
     """Drop every edge between `vertex` and `neighbors` at the least KL cost.
 
-    The cross covariances Cov(X_vertex, X_u) for u in neighbors are
-    replaced by their values implied by conditional independence given the
-    remaining coordinates (plain independence when nothing remains); all
-    other covariance entries are preserved. The divergence paid equals
-    block_conditional_mutual_info(theta1, vertex, neighbors).
+    In covariance terms, the cross covariances Cov(X_vertex, X_u) for u in
+    neighbors are replaced by their values implied by conditional
+    independence given the remaining coordinates (plain independence when
+    nothing remains); all other covariance entries are preserved. The
+    divergence paid equals block_conditional_mutual_info(theta1, vertex,
+    neighbors).
+
+    Computed on the precision side as for project_remove_edge, with A =
+    {vertex} + neighbors: Cov(X_A | X_R) = C = inv(theta1[A, A]) is
+    replaced by its block-diagonal part, so K = blockdiag(1/C_vv,
+    inv(C_SS)), Theta2_AA = K, Theta2_AR = K C Theta_AR and Theta2_RR =
+    Theta_RR + Theta_RA (C K C - C) Theta_AR with C K C - C of rank at most
+    2. When nothing remains, the result is K. One Cholesky factor of order
+    |A|, O(|A|^2 p + p^2) in all, plus the validation of the result.
     """
     p = theta1.p
     v = _validate_vertex(p, int(vertex))
@@ -107,19 +147,7 @@ def project_remove_star(theta1: PrecisionMatrix, vertex: int, neighbors: Iterabl
         raise IndexOutOfRange(f"neighbor indices must lie in [0, {p})")
     if v in ns:
         raise IndexOverlap(f"vertex {v} appears among its neighbors")
-    sigma = np.array(invert(theta1).matrix)
-    rest = [u for u in range(p) if u != v and u not in set(ns)]
-    if rest:
-        lower = _cholesky_lower(sigma[np.ix_(rest, rest)])
-        cross = sigma[v, rest] @ cho_solve((lower, True), sigma[np.ix_(rest, ns)])
-    else:
-        cross = np.zeros(len(ns))
-    sigma[v, ns] = cross
-    sigma[ns, v] = cross
-    theta2 = np.array(invert(CovarianceMatrix(sigma)).matrix)
-    theta2[v, ns] = 0.0
-    theta2[ns, v] = 0.0
-    return PrecisionMatrix(theta2)
+    return _sever(theta1, v, ns)
 
 
 def nll(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> float:

@@ -438,9 +438,14 @@ def run_counterexample_experiment(d_values: Iterable[int]) -> ExperimentReport:
     The divergence sits at 0.5 * log 2 for every d while the bound does
     not grow, evidence that KL separation does not scale with the number
     of discrepant edges. Failures are recorded in the report, never
-    raised.
+    raised. A d that is not an integer (a float, bool or string) raises
+    ValueError naming it.
     """
-    ds = [int(d) for d in d_values]
+    ds = list(d_values)
+    for d in ds:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            raise ValueError(f"d_values must be integers, got {d!r}")
+    ds = [int(d) for d in ds]
     if not ds:
         raise InvalidParameters("d_values must be nonempty")
     if any(d < 1 for d in ds):

@@ -31,6 +31,7 @@ from ggmsep import (
     run_counterexample_experiment,
     run_lower_bound_experiment,
     run_selection_experiment,
+    schur_complement,
     OmegaInf,
     PrecisionMatrix,
 )
@@ -89,7 +90,10 @@ def test_criterion_2_closed_form_cmi_matches_conditional_covariance_path():
         theta = random_sparse_precision(p, rng)
         i, j = sorted(rng.choice(p, size=2, replace=False).tolist())
         closed = conditional_mutual_info(theta, i, j)
-        entropy_path = block_conditional_mutual_info(theta, i, [j])
+        # 0.5 * log(c_ii c_jj / det c) for c = Cov(X_i, X_j | rest), a
+        # Schur complement of the covariance: independent of theta's entries
+        cond = schur_complement(invert(theta), [i, j])
+        entropy_path = 0.5 * math.log(cond[0, 0] * cond[1, 1] / np.linalg.det(cond))
         worst = max(worst, abs(closed - entropy_path))
     elapsed = time.perf_counter() - start
 

@@ -230,6 +230,14 @@ class TestExperiment:
         assert code == 2
         assert "d_values" in err
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    def test_counterexample_d_value_not_an_integer_exits_2(self, tmp_path, capsys, value):
+        config = write_json(tmp_path / "config.json", {"d_values": [1, value]})
+        code, _, err = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o")
+        assert code == 2
+        assert repr(value) in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = write_json(tmp_path / "config.json", {"d_values": [1], "bogus": 3})
         code, _, _ = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o")

@@ -32,6 +32,7 @@ from ggmsep import (
     project_remove_star,
     random_omega_inf_member,
     random_sparse_precision,
+    schur_complement,
     verify_separation,
 )
 
@@ -119,10 +120,10 @@ class TestConditionalMutualInfo:
         rng = np.random.default_rng(17)
         for _ in range(40):
             theta = random_sparse_precision(6, rng)
-            i, j = rng.choice(6, size=2, replace=False)
-            closed = conditional_mutual_info(theta, int(i), int(j))
-            schur_path = block_conditional_mutual_info(theta, int(i), [int(j)])
-            assert abs(closed - schur_path) < 1e-10
+            i, j = (int(v) for v in rng.choice(6, size=2, replace=False))
+            closed = conditional_mutual_info(theta, i, j)
+            assert abs(closed - entropy_path_block_cmi(theta, i, [j])) < 1e-10
+            assert abs(closed - block_conditional_mutual_info(theta, i, [j])) < 1e-14
 
 
 class TestBlockConditionalMutualInfo:
@@ -154,6 +155,79 @@ class TestBlockConditionalMutualInfo:
             theta = random_sparse_precision(7, rng)
             subset = [1, 2, 4]
             assert block_conditional_mutual_info(theta, 0, subset) >= 0.0
+
+
+def entropy_path_block_cmi(theta, i, subset):
+    # Covariance-side reference: 0.5 * (log det Cov(X_i | R) + log det
+    # Cov(X_S | R) - log det Cov(X_{i, S} | R)) from Schur complements of
+    # Sigma = inv(theta), independent of the precision-side closed form.
+    sigma = invert(theta).matrix
+    s = tuple(sorted(subset))
+    rest = tuple(v for v in range(theta.p) if v != i and v not in s)
+
+    def conditional_logdet(target):
+        idx = target + rest
+        sub = sigma[np.ix_(idx, idx)]
+        cond = schur_complement(sub, range(len(target))) if rest else sub
+        return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(cond)))))
+
+    return 0.5 * (conditional_logdet((i,)) + conditional_logdet(s) - conditional_logdet((i,) + s))
+
+
+@st.composite
+def vertex_and_subset(draw):
+    p = draw(st.integers(2, 12))
+    theta = random_sparse_precision(p, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    i = draw(st.integers(0, p - 1))
+    others = [u for u in range(p) if u != i]
+    subset = draw(st.lists(st.sampled_from(others), min_size=1, max_size=p - 1, unique=True))
+    return theta, i, subset
+
+
+class TestInvariances:
+    @settings(max_examples=100, deadline=None)
+    @given(case=vertex_and_subset())
+    def test_block_cmi_matches_covariance_entropy_path(self, case):
+        theta, i, subset = case
+        value = block_conditional_mutual_info(theta, i, subset)
+        assert value >= 0.0
+        assert abs(value - entropy_path_block_cmi(theta, i, subset)) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=vertex_and_subset(), data=st.data())
+    def test_unchanged_by_vertex_permutation(self, case, data):
+        theta, i, subset = case
+        other = random_sparse_precision(theta.p, np.random.default_rng(i))
+        perm = data.draw(st.permutations(range(theta.p)))
+        where = np.argsort(perm)  # vertex u moves to where[u]
+
+        def moved(t):
+            return PrecisionMatrix(t.matrix[np.ix_(perm, perm)])
+
+        j = subset[0]
+        kl = kl_gaussian(theta, other)
+        assert abs(kl_gaussian(moved(theta), moved(other)) - kl) <= 1e-10 * max(1.0, kl)
+        assert abs(conditional_mutual_info(moved(theta), where[i], where[j])
+                   - conditional_mutual_info(theta, i, j)) < 1e-12
+        assert abs(block_conditional_mutual_info(moved(theta), where[i], where[subset])
+                   - block_conditional_mutual_info(theta, i, subset)) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=vertex_and_subset(), data=st.data())
+    def test_unchanged_by_diagonal_congruence(self, case, data):
+        theta, i, subset = case
+        other = random_sparse_precision(theta.p, np.random.default_rng(i))
+        scale = np.exp(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=theta.p, max_size=theta.p)))
+
+        def scaled(t):
+            return PrecisionMatrix(t.matrix * np.outer(scale, scale))
+
+        j = subset[0]
+        kl = kl_gaussian(theta, other)
+        assert abs(kl_gaussian(scaled(theta), scaled(other)) - kl) <= 1e-10 * max(1.0, kl)
+        assert abs(conditional_mutual_info(scaled(theta), i, j) - conditional_mutual_info(theta, i, j)) < 1e-12
+        assert abs(block_conditional_mutual_info(scaled(theta), i, subset)
+                   - block_conditional_mutual_info(theta, i, subset)) < 1e-10
 
 
 class TestSeparationConstant:

@@ -1,12 +1,15 @@
 """Edge/star deletion projections and the constrained maximum-likelihood fit."""
 
 import math
+import sys
 
+import ggmsep
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_solve
 
 from ggmsep import (
     CovarianceMatrix,
@@ -17,6 +20,7 @@ from ggmsep import (
     IndexOverlap,
     InfeasibleStart,
     InvalidParameters,
+    NotPositiveDefinite,
     PrecisionMatrix,
     SameVertex,
     block_conditional_mutual_info,
@@ -141,6 +145,151 @@ class TestProjectRemoveStar:
             project_remove_star(theta, 1, [1, 2])
         with pytest.raises(IndexOutOfRange):
             project_remove_star(theta, 0, [4])
+
+
+def reference_remove_edge(theta1, edge):
+    # Covariance surgery through two full inverses, as the projections were
+    # first written: an independent computation of the same projection.
+    i, j = edge
+    sigma = np.array(invert(theta1).matrix)
+    rest = [v for v in range(theta1.p) if v != i and v != j]
+    if rest:
+        lower = np.linalg.cholesky(sigma[np.ix_(rest, rest)])
+        target = float(sigma[i, rest] @ cho_solve((lower, True), sigma[rest, j]))
+    else:
+        target = 0.0
+    sigma[i, j] = sigma[j, i] = target
+    theta2 = np.array(invert(CovarianceMatrix(sigma)).matrix)
+    theta2[i, j] = theta2[j, i] = 0.0
+    return theta2
+
+
+def reference_remove_star(theta1, v, ns):
+    sigma = np.array(invert(theta1).matrix)
+    rest = [u for u in range(theta1.p) if u != v and u not in set(ns)]
+    if rest:
+        lower = np.linalg.cholesky(sigma[np.ix_(rest, rest)])
+        cross = sigma[v, rest] @ cho_solve((lower, True), sigma[np.ix_(rest, ns)])
+    else:
+        cross = np.zeros(len(ns))
+    sigma[v, ns] = cross
+    sigma[ns, v] = cross
+    theta2 = np.array(invert(CovarianceMatrix(sigma)).matrix)
+    theta2[v, ns] = 0.0
+    theta2[ns, v] = 0.0
+    return theta2
+
+
+def relative_gap(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+
+
+@st.composite
+def severings(draw):
+    """A random sparse precision with p = 2..12, a vertex, a star around it
+    of any size (p - 1 leaves nothing else), and a vertex permutation."""
+    p = draw(st.integers(2, 12))
+    theta = random_sparse_precision(p, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    v = draw(st.integers(0, p - 1))
+    others = [u for u in range(p) if u != v]
+    star = draw(st.lists(st.sampled_from(others), min_size=1, max_size=p - 1, unique=True))
+    return theta, v, star, draw(st.permutations(range(p)))
+
+
+def permuted(theta, perm):
+    # vertex perm[k] of theta becomes vertex k of the result
+    return PrecisionMatrix(theta.matrix[np.ix_(perm, perm)])
+
+
+class TestPrecisionSideSurgery:
+    @settings(max_examples=150, deadline=None)
+    @given(case=severings())
+    def test_edge_projection_against_covariance_surgery(self, case):
+        theta, v, star, perm = case
+        u = star[0]
+        out = project_remove_edge(theta, (v, u))
+        assert relative_gap(out.matrix, reference_remove_edge(theta, (v, u))) < 1e-10
+        assert out.matrix[v, u] == 0.0 and out.matrix[u, v] == 0.0
+        assert abs(kl_gaussian(theta, out) - conditional_mutual_info(theta, v, u)) < 1e-8
+        where = np.argsort(perm)
+        moved = project_remove_edge(permuted(theta, perm), (where[v], where[u]))
+        assert relative_gap(moved.matrix, out.matrix[np.ix_(perm, perm)]) < 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=severings())
+    def test_star_projection_against_covariance_surgery(self, case):
+        theta, v, star, perm = case
+        ns = sorted(star)
+        out = project_remove_star(theta, v, star)
+        assert relative_gap(out.matrix, reference_remove_star(theta, v, ns)) < 1e-10
+        assert np.all(out.matrix[v, ns] == 0.0) and np.all(out.matrix[ns, v] == 0.0)
+        assert abs(kl_gaussian(theta, out) - block_conditional_mutual_info(theta, v, star)) < 1e-8
+        where = np.argsort(perm)
+        moved = project_remove_star(permuted(theta, perm), where[v], where[ns])
+        assert relative_gap(moved.matrix, out.matrix[np.ix_(perm, perm)]) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 12),
+        log_condition=st.floats(0.0, 10.0),
+        data=st.data(),
+    )
+    def test_ill_conditioned_input_never_yields_nan(self, seed, p, log_condition, data):
+        # eigenvalues spread log-uniformly over [10^-log_condition, 1]
+        # under a random rotation, so the condition number reaches 1e10
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        theta = PrecisionMatrix((q * np.geomspace(1.0, 10.0 ** -log_condition, p)) @ q.T)
+        v = data.draw(st.integers(0, p - 1))
+        others = [u for u in range(p) if u != v]
+        star = data.draw(st.lists(st.sampled_from(others), min_size=1, max_size=p - 1, unique=True))
+        for project in (lambda: project_remove_edge(theta, (v, star[0])),
+                        lambda: project_remove_star(theta, v, star)):
+            try:
+                out = project()
+            except NotPositiveDefinite:
+                continue
+            assert isinstance(out, PrecisionMatrix)
+            assert np.all(np.isfinite(out.matrix))
+
+    def test_large_p_factors_no_more_than_the_severed_block(self, monkeypatch):
+        # Counts calls instead of timing them: at p=200 block CMI factors
+        # only blocks of order |A| or less, and neither projection forms a
+        # covariance (no invert) or factors any order-p matrix but its
+        # result, once, when validating it.
+        theta = random_sparse_precision(200, np.random.default_rng(4), edge_probability=0.02)
+        neighbors = np.flatnonzero(theta.matrix[7])
+        star = [int(u) for u in neighbors if u != 7]
+        orders, inverts = [], []
+        cholesky = np.linalg.cholesky
+
+        def counting_cholesky(arr, *args, **kwargs):
+            orders.append(np.shape(arr)[0])
+            return cholesky(arr, *args, **kwargs)
+
+        def counting_invert(m):
+            inverts.append(m.p)
+            return invert(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "ggmsep" or name.startswith("ggmsep.")):
+                for key, value in list(vars(module).items()):
+                    if value is invert:
+                        monkeypatch.setattr(module, key, counting_invert)
+        assert ggmsep.invert is counting_invert
+
+        block_conditional_mutual_info(theta, 7, star)
+        assert orders and max(orders) <= len(star) + 1
+        assert not inverts
+        for project in (lambda: project_remove_edge(theta, (7, star[0])),
+                        lambda: project_remove_star(theta, 7, star)):
+            orders.clear()
+            project()
+            assert not inverts
+            assert orders.count(200) == 1 and max(orders) <= 200
+            assert all(order <= len(star) + 1 for order in orders if order != 200)
 
 
 class TestNll:

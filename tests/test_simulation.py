@@ -213,6 +213,10 @@ class TestCounterexampleExperiment:
             run_counterexample_experiment([])
         with pytest.raises(InvalidParameters):
             run_counterexample_experiment([0])
+        for value in (1.5, True, "2"):
+            with pytest.raises(ValueError, match="d_values"):
+                run_counterexample_experiment([1, value])
+        assert run_counterexample_experiment(np.arange(1, 3)).config == {"d_values": [1, 2]}
 
 
 class TestLowerBoundExperiment:
