@@ -18,17 +18,27 @@ inside a Frobenius ball, the inner optimization behind graph scores. On a
 chordal graph whose unconstrained optimum lies inside the ball it returns
 that optimum in closed form; otherwise it runs damped Newton steps in the
 p + |E| coordinates of the support, each minimizing the quadratic model of
-the objective over the ball.
+the objective over the ball. What a fit needs of its graph alone, the
+support basis and, for a chordal graph, the perfect-elimination families
+grouped by parent count, is a plan built once per graph and kept in a
+bounded cache keyed on the EdgeSet, so refitting the same candidates, as
+model selection does, repeats only the arithmetic on the data. The closed
+form is one batched pass per parent count: one gather of the conditioning
+blocks, one batched Cholesky check and solve, and one scatter of every
+family's term. Every other factorization, solve and inverse of a fit
+calls LAPACK directly through scipy.linalg.lapack, without the checking
+wrappers of scipy.linalg.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, lapack
 
 from .core import (
     CovarianceMatrix,
@@ -231,6 +241,8 @@ _HESSIAN_BLOCK = 64
 # on the Newton steps (Cholesky factorizations) spent reaching it.
 _SECULAR_TOLERANCE = 1e-15
 _SECULAR_STEPS = 50
+# Largest p + |E| whose fit plan is kept in the cache.
+_CACHED_PLAN_COORDINATES = 128
 
 
 class _SupportBasis:
@@ -283,18 +295,24 @@ class _SupportBasis:
 
 def _barrier_objective(arr: np.ndarray, sig: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
     # -log det is +inf outside the PD cone, where no Cholesky factor exists.
-    try:
-        lower = np.linalg.cholesky(arr)
-    except np.linalg.LinAlgError:
+    # The factor's upper triangle is zeroed (dpotrf's clean=1).
+    lower, info = lapack.dpotrf(arr, lower=1)
+    if info:
         return math.inf, None
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return -log_det + float(np.sum(sig * arr)), lower
 
 
 def _covariance(lower: np.ndarray) -> np.ndarray:
-    """inv(theta) from theta's lower Cholesky factor, exactly symmetric."""
-    inverse = cho_solve((lower, True), np.eye(lower.shape[0]))
-    return 0.5 * (inverse + inverse.T)
+    """inv(theta) from theta's lower Cholesky factor, whose upper triangle
+    is zero, exactly symmetric."""
+    # dpotri writes the inverse's lower triangle over the factor's
+    inverse, info = lapack.dpotri(lower, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotri: singular factor (info={info})")
+    cov = inverse + inverse.T
+    np.fill_diagonal(cov, np.diagonal(inverse))
+    return cov
 
 
 def _into_ball(coords: np.ndarray, gamma: float) -> np.ndarray:
@@ -306,6 +324,28 @@ def _gradient_map_norm(coords: np.ndarray, grad: np.ndarray, gamma: float) -> fl
     return float(np.linalg.norm(coords - _into_ball(coords - grad, gamma)))
 
 
+class _Iterate(NamedTuple):
+    """A feasible point with what the Newton run needs of it."""
+
+    coords: np.ndarray
+    objective: float
+    cov: np.ndarray
+    grad: np.ndarray
+    gnorm: float
+
+
+def _iterate_at(
+    basis: _SupportBasis, sig: np.ndarray, gamma: float, coords: np.ndarray
+) -> Optional[_Iterate]:
+    # None outside the PD cone
+    f, lower = _barrier_objective(basis.matrix(coords), sig)
+    if lower is None:
+        return None
+    cov = _covariance(lower)
+    grad = basis.coordinates(sig - cov)
+    return _Iterate(coords, f, cov, grad, _gradient_map_norm(coords, grad, gamma))
+
+
 def _newton_step(
     hess: np.ndarray, grad: np.ndarray, coords: np.ndarray, gamma: float, nu: float
 ) -> tuple[np.ndarray, float, float]:
@@ -315,20 +355,24 @@ def _newton_step(
     d|| = gamma. 1 / ||coords + d(nu)|| is concave and increasing, so
     Newton's method on it (More & Sorensen, 1983), started from the
     previous step's nu, lands below the root at most once and then rises
-    to it monotonically."""
-    # Fortran order lets LAPACK factor the buffer in place, without a copy
+    to it monotonically. Raises LinAlgError when hess + nu I is not
+    positive definite."""
+    # Fortran order lets dpotrf factor the buffer in place, without a copy;
+    # dpotrs and dtrtrs read only its lower triangle
     shifted = np.empty_like(hess, order="F")
-    diagonal = np.diag_indices_from(shifted)
+    diagonal = np.arange(hess.shape[0])
     for _ in range(_SECULAR_STEPS):
         np.copyto(shifted, hess)
-        shifted[diagonal] += nu
-        lower = cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
-        step = -cho_solve((lower, True), grad + nu * coords, check_finite=False)
+        shifted[diagonal, diagonal] += nu
+        lower, info = lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dpotrf: shifted Hessian not positive definite (info={info})")
+        step = -lapack.dpotrs(lower, grad + nu * coords, lower=1)[0]
         target = coords + step
         norm = float(np.linalg.norm(target))
         if (nu == 0.0 and norm <= gamma) or abs(norm - gamma) <= _SECULAR_TOLERANCE * gamma:
             break
-        slope = solve_triangular(lower, target, lower=True, check_finite=False)
+        slope = lapack.dtrtrs(lower, target, lower=1)[0]
         nu = max(nu + (norm / float(np.linalg.norm(slope))) ** 2 * (norm - gamma) / gamma, 0.0)
     if norm > gamma:
         step = target * (gamma / norm) - coords
@@ -360,30 +404,83 @@ def _perfect_families(graph: EdgeSet) -> Optional[list[tuple[int, list[int]]]]:
     return families
 
 
-def _chordal_mle(sig: np.ndarray, families: list[tuple[int, list[int]]]) -> Optional[np.ndarray]:
+class _FitPlan:
+    """What a fit needs of its graph, built once per graph: the support
+    basis and, for a chordal graph, the perfect-elimination families grouped
+    by parent count k.
+
+    Group k holds the vertices, shape (n_k,), and their earlier-numbered
+    neighbours, shape (n_k, k). scatter holds, group after group, the flat
+    index u * p + w of every entry (u, w) of every family's (k+1) x (k+1)
+    block, family = [vertex, *parents]. A non-chordal graph has no groups.
+    The group and scatter arrays are read-only, and nothing here grows like
+    p^2 on a sparse graph."""
+
+    __slots__ = ("basis", "groups", "scatter")
+
+    def __init__(self, graph: EdgeSet) -> None:
+        self.basis = _SupportBasis(graph)
+        self.groups: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = None
+        self.scatter: Optional[np.ndarray] = None
+        families = _perfect_families(graph)
+        if families is None:
+            return
+        by_count: dict[int, list[list[int]]] = {}
+        for v, parents in families:
+            by_count.setdefault(len(parents), []).append([v, *parents])
+        groups, flat = [], []
+        for _, rows in sorted(by_count.items()):
+            block = np.array(rows, dtype=np.intp)
+            block.flags.writeable = False
+            groups.append((block[:, 0], block[:, 1:]))
+            flat.append((block[:, :, None] * graph.p + block[:, None, :]).ravel())
+        self.groups = tuple(groups)
+        self.scatter = np.concatenate(flat)
+        self.scatter.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=1024)
+def _cached_plan(graph: EdgeSet) -> _FitPlan:
+    return _FitPlan(graph)
+
+
+def _fit_plan(graph: EdgeSet) -> _FitPlan:
+    # A graph with more coordinates is planned afresh on every fit: its
+    # O(m^3) Newton steps dwarf the build, while a cached plan, and the
+    # graph keying it, would hold memory for the life of the process.
+    if graph.p + len(graph) > _CACHED_PLAN_COORDINATES:
+        return _FitPlan(graph)
+    return _cached_plan(graph)
+
+
+def _chordal_mle(sig: np.ndarray, plan: _FitPlan) -> Optional[np.ndarray]:
     # The chordal MLE factors along the perfect ordering as (I-B)^T D^-1
     # (I-B): each vertex's regression on its earlier neighbours contributes
-    # w w^T / r with w = e_v - B_v and r its residual variance. Every term
-    # lives on a clique, so off-support entries stay exactly zero. None when
-    # a conditioning block or residual variance is not positive.
-    theta = np.zeros_like(sig)
-    for v, parents in families:
-        if parents:
+    # w w^T / r with w = e_v - B_v and r its residual variance. Families
+    # with k parents are solved together, and one bincount adds every term
+    # into place. Every term lives on a clique, so off-support entries stay
+    # exactly zero. None when a conditioning block or residual variance is
+    # not positive.
+    terms = []
+    for vertices, parents in plan.groups:
+        count, k = parents.shape
+        resid = sig[vertices, vertices]
+        w = np.ones((count, k + 1))
+        if k:
+            blocks = sig[parents[:, :, None], parents[:, None, :]]
             try:
-                lower = np.linalg.cholesky(sig[np.ix_(parents, parents)])
+                np.linalg.cholesky(blocks)
             except np.linalg.LinAlgError:
                 return None
-            coef = cho_solve((lower, True), sig[parents, v])
-            resid = float(sig[v, v] - sig[v, parents] @ coef)
-            w = np.concatenate(([1.0], -coef))
-        else:
-            resid = float(sig[v, v])
-            w = np.ones(1)
-        if not resid > 0:
+            cross = sig[parents, vertices[:, None]]
+            coef = np.linalg.solve(blocks, cross[:, :, None])[:, :, 0]
+            resid = resid - (cross * coef).sum(axis=1)
+            w[:, 1:] = -coef
+        if not (resid > 0).all():
             return None
-        family = [v, *parents]
-        theta[np.ix_(family, family)] += np.outer(w, w) / resid
-    return theta
+        terms.append((w[:, :, None] * w[:, None, :] / resid[:, None, None]).ravel())
+    p = sig.shape[0]
+    return np.bincount(plan.scatter, np.concatenate(terms), minlength=p * p).reshape(p, p)
 
 
 def fit_graph_mle(
@@ -397,18 +494,24 @@ def fit_graph_mle(
     """Minimize nll over PD matrices supported on `graph` (plus diagonal)
     with Frobenius norm at most gamma. gamma=inf disables the ball.
 
-    Two paths, chosen from the graph itself:
+    What depends on the graph alone (the support basis and, for a chordal
+    graph, the perfect-elimination families grouped by parent count) is
+    built once per graph and kept in a bounded cache, so refitting a graph
+    repeats only the arithmetic on sigma_hat. Two paths, chosen from the
+    graph itself:
 
     - Closed form. When `graph` is chordal (maximum-cardinality search
       finds a perfect ordering), the unconstrained MLE is built directly
       from sigma_hat as (I-B)^T D^-1 (I-B), where row v of B regresses v on
       its earlier-numbered neighbours and D holds the residual variances
-      (Dempster 1972; Lauritzen 1996, ch. 5). It is returned, with
-      iterations=0, termination="closed_form" and a one-entry
-      objective_trace, only if it lies in the ball, is positive definite
-      and its gradient mapping is at most gradient_tolerance. The problem
-      is convex, so an unconstrained optimum inside the ball is the
-      constrained optimum.
+      (Dempster 1972; Lauritzen 1996, ch. 5). Vertices with the same
+      number of such neighbours are regressed together in one batched
+      Cholesky check and solve, and every family's term is added into
+      place by one scatter. The result is returned, with iterations=0,
+      termination="closed_form" and a one-entry objective_trace, only if
+      it lies in the ball, is positive definite and its gradient mapping
+      is at most gradient_tolerance. The problem is convex, so an
+      unconstrained optimum inside the ball is the constrained optimum.
     - Damped Newton otherwise: the graph is not chordal, a conditioning
       block of sigma_hat is singular, the ball binds, or the check fails.
       It works in the p + |E| coordinates of an orthonormal basis of the
@@ -421,31 +524,41 @@ def fit_graph_mle(
       Kyrillidis & Cevher 2015 for the constrained step), and as a convex
       combination of two points in the ball it stays in the ball.
 
-    Convergence is declared when the unit-step gradient mapping
-    ``x - project(x - grad)`` has Frobenius norm at most
-    gradient_tolerance (termination="tolerance"). The Newton run also
-    stops, with converged=False, at max_iterations
+    Outside the batched closed form, every factorization, solve and
+    inverse calls LAPACK (potrf, potrs, potri, trtrs) directly, without
+    the checking wrappers of scipy.linalg. Convergence is declared when the
+    unit-step gradient mapping ``x - project(x - grad)`` has Frobenius
+    norm at most gradient_tolerance (termination="tolerance"). When the
+    ball binds there (multiplier nu > 0), the damped steps have approached
+    the sphere from inside, and the mapping does not weigh the radial gap
+    they leave by nu, as the objective does. So one undamped step onto the
+    sphere follows; it is kept, and counted as an iteration, only if it
+    lowers nll and still meets the tolerance. The Newton run also stops,
+    with converged=False, at max_iterations
     (termination="max_iterations"), or with termination="stalled" when a
     step taken with lam < 1/4, where Newton converges quadratically, fails
     to reduce the gradient mapping: only rounding error can do that.
 
-    The Newton run starts from `initial`, or else from diag(1 /
-    sigma_hat diagonal), rescaled into the ball if needed; `initial` does
-    not affect the closed form. A non-converged run returns its last
-    iterate with converged=False rather than raising.
+    The Newton run starts from `initial`, which must have the order of
+    sigma_hat, or else from diag(1 / sigma_hat diagonal), rescaled into
+    the ball if needed; `initial` does not affect the closed form. A
+    non-converged run returns its last iterate with converged=False rather
+    than raising.
     """
     if graph.p != sigma_hat.p:
         raise DimensionMismatch(f"orders differ: graph p={graph.p}, sigma p={sigma_hat.p}")
+    if initial is not None and initial.p != sigma_hat.p:
+        raise DimensionMismatch(f"orders differ: initial p={initial.p}, sigma p={sigma_hat.p}")
     if not gamma > 0:
         raise InvalidParameters(f"gamma must be positive (inf allowed), got {gamma}")
     sig = sigma_hat.matrix
     diag = np.diag(sig)
     if np.any(diag <= 0):
         raise InfeasibleStart("sigma_hat has a nonpositive diagonal entry; no diagonal start exists")
-    basis = _SupportBasis(graph)
+    plan = _fit_plan(graph)
+    basis = plan.basis
 
-    families = _perfect_families(graph)
-    closed = None if families is None else _chordal_mle(sig, families)
+    closed = None if plan.groups is None else _chordal_mle(sig, plan)
     if closed is not None and not float(np.linalg.norm(closed)) > gamma:
         f, lower = _barrier_objective(closed, sig)
         if lower is not None:
@@ -463,36 +576,38 @@ def fit_graph_mle(
                 )
 
     start = np.diag(1.0 / diag) if initial is None else initial.matrix
-    coords = _into_ball(basis.coordinates(start), gamma)
-    f, lower = _barrier_objective(basis.matrix(coords), sig)
-    if lower is None:
+    point = _iterate_at(basis, sig, gamma, _into_ball(basis.coordinates(start), gamma))
+    if point is None:
         raise InvalidParameters("initial point is not positive definite after projection")
 
-    trace = []
+    trace = [point.objective]
     iterations = 0
     nu = 0.0
-    gnorm = decrement = math.inf
-    while True:
-        cov = _covariance(lower)
-        grad = basis.coordinates(sig - cov)
-        previous, gnorm = gnorm, _gradient_map_norm(coords, grad, gamma)
-        trace.append(f)
-        if gnorm <= opts.gradient_tolerance or iterations >= opts.max_iterations:
-            break
-        if decrement < 0.25 and gnorm >= previous:
-            break
+    while point.gnorm > opts.gradient_tolerance and iterations < opts.max_iterations:
         try:
-            step, decrement, nu = _newton_step(basis.hessian(cov), grad, coords, gamma, nu)
+            step, decrement, nu = _newton_step(basis.hessian(point.cov), point.grad, point.coords, gamma, nu)
         except np.linalg.LinAlgError:
             break
-        cand = coords + step / (1.0 + decrement)
-        f_cand, lower_cand = _barrier_objective(basis.matrix(cand), sig)
-        if lower_cand is None:
+        cand = _iterate_at(basis, sig, gamma, point.coords + step / (1.0 + decrement))
+        if cand is None:
             break
-        coords, f, lower = cand, f_cand, lower_cand
+        previous, point = point, cand
+        trace.append(point.objective)
         iterations += 1
+        if decrement < 0.25 and previous.gnorm <= point.gnorm:
+            break
 
-    converged = gnorm <= opts.gradient_tolerance
+    converged = point.gnorm <= opts.gradient_tolerance
+    if converged and nu > 0.0 and iterations < opts.max_iterations:
+        try:
+            step = _newton_step(basis.hessian(point.cov), point.grad, point.coords, gamma, nu)[0]
+        except np.linalg.LinAlgError:
+            step = None
+        cand = None if step is None else _iterate_at(basis, sig, gamma, point.coords + step)
+        if cand is not None and cand.objective < point.objective and cand.gnorm <= opts.gradient_tolerance:
+            point = cand
+            trace.append(point.objective)
+            iterations += 1
     if converged:
         termination = "tolerance"
     elif iterations >= opts.max_iterations:
@@ -500,11 +615,11 @@ def fit_graph_mle(
     else:
         termination = "stalled"
     return FitResult(
-        theta_hat=PrecisionMatrix(basis.matrix(coords)),
-        objective=f,
+        theta_hat=PrecisionMatrix(basis.matrix(point.coords)),
+        objective=point.objective,
         iterations=iterations,
         converged=converged,
-        projected_gradient_norm=gnorm,
+        projected_gradient_norm=point.gnorm,
         termination=termination,
         objective_trace=tuple(trace),
     )

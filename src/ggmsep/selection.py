@@ -102,8 +102,11 @@ def select_graph(
     """Fit every candidate and return the minimum-score graph.
 
     Candidates are fitted in index order, so repeated calls with identical
-    inputs produce identical results.
+    inputs produce identical results. A sigma_hat whose order differs from
+    the candidates' raises DimensionMismatch before anything is fitted.
     """
+    if sigma_hat.p != collection.p:
+        raise DimensionMismatch(f"orders differ: candidates p={collection.p}, sigma p={sigma_hat.p}")
     scores: list[float] = []
     fits: list[Optional[FitResult]] = []
     for graph in collection.graphs:

@@ -151,6 +151,16 @@ class TestFitAndSelect:
         assert code == 4
         assert json.loads(out_path.read_text())["unconverged"] == [0]
 
+    def test_select_with_sigma_of_another_order_exits_3(self, tmp_path, capsys):
+        theta = random_sparse_precision(4, np.random.default_rng(3))
+        sigma_path = write_json(tmp_path / "sigma.json", matrix_doc(invert(theta)))
+        candidates = [EdgeSet(3), EdgeSet.complete(3)]
+        cand_path = write_json(tmp_path / "candidates.json", [edge_set_doc(g) for g in candidates])
+        code, out, err = run(capsys, "select", sigma_path, cand_path, "--gamma", "10")
+        assert code == 3
+        assert out == ""
+        assert "DimensionMismatch" in err and "orders differ" in err
+
     def test_fit_invalid_gamma_exits_3(self, tmp_path, capsys):
         sigma_path = write_json(tmp_path / "sigma.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
         graph_path = write_json(tmp_path / "graph.json", {"p": 2, "edges": []})

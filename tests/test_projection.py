@@ -2,17 +2,21 @@
 
 import math
 import sys
+from collections import Counter
 
 import ggmsep
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, lapack
 
 from ggmsep import (
+    CandidateCollection,
     CovarianceMatrix,
+    DimensionMismatch,
     EdgeSet,
     EmptySet,
     FitOptions,
@@ -38,8 +42,10 @@ from ggmsep import (
     project_remove_star,
     random_sparse_precision,
     sample,
+    select_graph,
     trial_seed,
 )
+from ggmsep import projection
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 HALF_LOG_4_3 = 0.5 * math.log(4.0 / 3.0)
@@ -441,6 +447,29 @@ class TestFitGraphMle:
         assert result.converged
         assert result.termination == "tolerance"
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shrink=st.floats(0.3, 0.95))
+    def test_binding_ball_fit_ends_on_the_sphere(self, seed, shrink):
+        # damped steps reach the sphere only from inside, and a gradient
+        # mapping of 1e-8 allows a radial gap of ~1e-9 that costs ~1e-10 in
+        # the objective; the fit must end on the sphere at the optimum
+        theta = chain_precision(6)
+        graph = edge_set_of(theta)
+        sigma = empirical_covariance(sample(theta, 200, seed))
+        gamma = shrink * float(np.linalg.norm(fit_graph_mle(sigma, graph, math.inf).theta_hat.matrix))
+        result = fit_graph_mle(sigma, graph, gamma)
+        tight = fit_graph_mle(sigma, graph, gamma, FitOptions(gradient_tolerance=1e-14))
+        assert result.converged
+        assert np.linalg.norm(result.theta_hat.matrix) >= gamma * (1 - 1e-13)
+        assert abs(result.objective - tight.objective) <= 1e-12 * abs(tight.objective)
+        assert _non_increasing(result.objective_trace)
+
+    @pytest.mark.parametrize("order", [5, 7])
+    def test_initial_of_another_order_is_rejected(self, order):
+        cycle = EdgeSet(6, [(k, (k + 1) % 6) for k in range(6)])
+        with pytest.raises(DimensionMismatch, match="initial"):
+            fit_graph_mle(_sample_covariance(6, 5), cycle, math.inf, initial=PrecisionMatrix(np.eye(order)))
+
     def test_nesting_of_feasible_sets(self):
         sigma = invert(random_sparse_precision(6, np.random.default_rng(22)))
         small = EdgeSet(6, [(0, 1), (2, 4)])
@@ -494,10 +523,10 @@ class TestFitGraphMle:
 
 
 @st.composite
-def chordal_supports(draw):
+def chordal_supports(draw, max_p=9):
     """Random chordal graphs: forests, K_p minus one edge, and the fill-in
     of a random graph along a random elimination order."""
-    p = draw(st.integers(2, 9))
+    p = draw(st.integers(2, max_p))
     kind = draw(st.sampled_from(["forest", "complete_minus_edge", "elimination"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = rng.permutation(p).tolist()
@@ -563,6 +592,29 @@ def _non_increasing(trace):
 CYCLES = [EdgeSet(p, [(k, (k + 1) % p) for k in range(p)]) for p in (4, 5)]
 
 
+def reference_chordal_mle(sig, families):
+    """The chordal closed form built one vertex at a time: each vertex's
+    regression on its earlier neighbours adds w w^T / r on its family."""
+    theta = np.zeros_like(sig)
+    for v, parents in families:
+        if parents:
+            try:
+                lower = np.linalg.cholesky(sig[np.ix_(parents, parents)])
+            except np.linalg.LinAlgError:
+                return None
+            coef = cho_solve((lower, True), sig[parents, v])
+            resid = float(sig[v, v] - sig[v, parents] @ coef)
+            w = np.concatenate(([1.0], -coef))
+        else:
+            resid = float(sig[v, v])
+            w = np.ones(1)
+        if not resid > 0:
+            return None
+        family = [v, *parents]
+        theta[np.ix_(family, family)] += np.outer(w, w) / resid
+    return theta
+
+
 class TestChordalClosedForm:
     @settings(max_examples=150, deadline=None)
     @given(graph=chordal_supports(), seed=st.integers(0, 2**32 - 1))
@@ -600,6 +652,77 @@ class TestChordalClosedForm:
         assert bound.converged and bound.iterations > 0
         assert _non_increasing(bound.objective_trace)
         assert np.linalg.norm(bound.theta_hat.matrix) <= gamma * (1 + 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=chordal_supports(max_p=12), seed=st.integers(0, 2**32 - 1))
+    def test_batched_closed_form_matches_per_vertex_reference(self, graph, seed):
+        sig = _sample_covariance(graph.p, seed).matrix
+        batched = projection._chordal_mle(sig, projection._FitPlan(graph))
+        expected = reference_chordal_mle(sig, projection._perfect_families(graph))
+        assert batched is not None and expected is not None
+        assert np.all(batched[~_support(graph)] == 0.0)
+        assert np.max(np.abs(batched - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_chain_fit_factors_at_most_three_times(self, monkeypatch):
+        # counts instead of timing: the parent-count batches of a p=8 chain
+        # need one Cholesky call; the barrier and the result's validation
+        # take the other two; no cho_solve wrapper runs
+        theta = chain_precision(8)
+        sigma = empirical_covariance(sample(theta, 250, trial_seed(2025, 0, 0)))
+        graph = edge_set_of(theta)
+        factorizations, solves = [], []
+        cholesky, dpotrf = np.linalg.cholesky, lapack.dpotrf
+
+        def counting_cholesky(arr, *args, **kwargs):
+            factorizations.append(np.shape(arr))
+            return cholesky(arr, *args, **kwargs)
+
+        def counting_dpotrf(arr, *args, **kwargs):
+            factorizations.append(np.shape(arr))
+            return dpotrf(arr, *args, **kwargs)
+
+        def counting_cho_solve(*args, **kwargs):
+            solves.append(args)
+            return cho_solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(lapack, "dpotrf", counting_dpotrf)
+        monkeypatch.setattr(scipy.linalg, "cho_solve", counting_cho_solve)
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "ggmsep" or name.startswith("ggmsep.")):
+                for key, value in list(vars(module).items()):
+                    if value is cho_solve:
+                        monkeypatch.setattr(module, key, counting_cho_solve)
+
+        result = fit_graph_mle(sigma, graph, 10.0)
+        assert result.termination == "closed_form"
+        assert len(factorizations) <= 3
+        assert not solves
+
+    def test_repeated_selection_builds_each_plan_once(self, monkeypatch):
+        built = []
+
+        class CountingPlan(projection._FitPlan):
+            __slots__ = ()
+
+            def __init__(self, graph):
+                built.append(graph)
+                super().__init__(graph)
+
+        monkeypatch.setattr(projection, "_FitPlan", CountingPlan)
+        projection._cached_plan.cache_clear()
+        try:
+            theta = chain_precision(6)
+            truth = edge_set_of(theta)
+            cycle = EdgeSet(6, [*truth.edges, (0, 5)])
+            collection = CandidateCollection([truth, truth.without((2, 3)), cycle, EdgeSet(6)])
+            sigma = empirical_covariance(sample(theta, 200, 3))
+            first = select_graph(collection, sigma, 10.0)
+            for _ in range(3):
+                assert select_graph(collection, sigma, 10.0).scores == first.scores
+        finally:
+            projection._cached_plan.cache_clear()
+        assert Counter(built) == Counter(collection.graphs)
 
     def test_termination_reports_the_iteration_cap(self):
         result = fit_graph_mle(_sample_covariance(5, 3), CYCLES[1], math.inf, FitOptions(max_iterations=1))

@@ -153,6 +153,11 @@ class TestSelectGraph:
         with pytest.raises(AllFitsFailed):
             select_graph(CandidateCollection([EdgeSet(2), EdgeSet(2, [(0, 1)])]), sigma, 5.0)
 
+    def test_sigma_of_another_order_is_a_dimension_mismatch(self):
+        sigma = invert(random_sparse_precision(4, np.random.default_rng(9)))
+        with pytest.raises(DimensionMismatch, match="orders differ"):
+            select_graph(CandidateCollection([EdgeSet(3), EdgeSet.complete(3)]), sigma, 5.0)
+
     def test_serialization(self):
         sigma = invert(random_sparse_precision(3, np.random.default_rng(9)))
         result = select_graph(CandidateCollection([EdgeSet(3), EdgeSet.complete(3)]), sigma, 20.0)
