@@ -14,6 +14,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,12 +36,7 @@ from .serialization import (
     load_precision,
     matrix_doc,
 )
-from .simulation import (
-    ExperimentConfig,
-    run_counterexample_experiment,
-    run_lower_bound_experiment,
-    run_selection_experiment,
-)
+from .simulation import EXPERIMENT_KINDS, run_experiment
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -122,28 +118,13 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    import json
-
     doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise ValueError("experiment config must be a JSON object")
+    if args.seed is not None:
+        doc["base_seed"] = args.seed
     progress = (lambda message: print(message, file=sys.stderr)) if not args.quiet else None
-    if args.kind == "counterexample":
-        extra = set(doc) - {"d_values"}
-        if extra:
-            raise ValueError(f"unknown counterexample config keys: {sorted(extra)}")
-        if not isinstance(doc.get("d_values"), list):
-            raise ValueError("counterexample config needs d_values, a list of integers")
-        report = run_counterexample_experiment(doc["d_values"])
-    else:
-        if args.seed is not None:
-            doc["base_seed"] = args.seed
-        cfg = ExperimentConfig.from_dict(doc)
-        if args.kind == "lower-bound":
-            report = run_lower_bound_experiment(cfg, progress=progress)
-        else:
-            report = run_selection_experiment(cfg, progress=progress)
-    json_path, csv_path = report.write(args.out)
+    json_path, csv_path = run_experiment(args.kind, doc, progress).write(args.out)
     sys.stdout.write(dumps({"report": str(json_path), "aggregates": str(csv_path)}) + "\n")
     return EXIT_OK
 
@@ -194,10 +175,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.set_defaults(handler=_cmd_select)
 
     p_exp = sub.add_parser("experiment", help="run a reproducible experiment and write reports")
-    p_exp.add_argument("kind", choices=("counterexample", "lower-bound", "selection"))
+    p_exp.add_argument("kind", choices=EXPERIMENT_KINDS)
     p_exp.add_argument("config", help="experiment configuration JSON")
     p_exp.add_argument("--out", required=True, help="directory for the report and CSV files")
-    p_exp.add_argument("--seed", type=int, help="override the config's base_seed")
+    p_exp.add_argument("--seed", type=int, help="override base_seed (counterexample has none)")
     p_exp.add_argument("--quiet", action="store_true", help="suppress the progress counter on stderr")
     p_exp.set_defaults(handler=_cmd_experiment)
 

@@ -4,11 +4,15 @@ The three ``run_*_experiment`` functions numerically exercise the package's
 guarantees: the flat-KL family (deleting a whole star costs 0.5*log 2 no
 matter how many edges go), the randomized one-edge separation bound, and
 the sample-size behavior of likelihood-based graph selection.
+``run_experiment`` runs any of them from a JSON config document.
 
-Reproducibility contract: every random draw inside an experiment comes
-from a per-trial generator seeded by ``trial_seed(base_seed, grid_index,
-trial_index)``; identical configurations therefore produce byte-identical
-reports.
+The lower-bound and selection drivers are each a trial function (grid
+value, trial index, seed) -> record fields and an aggregate function (grid
+value, records) -> row fields, run by one skeleton, ``_run_grid``, that owns
+the loop, seeding, record layout and progress. Reproducibility contract:
+trial t at grid index g draws from a generator seeded by ``trial_seed(
+base_seed, g, t)`` and records come in grid-then-trial order, so identical
+configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import (
 )
 from .projection import FitOptions, project_remove_edge, project_remove_star
 from .selection import CandidateCollection, select_graph
-from .serialization import dumps, format_float
+from .serialization import dumps
 
 __all__ = [
     "SampleMatrix",
@@ -59,6 +63,8 @@ __all__ = [
     "run_counterexample_experiment",
     "run_lower_bound_experiment",
     "run_selection_experiment",
+    "EXPERIMENT_KINDS",
+    "run_experiment",
 ]
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -277,13 +283,14 @@ def random_omega_inf_member(
     return PrecisionMatrix(arr)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _checked_fields(what: str, doc: Mapping, defaults: object) -> dict:
     # Checks JSON values against the types of the defaults' fields: bool
     # for bool, integer for int, any number for float, and a list of
     # integers for a tuple. Nested objects are left to the caller.
-    def is_int(value: object) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
     unknown = set(doc) - {f.name for f in dataclasses.fields(defaults)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
@@ -292,11 +299,11 @@ def _checked_fields(what: str, doc: Mapping, defaults: object) -> dict:
         if isinstance(default, bool):
             ok = isinstance(value, bool)
         elif isinstance(default, int):
-            ok = is_int(value)
+            ok = _is_int(value)
         elif isinstance(default, float):
-            ok = is_int(value) or isinstance(value, float)
+            ok = _is_int(value) or isinstance(value, float)
         elif isinstance(default, tuple):
-            ok = isinstance(value, (list, tuple)) and all(is_int(v) for v in value)
+            ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
         else:
             ok = True
         if not ok:
@@ -311,6 +318,8 @@ class ExperimentConfig:
     dimensions is the p-grid for the lower-bound sweep and supplies the
     (single) model order for the selection sweep; sample_sizes is the
     n-grid for selection. Unused fields are ignored by a given driver.
+    base_seed, trials and the grids take integers (numpy integers too,
+    never bools or floats).
     """
 
     base_seed: int = 0
@@ -326,64 +335,36 @@ class ExperimentConfig:
     fit: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self) -> None:
+        if not all(map(_is_int, (self.base_seed, self.trials, *self.dimensions, *self.sample_sizes))):
+            raise InvalidParameters("base_seed, trials, dimensions and sample_sizes take integers only")
+        object.__setattr__(self, "dimensions", tuple(int(p) for p in self.dimensions))
+        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         if self.base_seed < 0:
             raise InvalidParameters("base_seed must be a nonnegative integer")
         if self.trials < 1:
             raise InvalidParameters("trials must be >= 1")
-        if not self.dimensions or any(int(p) < 2 for p in self.dimensions):
+        if not self.dimensions or any(p < 2 for p in self.dimensions):
             raise InvalidParameters("dimensions must be a nonempty grid of integers >= 2")
-        if not self.sample_sizes or any(int(n) < 1 for n in self.sample_sizes):
+        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise InvalidParameters("sample_sizes must be a nonempty grid of integers >= 1")
         if not self.gamma > 0:
             raise InvalidParameters("gamma must be positive")
         if self.perturbation_scale < 0:
             raise InvalidParameters("perturbation_scale must be >= 0")
-        object.__setattr__(self, "dimensions", tuple(int(p) for p in self.dimensions))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
         """Parse a JSON config document; ValueError names any unknown key or
-        any value of the wrong type."""
+        any value of the wrong type, InvalidParameters a value out of range."""
         kwargs = _checked_fields("config", doc, cls())
         if "fit" in kwargs:
             if not isinstance(kwargs["fit"], Mapping):
                 raise ValueError("fit must be an object of fit options")
             kwargs["fit"] = FitOptions(**_checked_fields("fit", kwargs["fit"], FitOptions()))
-        for key in ("dimensions", "sample_sizes"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "base_seed": self.base_seed,
-            "trials": self.trials,
-            "dimensions": list(self.dimensions),
-            "sample_sizes": list(self.sample_sizes),
-            "gamma": self.gamma,
-            "use_true_diagonal": self.use_true_diagonal,
-            "include_population": self.include_population,
-            "perturbation_scale": self.perturbation_scale,
-            "chain_diagonal": self.chain_diagonal,
-            "chain_coupling": self.chain_coupling,
-            "fit": self.fit.to_dict(),
-        }
-
-
-_CSV_COLUMNS = {
-    "counterexample": ("d", "kl", "bound", "kl_deviation", "within_tolerance", "bound_le_kl"),
-    "lower-bound": ("p", "trials", "min_slack", "mean_kl", "min_class_slack", "max_class_bound"),
-    "selection": ("n", "p", "s", "success_rate", "ci_low", "ci_high", "mean_gap"),
-}
-
-
-def _csv_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,6 +373,7 @@ class ExperimentReport:
 
     Serialization is deterministic (sorted keys, fixed float format), so a
     rerun with the same configuration reproduces the files byte for byte.
+    The CSV has one row per aggregate, with the aggregate's keys as columns.
     """
 
     kind: str
@@ -400,25 +382,15 @@ class ExperimentReport:
     aggregates: tuple
     extras: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config,
-            "records": list(self.records),
-            "aggregates": list(self.aggregates),
-            "extras": self.extras,
-        }
-
     def to_json(self) -> str:
-        return dumps(self.to_dict()) + "\n"
+        # vars, not dataclasses.asdict, which deep-copies every record
+        return dumps(vars(self)) + "\n"
 
     def to_csv(self) -> str:
-        columns = _CSV_COLUMNS[self.kind]
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in self.aggregates:
-            writer.writerow([_csv_cell(row[c]) for c in columns])
+        writer.writerow(self.aggregates[0])
+        writer.writerows([dumps(value) for value in row.values()] for row in self.aggregates)
         return buffer.getvalue()
 
     def write(self, directory: Union[str, Path]) -> tuple[Path, Path]:
@@ -429,6 +401,34 @@ class ExperimentReport:
         json_path.write_text(self.to_json())
         csv_path.write_text(self.to_csv())
         return json_path, csv_path
+
+
+_Progress = Optional[Callable[[str], None]]
+
+
+def _run_grid(
+    kind: str, cfg: ExperimentConfig, key: str, values: tuple[int, ...],
+    trial: Callable[[int, int, int], dict], aggregate: Callable[[int, list], dict],
+    extras: Callable[[list], dict], progress: _Progress, tally: Callable[[list], str],
+) -> ExperimentReport:
+    """Seeded grid skeleton: trial t at values[g] gets the seed
+    trial_seed(cfg.base_seed, g, t) and yields the record {key: value,
+    "trial": t, "seed": seed, **trial(value, t, seed)}, in grid-then-trial
+    order. Each grid value then gets the aggregate row {key: value,
+    **aggregate(value, rows)} over its own records and one progress line
+    ending in tally(rows); extras(records) runs last."""
+    records: list = []
+    aggregates: list = []
+    for grid_index, value in enumerate(values):
+        rows = []
+        for index in range(cfg.trials):
+            seed = trial_seed(cfg.base_seed, grid_index, index)
+            rows.append({key: value, "trial": index, "seed": seed, **trial(value, index, seed)})
+        records += rows
+        aggregates.append({key: value, **aggregate(value, rows)})
+        if progress is not None:
+            progress(f"{kind}: {key}={value} done ({tally(rows)})")
+    return ExperimentReport(kind, cfg.to_dict(), tuple(records), tuple(aggregates), extras(records))
 
 
 def run_counterexample_experiment(d_values: Iterable[int]) -> ExperimentReport:
@@ -442,14 +442,11 @@ def run_counterexample_experiment(d_values: Iterable[int]) -> ExperimentReport:
     ValueError naming it.
     """
     ds = list(d_values)
-    for d in ds:
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-            raise ValueError(f"d_values must be integers, got {d!r}")
+    if not all(map(_is_int, ds)):
+        raise ValueError(f"d_values must be integers, got {ds!r}")
     ds = [int(d) for d in ds]
-    if not ds:
-        raise InvalidParameters("d_values must be nonempty")
-    if any(d < 1 for d in ds):
-        raise InvalidParameters("every d must be >= 1")
+    if not ds or any(d < 1 for d in ds):
+        raise InvalidParameters(f"d_values must be a nonempty list of integers >= 1, got {ds}")
     records = []
     for d in ds:
         theta1 = counterexample_precision(d)
@@ -472,13 +469,7 @@ def run_counterexample_experiment(d_values: Iterable[int]) -> ExperimentReport:
         "all_within_tolerance": all(r["within_tolerance"] for r in records),
         "all_bounds_hold": all(r["bound_le_kl"] for r in records),
     }
-    return ExperimentReport(
-        kind="counterexample",
-        config={"d_values": ds},
-        records=tuple(records),
-        aggregates=tuple(records),
-        extras=extras,
-    )
+    return ExperimentReport("counterexample", {"d_values": ds}, tuple(records), tuple(records), extras)
 
 
 _LOWER_BOUND_METHODS = (
@@ -515,10 +506,7 @@ def _perturbed_missing_edge(
     return base
 
 
-def run_lower_bound_experiment(
-    cfg: ExperimentConfig,
-    progress: Optional[Callable[[str], None]] = None,
-) -> ExperimentReport:
+def run_lower_bound_experiment(cfg: ExperimentConfig, progress: _Progress = None) -> ExperimentReport:
     """Randomized verification that deleting any true edge costs at least
     half the log separation constant in KL.
 
@@ -530,90 +518,74 @@ def run_lower_bound_experiment(
     every instance lies in an entrywise class measured from its own
     entries, the class-bound slack too.
     """
-    records = []
-    for grid_index, p in enumerate(cfg.dimensions):
-        for trial in range(cfg.trials):
-            seed = trial_seed(cfg.base_seed, grid_index, trial)
-            rng = np.random.default_rng(seed)
-            method = _LOWER_BOUND_METHODS[trial % len(_LOWER_BOUND_METHODS)]
-            if method == "extremal_high_signal":
-                ratio = _EXTREMAL_SIGNAL_RATIOS[(trial // len(_LOWER_BOUND_METHODS)) % len(_EXTREMAL_SIGNAL_RATIOS)]
-                h = float(rng.uniform(1.0, 3.0))
-                theta_star = random_omega_inf_member(p, ratio * h, h, rng, extremal=True)
-            else:
-                theta_star = random_sparse_precision(p, rng)
-            edges = sorted(edge_set_of(theta_star))
-            argmin_edge = min(edges, key=lambda e: conditional_mutual_info(theta_star, *e))
-            if method == "project_random_edge":
-                removed = edges[int(rng.integers(len(edges)))]
-                theta = project_remove_edge(theta_star, removed)
-            elif method in ("project_argmin_edge", "extremal_high_signal"):
-                removed = argmin_edge
-                theta = project_remove_edge(theta_star, removed)
-            else:
-                removed = edges[int(rng.integers(len(edges)))]
-                theta = _perturbed_missing_edge(theta_star, removed, rng, cfg.perturbation_scale)
-            report = verify_separation(theta_star, theta)
-            arr = theta_star.matrix
-            alpha_eff = min(abs(float(arr[i, j])) for i, j in edges)
-            h_eff = float(np.max(np.diag(arr)))
-            class_bound = omega_inf_lower_bound(alpha_eff, h_eff)
-            records.append(
-                {
-                    "p": int(p),
-                    "trial": trial,
-                    "seed": seed,
-                    "method": method,
-                    "removed_edge": list(removed),
-                    "removed_argmin": bool(removed == argmin_edge),
-                    "kl": report.kl_value,
-                    "bound": report.lower_bound,
-                    "slack": report.slack,
-                    "class_bound": class_bound,
-                    "class_slack": report.kl_value - class_bound,
-                }
-            )
-        if progress is not None:
-            progress(f"lower-bound: p={p} done ({cfg.trials} trials)")
-    aggregates = []
-    for p in cfg.dimensions:
-        rows = [r for r in records if r["p"] == p]
-        aggregates.append(
-            {
-                "p": int(p),
-                "trials": len(rows),
-                "min_slack": min(r["slack"] for r in rows),
-                "mean_kl": float(np.mean([r["kl"] for r in rows])),
-                "min_class_slack": min(r["class_slack"] for r in rows),
-                "max_class_bound": max(r["class_bound"] for r in rows),
-            }
-        )
-    # clean projection at the separation-attaining edge is exact equality;
-    # perturbed trials can remove that edge too but pay extra KL
-    tight = [
-        abs(r["slack"])
-        for r in records
-        if r["removed_argmin"] and r["method"] != "perturbed_reprojection"
-    ]
-    extras = {
-        "min_slack": min(r["slack"] for r in records),
-        "min_class_slack": min(r["class_slack"] for r in records),
-        "max_class_bound": max(r["class_bound"] for r in records),
-        "max_tight_slack": max(tight) if tight else None,
-    }
-    return ExperimentReport(
-        kind="lower-bound",
-        config=cfg.to_dict(),
-        records=tuple(records),
-        aggregates=tuple(aggregates),
-        extras=extras,
+
+    def trial(p: int, index: int, seed: int) -> dict:
+        rng = np.random.default_rng(seed)
+        method = _LOWER_BOUND_METHODS[index % len(_LOWER_BOUND_METHODS)]
+        if method == "extremal_high_signal":
+            ratio = _EXTREMAL_SIGNAL_RATIOS[(index // len(_LOWER_BOUND_METHODS)) % len(_EXTREMAL_SIGNAL_RATIOS)]
+            h = float(rng.uniform(1.0, 3.0))
+            theta_star = random_omega_inf_member(p, ratio * h, h, rng, extremal=True)
+        else:
+            theta_star = random_sparse_precision(p, rng)
+        edges = sorted(edge_set_of(theta_star))
+        argmin_edge = min(edges, key=lambda e: conditional_mutual_info(theta_star, *e))
+        if method in ("project_argmin_edge", "extremal_high_signal"):
+            removed = argmin_edge
+        else:
+            removed = edges[int(rng.integers(len(edges)))]
+        if method == "perturbed_reprojection":
+            theta = _perturbed_missing_edge(theta_star, removed, rng, cfg.perturbation_scale)
+        else:
+            theta = project_remove_edge(theta_star, removed)
+        report = verify_separation(theta_star, theta)
+        arr = theta_star.matrix
+        alpha_eff = min(abs(float(arr[i, j])) for i, j in edges)
+        h_eff = float(np.max(np.diag(arr)))
+        class_bound = omega_inf_lower_bound(alpha_eff, h_eff)
+        return {
+            "method": method,
+            "removed_edge": list(removed),
+            "removed_argmin": bool(removed == argmin_edge),
+            "kl": report.kl_value,
+            "bound": report.lower_bound,
+            "slack": report.slack,
+            "class_bound": class_bound,
+            "class_slack": report.kl_value - class_bound,
+        }
+
+    def aggregate(p: int, rows: list) -> dict:
+        return {
+            "trials": len(rows),
+            "min_slack": min(r["slack"] for r in rows),
+            "mean_kl": float(np.mean([r["kl"] for r in rows])),
+            "min_class_slack": min(r["class_slack"] for r in rows),
+            "max_class_bound": max(r["class_bound"] for r in rows),
+        }
+
+    def extras(records: list) -> dict:
+        # clean projection at the separation-attaining edge is exact equality;
+        # perturbed trials can remove that edge too but pay extra KL
+        tight = [
+            abs(r["slack"])
+            for r in records
+            if r["removed_argmin"] and r["method"] != "perturbed_reprojection"
+        ]
+        return {
+            "min_slack": min(r["slack"] for r in records),
+            "min_class_slack": min(r["class_slack"] for r in records),
+            "max_class_bound": max(r["class_bound"] for r in records),
+            "max_tight_slack": max(tight) if tight else None,
+        }
+
+    return _run_grid(
+        "lower-bound", cfg, "p", cfg.dimensions, trial, aggregate, extras, progress,
+        lambda rows: f"{len(rows)} trials",
     )
 
 
 def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials == 0:
-        return 0.0, 1.0
     phat = successes / trials
     denominator = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denominator
@@ -621,10 +593,7 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) 
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def run_selection_experiment(
-    cfg: ExperimentConfig,
-    progress: Optional[Callable[[str], None]] = None,
-) -> ExperimentReport:
+def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) -> ExperimentReport:
     """Sample-size sweep of the likelihood selector on a chain model.
 
     The true model is a chain on p = dimensions[0] vertices; the rivals
@@ -651,66 +620,74 @@ def run_selection_experiment(
             raise InvalidCandidates("an alternative candidate misses no true edge")
     collection = CandidateCollection((true_graph, *alternatives))
     sigma_star = invert(theta_star)
-
-    records = []
     unconverged = 0
-    for grid_index, n in enumerate(cfg.sample_sizes):
-        for trial in range(cfg.trials):
-            seed = trial_seed(cfg.base_seed, grid_index, trial)
-            draws = sample(theta_star, n, seed)
-            sigma_hat = empirical_covariance(draws)
-            if cfg.use_true_diagonal:
-                sigma_hat = corrected_covariance(sigma_hat, np.diag(sigma_star.matrix))
-            result = select_graph(collection, sigma_hat, cfg.gamma, cfg.fit)
-            unconverged += len(result.unconverged)
-            margin = min(result.scores[1:]) - result.scores[0]
-            records.append(
-                {
-                    "n": int(n),
-                    "trial": trial,
-                    "seed": seed,
-                    "selected_index": result.selected_index,
-                    "success": bool(result.selected_index == 0),
-                    "score_margin": margin,
-                }
-            )
-        if progress is not None:
-            done = sum(1 for r in records if r["n"] == n and r["success"])
-            progress(f"selection: n={n} done ({done}/{cfg.trials} successes)")
 
-    aggregates = []
-    for n in cfg.sample_sizes:
-        rows = [r for r in records if r["n"] == n]
+    def trial(n: int, index: int, seed: int) -> dict:
+        nonlocal unconverged
+        sigma_hat = empirical_covariance(sample(theta_star, n, seed))
+        if cfg.use_true_diagonal:
+            sigma_hat = corrected_covariance(sigma_hat, np.diag(sigma_star.matrix))
+        result = select_graph(collection, sigma_hat, cfg.gamma, cfg.fit)
+        unconverged += len(result.unconverged)
+        return {
+            "selected_index": result.selected_index,
+            "success": bool(result.selected_index == 0),
+            "score_margin": min(result.scores[1:]) - result.scores[0],
+        }
+
+    def aggregate(n: int, rows: list) -> dict:
         successes = sum(1 for r in rows if r["success"])
         ci_low, ci_high = _wilson_interval(successes, len(rows))
-        aggregates.append(
-            {
-                "n": int(n),
-                "p": int(p),
-                "s": collection.s,
-                "success_rate": successes / len(rows),
-                "ci_low": ci_low,
-                "ci_high": ci_high,
-                "mean_gap": float(np.mean([r["score_margin"] for r in rows])),
-            }
-        )
-
-    extras: dict = {"separation_constant": c_theta_star(theta_star)}
-    if cfg.include_population:
-        population = select_graph(collection, sigma_star, cfg.gamma, cfg.fit)
-        unconverged += len(population.unconverged)
-        gaps = [s - population.scores[0] for s in population.scores[1:]]
-        extras["population"] = {
-            "selected_index": population.selected_index,
-            "success": bool(population.selected_index == 0),
-            "score_gaps": gaps,
-            "min_gap": min(gaps),
+        return {
+            "p": p,
+            "s": collection.s,
+            "success_rate": successes / len(rows),
+            "ci_low": ci_low,
+            "ci_high": ci_high,
+            "mean_gap": float(np.mean([r["score_margin"] for r in rows])),
         }
-    extras["unconverged_fits"] = unconverged
-    return ExperimentReport(
-        kind="selection",
-        config=cfg.to_dict(),
-        records=tuple(records),
-        aggregates=tuple(aggregates),
-        extras=extras,
+
+    def extras(records: list) -> dict:
+        nonlocal unconverged
+        doc: dict = {"separation_constant": c_theta_star(theta_star)}
+        if cfg.include_population:
+            population = select_graph(collection, sigma_star, cfg.gamma, cfg.fit)
+            unconverged += len(population.unconverged)
+            gaps = [s - population.scores[0] for s in population.scores[1:]]
+            doc["population"] = {
+                "selected_index": population.selected_index,
+                "success": bool(population.selected_index == 0),
+                "score_gaps": gaps,
+                "min_gap": min(gaps),
+            }
+        doc["unconverged_fits"] = unconverged
+        return doc
+
+    return _run_grid(
+        "selection", cfg, "n", cfg.sample_sizes, trial, aggregate, extras, progress,
+        lambda rows: f"{sum(r['success'] for r in rows)}/{len(rows)} successes",
     )
+
+
+EXPERIMENT_KINDS = ("counterexample", "lower-bound", "selection")
+
+
+def run_experiment(kind: str, doc: Mapping, progress: _Progress = None) -> ExperimentReport:
+    """Run one experiment of EXPERIMENT_KINDS from its JSON config document.
+
+    counterexample takes {"d_values": [...]}, the other kinds the fields of
+    ExperimentConfig. ValueError names an unknown kind or key and a value
+    of the wrong type or out of range.
+    """
+    if kind not in EXPERIMENT_KINDS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    try:
+        if kind == "counterexample":
+            if set(doc) != {"d_values"} or not isinstance(doc["d_values"], list):
+                raise ValueError(f"counterexample config takes only d_values (integers), got keys {sorted(doc)}")
+            return run_counterexample_experiment(doc["d_values"])
+        cfg = ExperimentConfig.from_dict(doc)
+    except InvalidParameters as exc:
+        raise ValueError(f"{kind} config value out of range: {exc}") from None
+    driver = run_lower_bound_experiment if kind == "lower-bound" else run_selection_experiment
+    return driver(cfg, progress)

@@ -15,6 +15,12 @@ from ggmsep import (
     random_sparse_precision,
 )
 from ggmsep.cli import main
+from ggmsep.simulation import (
+    ExperimentConfig,
+    run_counterexample_experiment,
+    run_lower_bound_experiment,
+    run_selection_experiment,
+)
 from ggmsep.serialization import dumps, edge_set_doc, matrix_doc, write_json
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -252,6 +258,53 @@ class TestExperiment:
         config = write_json(tmp_path / "config.json", {"d_values": [1], "bogus": 3})
         code, _, _ = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o")
         assert code == 2
+
+    @pytest.mark.parametrize("kind, doc, named", [
+        ("lower-bound", {"trials": 0}, "trials"),
+        ("lower-bound", {"base_seed": -1}, "base_seed"),
+        ("lower-bound", {"dimensions": []}, "dimensions"),
+        ("selection", {"sample_sizes": [0]}, "sample_sizes"),
+        ("selection", {"gamma": 0}, "gamma"),
+        ("lower-bound", {"perturbation_scale": -1}, "perturbation_scale"),
+        ("selection", {"fit": {"max_iterations": 0}}, "max_iterations"),
+        ("counterexample", {"d_values": [0]}, "d_values"),
+        ("counterexample", {"d_values": []}, "d_values"),
+    ])
+    def test_out_of_range_config_value_exits_2_naming_the_key(self, tmp_path, capsys, kind, doc, named):
+        config = write_json(tmp_path / "config.json", doc)
+        code, out, err = run(capsys, "experiment", kind, config, "--out", tmp_path / "o", "--quiet")
+        assert code == 2
+        assert named in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_is_refused_for_counterexample(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", {"d_values": [1, 2]})
+        code, out, err = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o", "--seed", "7")
+        assert code == 2
+        assert "seed" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, doc, in_process", [
+        ("counterexample", {"d_values": [1, 2, 3]}, lambda: run_counterexample_experiment([1, 2, 3])),
+        ("lower-bound", {"base_seed": 5, "trials": 4, "dimensions": [3, 4]},
+         lambda: run_lower_bound_experiment(ExperimentConfig(base_seed=5, trials=4, dimensions=(3, 4)))),
+        ("selection",
+         {"base_seed": 5, "trials": 3, "dimensions": [4], "sample_sizes": [40, 80], "gamma": 8.0,
+          "use_true_diagonal": True},
+         lambda: run_selection_experiment(ExperimentConfig(
+             base_seed=5, trials=3, dimensions=(4,), sample_sizes=(40, 80), gamma=8.0, use_true_diagonal=True))),
+    ])
+    def test_files_match_the_in_process_report(self, tmp_path, capsys, kind, doc, in_process):
+        config = write_json(tmp_path / "config.json", doc)
+        code, _, err = run(capsys, "experiment", kind, config, "--out", tmp_path / "o")
+        assert code == 0
+        report = in_process()
+        assert (tmp_path / "o" / f"{kind}_report.json").read_bytes() == report.to_json().encode()
+        assert (tmp_path / "o" / f"{kind}_aggregates.csv").read_bytes() == report.to_csv().encode()
+        # one progress line per grid point (counterexample reports none)
+        assert len(err.splitlines()) == (0 if kind == "counterexample" else 2)
 
 
 class TestRoundTrip:

@@ -173,6 +173,25 @@ class TestExperimentConfig:
             ExperimentConfig(sample_sizes=(0,))
         with pytest.raises(InvalidParameters):
             ExperimentConfig(gamma=-1.0)
+        # non-integers were truncated (p=3.7 ran p=3), echoed unchanged
+        # (base_seed=1.9 seeded as 1) or failed mid-run (trials=2.5)
+        for bad in (
+            {"dimensions": (3.7,)},
+            {"base_seed": 1.9},
+            {"trials": 2.5},
+            {"sample_sizes": (250.0,)},
+            {"trials": True},
+            {"dimensions": (3, False)},
+            {"base_seed": "1"},
+        ):
+            with pytest.raises(InvalidParameters):
+                ExperimentConfig(**bad)
+        cfg = ExperimentConfig(base_seed=np.int64(3), trials=np.int32(2), dimensions=(np.int64(3),),
+                               sample_sizes=np.array([50, 60]))
+        assert cfg.dimensions == (3,) and cfg.sample_sizes == (50, 60)
+        assert run_lower_bound_experiment(cfg).to_json() == run_lower_bound_experiment(
+            ExperimentConfig(base_seed=3, trials=2, dimensions=(3,), sample_sizes=(50, 60))
+        ).to_json()
 
     def test_from_dict_roundtrip(self):
         cfg = ExperimentConfig(base_seed=7, trials=3, dimensions=(4,), sample_sizes=(50, 100))
@@ -294,6 +313,48 @@ class TestSelectionExperiment:
     def test_gamma_must_admit_truth(self):
         with pytest.raises(InvalidParameters):
             run_selection_experiment(self._config(gamma=1.0))
+
+
+class TestGridSkeleton:
+    """What the lower-bound and selection drivers share: seeding, record
+    order, one progress line per grid point, and the CSV columns."""
+
+    CONFIG = ExperimentConfig(base_seed=41, trials=3, dimensions=(4, 3), sample_sizes=(40, 80), gamma=8.0)
+
+    @pytest.mark.parametrize("driver, key, grid", [
+        (run_lower_bound_experiment, "p", CONFIG.dimensions),
+        (run_selection_experiment, "n", CONFIG.sample_sizes),
+    ])
+    def test_records_are_seeded_per_grid_index_and_trial(self, driver, key, grid):
+        report = driver(self.CONFIG)
+        expected = [(value, t, trial_seed(41, g, t)) for g, value in enumerate(grid) for t in range(3)]
+        assert [(r[key], r["trial"], r["seed"]) for r in report.records] == expected
+        assert [row[key] for row in report.aggregates] == list(grid)
+
+    def test_progress_once_per_grid_point(self):
+        lines = []
+        run_lower_bound_experiment(self.CONFIG, progress=lines.append)
+        assert lines == ["lower-bound: p=4 done (3 trials)", "lower-bound: p=3 done (3 trials)"]
+        lines.clear()
+        report = run_selection_experiment(self.CONFIG, progress=lines.append)
+        successes = [sum(r["success"] for r in report.records if r["n"] == n) for n in (40, 80)]
+        assert lines == [f"selection: n={n} done ({k}/3 successes)" for n, k in zip((40, 80), successes)]
+
+    def test_csv_headers(self):
+        headers = {
+            "counterexample": "d,kl,bound,kl_deviation,within_tolerance,bound_le_kl",
+            "lower-bound": "p,trials,min_slack,mean_kl,min_class_slack,max_class_bound",
+            "selection": "n,p,s,success_rate,ci_low,ci_high,mean_gap",
+        }
+        reports = (
+            run_counterexample_experiment([1, 2]),
+            run_lower_bound_experiment(self.CONFIG),
+            run_selection_experiment(self.CONFIG),
+        )
+        for report in reports:
+            lines = report.to_csv().splitlines()
+            assert lines[0] == headers[report.kind]
+            assert len(lines) == 1 + len(report.aggregates)
 
 
 class TestReportFiles:
