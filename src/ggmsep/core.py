@@ -2,7 +2,10 @@
 
 Matrix wrappers freeze their arrays at construction (exactly symmetric,
 read-only), so instances are safe to share across threads; every operation
-here is a pure function of its arguments.
+here is a pure function of its arguments. A PrecisionMatrix also keeps the
+read-only lower Cholesky factor that validated it, so factorize, and the
+log-determinants, solves, inverses and samples built on it, never factor a
+precision again.
 """
 
 from __future__ import annotations
@@ -13,27 +16,16 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import (
-    DimensionMismatch,
-    EmptyIndexSet,
-    IndexOutOfRange,
-    InvalidParameters,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite
 
 __all__ = [
     "PrecisionMatrix",
     "CovarianceMatrix",
     "SpdFactorization",
     "EdgeSet",
-    "OmegaInf",
-    "OmegaF",
-    "MatrixClassSpec",
     "factorize",
     "invert",
-    "schur_complement",
     "edge_set_of",
-    "class_membership",
 ]
 
 # Largest relative asymmetry accepted at construction; anything below is
@@ -42,13 +34,15 @@ _ASYMMETRY_RTOL = 1e-8
 
 
 def _cholesky_lower(arr: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, raising NotPositiveDefinite on failure."""
+    """Read-only lower Cholesky factor, raising NotPositiveDefinite on
+    failure. A factor that succeeds has strictly positive pivots."""
     try:
         lower = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from None
     if not np.all(np.isfinite(lower)):
         raise NotPositiveDefinite("Cholesky factor has non-finite pivots")
+    lower.flags.writeable = False
     return lower
 
 
@@ -73,15 +67,15 @@ class PrecisionMatrix:
 
     Construction rejects anything not finite, square of order >= 2,
     symmetric (up to roundoff, then symmetrized exactly), and
-    Cholesky-factorizable.
+    Cholesky-factorizable, and keeps that Cholesky factor, read-only, for
+    factorize.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_factor")
 
     def __init__(self, entries: object) -> None:
-        arr = _frozen_symmetric(entries, "precision matrix")
-        _cholesky_lower(arr)
-        self.matrix = arr
+        self.matrix = _frozen_symmetric(entries, "precision matrix")
+        self._factor = _cholesky_lower(self.matrix)
 
     @property
     def p(self) -> int:
@@ -97,8 +91,8 @@ class CovarianceMatrix:
     Construction enforces symmetry and finiteness only: empirical
     second-moment matrices from few samples are merely PSD, and
     diagonal-corrected estimates may even be slightly indefinite.
-    Operations that need positive definiteness (factorize, invert,
-    schur_complement) raise NotPositiveDefinite at the point of use.
+    Operations that need positive definiteness (factorize, invert) raise
+    NotPositiveDefinite at the point of use.
     """
 
     __slots__ = ("matrix",)
@@ -119,21 +113,21 @@ MatrixLike = Union[PrecisionMatrix, CovarianceMatrix]
 
 @dataclass(frozen=True, eq=False)
 class SpdFactorization:
-    """Lower-triangular factor L with log det(L @ L.T) cached in nats."""
+    """Read-only lower-triangular factor L and log det(L @ L.T) in nats."""
 
     factor: np.ndarray
     log_determinant: float
 
 
 def factorize(m: MatrixLike) -> SpdFactorization:
-    """Cholesky-factorize an SPD matrix; log det = 2 * sum(log diag(L))."""
-    lower = _cholesky_lower(m.matrix)
-    diag = np.diag(lower)
-    if np.any(diag <= 0.0):
-        raise NotPositiveDefinite("Cholesky factor has a nonpositive pivot")
-    log_det = 2.0 * float(np.sum(np.log(diag)))
-    lower.flags.writeable = False
-    return SpdFactorization(factor=lower, log_determinant=log_det)
+    """Read-only Cholesky factor L of an SPD matrix and log det = 2 *
+    sum(log diag(L)).
+
+    A precision returns the factor its constructor kept; only a covariance
+    is factored here, raising NotPositiveDefinite if it is not PD.
+    """
+    lower = m._factor if isinstance(m, PrecisionMatrix) else _cholesky_lower(m.matrix)
+    return SpdFactorization(factor=lower, log_determinant=2.0 * float(np.sum(np.log(np.diag(lower)))))
 
 
 def invert(m: MatrixLike) -> MatrixLike:
@@ -147,31 +141,6 @@ def invert(m: MatrixLike) -> MatrixLike:
     if isinstance(m, PrecisionMatrix):
         return CovarianceMatrix(inverse)
     return PrecisionMatrix(inverse)
-
-
-def schur_complement(m: Union[MatrixLike, np.ndarray], keep: Iterable[int]) -> np.ndarray:
-    """A - B D^{-1} B^T for the block over `keep` (A) against its complement (D).
-
-    det(result) == det(M) / det(D). Applied to a covariance, the result is
-    the conditional covariance of the kept coordinates given the rest.
-    """
-    arr = m.matrix if isinstance(m, (PrecisionMatrix, CovarianceMatrix)) else np.asarray(m, dtype=float)
-    p = int(arr.shape[0])
-    keep_idx = sorted({int(k) for k in keep})
-    if not keep_idx:
-        raise EmptyIndexSet("keep is empty")
-    if keep_idx[0] < 0 or keep_idx[-1] >= p:
-        raise IndexOutOfRange(f"keep indices must lie in [0, {p})")
-    kept = set(keep_idx)
-    comp = [k for k in range(p) if k not in kept]
-    if not comp:
-        raise EmptyIndexSet("keep must be a proper subset; its complement is empty")
-    a = arr[np.ix_(keep_idx, keep_idx)]
-    b = arr[np.ix_(keep_idx, comp)]
-    d = arr[np.ix_(comp, comp)]
-    d_lower = _cholesky_lower(d)
-    s = a - b @ cho_solve((d_lower, True), b.T)
-    return 0.5 * (s + s.T)
 
 
 def _normalized_edge(edge: object) -> tuple[int, int]:
@@ -247,36 +216,6 @@ class EdgeSet:
         return f"EdgeSet(p={self.p}, edges={sorted(self.edges)})"
 
 
-@dataclass(frozen=True)
-class OmegaInf:
-    """Entrywise matrix class: diagonals at most h, couplings at least alpha.
-
-    alpha / h acts as a normalized minimum signal strength; positive
-    definiteness forces alpha < h.
-    """
-
-    alpha: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < self.h):
-            raise InvalidParameters(f"requires 0 < alpha < h, got alpha={self.alpha}, h={self.h}")
-
-
-@dataclass(frozen=True)
-class OmegaF:
-    """Frobenius-norm ball of precision matrices."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not self.gamma > 0.0:
-            raise InvalidParameters(f"gamma must be positive, got {self.gamma}")
-
-
-MatrixClassSpec = Union[OmegaInf, OmegaF]
-
-
 def edge_set_of(theta: MatrixLike, zero_tol: float = 1e-12) -> EdgeSet:
     """Off-diagonal support: edge (i, j), i < j, iff |theta[i, j]| > zero_tol."""
     if zero_tol < 0.0:
@@ -285,23 +224,3 @@ def edge_set_of(theta: MatrixLike, zero_tol: float = 1e-12) -> EdgeSet:
     rows, cols = np.triu_indices(theta.p, k=1)
     mask = np.abs(arr[rows, cols]) > zero_tol
     return EdgeSet(theta.p, zip(rows[mask].tolist(), cols[mask].tolist()))
-
-
-def class_membership(theta: PrecisionMatrix, spec: MatrixClassSpec, zero_tol: float = 1e-12) -> bool:
-    """Whether theta belongs to the given matrix class.
-
-    OmegaInf: every diagonal <= h and every off-diagonal entry above
-    zero_tol has magnitude >= alpha. OmegaF: Frobenius norm <= gamma.
-    """
-    if zero_tol < 0.0:
-        raise InvalidParameters("zero_tol must be >= 0")
-    arr = theta.matrix
-    if isinstance(spec, OmegaF):
-        return bool(np.linalg.norm(arr) <= spec.gamma)
-    if isinstance(spec, OmegaInf):
-        if np.any(np.diag(arr) > spec.h):
-            return False
-        rows, cols = np.triu_indices(theta.p, k=1)
-        off = np.abs(arr[rows, cols])
-        return bool(np.all(off[off > zero_tol] >= spec.alpha))
-    raise TypeError(f"unsupported matrix class spec: {type(spec).__name__}")

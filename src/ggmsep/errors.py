@@ -13,10 +13,6 @@ class DimensionMismatch(GgmError):
     """Two arguments that must share an order do not."""
 
 
-class EmptyIndexSet(GgmError):
-    """An index set that must be a nonempty proper subset is empty (or its complement is)."""
-
-
 class SameVertex(GgmError):
     """An operation on a pair of vertices received the same vertex twice."""
 

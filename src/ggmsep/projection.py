@@ -121,7 +121,7 @@ def project_remove_edge(theta1: PrecisionMatrix, edge: Iterable[int]) -> Precisi
     Theta2_AA = K = diag(1/C_ii, 1/C_jj), Theta2_AR = K C Theta_AR and
     Theta2_RR = Theta_RR + Theta_RA (C K C - C) Theta_AR, a rank-2 update.
     One 2x2 Cholesky factor, O(p^2) in all, plus the validation of the
-    result.
+    result, whose p x p Cholesky factor the result keeps for factorize.
     """
     i, j = (int(v) for v in edge)
     if i == j:
@@ -146,7 +146,8 @@ def project_remove_star(theta1: PrecisionMatrix, vertex: int, neighbors: Iterabl
     inv(C_SS)), Theta2_AA = K, Theta2_AR = K C Theta_AR and Theta2_RR =
     Theta_RR + Theta_RA (C K C - C) Theta_AR with C K C - C of rank at most
     2. When nothing remains, the result is K. One Cholesky factor of order
-    |A|, O(|A|^2 p + p^2) in all, plus the validation of the result.
+    |A|, O(|A|^2 p + p^2) in all, plus the validation of the result, whose
+    p x p Cholesky factor the result keeps for factorize.
     """
     p = theta1.p
     v = _validate_vertex(p, int(vertex))

@@ -100,6 +100,18 @@ class SampleMatrix:
         return int(self.rows.shape[1])
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _checked_size(name: str, value: object, minimum: int) -> int:
+    """value as an int; InvalidParameters unless it is an integer (numpy
+    integers too, never a bool or float) of at least minimum."""
+    if not _is_int(value) or value < minimum:
+        raise InvalidParameters(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def trial_seed(base_seed: int, grid_index: int, trial_index: int) -> int:
     """Fixed mixing of (base seed, grid position, trial index) into one
     64-bit seed; the single entry point for randomness in experiments."""
@@ -115,11 +127,10 @@ def sample(theta: PrecisionMatrix, n: int, seed: int) -> SampleMatrix:
     inverse transpose of theta's Cholesky factor: solving L^T x = z gives
     Cov(x) = inv(L L^T) = inv(theta).
     """
-    if n < 1:
-        raise InvalidParameters(f"n must be >= 1, got {n}")
+    n = _checked_size("n", n, 1)
     fact = factorize(theta)
     rng = np.random.default_rng(int(seed))
-    z = rng.standard_normal((int(n), theta.p))
+    z = rng.standard_normal((n, theta.p))
     rows = solve_triangular(fact.factor, z.T, lower=True, trans="T").T
     return SampleMatrix(rows=rows)
 
@@ -152,10 +163,7 @@ def counterexample_precision(d: int) -> PrecisionMatrix:
     connected to everything, yet severing its whole star at the first
     vertex costs exactly 0.5 * log 2 in KL for every d.
     """
-    d = int(d)
-    if d < 1:
-        raise InvalidParameters(f"d must be >= 1, got {d}")
-    p = d + 1
+    p = _checked_size("d", d, 1) + 1
     arr = np.ones((p, p))
     arr[np.diag_indices(p)] = 2.0
     arr[-1, :] = -1.0
@@ -168,9 +176,7 @@ def chain_precision(p: int, diagonal: float = 2.0, coupling: float = 1.0) -> Pre
     """Path-graph precision: `diagonal` on the diagonal and `coupling` on
     the first off-diagonals. The default (2, 1) is positive definite for
     every p since the smallest eigenvalue is 2 - 2 cos(pi / (p + 1))."""
-    p = int(p)
-    if p < 2:
-        raise InvalidParameters(f"p must be >= 2, got {p}")
+    p = _checked_size("p", p, 2)
     arr = np.diag(np.full(p, float(diagonal)))
     idx = np.arange(p - 1)
     arr[idx, idx + 1] = float(coupling)
@@ -193,9 +199,7 @@ def random_sparse_precision(
     sum plus a uniform positive margin, so the matrix is strictly
     diagonally dominant and therefore PD.
     """
-    p = int(p)
-    if p < 2:
-        raise InvalidParameters(f"p must be >= 2, got {p}")
+    p = _checked_size("p", p, 2)
     arr = np.zeros((p, p))
     pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
     chosen = [pair for pair in pairs if rng.uniform() < edge_probability]
@@ -225,9 +229,7 @@ def random_omega_inf_member(
     magnitude >= alpha against diagonals <= h, that pair attains the
     class's worst-case one-edge bound exactly.
     """
-    p = int(p)
-    if p < 2:
-        raise InvalidParameters(f"p must be >= 2, got {p}")
+    p = _checked_size("p", p, 2)
     if not (0.0 < alpha < h):
         raise InvalidParameters(f"requires 0 < alpha < h, got alpha={alpha}, h={h}")
     arr = np.zeros((p, p))
@@ -281,10 +283,6 @@ def random_omega_inf_member(
         diag[p - 1] = h
     arr[np.diag_indices(p)] = diag
     return PrecisionMatrix(arr)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _checked_fields(what: str, doc: Mapping, defaults: object) -> dict:
@@ -593,6 +591,23 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) 
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _selection_truth(cfg: ExperimentConfig) -> PrecisionMatrix:
+    """The selection sweep's true chain, checked against the config."""
+    p = cfg.dimensions[0]
+    try:
+        theta_star = chain_precision(p, cfg.chain_diagonal, cfg.chain_coupling)
+    except (NotPositiveDefinite, ValueError):
+        raise InvalidParameters(
+            f"chain_diagonal={cfg.chain_diagonal} and chain_coupling={cfg.chain_coupling} "
+            f"give no positive definite chain at p={p}"
+        ) from None
+    if float(np.linalg.norm(theta_star.matrix)) > cfg.gamma:
+        raise InvalidParameters(
+            f"gamma={cfg.gamma} excludes the true model (norm {np.linalg.norm(theta_star.matrix):.3f})"
+        )
+    return theta_star
+
+
 def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) -> ExperimentReport:
     """Sample-size sweep of the likelihood selector on a chain model.
 
@@ -605,14 +620,11 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
     with include_population=True the sweep is repeated once against the
     exact covariance, where selection must succeed outright. Extras count
     the candidate fits that returned converged=False (unconverged_fits),
-    population pass included.
+    population pass included. A chain that is not positive definite, or
+    lies outside the gamma-ball, raises InvalidParameters naming the keys.
     """
     p = cfg.dimensions[0]
-    theta_star = chain_precision(p, cfg.chain_diagonal, cfg.chain_coupling)
-    if float(np.linalg.norm(theta_star.matrix)) > cfg.gamma:
-        raise InvalidParameters(
-            f"gamma={cfg.gamma} excludes the true model (norm {np.linalg.norm(theta_star.matrix):.3f})"
-        )
+    theta_star = _selection_truth(cfg)
     true_graph = edge_set_of(theta_star)
     alternatives = [true_graph.without(edge) for edge in sorted(true_graph)]
     for alt in alternatives:
@@ -677,7 +689,8 @@ def run_experiment(kind: str, doc: Mapping, progress: _Progress = None) -> Exper
 
     counterexample takes {"d_values": [...]}, the other kinds the fields of
     ExperimentConfig. ValueError names an unknown kind or key and a value
-    of the wrong type or out of range.
+    of the wrong type or out of range, including a selection chain that the
+    chain keys or gamma rule out.
     """
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -687,6 +700,8 @@ def run_experiment(kind: str, doc: Mapping, progress: _Progress = None) -> Exper
                 raise ValueError(f"counterexample config takes only d_values (integers), got keys {sorted(doc)}")
             return run_counterexample_experiment(doc["d_values"])
         cfg = ExperimentConfig.from_dict(doc)
+        if kind == "selection":
+            _selection_truth(cfg)
     except InvalidParameters as exc:
         raise ValueError(f"{kind} config value out of range: {exc}") from None
     driver = run_lower_bound_experiment if kind == "lower-bound" else run_selection_experiment

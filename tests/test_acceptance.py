@@ -15,7 +15,6 @@ from ggmsep import (
     ExperimentConfig,
     FitOptions,
     block_conditional_mutual_info,
-    class_membership,
     conditional_mutual_info,
     fit_graph_mle,
     invert,
@@ -31,10 +30,9 @@ from ggmsep import (
     run_counterexample_experiment,
     run_lower_bound_experiment,
     run_selection_experiment,
-    schur_complement,
-    OmegaInf,
     PrecisionMatrix,
 )
+from reference import in_omega_inf, schur_complement
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 HALF_LOG_4_3 = 0.5 * math.log(4.0 / 3.0)
@@ -169,7 +167,7 @@ def test_criterion_5_entrywise_class_bound():
         for k in range(125):
             extremal = k % 5 == 0
             theta = random_omega_inf_member(7, alpha, h, rng, extremal=extremal)
-            assert class_membership(theta, OmegaInf(alpha=alpha, h=h))
+            assert in_omega_inf(theta, alpha, h)
             gap = one_edge_lower_bound(theta) - omega_inf_lower_bound(alpha, h)
             worst_slack = min(worst_slack, gap)
             if extremal:

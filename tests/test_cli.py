@@ -269,6 +269,9 @@ class TestExperiment:
         ("selection", {"fit": {"max_iterations": 0}}, "max_iterations"),
         ("counterexample", {"d_values": [0]}, "d_values"),
         ("counterexample", {"d_values": []}, "d_values"),
+        ("selection", {"gamma": 1.0, "dimensions": [4]}, "gamma"),
+        ("selection", {"chain_coupling": 1.5, "dimensions": [4]}, "chain_coupling"),
+        ("selection", {"chain_diagonal": math.nan}, "chain_diagonal"),
     ])
     def test_out_of_range_config_value_exits_2_naming_the_key(self, tmp_path, capsys, kind, doc, named):
         config = write_json(tmp_path / "config.json", doc)

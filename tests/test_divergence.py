@@ -32,9 +32,9 @@ from ggmsep import (
     project_remove_star,
     random_omega_inf_member,
     random_sparse_precision,
-    schur_complement,
     verify_separation,
 )
+from reference import schur_complement
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 HALF_LOG_4_3 = 0.5 * math.log(4.0 / 3.0)

@@ -13,11 +13,9 @@ from ggmsep import (
     FitOptions,
     InvalidDiagonal,
     InvalidParameters,
-    OmegaInf,
     PrecisionMatrix,
     SampleMatrix,
     chain_precision,
-    class_membership,
     corrected_covariance,
     counterexample_precision,
     edge_set_of,
@@ -34,6 +32,7 @@ from ggmsep import (
     trial_seed,
 )
 from ggmsep import selection as selection_module
+from reference import in_omega_inf
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 
@@ -132,6 +131,28 @@ class TestCounterexamplePrecision:
             counterexample_precision(0)
 
 
+# Each public size argument, called with a given value: the sizes were
+# truncated by int() before (p=3.7 built p=3, n=True drew one row).
+SIZED_CALLS = {
+    "sample_n": lambda v: sample(PrecisionMatrix(np.eye(3)), v, 1).n,
+    "chain_precision_p": lambda v: chain_precision(v).p,
+    "counterexample_precision_d": lambda v: counterexample_precision(v).p - 1,
+    "random_sparse_precision_p": lambda v: random_sparse_precision(v, np.random.default_rng(0)).p,
+    "random_omega_inf_member_p": lambda v: random_omega_inf_member(v, 0.5, 1.0, np.random.default_rng(0)).p,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_CALLS))
+def test_sizes_take_integers_only(name):
+    call = SIZED_CALLS[name]
+    for bad in (2.5, 3.7, 3.0, True, np.float64(3.0), 0, "3"):
+        with pytest.raises(InvalidParameters):
+            call(bad)
+    assert call(3) == 3
+    assert call(np.int64(3)) == 3
+    assert call(np.int32(4)) == 4
+
+
 class TestGenerators:
     def test_chain_precision_structure(self):
         theta = chain_precision(6)
@@ -148,12 +169,12 @@ class TestGenerators:
         for alpha, h in ((0.3, 1.0), (0.9, 1.0), (1.5, 2.0), (2.8, 3.0)):
             for _ in range(10):
                 theta = random_omega_inf_member(6, alpha, h, rng)
-                assert class_membership(theta, OmegaInf(alpha=alpha, h=h))
+                assert in_omega_inf(theta, alpha, h)
 
     def test_extremal_member_attains_class_bound(self):
         rng = np.random.default_rng(13)
         theta = random_omega_inf_member(5, 0.8, 2.0, rng, extremal=True)
-        assert class_membership(theta, OmegaInf(alpha=0.8, h=2.0))
+        assert in_omega_inf(theta, 0.8, 2.0)
         assert abs(one_edge_lower_bound(theta) - omega_inf_lower_bound(0.8, 2.0)) < 1e-12
 
     def test_trial_seed_mixing(self):
@@ -313,6 +334,11 @@ class TestSelectionExperiment:
     def test_gamma_must_admit_truth(self):
         with pytest.raises(InvalidParameters):
             run_selection_experiment(self._config(gamma=1.0))
+
+    def test_chain_must_be_positive_definite(self):
+        # raised NotPositiveDefinite, naming no key
+        with pytest.raises(InvalidParameters, match="chain_coupling"):
+            run_selection_experiment(self._config(chain_coupling=1.5))
 
 
 class TestGridSkeleton:
