@@ -10,6 +10,7 @@ precision again.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -52,12 +53,17 @@ def _frozen_symmetric(entries: object, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be square, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError(f"{what} must have order >= 2, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    # Two p x p temporaries; halving before the sum keeps finite input finite
+    scratch = np.abs(arr)
+    scale = float(np.max(scratch))
+    if not np.isfinite(scale):
         raise ValueError(f"{what} has non-finite entries")
-    gap = float(np.max(np.abs(arr - arr.T)))
-    if gap > _ASYMMETRY_RTOL * max(1.0, float(np.max(np.abs(arr)))):
+    arr *= 0.5
+    mirror = arr.T.copy()
+    gap = 2.0 * float(np.max(np.abs(np.subtract(arr, mirror, out=scratch), out=scratch)))
+    if gap > _ASYMMETRY_RTOL * max(1.0, scale):
         raise ValueError(f"{what} is not symmetric: max |M - M^T| = {gap:.3g}")
-    arr = 0.5 * (arr + arr.T)
+    arr += mirror
     arr.flags.writeable = False
     return arr
 
@@ -216,11 +222,19 @@ class EdgeSet:
         return f"EdgeSet(p={self.p}, edges={sorted(self.edges)})"
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) of the strict upper triangle, in row-major order."""
+    rows, cols = np.triu_indices(p, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def edge_set_of(theta: MatrixLike, zero_tol: float = 1e-12) -> EdgeSet:
     """Off-diagonal support: edge (i, j), i < j, iff |theta[i, j]| > zero_tol."""
     if zero_tol < 0.0:
         raise InvalidParameters("zero_tol must be >= 0")
     arr = theta.matrix
-    rows, cols = np.triu_indices(theta.p, k=1)
+    rows, cols = _upper_pairs(theta.p)
     mask = np.abs(arr[rows, cols]) > zero_tol
     return EdgeSet(theta.p, zip(rows[mask].tolist(), cols[mask].tolist()))

@@ -9,8 +9,9 @@ possible for any distribution missing those edges. They compute it on the
 precision side (Lauritzen 1996, ch. 5): the marginal of the remaining
 coordinates R and the regression of the severed block A on them are kept,
 and Cov(X_A | X_R) is replaced by its block-diagonal part. That is a
-rank-2 update of the precision after one |A| x |A| Cholesky factor, so the
-covariance is never formed.
+rank-2 update of the precision after one |A| x |A| Cholesky factor and one
+LAPACK solve against it (dpotrs, called directly like every solve of a
+fit), so the covariance is never formed.
 
 ``fit_graph_mle`` minimizes the Gaussian negative log likelihood over
 precision matrices supported on a given graph (diagonal always free)
@@ -38,7 +39,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
+from scipy.linalg import lapack
 
 from .core import (
     CovarianceMatrix,
@@ -96,7 +97,9 @@ def _sever(theta1: PrecisionMatrix, v: int, s: list[int]) -> PrecisionMatrix:
     basis[s, 0] = coupling
     basis[v, 1] = 1.0
     if rest:
-        regression = cho_solve((lower, True), arr[np.ix_(a, rest)])
+        regression, info = lapack.dpotrs(lower, arr[np.ix_(a, rest)], lower=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
         basis[rest, 0] = coupling @ regression[:-1]
         basis[rest, 1] = regression[-1]
     gap = -np.array([[1.0 / t_vv, 1.0], [1.0, beta]])

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import CovarianceMatrix, PrecisionMatrix, edge_set_of, factorize, invert
+from .core import CovarianceMatrix, PrecisionMatrix, _upper_pairs, edge_set_of, factorize, invert
 from .divergence import (
     c_theta_star,
     conditional_mutual_info,
@@ -197,17 +197,19 @@ def random_sparse_precision(
     Couplings get uniform magnitudes and random signs on a Bernoulli edge
     set (at least one edge is forced); each diagonal is the absolute row
     sum plus a uniform positive margin, so the matrix is strictly
-    diagonally dominant and therefore PD.
+    diagonally dominant and therefore PD. Uniforms come as arrays: one per
+    pair in row-major order, then a magnitude and a sign per chosen pair.
     """
     p = _checked_size("p", p, 2)
     arr = np.zeros((p, p))
-    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    chosen = [pair for pair in pairs if rng.uniform() < edge_probability]
-    if not chosen:
-        chosen = [pairs[int(rng.integers(len(pairs)))]]
-    for i, j in chosen:
-        magnitude = rng.uniform(*coupling_range)
-        arr[i, j] = arr[j, i] = magnitude if rng.uniform() < 0.5 else -magnitude
+    rows, cols = _upper_pairs(p)
+    chosen = np.flatnonzero(rng.uniform(size=rows.size) < edge_probability)
+    if not chosen.size:
+        chosen = np.array([int(rng.integers(rows.size))])
+    draws = rng.uniform(size=(chosen.size, 2))
+    magnitude = coupling_range[0] + (coupling_range[1] - coupling_range[0]) * draws[:, 0]
+    arr[rows[chosen], cols[chosen]] = np.where(draws[:, 1] < 0.5, magnitude, -magnitude)
+    arr += arr.T
     row_sums = np.sum(np.abs(arr), axis=1)
     arr[np.diag_indices(p)] = row_sums + rng.uniform(*margin_range, size=p)
     return PrecisionMatrix(arr)
@@ -244,12 +246,7 @@ def random_omega_inf_member(
 
     high = max(alpha, min(1.25 * alpha, 0.45 * h))
     cap = max(1, min(3, int(0.9 * h / high)))
-    pairs = [
-        (i, j)
-        for i in range(p)
-        for j in range(i + 1, p)
-        if i not in blocked and j not in blocked
-    ]
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p) if not blocked & {i, j}]
     order = rng.permutation(len(pairs)) if pairs else []
     target_edges = max(1, int(0.4 * p))
     placed = 0
@@ -274,7 +271,6 @@ def random_omega_inf_member(
         # couplings near h leave no room under the row-sum guard; one edge
         # with diagonals h is still strictly dominant because alpha < h
         arr[0, 1] = arr[1, 0] = alpha if rng.uniform() < 0.5 else -alpha
-        row_sums[0] = row_sums[1] = alpha
     row_sums = np.sum(np.abs(arr), axis=1)
     headroom = h - row_sums
     diag = row_sums + rng.uniform(0.2, 1.0, size=p) * headroom
@@ -347,8 +343,8 @@ class ExperimentConfig:
             raise InvalidParameters("sample_sizes must be a nonempty grid of integers >= 1")
         if not self.gamma > 0:
             raise InvalidParameters("gamma must be positive")
-        if self.perturbation_scale < 0:
-            raise InvalidParameters("perturbation_scale must be >= 0")
+        if not 0 <= self.perturbation_scale < math.inf:
+            raise InvalidParameters("perturbation_scale must be finite and >= 0")
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
@@ -537,10 +533,8 @@ def run_lower_bound_experiment(cfg: ExperimentConfig, progress: _Progress = None
         else:
             theta = project_remove_edge(theta_star, removed)
         report = verify_separation(theta_star, theta)
-        arr = theta_star.matrix
-        alpha_eff = min(abs(float(arr[i, j])) for i, j in edges)
-        h_eff = float(np.max(np.diag(arr)))
-        class_bound = omega_inf_lower_bound(alpha_eff, h_eff)
+        alpha_eff = min(abs(float(theta_star.matrix[edge])) for edge in edges)
+        class_bound = omega_inf_lower_bound(alpha_eff, float(np.max(np.diag(theta_star.matrix))))
         return {
             "method": method,
             "removed_edge": list(removed),

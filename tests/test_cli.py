@@ -272,6 +272,8 @@ class TestExperiment:
         ("selection", {"gamma": 1.0, "dimensions": [4]}, "gamma"),
         ("selection", {"chain_coupling": 1.5, "dimensions": [4]}, "chain_coupling"),
         ("selection", {"chain_diagonal": math.nan}, "chain_diagonal"),
+        ("lower-bound", {"trials": 4, "dimensions": [4], "perturbation_scale": math.nan}, "perturbation_scale"),
+        ("lower-bound", {"trials": 4, "dimensions": [4], "perturbation_scale": math.inf}, "perturbation_scale"),
     ])
     def test_out_of_range_config_value_exits_2_naming_the_key(self, tmp_path, capsys, kind, doc, named):
         config = write_json(tmp_path / "config.json", doc)

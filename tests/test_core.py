@@ -55,6 +55,21 @@ class TestMatrixTypes:
         theta = PrecisionMatrix(arr)
         assert np.array_equal(theta.matrix, theta.matrix.T)
 
+    @pytest.mark.parametrize("cls", [CovarianceMatrix, PrecisionMatrix])
+    def test_huge_finite_entries_stay_finite(self, cls):
+        # symmetrized as 0.5 A + 0.5 A^T, so A + A^T never overflows
+        entries = [[1.5e308, 1.0], [1.0, 1.5e308]]
+        assert np.array_equal(cls(entries).matrix, entries)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8))
+    def test_symmetrization_matches_the_mean_of_both_triangles(self, seed, p):
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal((p, p)) * 10.0 ** rng.integers(-8, 9)
+        arr += arr.T
+        arr *= 1.0 + 1e-10 * rng.standard_normal((p, p))
+        assert np.array_equal(CovarianceMatrix(arr).matrix, 0.5 * (arr + arr.T))
+
     def test_array_is_read_only(self):
         theta = PrecisionMatrix(np.eye(2))
         with pytest.raises(ValueError):

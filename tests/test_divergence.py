@@ -23,6 +23,7 @@ from ggmsep import (
     c_theta_star,
     conditional_mutual_info,
     counterexample_precision,
+    edge_set_of,
     invert,
     kl_gaussian,
     nll,
@@ -34,6 +35,7 @@ from ggmsep import (
     random_sparse_precision,
     verify_separation,
 )
+from ggmsep.core import _upper_pairs
 from reference import schur_complement
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -322,6 +324,73 @@ class TestVerifySeparation:
     def test_report_serialization(self):
         report = BoundReport(kl_value=0.5, lower_bound=0.2, slack=0.3, witness_edge=(0, 2))
         assert report.to_dict() == {"kl": 0.5, "bound": 0.2, "slack": 0.3, "witness_edge": [0, 2]}
+
+
+def support(theta, zero_tol):
+    # plain double-loop definition of the off-diagonal support
+    p = theta.p
+    return {(i, j) for i in range(p) for j in range(i + 1, p) if abs(theta.matrix[i, j]) > zero_tol}
+
+
+@st.composite
+def tolerance_and_two_precisions(draw):
+    """A zero_tol and two diagonally dominant precisions whose couplings
+    sit at, below, just above and well above it."""
+    p = draw(st.integers(2, 7))
+    zero_tol = draw(st.sampled_from([0.0, 1e-12, 0.25]))
+    values = [0.0, zero_tol, -zero_tol, 0.5 * zero_tol, zero_tol * (1.0 + 2.0**-52), 0.4, -0.9]
+
+    def precision():
+        arr = np.zeros((p, p))
+        pairs = p * (p - 1) // 2
+        arr[np.triu_indices(p, k=1)] = draw(st.lists(st.sampled_from(values), min_size=pairs, max_size=pairs))
+        arr += arr.T
+        arr[np.diag_indices(p)] = np.sum(np.abs(arr), axis=1) + 1.0
+        return PrecisionMatrix(arr)
+
+    return zero_tol, precision(), precision()
+
+
+class TestMissingEdgeScan:
+    @settings(max_examples=300, deadline=None)
+    @given(case=tolerance_and_two_precisions())
+    def test_matches_a_double_loop(self, case):
+        zero_tol, theta_star, theta = case
+        assert set(edge_set_of(theta_star, zero_tol)) == support(theta_star, zero_tol)
+        missing = support(theta_star, zero_tol) - support(theta, zero_tol)
+        if not missing:
+            with pytest.raises(NoMissingEdge):
+                verify_separation(theta_star, theta, zero_tol)
+        else:
+            report = verify_separation(theta_star, theta, zero_tol)
+            assert report.witness_edge == min(missing)
+            assert report.kl_value == kl_gaussian(theta_star, theta)
+            assert report.lower_bound == one_edge_lower_bound(theta_star, zero_tol)
+        for index in _upper_pairs(theta.p):
+            assert not index.flags.writeable
+
+    def test_entry_exactly_at_zero_tol_is_no_edge(self):
+        theta_star = PrecisionMatrix([[2.0, 0.5, 0.1], [0.5, 2.0, 0.3], [0.1, 0.3, 2.0]])
+        theta = PrecisionMatrix([[2.0, 0.1, 0.0], [0.1, 2.0, 0.3], [0.0, 0.3, 2.0]])
+        # at zero_tol 0.1, (0, 2) leaves theta_star and (0, 1) leaves theta;
+        # at 0.5 theta_star has no edge left
+        assert verify_separation(theta_star, theta, zero_tol=0.0).witness_edge == (0, 2)
+        assert verify_separation(theta_star, theta, zero_tol=0.1).witness_edge == (0, 1)
+        with pytest.raises(NoMissingEdge):
+            verify_separation(theta_star, theta, zero_tol=0.5)
+
+    def test_negative_zero_tol_rejected(self):
+        theta = counterexample_precision(2)
+        with pytest.raises(InvalidParameters):
+            verify_separation(theta, theta, zero_tol=-1.0)
+
+    def test_cached_pairs_are_shared_and_read_only(self):
+        rows, cols = _upper_pairs(5)
+        assert _upper_pairs(5)[0] is rows
+        assert list(zip(rows.tolist(), cols.tolist())) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        for index in (rows, cols):
+            with pytest.raises(ValueError):
+                index[0] = 1
 
 
 def edge_pairs(theta):

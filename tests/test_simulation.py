@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from ggmsep import (
@@ -31,6 +33,7 @@ from ggmsep import (
     sample,
     trial_seed,
 )
+from ggmsep import core
 from ggmsep import selection as selection_module
 from reference import in_omega_inf
 
@@ -269,6 +272,34 @@ class TestLowerBoundExperiment:
         methods = {r["method"] for r in report.records}
         assert len(methods) == 4
         assert all(r["class_slack"] >= -1e-9 for r in report.records)
+
+    def test_one_instance_scans_edges_once_and_runs_no_scipy_solve_wrapper(self, monkeypatch):
+        # counts instead of timing: verify_separation finds the missing edge
+        # with its own scan, and surgery, KL and CMI call LAPACK directly
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        originals = {
+            "edge_set_of": core.edge_set_of,
+            "cho_solve": scipy.linalg.cho_solve,
+            "solve_triangular": scipy.linalg.solve_triangular,
+        }
+        for name, original in originals.items():
+            wrapper = counting(name, original)
+            for module_name, module in list(sys.modules.items()):
+                if module is not None and (module_name.startswith("ggmsep") or module_name == "scipy.linalg"):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, wrapper)
+
+        report = run_lower_bound_experiment(ExperimentConfig(base_seed=3, trials=4, dimensions=(7,)))
+        assert len({r["method"] for r in report.records}) == 4
+        assert calls == ["edge_set_of"] * 4
 
     def test_byte_identical_reruns(self):
         cfg = ExperimentConfig(base_seed=9, trials=8, dimensions=(4,))
