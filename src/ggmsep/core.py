@@ -32,6 +32,8 @@ __all__ = [
 # Largest relative asymmetry accepted at construction; anything below is
 # averaged away so the stored entries are bit-for-bit symmetric.
 _ASYMMETRY_RTOL = 1e-8
+# Largest magnitude whose doubling cannot overflow.
+_HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 
 def _cholesky_lower(arr: np.ndarray) -> np.ndarray:
@@ -53,17 +55,26 @@ def _frozen_symmetric(entries: object, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be square, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError(f"{what} must have order >= 2, got {arr.shape[0]}")
-    # Two p x p temporaries; halving before the sum keeps finite input finite
+    # Two p x p temporaries. The sum is halved after it is formed, so
+    # subnormal entries survive; only where it could overflow are the
+    # entries halved first, which keeps finite input finite. Both orders
+    # give the same bits on normal-range input.
     scratch = np.abs(arr)
     scale = float(np.max(scratch))
     if not np.isfinite(scale):
         raise ValueError(f"{what} has non-finite entries")
-    arr *= 0.5
+    halve_first = scale > _HALF_MAX
+    if halve_first:
+        arr *= 0.5
     mirror = arr.T.copy()
-    gap = 2.0 * float(np.max(np.abs(np.subtract(arr, mirror, out=scratch), out=scratch)))
+    gap = float(np.max(np.abs(np.subtract(arr, mirror, out=scratch), out=scratch)))
+    if halve_first:
+        gap *= 2.0
     if gap > _ASYMMETRY_RTOL * max(1.0, scale):
         raise ValueError(f"{what} is not symmetric: max |M - M^T| = {gap:.3g}")
     arr += mirror
+    if not halve_first:
+        arr *= 0.5
     arr.flags.writeable = False
     return arr
 
@@ -75,6 +86,12 @@ class PrecisionMatrix:
     symmetric (up to roundoff, then symmetrized exactly), and
     Cholesky-factorizable, and keeps that Cholesky factor, read-only, for
     factorize.
+
+    A fitted precision (fit_graph_mle, select_graph) instead keeps the
+    factor its fit computed to check that exact array, with scipy's LAPACK
+    (dpotrf). numpy and scipy link separate LAPACK builds, so that factor
+    can differ in the last bit from np.linalg.cholesky of the same matrix
+    (28 of 120 sampled factors did).
     """
 
     __slots__ = ("matrix", "_factor")
@@ -82,6 +99,22 @@ class PrecisionMatrix:
     def __init__(self, entries: object) -> None:
         self.matrix = _frozen_symmetric(entries, "precision matrix")
         self._factor = _cholesky_lower(self.matrix)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, lower: np.ndarray) -> "PrecisionMatrix":
+        """Precision over a square float array the caller owns, keeping
+        `lower`, the lower Cholesky factor (upper triangle zero) that a
+        successful potrf computed from this exact array. The entries are
+        still checked: ValueError unless they are finite and exactly
+        symmetric. Both arrays are frozen, not copied."""
+        if not np.isfinite(arr).all():
+            raise ValueError("precision matrix has non-finite entries")
+        if not (arr == arr.T).all():
+            raise ValueError("precision matrix is not exactly symmetric")
+        arr.flags.writeable = lower.flags.writeable = False
+        theta = cls.__new__(cls)
+        theta.matrix, theta._factor = arr, lower
+        return theta
 
     @property
     def p(self) -> int:

@@ -26,9 +26,13 @@ bounded cache keyed on the EdgeSet, so refitting the same candidates, as
 model selection does, repeats only the arithmetic on the data. The closed
 form is one batched pass per parent count: one gather of the conditioning
 blocks, one batched Cholesky check and solve, and one scatter of every
-family's term. Every other factorization, solve and inverse of a fit
-calls LAPACK directly through scipy.linalg.lapack, without the checking
-wrappers of scipy.linalg.
+family's term. Model selection fits its whole collection on one
+sigma_hat at once: the candidates' plans are merged, once per tuple of
+graphs, so that one such pass computes the closed form of every chordal
+candidate into a stack. Every other factorization, solve and inverse of a
+fit calls LAPACK directly through scipy.linalg.lapack, without the
+checking wrappers of scipy.linalg. A fitted precision keeps the Cholesky
+factor that its fit's own check computed, so it is factored once.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.linalg import lapack
@@ -52,6 +56,7 @@ from .core import (
 from .errors import (
     DimensionMismatch,
     EmptySet,
+    GgmError,
     IndexOutOfRange,
     IndexOverlap,
     InfeasibleStart,
@@ -329,9 +334,12 @@ def _gradient_map_norm(coords: np.ndarray, grad: np.ndarray, gamma: float) -> fl
 
 
 class _Iterate(NamedTuple):
-    """A feasible point with what the Newton run needs of it."""
+    """A feasible point with what the Newton run needs of it, and its
+    precision matrix with the lower Cholesky factor that checked it."""
 
     coords: np.ndarray
+    theta: np.ndarray
+    lower: np.ndarray
     objective: float
     cov: np.ndarray
     grad: np.ndarray
@@ -342,12 +350,13 @@ def _iterate_at(
     basis: _SupportBasis, sig: np.ndarray, gamma: float, coords: np.ndarray
 ) -> Optional[_Iterate]:
     # None outside the PD cone
-    f, lower = _barrier_objective(basis.matrix(coords), sig)
+    theta = basis.matrix(coords)
+    f, lower = _barrier_objective(theta, sig)
     if lower is None:
         return None
     cov = _covariance(lower)
     grad = basis.coordinates(sig - cov)
-    return _Iterate(coords, f, cov, grad, _gradient_map_norm(coords, grad, gamma))
+    return _Iterate(coords, theta, lower, f, cov, grad, _gradient_map_norm(coords, grad, gamma))
 
 
 def _newton_step(
@@ -408,24 +417,38 @@ def _perfect_families(graph: EdgeSet) -> Optional[list[tuple[int, list[int]]]]:
     return families
 
 
+class _Families(NamedTuple):
+    """Perfect-elimination families of the chordal graphs of one fit, each
+    graph in its own slot, grouped by parent count k in increasing order.
+
+    Group k holds the vertices, shape (n_k,), their earlier-numbered
+    neighbours, shape (n_k, k), and the slot of each family's graph, shape
+    (n_k,). scatter holds, group after group, the flat index slot * p^2 +
+    u * p + w of every entry (u, w) of every family's (k+1) x (k+1) block,
+    family = [vertex, *parents]. Every array is read-only."""
+
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    scatter: np.ndarray
+
+
+def _frozen_families(groups: list[tuple[np.ndarray, ...]], flat: list[np.ndarray]) -> _Families:
+    scatter = np.concatenate(flat)
+    for array in (scatter, *(a for group in groups for a in group)):
+        array.flags.writeable = False
+    return _Families(tuple(groups), scatter)
+
+
 class _FitPlan:
     """What a fit needs of its graph, built once per graph: the support
-    basis and, for a chordal graph, the perfect-elimination families grouped
-    by parent count k.
+    basis and, for a chordal graph, its perfect-elimination families, in
+    slot 0 (None for a non-chordal graph). Nothing here grows like p^2 on
+    a sparse graph."""
 
-    Group k holds the vertices, shape (n_k,), and their earlier-numbered
-    neighbours, shape (n_k, k). scatter holds, group after group, the flat
-    index u * p + w of every entry (u, w) of every family's (k+1) x (k+1)
-    block, family = [vertex, *parents]. A non-chordal graph has no groups.
-    The group and scatter arrays are read-only, and nothing here grows like
-    p^2 on a sparse graph."""
-
-    __slots__ = ("basis", "groups", "scatter")
+    __slots__ = ("basis", "families")
 
     def __init__(self, graph: EdgeSet) -> None:
         self.basis = _SupportBasis(graph)
-        self.groups: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = None
-        self.scatter: Optional[np.ndarray] = None
+        self.families: Optional[_Families] = None
         families = _perfect_families(graph)
         if families is None:
             return
@@ -435,17 +458,57 @@ class _FitPlan:
         groups, flat = [], []
         for _, rows in sorted(by_count.items()):
             block = np.array(rows, dtype=np.intp)
-            block.flags.writeable = False
-            groups.append((block[:, 0], block[:, 1:]))
+            groups.append((block[:, 0], block[:, 1:], np.zeros(len(rows), dtype=np.intp)))
             flat.append((block[:, :, None] * graph.p + block[:, None, :]).ravel())
-        self.groups = tuple(groups)
-        self.scatter = np.concatenate(flat)
-        self.scatter.flags.writeable = False
+        self.families = _frozen_families(groups, flat)
+
+
+def _merged_families(plans: list[_FitPlan], p: int) -> _Families:
+    # Plan m goes to slot m. Within a parent count each plan's families keep
+    # their order, so every graph's terms reach bincount in the order its
+    # own plan gives them, and its sums come out bit for bit the same.
+    by_count: dict[int, list[tuple[np.ndarray, ...]]] = {}
+    for slot, plan in enumerate(plans):
+        start = 0
+        for vertices, parents, _ in plan.families.groups:
+            n, k = parents.shape
+            stop = start + n * (k + 1) ** 2
+            scatter = plan.families.scatter[start:stop] + slot * p * p
+            by_count.setdefault(k, []).append((vertices, parents, np.full(n, slot, dtype=np.intp), scatter))
+            start = stop
+    groups, flat = [], []
+    for _, parts in sorted(by_count.items()):
+        vertices, parents, slots, scatter = (np.concatenate(arrays) for arrays in zip(*parts))
+        groups.append((vertices, parents, slots))
+        flat.append(scatter)
+    return _frozen_families(groups, flat)
+
+
+class _BatchPlan(NamedTuple):
+    """Plans of the graphs fitted together on one sigma_hat: each graph's
+    _FitPlan, the indices of the chordal ones, and their families merged
+    into one _Families, the m-th chordal graph in slot m."""
+
+    plans: tuple[_FitPlan, ...]
+    chordal: tuple[int, ...]
+    families: Optional[_Families]
+
+
+def _merged_batch(graphs: tuple[EdgeSet, ...]) -> _BatchPlan:
+    plans = tuple(_fit_plan(graph) for graph in graphs)
+    chordal = tuple(index for index, plan in enumerate(plans) if plan.families is not None)
+    members = [plans[index] for index in chordal]
+    if len(members) > 1:
+        return _BatchPlan(plans, chordal, _merged_families(members, graphs[0].p))
+    return _BatchPlan(plans, chordal, members[0].families if members else None)
 
 
 @functools.lru_cache(maxsize=1024)
 def _cached_plan(graph: EdgeSet) -> _FitPlan:
     return _FitPlan(graph)
+
+
+_cached_batch = functools.lru_cache(maxsize=16)(_merged_batch)
 
 
 def _fit_plan(graph: EdgeSet) -> _FitPlan:
@@ -457,16 +520,29 @@ def _fit_plan(graph: EdgeSet) -> _FitPlan:
     return _cached_plan(graph)
 
 
-def _chordal_mle(sig: np.ndarray, plan: _FitPlan) -> Optional[np.ndarray]:
-    # The chordal MLE factors along the perfect ordering as (I-B)^T D^-1
-    # (I-B): each vertex's regression on its earlier neighbours contributes
-    # w w^T / r with w = e_v - B_v and r its residual variance. Families
-    # with k parents are solved together, and one bincount adds every term
-    # into place. Every term lives on a clique, so off-support entries stay
-    # exactly zero. None when a conditioning block or residual variance is
-    # not positive.
+def _batch_plan(graphs: tuple[EdgeSet, ...]) -> _BatchPlan:
+    # A single graph needs no merge and its plan is cached already. A batch
+    # is cached only when every one of its graphs' plans is.
+    if len(graphs) > 1 and all(g.p + len(g) <= _CACHED_PLAN_COORDINATES for g in graphs):
+        return _cached_batch(graphs)
+    return _merged_batch(graphs)
+
+
+def _chordal_mles(sig: np.ndarray, families: _Families, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form of every slot's graph, stacked (slots, p, p), and
+    which slots have one: False where a conditioning block is not positive
+    definite or a residual variance is not positive, and the slot's entries
+    are meaningless.
+
+    The chordal MLE factors along the perfect ordering as (I-B)^T D^-1
+    (I-B): each vertex's regression on its earlier neighbours contributes
+    w w^T / r with w = e_v - B_v and r its residual variance. Families with
+    k parents, of every slot, are solved together, and one bincount adds
+    every term into place. Every term lives on a clique, so off-support
+    entries stay exactly zero."""
+    valid = np.ones(slots, dtype=bool)
     terms = []
-    for vertices, parents in plan.groups:
+    for vertices, parents, owner in families.groups:
         count, k = parents.shape
         resid = sig[vertices, vertices]
         w = np.ones((count, k + 1))
@@ -475,111 +551,58 @@ def _chordal_mle(sig: np.ndarray, plan: _FitPlan) -> Optional[np.ndarray]:
             try:
                 np.linalg.cholesky(blocks)
             except np.linalg.LinAlgError:
-                return None
+                # the stacked call fails as a whole; find the failing blocks
+                # and solve the identity in their place
+                for index, block in enumerate(blocks):
+                    try:
+                        np.linalg.cholesky(block)
+                    except np.linalg.LinAlgError:
+                        valid[owner[index]] = False
+                        blocks[index] = np.eye(k)
             cross = sig[parents, vertices[:, None]]
             coef = np.linalg.solve(blocks, cross[:, :, None])[:, :, 0]
             resid = resid - (cross * coef).sum(axis=1)
             w[:, 1:] = -coef
         if not (resid > 0).all():
-            return None
+            failed = ~(resid > 0)
+            valid[owner[failed]] = False
+            resid[failed] = 1.0
         terms.append((w[:, :, None] * w[:, None, :] / resid[:, None, None]).ravel())
     p = sig.shape[0]
-    return np.bincount(plan.scatter, np.concatenate(terms), minlength=p * p).reshape(p, p)
+    stack = np.bincount(families.scatter, np.concatenate(terms), minlength=slots * p * p)
+    return stack.reshape(slots, p, p), valid
 
 
-def fit_graph_mle(
-    sigma_hat: CovarianceMatrix,
-    graph: EdgeSet,
-    gamma: float,
-    opts: FitOptions = FitOptions(),
-    *,
-    initial: Optional[PrecisionMatrix] = None,
+def _closed_form_fit(
+    sig: np.ndarray, basis: _SupportBasis, theta: np.ndarray, gamma: float, opts: FitOptions
+) -> Optional[FitResult]:
+    # The problem is convex, so an unconstrained optimum inside the ball is
+    # the constrained optimum. None unless theta lies in the ball, is
+    # positive definite and passes the gradient check.
+    if float(np.linalg.norm(theta)) > gamma:
+        return None
+    f, lower = _barrier_objective(theta, sig)
+    if lower is None:
+        return None
+    grad = basis.coordinates(sig - _covariance(lower))
+    gnorm = _gradient_map_norm(basis.coordinates(theta), grad, gamma)
+    if not gnorm <= opts.gradient_tolerance:
+        return None
+    return FitResult(
+        theta_hat=PrecisionMatrix._adopt(theta, lower),
+        objective=f,
+        iterations=0,
+        converged=True,
+        projected_gradient_norm=gnorm,
+        termination="closed_form",
+        objective_trace=(f,),
+    )
+
+
+def _newton_fit(
+    sig: np.ndarray, basis: _SupportBasis, gamma: float, opts: FitOptions, initial: Optional[PrecisionMatrix]
 ) -> FitResult:
-    """Minimize nll over PD matrices supported on `graph` (plus diagonal)
-    with Frobenius norm at most gamma. gamma=inf disables the ball.
-
-    What depends on the graph alone (the support basis and, for a chordal
-    graph, the perfect-elimination families grouped by parent count) is
-    built once per graph and kept in a bounded cache, so refitting a graph
-    repeats only the arithmetic on sigma_hat. Two paths, chosen from the
-    graph itself:
-
-    - Closed form. When `graph` is chordal (maximum-cardinality search
-      finds a perfect ordering), the unconstrained MLE is built directly
-      from sigma_hat as (I-B)^T D^-1 (I-B), where row v of B regresses v on
-      its earlier-numbered neighbours and D holds the residual variances
-      (Dempster 1972; Lauritzen 1996, ch. 5). Vertices with the same
-      number of such neighbours are regressed together in one batched
-      Cholesky check and solve, and every family's term is added into
-      place by one scatter. The result is returned, with iterations=0,
-      termination="closed_form" and a one-entry objective_trace, only if
-      it lies in the ball, is positive definite and its gradient mapping
-      is at most gradient_tolerance. The problem is convex, so an
-      unconstrained optimum inside the ball is the constrained optimum.
-    - Damped Newton otherwise: the graph is not chordal, a conditioning
-      block of sigma_hat is singular, the ball binds, or the check fails.
-      It works in the p + |E| coordinates of an orthonormal basis of the
-      support, with a dense Hessian, so a step costs O((p + |E|)^3). Step
-      d minimizes the quadratic model of nll over the ball and the
-      iterate moves to theta + d / (1 + lam), lam = sqrt(d^T H d) the
-      Newton decrement. nll is self-concordant, so that move stays
-      positive definite and lowers nll by at least lam - log(1 + lam)
-      without a line search (Nesterov & Nemirovski 1994; Tran-Dinh,
-      Kyrillidis & Cevher 2015 for the constrained step), and as a convex
-      combination of two points in the ball it stays in the ball.
-
-    Outside the batched closed form, every factorization, solve and
-    inverse calls LAPACK (potrf, potrs, potri, trtrs) directly, without
-    the checking wrappers of scipy.linalg. Convergence is declared when the
-    unit-step gradient mapping ``x - project(x - grad)`` has Frobenius
-    norm at most gradient_tolerance (termination="tolerance"). When the
-    ball binds there (multiplier nu > 0), the damped steps have approached
-    the sphere from inside, and the mapping does not weigh the radial gap
-    they leave by nu, as the objective does. So one undamped step onto the
-    sphere follows; it is kept, and counted as an iteration, only if it
-    lowers nll and still meets the tolerance. The Newton run also stops,
-    with converged=False, at max_iterations
-    (termination="max_iterations"), or with termination="stalled" when a
-    step taken with lam < 1/4, where Newton converges quadratically, fails
-    to reduce the gradient mapping: only rounding error can do that.
-
-    The Newton run starts from `initial`, which must have the order of
-    sigma_hat, or else from diag(1 / sigma_hat diagonal), rescaled into
-    the ball if needed; `initial` does not affect the closed form. A
-    non-converged run returns its last iterate with converged=False rather
-    than raising.
-    """
-    if graph.p != sigma_hat.p:
-        raise DimensionMismatch(f"orders differ: graph p={graph.p}, sigma p={sigma_hat.p}")
-    if initial is not None and initial.p != sigma_hat.p:
-        raise DimensionMismatch(f"orders differ: initial p={initial.p}, sigma p={sigma_hat.p}")
-    if not gamma > 0:
-        raise InvalidParameters(f"gamma must be positive (inf allowed), got {gamma}")
-    sig = sigma_hat.matrix
-    diag = np.diag(sig)
-    if np.any(diag <= 0):
-        raise InfeasibleStart("sigma_hat has a nonpositive diagonal entry; no diagonal start exists")
-    plan = _fit_plan(graph)
-    basis = plan.basis
-
-    closed = None if plan.groups is None else _chordal_mle(sig, plan)
-    if closed is not None and not float(np.linalg.norm(closed)) > gamma:
-        f, lower = _barrier_objective(closed, sig)
-        if lower is not None:
-            grad = basis.coordinates(sig - _covariance(lower))
-            gnorm = _gradient_map_norm(basis.coordinates(closed), grad, gamma)
-            if gnorm <= opts.gradient_tolerance:
-                return FitResult(
-                    theta_hat=PrecisionMatrix(closed),
-                    objective=f,
-                    iterations=0,
-                    converged=True,
-                    projected_gradient_norm=gnorm,
-                    termination="closed_form",
-                    objective_trace=(f,),
-                )
-
-    start = np.diag(1.0 / diag) if initial is None else initial.matrix
+    start = np.diag(1.0 / np.diag(sig)) if initial is None else initial.matrix
     point = _iterate_at(basis, sig, gamma, _into_ball(basis.coordinates(start), gamma))
     if point is None:
         raise InvalidParameters("initial point is not positive definite after projection")
@@ -619,7 +642,7 @@ def fit_graph_mle(
     else:
         termination = "stalled"
     return FitResult(
-        theta_hat=PrecisionMatrix(basis.matrix(point.coords)),
+        theta_hat=PrecisionMatrix._adopt(point.theta, point.lower),
         objective=point.objective,
         iterations=iterations,
         converged=converged,
@@ -627,3 +650,125 @@ def fit_graph_mle(
         termination=termination,
         objective_trace=tuple(trace),
     )
+
+
+def _fit_graphs(
+    sigma_hat: CovarianceMatrix,
+    graphs: tuple[EdgeSet, ...],
+    gamma: float,
+    opts: FitOptions = FitOptions(),
+    *,
+    initial: Optional[PrecisionMatrix] = None,
+) -> list[Union[FitResult, GgmError]]:
+    """fit_graph_mle of every graph on one sigma_hat, with one batched
+    closed form for all the chordal graphs.
+
+    Raises what no graph's fit could escape: an order that differs from
+    sigma_hat's, a gamma that is not positive, or a nonpositive diagonal
+    entry of sigma_hat. Otherwise returns, in order, each graph's FitResult
+    or the GgmError its own fit raised. The plans of a tuple of graphs are
+    merged once and cached, like each graph's own plan, when every graph
+    has at most _CACHED_PLAN_COORDINATES coordinates.
+    """
+    for graph in graphs:
+        if graph.p != sigma_hat.p:
+            raise DimensionMismatch(f"orders differ: graph p={graph.p}, sigma p={sigma_hat.p}")
+    if initial is not None and initial.p != sigma_hat.p:
+        raise DimensionMismatch(f"orders differ: initial p={initial.p}, sigma p={sigma_hat.p}")
+    if not gamma > 0:
+        raise InvalidParameters(f"gamma must be positive (inf allowed), got {gamma}")
+    sig = sigma_hat.matrix
+    if not (np.diagonal(sig) > 0).all():
+        raise InfeasibleStart("sigma_hat has a nonpositive diagonal entry; no diagonal start exists")
+    batch = _batch_plan(tuple(graphs))
+    closed: list[Optional[np.ndarray]] = [None] * len(batch.plans)
+    if batch.families is not None:
+        stack, valid = _chordal_mles(sig, batch.families, len(batch.chordal))
+        for slot, index in enumerate(batch.chordal):
+            if valid[slot]:
+                closed[index] = stack[slot]
+    outcomes: list[Union[FitResult, GgmError]] = []
+    for plan, theta in zip(batch.plans, closed):
+        try:
+            fit = None if theta is None else _closed_form_fit(sig, plan.basis, theta, gamma, opts)
+            if fit is None:
+                fit = _newton_fit(sig, plan.basis, gamma, opts, initial)
+        except GgmError as exc:
+            fit = exc
+        outcomes.append(fit)
+    return outcomes
+
+
+def fit_graph_mle(
+    sigma_hat: CovarianceMatrix,
+    graph: EdgeSet,
+    gamma: float,
+    opts: FitOptions = FitOptions(),
+    *,
+    initial: Optional[PrecisionMatrix] = None,
+) -> FitResult:
+    """Minimize nll over PD matrices supported on `graph` (plus diagonal)
+    with Frobenius norm at most gamma. gamma=inf disables the ball.
+
+    What depends on the graph alone (the support basis and, for a chordal
+    graph, the perfect-elimination families grouped by parent count) is
+    built once per graph and kept in a bounded cache, so refitting a graph
+    repeats only the arithmetic on sigma_hat. select_graph fits a whole
+    collection through the same code, with the closed forms of all its
+    chordal candidates computed in one batch; each candidate's result is
+    bit for bit what this function returns for it. Two paths, chosen from
+    the graph itself:
+
+    - Closed form. When `graph` is chordal (maximum-cardinality search
+      finds a perfect ordering), the unconstrained MLE is built directly
+      from sigma_hat as (I-B)^T D^-1 (I-B), where row v of B regresses v on
+      its earlier-numbered neighbours and D holds the residual variances
+      (Dempster 1972; Lauritzen 1996, ch. 5). Vertices with the same
+      number of such neighbours are regressed together in one batched
+      Cholesky check and solve, and every family's term is added into
+      place by one scatter. The result is returned, with iterations=0,
+      termination="closed_form" and a one-entry objective_trace, only if
+      it lies in the ball, is positive definite and its gradient mapping
+      is at most gradient_tolerance. The problem is convex, so an
+      unconstrained optimum inside the ball is the constrained optimum.
+    - Damped Newton otherwise: the graph is not chordal, a conditioning
+      block of sigma_hat is singular, the ball binds, or the check fails.
+      It works in the p + |E| coordinates of an orthonormal basis of the
+      support, with a dense Hessian, so a step costs O((p + |E|)^3). Step
+      d minimizes the quadratic model of nll over the ball and the
+      iterate moves to theta + d / (1 + lam), lam = sqrt(d^T H d) the
+      Newton decrement. nll is self-concordant, so that move stays
+      positive definite and lowers nll by at least lam - log(1 + lam)
+      without a line search (Nesterov & Nemirovski 1994; Tran-Dinh,
+      Kyrillidis & Cevher 2015 for the constrained step), and as a convex
+      combination of two points in the ball it stays in the ball.
+
+    Outside the batched closed form, every factorization, solve and
+    inverse calls LAPACK (potrf, potrs, potri, trtrs) directly, without
+    the checking wrappers of scipy.linalg. The fitted precision keeps the
+    lower Cholesky factor that the fit's own check computed for that exact
+    array (potrf of the closed form, or of the last Newton iterate), so it
+    is not factored again; its entries are still checked to be finite and
+    exactly symmetric. Convergence is declared when the
+    unit-step gradient mapping ``x - project(x - grad)`` has Frobenius
+    norm at most gradient_tolerance (termination="tolerance"). When the
+    ball binds there (multiplier nu > 0), the damped steps have approached
+    the sphere from inside, and the mapping does not weigh the radial gap
+    they leave by nu, as the objective does. So one undamped step onto the
+    sphere follows; it is kept, and counted as an iteration, only if it
+    lowers nll and still meets the tolerance. The Newton run also stops,
+    with converged=False, at max_iterations
+    (termination="max_iterations"), or with termination="stalled" when a
+    step taken with lam < 1/4, where Newton converges quadratically, fails
+    to reduce the gradient mapping: only rounding error can do that.
+
+    The Newton run starts from `initial`, which must have the order of
+    sigma_hat, or else from diag(1 / sigma_hat diagonal), rescaled into
+    the ball if needed; `initial` does not affect the closed form. A
+    non-converged run returns its last iterate with converged=False rather
+    than raising.
+    """
+    (outcome,) = _fit_graphs(sigma_hat, (graph,), gamma, opts, initial=initial)
+    if isinstance(outcome, GgmError):
+        raise outcome
+    return outcome

@@ -8,7 +8,7 @@ from typing import Iterable, Optional
 
 from .core import CovarianceMatrix, EdgeSet
 from .errors import AllFitsFailed, DimensionMismatch, GgmError, InvalidParameters
-from .projection import FitOptions, FitResult, fit_graph_mle
+from .projection import FitOptions, FitResult, _fit_graphs, fit_graph_mle
 
 __all__ = [
     "CandidateCollection",
@@ -101,23 +101,24 @@ def select_graph(
 ) -> SelectionResult:
     """Fit every candidate and return the minimum-score graph.
 
-    Candidates are fitted in index order, so repeated calls with identical
-    inputs produce identical results. A sigma_hat whose order differs from
-    the candidates' raises DimensionMismatch before anything is fitted.
+    The closed forms of all chordal candidates are computed in one batched
+    pass over sigma_hat, from a plan merged once per collection; the other
+    candidates, and those whose closed form fails its check, take the Newton
+    path one by one. Each candidate's fit is bit for bit fit_graph_mle's,
+    and its fitted precision keeps the Cholesky factor its fit computed.
+    Results are in index order, so repeated calls with identical inputs
+    produce identical results. A sigma_hat whose order differs from the
+    candidates' raises DimensionMismatch before anything is fitted.
     """
     if sigma_hat.p != collection.p:
         raise DimensionMismatch(f"orders differ: candidates p={collection.p}, sigma p={sigma_hat.p}")
-    scores: list[float] = []
-    fits: list[Optional[FitResult]] = []
-    for graph in collection.graphs:
-        try:
-            result = fit_graph_mle(sigma_hat, graph, gamma, opts)
-        except GgmError:
-            scores.append(math.inf)
-            fits.append(None)
-            continue
-        scores.append(result.objective)
-        fits.append(result)
+    try:
+        outcomes = _fit_graphs(sigma_hat, collection.graphs, gamma, opts)
+    except GgmError as exc:
+        # an input that no candidate's fit accepts (gamma, sigma_hat's diagonal)
+        raise AllFitsFailed(f"all {len(collection)} candidate fits failed: {exc}") from exc
+    fits = tuple(None if isinstance(fit, GgmError) else fit for fit in outcomes)
+    scores = tuple(math.inf if fit is None else fit.objective for fit in fits)
     if all(math.isinf(s) for s in scores):
         raise AllFitsFailed(f"all {len(scores)} candidate fits failed")
     best = 0
@@ -125,9 +126,7 @@ def select_graph(
         if value < scores[best]:
             best = idx
     unconverged = tuple(idx for idx, fit in enumerate(fits) if fit is not None and not fit.converged)
-    return SelectionResult(
-        selected_index=best, scores=tuple(scores), fit_results=tuple(fits), unconverged=unconverged
-    )
+    return SelectionResult(selected_index=best, scores=scores, fit_results=fits, unconverged=unconverged)
 
 
 def sample_size_bound(

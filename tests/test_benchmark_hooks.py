@@ -40,3 +40,23 @@ def test_kl_gaussian_reaches_factorize_through_its_module_global(tracing):
     # no linalg.cholesky span: both precisions carry their factor
     assert calls == {"divergence.kl_gaussian": 1, "core.factorize": 2}
     assert divergence.factorize is core.factorize
+
+
+def test_select_graph_fits_criterion_7s_collection_without_fit_graph_mle_spans(tracing):
+    # One batched closed form serves all 8 candidates: one stacked Cholesky
+    # check of the conditioning blocks, and every fitted precision keeps its
+    # fit's own factor, so no precision is built or factored through the
+    # public paths. Candidate fits are not projection.fit_graph_mle calls
+    # any more, so the traced run shows no span or counter for them.
+    theta = ggmsep.chain_precision(8)
+    sigma = ggmsep.empirical_covariance(ggmsep.sample(theta, 250, ggmsep.trial_seed(2025, 0, 0)))
+    truth = ggmsep.edge_set_of(theta)
+    collection = ggmsep.CandidateCollection([truth, *(truth.without(e) for e in sorted(truth))])
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        result = ggmsep.select_graph(collection, sigma, 10.0)
+    calls = {name: span["calls"] for name, span in tracer.summary().items()}
+    assert calls == {"selection.select_graph": 1, "linalg.cholesky": 1}
+    assert "projection.fit_graph_mle" not in calls
+    assert not tracer.counters
+    assert [fit.termination for fit in result.fit_results] == ["closed_form"] * 8

@@ -14,9 +14,11 @@ from ggmsep import (
     EdgeSet,
     NotPositiveDefinite,
     PrecisionMatrix,
+    chain_precision,
     edge_set_of,
     empirical_covariance,
     factorize,
+    fit_graph_mle,
     invert,
     kl_gaussian,
     nll,
@@ -60,6 +62,14 @@ class TestMatrixTypes:
         # symmetrized as 0.5 A + 0.5 A^T, so A + A^T never overflows
         entries = [[1.5e308, 1.0], [1.0, 1.5e308]]
         assert np.array_equal(cls(entries).matrix, entries)
+
+    @pytest.mark.parametrize("cls", [CovarianceMatrix, PrecisionMatrix])
+    def test_subnormal_entries_survive_symmetrization(self, cls):
+        # summed before halving, so the smallest subnormal does not round to 0
+        entries = [[1.0, 5e-324], [5e-324, 1.0]]
+        m = cls(entries)
+        assert np.array_equal(m.matrix, entries)
+        assert edge_set_of(m, zero_tol=0.0) == EdgeSet(2, [(0, 1)])
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8))
@@ -159,6 +169,37 @@ class TestKeptFactor:
         with pytest.raises(ValueError):
             fact.factor[0, 0] = 1.0
         assert np.array_equal(fact.factor, np.linalg.cholesky(theta.matrix))
+
+    @pytest.mark.parametrize("graph", ["chain", "cycle"])
+    def test_fitted_precision_keeps_its_fits_factor(self, cholesky_shapes, graph):
+        # the chain is fitted in closed form, the 8-cycle by Newton steps;
+        # either way the factor kept is the one the fit's check computed
+        theta = chain_precision(8)
+        sigma_hat = empirical_covariance(sample(theta, 250, 7))
+        support = edge_set_of(theta)
+        if graph == "cycle":
+            support = EdgeSet(8, [*support.edges, (0, 7)])
+        cholesky_shapes.clear()
+        fit = fit_graph_mle(sigma_hat, support, 10.0)
+        assert fit.termination == ("closed_form" if graph == "chain" else "tolerance")
+        assert all(shape[-2:] != (8, 8) for shape in cholesky_shapes)
+        lower = factorize(fit.theta_hat).factor
+        assert not lower.flags.writeable
+        assert np.array_equal(lower, np.tril(lower))
+        recon = lower @ lower.T
+        assert np.max(np.abs(recon - fit.theta_hat.matrix)) <= 1e-12 * np.max(np.abs(fit.theta_hat.matrix))
+        cholesky_shapes.clear()
+        kl_gaussian(theta, fit.theta_hat)
+        assert cholesky_shapes == []
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [([[2.0, math.inf], [math.inf, 2.0]], "finite"), ([[2.0, 0.5], [0.5 + 1e-15, 2.0]], "symmetric")],
+    )
+    def test_adopting_a_factor_still_checks_the_entries(self, entries, match):
+        arr = np.array(entries)
+        with pytest.raises(ValueError, match=match):
+            PrecisionMatrix._adopt(arr, np.linalg.cholesky(np.eye(2) * 2.0))
 
 
 class TestInvert:

@@ -656,17 +656,23 @@ class TestChordalClosedForm:
     @settings(max_examples=150, deadline=None)
     @given(graph=chordal_supports(max_p=12), seed=st.integers(0, 2**32 - 1))
     def test_batched_closed_form_matches_per_vertex_reference(self, graph, seed):
+        # three slots of one merged plan: the graph, the empty graph, the graph again
         sig = _sample_covariance(graph.p, seed).matrix
-        batched = projection._chordal_mle(sig, projection._FitPlan(graph))
-        expected = reference_chordal_mle(sig, projection._perfect_families(graph))
-        assert batched is not None and expected is not None
-        assert np.all(batched[~_support(graph)] == 0.0)
-        assert np.max(np.abs(batched - expected)) <= 1e-12 * np.max(np.abs(expected))
+        graphs = (graph, EdgeSet(graph.p), graph)
+        batch = projection._merged_batch(graphs)
+        stack, valid = projection._chordal_mles(sig, batch.families, len(batch.chordal))
+        assert batch.chordal == (0, 1, 2) and valid.all()
+        for batched, member in zip(stack, graphs):
+            expected = reference_chordal_mle(sig, projection._perfect_families(member))
+            assert expected is not None
+            assert np.all(batched[~_support(member)] == 0.0)
+            assert np.max(np.abs(batched - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(stack[0], stack[2])
 
     def test_chain_fit_factors_at_most_three_times(self, monkeypatch):
         # counts instead of timing: the parent-count batches of a p=8 chain
-        # need one Cholesky call; the barrier and the result's validation
-        # take the other two; no cho_solve wrapper runs
+        # need one Cholesky call and the barrier the other; the result keeps
+        # the barrier's factor; no cho_solve wrapper runs
         theta = chain_precision(8)
         sigma = empirical_covariance(sample(theta, 250, trial_seed(2025, 0, 0)))
         graph = edge_set_of(theta)
@@ -696,7 +702,7 @@ class TestChordalClosedForm:
 
         result = fit_graph_mle(sigma, graph, 10.0)
         assert result.termination == "closed_form"
-        assert len(factorizations) <= 3
+        assert len(factorizations) <= 2
         assert not solves
 
     def test_repeated_selection_builds_each_plan_once(self, monkeypatch):
@@ -711,6 +717,7 @@ class TestChordalClosedForm:
 
         monkeypatch.setattr(projection, "_FitPlan", CountingPlan)
         projection._cached_plan.cache_clear()
+        projection._cached_batch.cache_clear()
         try:
             theta = chain_precision(6)
             truth = edge_set_of(theta)
@@ -720,8 +727,10 @@ class TestChordalClosedForm:
             first = select_graph(collection, sigma, 10.0)
             for _ in range(3):
                 assert select_graph(collection, sigma, 10.0).scores == first.scores
+            assert projection._cached_batch.cache_info().misses == 1
         finally:
             projection._cached_plan.cache_clear()
+            projection._cached_batch.cache_clear()
         assert Counter(built) == Counter(collection.graphs)
 
     def test_termination_reports_the_iteration_cap(self):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ggmsep import (
@@ -14,15 +16,20 @@ from ggmsep import (
     DimensionMismatch,
     EdgeSet,
     FitOptions,
+    GgmError,
     InvalidParameters,
     NotPositiveDefinite,
     c_theta_star,
     chain_precision,
     conditional_mutual_info,
     edge_set_of,
+    empirical_covariance,
+    factorize,
+    fit_graph_mle,
     invert,
     one_edge_lower_bound,
     random_sparse_precision,
+    sample,
     sample_size_bound,
     score,
     select_graph,
@@ -116,14 +123,13 @@ class TestSelectGraph:
         sigma = invert(random_sparse_precision(4, np.random.default_rng(8)))
         bad = EdgeSet(4, [(0, 1)])
         good = EdgeSet(4, [(2, 3)])
-        real_fit = selection_module.fit_graph_mle
+        real_fits = selection_module._fit_graphs
 
-        def flaky_fit(sigma_hat, graph, gamma, opts=FitOptions()):
-            if graph == bad:
-                raise NotPositiveDefinite("synthetic failure")
-            return real_fit(sigma_hat, graph, gamma, opts)
+        def flaky_fits(sigma_hat, graphs, gamma, opts=FitOptions()):
+            results = real_fits(sigma_hat, graphs, gamma, opts)
+            return [NotPositiveDefinite("synthetic failure") if g == bad else r for g, r in zip(graphs, results)]
 
-        monkeypatch.setattr(selection_module, "fit_graph_mle", flaky_fit)
+        monkeypatch.setattr(selection_module, "_fit_graphs", flaky_fits)
         result = select_graph(CandidateCollection([bad, good]), sigma, 20.0)
         assert result.selected_index == 1
         assert math.isinf(result.scores[0])
@@ -133,15 +139,15 @@ class TestSelectGraph:
         sigma = invert(random_sparse_precision(4, np.random.default_rng(8)))
         stalled = EdgeSet(4, [(0, 1)])
         good = EdgeSet(4, [(2, 3)])
-        real_fit = selection_module.fit_graph_mle
+        real_fits = selection_module._fit_graphs
 
-        def stalling_fit(sigma_hat, graph, gamma, opts=FitOptions()):
-            result = real_fit(sigma_hat, graph, gamma, opts)
-            if graph == stalled:
-                return dataclasses.replace(result, converged=False, termination="stalled")
-            return result
+        def stalling_fits(sigma_hat, graphs, gamma, opts=FitOptions()):
+            return [
+                dataclasses.replace(r, converged=False, termination="stalled") if g == stalled else r
+                for g, r in zip(graphs, real_fits(sigma_hat, graphs, gamma, opts))
+            ]
 
-        monkeypatch.setattr(selection_module, "fit_graph_mle", stalling_fit)
+        monkeypatch.setattr(selection_module, "_fit_graphs", stalling_fits)
         result = select_graph(CandidateCollection([good, stalled, good]), sigma, 20.0)
         assert result.unconverged == (1,)
         assert result.to_dict()["unconverged"] == [1]
@@ -166,6 +172,76 @@ class TestSelectGraph:
         assert len(doc["scores"]) == 2
         assert doc["fit_results"][0]["converged"] is True
         assert doc["unconverged"] == []
+
+
+def _loop_of_single_fits(collection, sigma, gamma, opts):
+    fits = []
+    for graph in collection.graphs:
+        try:
+            fits.append(fit_graph_mle(sigma, graph, gamma, opts))
+        except GgmError:
+            fits.append(None)
+    return fits
+
+
+def _assert_same_as_single_fits(result, fits):
+    scores = tuple(math.inf if fit is None else fit.objective for fit in fits)
+    assert result.scores == scores
+    assert result.selected_index == min(range(len(scores)), key=scores.__getitem__)
+    assert result.unconverged == tuple(k for k, fit in enumerate(fits) if fit is not None and not fit.converged)
+    for batched, single in zip(result.fit_results, fits):
+        assert (batched is None) == (single is None)
+        if single is None:
+            continue
+        assert np.array_equal(batched.theta_hat.matrix, single.theta_hat.matrix)
+        assert np.array_equal(factorize(batched.theta_hat).factor, factorize(single.theta_hat).factor)
+        assert batched.objective == single.objective
+        assert batched.iterations == single.iterations
+        assert batched.termination == single.termination
+
+
+class TestBatchedSelection:
+    """select_graph fits its collection in one batch; each candidate's fit
+    must be bit for bit the fit_graph_mle of that candidate alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.integers(3, 8),
+        seed=st.integers(0, 2**32 - 1),
+        few_samples=st.booleans(),
+        shrink=st.sampled_from([0.3, 3.0, math.inf]),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+    )
+    def test_select_graph_equals_a_loop_of_fit_graph_mle(self, p, seed, few_samples, shrink, picks):
+        # n = p - 1 leaves sigma_hat singular, so the complete graph's closed
+        # form fails (a zero residual) while sparser chordal ones succeed;
+        # shrink = 0.3 makes the ball bind; picks repeat candidates
+        rng = np.random.default_rng(seed)
+        truth = random_sparse_precision(p, rng)
+        sigma = empirical_covariance(sample(truth, p - 1 if few_samples else 200, seed))
+        gamma = shrink * float(np.linalg.norm(truth.matrix))
+        chain = EdgeSet(p, [(k, k + 1) for k in range(p - 1)])
+        square = EdgeSet(p, [(0, 1), (1, 2), (2, 3), (0, 3)]) if p >= 4 else EdgeSet(p, [(0, 1), (1, 2)])
+        pool = [chain, square, EdgeSet.complete(p), EdgeSet(p), edge_set_of(truth), chain.without((0, 1))]
+        collection = CandidateCollection([pool[k] for k in picks])
+        opts = FitOptions(max_iterations=60)
+        fits = _loop_of_single_fits(collection, sigma, gamma, opts)
+        if all(fit is None for fit in fits):
+            with pytest.raises(AllFitsFailed):
+                select_graph(collection, sigma, gamma, opts)
+            return
+        _assert_same_as_single_fits(select_graph(collection, sigma, gamma, opts), fits)
+
+    def test_a_singular_conditioning_block_sends_only_its_candidate_to_newton(self):
+        # vertices 0 and 1 are perfectly correlated: the triangle regresses 2
+        # on the singular block over {0, 1}, the other candidates never do
+        sigma = CovarianceMatrix([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])
+        triangle = EdgeSet.complete(3)
+        collection = CandidateCollection([EdgeSet(3, [(0, 2)]), triangle, EdgeSet(3, [(1, 2)]), triangle])
+        result = select_graph(collection, sigma, 5.0)
+        terminations = [fit.termination for fit in result.fit_results]
+        assert terminations == ["closed_form", "tolerance", "closed_form", "tolerance"]
+        _assert_same_as_single_fits(result, _loop_of_single_fits(collection, sigma, 5.0, FitOptions()))
 
 
 class TestSampleSizeBound:

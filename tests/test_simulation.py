@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ggmsep import (
@@ -18,6 +20,7 @@ from ggmsep import (
     PrecisionMatrix,
     SampleMatrix,
     chain_precision,
+    conditional_mutual_info,
     corrected_covariance,
     counterexample_precision,
     edge_set_of,
@@ -35,6 +38,7 @@ from ggmsep import (
 )
 from ggmsep import core
 from ggmsep import selection as selection_module
+from ggmsep.simulation import _weakest_edge
 from reference import in_omega_inf
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -301,6 +305,40 @@ class TestLowerBoundExperiment:
         assert len({r["method"] for r in report.records}) == 4
         assert calls == ["edge_set_of"] * 4
 
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), tied=st.booleans())
+    def test_weakest_edge_is_the_first_minimum_of_conditional_mutual_info(self, p, seed, tied):
+        rng = np.random.default_rng(seed)
+        theta = random_sparse_precision(p, rng)
+        if tied:
+            # couplings of two magnitudes, and diagonals one ulp apart, so the
+            # informations tie exactly or round to a tie
+            rows, cols = np.triu_indices(p, k=1)
+            on = rng.random(rows.size) < 0.6
+            on[0] = True
+            arr = np.zeros((p, p))
+            arr[rows[on], cols[on]] = rng.choice([-0.5, -0.25, 0.25, 0.5], size=int(on.sum()))
+            arr += arr.T
+            base = 0.5 * p + 1.0
+            arr[np.diag_indices(p)] = rng.choice([base, np.nextafter(base, math.inf)], size=p)
+            theta = PrecisionMatrix(arr)
+        edges = sorted(edge_set_of(theta))
+        expected = min(edges, key=lambda e: conditional_mutual_info(theta, *e))
+        assert _weakest_edge(theta, edges) == expected
+
+    @pytest.mark.parametrize("coupling", [0.648062, 0.666969])
+    def test_weakest_edge_keeps_a_tie_that_rounding_makes(self, coupling):
+        # (0, 1) has the larger ratio t_ij^2 / (t_ii t_jj), by one ulp, but
+        # both informations round to the same double, so (0, 1) comes first
+        down = float(np.nextafter(1.0, 0.0))
+        theta = PrecisionMatrix(
+            [[1.0, coupling, 0, 0], [coupling, down, 0, 0], [0, 0, 1.0, coupling], [0, 0, coupling, 1.0]]
+        )
+        assert conditional_mutual_info(theta, 0, 1) == conditional_mutual_info(theta, 2, 3)
+        arr = theta.matrix
+        assert arr[0, 1] ** 2 / (arr[0, 0] * arr[1, 1]) > arr[2, 3] ** 2 / (arr[2, 2] * arr[3, 3])
+        assert _weakest_edge(theta, sorted(edge_set_of(theta))) == (0, 1)
+
     def test_byte_identical_reruns(self):
         cfg = ExperimentConfig(base_seed=9, trials=8, dimensions=(4,))
         first = run_lower_bound_experiment(cfg)
@@ -334,16 +372,16 @@ class TestSelectionExperiment:
         assert population["min_gap"] >= math.log(report.extras["separation_constant"]) - 1e-6
 
     def test_unconverged_fits_are_counted(self, monkeypatch):
-        real_fit = selection_module.fit_graph_mle
+        real_fits = selection_module._fit_graphs
 
-        def stalling_fit(sigma_hat, graph, gamma, opts=FitOptions()):
-            result = real_fit(sigma_hat, graph, gamma, opts)
-            if len(graph) == 0:
-                return dataclasses.replace(result, converged=False, termination="stalled")
-            return result
+        def stalling_fits(sigma_hat, graphs, gamma, opts=FitOptions()):
+            return [
+                dataclasses.replace(r, converged=False, termination="stalled") if len(g) == 0 else r
+                for g, r in zip(graphs, real_fits(sigma_hat, graphs, gamma, opts))
+            ]
 
         # the p=2 chain has one rival, the empty graph, and only its fits stall
-        monkeypatch.setattr(selection_module, "fit_graph_mle", stalling_fit)
+        monkeypatch.setattr(selection_module, "_fit_graphs", stalling_fits)
         report = run_selection_experiment(self._config(dimensions=(2,)))
         assert report.extras["unconverged_fits"] == 2 * 6 + 1
         assert run_selection_experiment(self._config()).extras["unconverged_fits"] == 0
