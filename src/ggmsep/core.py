@@ -50,11 +50,19 @@ def _cholesky_lower(arr: np.ndarray) -> np.ndarray:
 
 
 def _frozen_symmetric(entries: object, what: str) -> np.ndarray:
+    """_symmetrize_in_place on a float copy of square `entries`, order >= 2."""
     arr = np.array(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} must be square, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError(f"{what} must have order >= 2, got {arr.shape[0]}")
+    return _symmetrize_in_place(arr, what)
+
+
+def _symmetrize_in_place(arr: np.ndarray, what: str) -> np.ndarray:
+    """Overwrite the square float array `arr` the caller owns with the mean
+    of its two triangles and freeze it; ValueError unless it is finite and
+    symmetric to a relative 1e-8. Returns `arr`."""
     # Two p x p temporaries. The sum is halved after it is formed, so
     # subnormal entries survive; only where it could overflow are the
     # entries halved first, which keeps finite input finite. Both orders
@@ -104,9 +112,9 @@ class PrecisionMatrix:
     def _adopt(cls, arr: np.ndarray, lower: np.ndarray) -> "PrecisionMatrix":
         """Precision over a square float array the caller owns, keeping
         `lower`, the lower Cholesky factor (upper triangle zero) that a
-        successful potrf computed from this exact array. The entries are
-        still checked: ValueError unless they are finite and exactly
-        symmetric. Both arrays are frozen, not copied."""
+        successful potrf computed from this exact array (a fit's check, or a
+        projection's validation). The entries are still checked: ValueError
+        unless finite and exactly symmetric. Both are frozen, not copied."""
         if not np.isfinite(arr).all():
             raise ValueError("precision matrix has non-finite entries")
         if not (arr == arr.T).all():

@@ -11,7 +11,8 @@ coordinates R and the regression of the severed block A on them are kept,
 and Cov(X_A | X_R) is replaced by its block-diagonal part. That is a
 rank-2 update of the precision after one |A| x |A| Cholesky factor and one
 LAPACK solve against it (dpotrs, called directly like every solve of a
-fit), so the covariance is never formed.
+fit), so the covariance is never formed. The result is built, checked and
+symmetrized in one buffer, which it keeps with the factor that checked it.
 
 ``fit_graph_mle`` minimizes the Gaussian negative log likelihood over
 precision matrices supported on a given graph (diagonal always free)
@@ -50,6 +51,8 @@ from .core import (
     EdgeSet,
     PrecisionMatrix,
     _cholesky_lower,
+    _symmetrize_in_place,
+    _upper_pairs,
     factorize,
     invert,
 )
@@ -108,10 +111,11 @@ def _sever(theta1: PrecisionMatrix, v: int, s: list[int]) -> PrecisionMatrix:
         basis[rest, 0] = coupling @ regression[:-1]
         basis[rest, 1] = regression[-1]
     gap = -np.array([[1.0 / t_vv, 1.0], [1.0, beta]])
-    theta2 = arr + basis @ gap @ basis.T
-    theta2[v, s] = 0.0
-    theta2[s, v] = 0.0
-    return PrecisionMatrix(theta2)
+    theta2 = basis @ gap @ basis.T
+    theta2 += arr
+    theta2[v, s] = theta2[s, v] = 0.0
+    _symmetrize_in_place(theta2, "precision matrix")
+    return PrecisionMatrix._adopt(theta2, _cholesky_lower(theta2))
 
 
 def project_remove_edge(theta1: PrecisionMatrix, edge: Iterable[int]) -> PrecisionMatrix:
@@ -315,13 +319,14 @@ def _barrier_objective(arr: np.ndarray, sig: np.ndarray) -> tuple[float, Optiona
 def _covariance(lower: np.ndarray) -> np.ndarray:
     """inv(theta) from theta's lower Cholesky factor, whose upper triangle
     is zero, exactly symmetric."""
-    # dpotri writes the inverse's lower triangle over the factor's
-    inverse, info = lapack.dpotri(lower, lower=1)
+    # dpotrs against the identity, unlike dpotri, gives the same bits at
+    # every BLAS thread count; the lower triangle is mirrored onto the upper
+    inverse, info = lapack.dpotrs(lower, np.eye(lower.shape[0]), lower=1)
     if info:
-        raise np.linalg.LinAlgError(f"dpotri: singular factor (info={info})")
-    cov = inverse + inverse.T
-    np.fill_diagonal(cov, np.diagonal(inverse))
-    return cov
+        raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
+    rows, cols = _upper_pairs(lower.shape[0])
+    inverse[rows, cols] = inverse[cols, rows]
+    return inverse
 
 
 def _into_ball(coords: np.ndarray, gamma: float) -> np.ndarray:
@@ -744,7 +749,7 @@ def fit_graph_mle(
       combination of two points in the ball it stays in the ball.
 
     Outside the batched closed form, every factorization, solve and
-    inverse calls LAPACK (potrf, potrs, potri, trtrs) directly, without
+    inverse calls LAPACK (potrf, potrs, trtrs) directly, without
     the checking wrappers of scipy.linalg. The fitted precision keeps the
     lower Cholesky factor that the fit's own check computed for that exact
     array (potrf of the closed form, or of the last Newton iterate), so it

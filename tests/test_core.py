@@ -1,6 +1,7 @@
 """Matrix types, the kept factor, inversion, edge sets, and the test references."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,9 +26,19 @@ from ggmsep import (
     random_sparse_precision,
     sample,
 )
+from ggmsep.core import _symmetrize_in_place
 from reference import in_omega_inf, schur_complement
 
 COUNTEREXAMPLE_D2 = [[2.0, 1.0, -1.0], [1.0, 2.0, -1.0], [-1.0, -1.0, 1.0]]
+
+
+def symmetrized_in_place(entries):
+    """The check that both constructors and the projections share, applied
+    to a buffer the caller owns."""
+    arr = np.array(entries, dtype=float)
+    out = _symmetrize_in_place(arr, "matrix")
+    assert out is arr and not arr.flags.writeable
+    return SimpleNamespace(matrix=out, p=out.shape[0])
 
 
 class TestMatrixTypes:
@@ -36,8 +47,9 @@ class TestMatrixTypes:
             PrecisionMatrix([[1.0, 2.0], [2.0, 1.0]])
 
     def test_precision_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            PrecisionMatrix([[1.0, 0.5], [0.2, 1.0]])
+        for build in (PrecisionMatrix, symmetrized_in_place):
+            with pytest.raises(ValueError, match="symmetric"):
+                build([[1.0, 0.5], [0.2, 1.0]])
 
     def test_rejects_order_one(self):
         with pytest.raises(ValueError, match="order"):
@@ -48,8 +60,10 @@ class TestMatrixTypes:
             CovarianceMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            CovarianceMatrix([[1.0, 0.0], [0.0, math.nan]])
+        for build in (CovarianceMatrix, symmetrized_in_place):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    build([[1.0, 0.0], [0.0, bad]])
 
     def test_entries_exactly_symmetric_after_construction(self):
         # tiny asymmetry below tolerance is averaged away bit-for-bit
@@ -57,13 +71,13 @@ class TestMatrixTypes:
         theta = PrecisionMatrix(arr)
         assert np.array_equal(theta.matrix, theta.matrix.T)
 
-    @pytest.mark.parametrize("cls", [CovarianceMatrix, PrecisionMatrix])
+    @pytest.mark.parametrize("cls", [CovarianceMatrix, PrecisionMatrix, symmetrized_in_place])
     def test_huge_finite_entries_stay_finite(self, cls):
         # symmetrized as 0.5 A + 0.5 A^T, so A + A^T never overflows
         entries = [[1.5e308, 1.0], [1.0, 1.5e308]]
         assert np.array_equal(cls(entries).matrix, entries)
 
-    @pytest.mark.parametrize("cls", [CovarianceMatrix, PrecisionMatrix])
+    @pytest.mark.parametrize("cls", [CovarianceMatrix, PrecisionMatrix, symmetrized_in_place])
     def test_subnormal_entries_survive_symmetrization(self, cls):
         # summed before halving, so the smallest subnormal does not round to 0
         entries = [[1.0, 5e-324], [5e-324, 1.0]]
@@ -79,6 +93,7 @@ class TestMatrixTypes:
         arr += arr.T
         arr *= 1.0 + 1e-10 * rng.standard_normal((p, p))
         assert np.array_equal(CovarianceMatrix(arr).matrix, 0.5 * (arr + arr.T))
+        assert np.array_equal(symmetrized_in_place(arr).matrix, 0.5 * (arr + arr.T))
 
     def test_array_is_read_only(self):
         theta = PrecisionMatrix(np.eye(2))

@@ -1,12 +1,14 @@
 """KL divergence, conditional mutual information, and separation bounds."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 
 from ggmsep import (
     BoundReport,
@@ -35,8 +37,10 @@ from ggmsep import (
     random_sparse_precision,
     verify_separation,
 )
+from ggmsep import divergence
 from ggmsep.core import _upper_pairs
-from reference import schur_complement
+from ggmsep.divergence import _KL_BLOCK
+from reference import kl_by_one_triangular_solve, schur_complement, whitened_by_one_triangular_solve
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 HALF_LOG_4_3 = 0.5 * math.log(4.0 / 3.0)
@@ -46,6 +50,40 @@ class TestKlGaussian:
     def test_identical_arguments_give_zero(self):
         theta = random_sparse_precision(5, np.random.default_rng(0))
         assert kl_gaussian(theta, theta) == 0.0
+
+    @pytest.mark.parametrize("p", [_KL_BLOCK - 1, _KL_BLOCK, _KL_BLOCK + 1, 2 * _KL_BLOCK + 1, 200])
+    def test_blocked_solve_keeps_the_bits_of_one_full_solve(self, p, monkeypatch):
+        # the rows a block skips are exact zeros of inv(L1) L2, so every
+        # entry the trace squares, and the value, has the bits of one solve
+        blocks = []
+
+        def recording_dtrtrs(a, b, **kwargs):
+            out = lapack.dtrtrs(a, b, **kwargs)
+            blocks.append((p - b.shape[0], out[0]))
+            return out
+
+        monkeypatch.setattr(divergence, "lapack", SimpleNamespace(dtrtrs=recording_dtrtrs))
+        rng = np.random.default_rng(p)
+        theta = random_sparse_precision(p, rng, edge_probability=min(1.0, 4.0 / p))
+        v, u = min(edge_set_of(theta))
+        star = [w for w in range(p) if w != v and theta.matrix[v, w] != 0.0]
+        others = [
+            project_remove_edge(theta, (v, u)),
+            project_remove_star(theta, v, star),
+            random_sparse_precision(p, rng, edge_probability=0.3),
+        ]
+        for other in others:
+            for first, second in ((theta, other), (other, theta)):
+                blocks.clear()
+                value = kl_gaussian(first, second)
+                assert value > 0.0
+                assert value == kl_by_one_triangular_solve(first, second)
+                half = np.zeros((p, p))
+                for j, block in blocks:
+                    half[j:, j:j + block.shape[1]] = block
+                assert np.array_equal(half, whitened_by_one_triangular_solve(first, second))
+        assert kl_gaussian(theta, theta) == 0.0
+        assert kl_gaussian(theta, PrecisionMatrix(theta.matrix)) == 0.0
 
     def test_closed_form_against_monte_carlo(self):
         # oracle: sample 1e6 points from q1 = N(0, I), average log q1/q2

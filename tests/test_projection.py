@@ -46,6 +46,7 @@ from ggmsep import (
     trial_seed,
 )
 from ggmsep import projection
+from reference import severed_by_validating_a_copy
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 HALF_LOG_4_3 = 0.5 * math.log(4.0 / 3.0)
@@ -258,6 +259,22 @@ class TestPrecisionSideSurgery:
                 continue
             assert isinstance(out, PrecisionMatrix)
             assert np.all(np.isfinite(out.matrix))
+
+    @pytest.mark.parametrize("p", [8, 50, 200])
+    def test_result_keeps_the_bits_of_validating_a_copy(self, p):
+        # the result is summed, checked and symmetrized in its own buffer
+        theta = random_sparse_precision(p, np.random.default_rng(p), edge_probability=min(1.0, 4.0 / p))
+        v, u = min(edge_set_of(theta))
+        star = [w for w in range(p) if w != v and theta.matrix[v, w] != 0.0]
+        cases = [
+            (project_remove_edge(theta, (v, u)), severed_by_validating_a_copy(theta, v, [u])),
+            (project_remove_edge(theta, (u, v)), severed_by_validating_a_copy(theta, u, [v])),
+            (project_remove_star(theta, v, star), severed_by_validating_a_copy(theta, v, star)),
+        ]
+        for out, expected in cases:
+            assert out.matrix.tobytes() == expected.matrix.tobytes()
+            assert out._factor.tobytes() == np.linalg.cholesky(out.matrix).tobytes()
+            assert not out.matrix.flags.writeable and not out._factor.flags.writeable
 
     def test_large_p_factors_no_more_than_the_severed_block(self, monkeypatch):
         # Counts calls instead of timing them: at p=200 block CMI factors
@@ -550,16 +567,17 @@ def chordal_supports(draw, max_p=9):
 
 
 @st.composite
-def non_chordal_supports(draw):
-    """Graphs with a chordless cycle of length >= 4: cycles, grids, and
-    random graphs grown around such a cycle."""
+def non_chordal_supports(draw, max_p=12):
+    """Graphs with a chordless cycle of length >= 4 on at most max_p >= 4
+    vertices: cycles, grids, and random graphs grown around such a cycle."""
     kind = draw(st.sampled_from(["cycle", "grid", "random"]))
     if kind == "grid":
-        rows, cols = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+        rows = draw(st.integers(2, 3))
+        cols = draw(st.integers(2, min(4, max_p // rows)))
         p = rows * cols
         edges = [(v, v + 1) for v in range(p) if (v + 1) % cols] + [(v, v + cols) for v in range(p - cols)]
         return EdgeSet(p, edges)
-    p = draw(st.integers(4, 12))
+    p = draw(st.integers(4, max_p))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = p if kind == "cycle" else int(rng.integers(4, p + 1))
     cycle = rng.permutation(p)[:k].tolist()
@@ -765,6 +783,49 @@ class TestNewtonPath:
         nu = max(-float(np.sum(grad * theta)) / float(np.sum(theta * theta)), 0.0)
         scale = np.max(np.abs(sigma.matrix)) + nu * np.max(np.abs(theta))
         assert np.max(np.abs(grad + nu * theta)) <= 1e-8 * scale
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        graph=non_chordal_supports(max_p=10),
+        seed=st.integers(0, 2**32 - 1),
+        shrink=st.one_of(st.none(), st.floats(0.3, 1.5)),
+        data=st.data(),
+    )
+    def test_fit_commutes_with_vertex_permutation(self, graph, seed, shrink, data):
+        perm = data.draw(st.permutations(range(graph.p)))
+        where = np.argsort(perm)  # vertex u moves to where[u]
+        sigma = _sample_covariance(graph.p, seed)
+        opts = FitOptions(gradient_tolerance=1e-10)
+        gamma = math.inf
+        if shrink is not None:
+            free = fit_graph_mle(sigma, graph, math.inf, opts)
+            gamma = shrink * float(np.linalg.norm(free.theta_hat.matrix))
+        fit = fit_graph_mle(sigma, graph, gamma, opts)
+        moved = fit_graph_mle(
+            CovarianceMatrix(sigma.matrix[np.ix_(perm, perm)]),
+            EdgeSet(graph.p, [(where[i], where[j]) for i, j in graph.edges]),
+            gamma,
+            opts,
+        )
+        assert fit.converged and moved.converged
+        assert relative_gap(moved.theta_hat.matrix, fit.theta_hat.matrix[np.ix_(perm, perm)]) < 1e-8
+        assert abs(moved.objective - fit.objective) <= 1e-12 * max(1.0, abs(fit.objective))
+
+    @settings(max_examples=15, deadline=None)
+    @given(graph=non_chordal_supports(max_p=10), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_fit_is_equivariant_under_diagonal_congruence(self, graph, seed, data):
+        # nll(D^-1 Theta D^-1; D Sigma D) = nll(Theta; Sigma) + 2 sum log D,
+        # so at gamma = inf the fit moves with the data
+        scale = np.exp(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=graph.p, max_size=graph.p)))
+        outer = np.outer(scale, scale)
+        sigma = _sample_covariance(graph.p, seed)
+        opts = FitOptions(gradient_tolerance=1e-10)
+        fit = fit_graph_mle(sigma, graph, math.inf, opts)
+        scaled = fit_graph_mle(CovarianceMatrix(sigma.matrix * outer), graph, math.inf, opts)
+        assert fit.converged and scaled.converged
+        assert relative_gap(scaled.theta_hat.matrix * outer, fit.theta_hat.matrix) < 1e-8
+        expected = fit.objective + 2.0 * float(np.sum(np.log(scale)))
+        assert abs(scaled.objective - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 class TestFitOptions:
