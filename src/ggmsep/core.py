@@ -11,6 +11,7 @@ precision again.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -37,8 +38,10 @@ _HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 
 def _cholesky_lower(arr: np.ndarray) -> np.ndarray:
-    """Read-only lower Cholesky factor, raising NotPositiveDefinite on
-    failure. A factor that succeeds has strictly positive pivots."""
+    """Read-only lower Cholesky factor of a matrix or of a stack of them (one
+    stacked call, whose factors have the bits of factoring each alone),
+    raising NotPositiveDefinite if any fails. A factor that succeeds has
+    strictly positive pivots."""
     try:
         lower = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError as exc:
@@ -60,31 +63,56 @@ def _frozen_symmetric(entries: object, what: str) -> np.ndarray:
 
 
 def _symmetrize_in_place(arr: np.ndarray, what: str) -> np.ndarray:
-    """Overwrite the square float array `arr` the caller owns with the mean
-    of its two triangles and freeze it; ValueError unless it is finite and
-    symmetric to a relative 1e-8. Returns `arr`."""
-    # Two p x p temporaries. The sum is halved after it is formed, so
-    # subnormal entries survive; only where it could overflow are the
-    # entries halved first, which keeps finite input finite. Both orders
-    # give the same bits on normal-range input.
+    """Overwrite the float array `arr` the caller owns, one square matrix or
+    a stack of them over its last two axes, with the mean of each matrix's
+    two triangles and freeze it; ValueError unless every matrix is finite
+    and symmetric to a relative 1e-8 of its own largest entry. Returns
+    `arr`."""
+    # Two temporaries of arr's size. The sum is halved after it is formed,
+    # so subnormal entries survive; only in a matrix where it could overflow
+    # are the entries halved first, which keeps finite input finite. Both
+    # orders give the same bits on normal-range input.
     scratch = np.abs(arr)
-    scale = float(np.max(scratch))
-    if not np.isfinite(scale):
+    scale = scratch.max(axis=(-2, -1))
+    largest = float(scale.max())
+    if not math.isfinite(largest):
         raise ValueError(f"{what} has non-finite entries")
     halve_first = scale > _HALF_MAX
-    if halve_first:
-        arr *= 0.5
-    mirror = arr.T.copy()
-    gap = float(np.max(np.abs(np.subtract(arr, mirror, out=scratch), out=scratch)))
-    if halve_first:
-        gap *= 2.0
-    if gap > _ASYMMETRY_RTOL * max(1.0, scale):
-        raise ValueError(f"{what} is not symmetric: max |M - M^T| = {gap:.3g}")
+    mixed = largest > _HALF_MAX
+    if mixed:
+        arr *= np.where(halve_first, 0.5, 1.0)[..., None, None]
+    mirror = arr.swapaxes(-1, -2).copy()
+    gap = np.abs(np.subtract(arr, mirror, out=scratch), out=scratch).max(axis=(-2, -1))
+    if mixed:
+        gap *= np.where(halve_first, 2.0, 1.0)
+    # every matrix's tolerance is at least _ASYMMETRY_RTOL
+    if float(gap.max()) > _ASYMMETRY_RTOL and (gap > _ASYMMETRY_RTOL * np.maximum(1.0, scale)).any():
+        raise ValueError(f"{what} is not symmetric: max |M - M^T| = {float(gap.max()):.3g}")
     arr += mirror
-    if not halve_first:
+    if mixed:
+        arr *= np.where(halve_first, 1.0, 0.5)[..., None, None]
+    else:
         arr *= 0.5
     arr.flags.writeable = False
     return arr
+
+
+def _factorizable(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (k, p, p) stack has a Cholesky factor with
+    finite pivots. One stacked call; only when some matrix fails is each
+    factored on its own, to find which."""
+    try:
+        _cholesky_lower(stack)
+        return np.ones(len(stack), dtype=bool)
+    except NotPositiveDefinite:
+        pass
+    ok = np.zeros(len(stack), dtype=bool)
+    for k, matrix in enumerate(stack):
+        try:
+            ok[k] = np.isfinite(np.linalg.cholesky(matrix)).all()
+        except np.linalg.LinAlgError:
+            pass
+    return ok
 
 
 class PrecisionMatrix:
@@ -112,14 +140,20 @@ class PrecisionMatrix:
     def _adopt(cls, arr: np.ndarray, lower: np.ndarray) -> "PrecisionMatrix":
         """Precision over a square float array the caller owns, keeping
         `lower`, the lower Cholesky factor (upper triangle zero) that a
-        successful potrf computed from this exact array (a fit's check, or a
-        projection's validation). The entries are still checked: ValueError
-        unless finite and exactly symmetric. Both are frozen, not copied."""
+        successful potrf computed from this exact array (a fit's check). The
+        entries are still checked: ValueError unless finite and exactly
+        symmetric. Both are frozen, not copied."""
         if not np.isfinite(arr).all():
             raise ValueError("precision matrix has non-finite entries")
         if not (arr == arr.T).all():
             raise ValueError("precision matrix is not exactly symmetric")
         arr.flags.writeable = lower.flags.writeable = False
+        return cls._validated(arr, lower)
+
+    @classmethod
+    def _validated(cls, arr: np.ndarray, lower: np.ndarray) -> "PrecisionMatrix":
+        """Precision over an array that _symmetrize_in_place froze and
+        _cholesky_lower factored into `lower`, both kept as they are."""
         theta = cls.__new__(cls)
         theta.matrix, theta._factor = arr, lower
         return theta

@@ -79,20 +79,33 @@ def kl_gaussian(theta1: PrecisionMatrix, theta2: PrecisionMatrix) -> float:
     """
     if theta1.p != theta2.p:
         raise DimensionMismatch(f"orders differ: {theta1.p} vs {theta2.p}")
-    p = theta1.p
-    f1, f2 = factorize(theta1), factorize(theta2)
-    half = np.zeros((p, p), order="F")
-    # Blocks start at multiples of _KL_BLOCK; the last takes the rest, so none
-    # is one column wide (a dtrsv path): every entry rounds as in one solve.
-    for j in range(0, p - 1, _KL_BLOCK):
-        stop = j + _KL_BLOCK if j + _KL_BLOCK < p - 1 else p
-        # L1 is C-ordered, so LAPACK sees it as the upper factor L1^T
-        half[j:, j:stop], info = lapack.dtrtrs(f1.factor[j:, j:].T, f2.factor[j:, j:stop], lower=0, trans=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
-    trace = float(np.sum(np.square(half, out=half)))
-    value = 0.5 * (trace - p + f1.log_determinant - f2.log_determinant)
-    return 0.0 if abs(value) < _KL_ZERO_TOL else value
+    return _kl_divergences(factorize(theta1).factor[None], factorize(theta2).factor[None])[0]
+
+
+def _kl_divergences(lower1: np.ndarray, lower2: np.ndarray) -> list[float]:
+    """kl_gaussian for each pair of lower Cholesky factors of two (k, p, p)
+    stacks: the log-determinants in one pass, with factorize's reduction,
+    and each trace by its own blocked solve."""
+    p = lower1.shape[-1]
+    log_dets1, log_dets2 = (
+        (2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)).tolist() for lower in (lower1, lower2)
+    )
+    values = []
+    for l1, l2, log_det1, log_det2 in zip(lower1, lower2, log_dets1, log_dets2):
+        half = np.zeros((p, p), order="F")
+        # Blocks start at multiples of _KL_BLOCK; the last takes the rest, so
+        # none is one column wide (a dtrsv path): every entry rounds as in one
+        # solve.
+        for j in range(0, p - 1, _KL_BLOCK):
+            stop = j + _KL_BLOCK if j + _KL_BLOCK < p - 1 else p
+            # L1 is C-ordered, so LAPACK sees it as the upper factor L1^T
+            half[j:, j:stop], info = lapack.dtrtrs(l1[j:, j:].T, l2[j:, j:stop], lower=0, trans=1)
+            if info:
+                raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
+        trace = float(np.sum(np.square(half, out=half)))
+        value = 0.5 * (trace - p + log_det1 - log_det2)
+        values.append(0.0 if abs(value) < _KL_ZERO_TOL else value)
+    return values
 
 
 def conditional_mutual_info(theta: PrecisionMatrix, i: int, j: int) -> float:
@@ -109,7 +122,11 @@ def conditional_mutual_info(theta: PrecisionMatrix, i: int, j: int) -> float:
     for v in (i, j):
         if not 0 <= v < theta.p:
             raise IndexOutOfRange(f"vertex {v} out of range for p={theta.p}")
-    arr = theta.matrix
+    return _pair_information(theta.matrix, i, j)
+
+
+def _pair_information(arr: np.ndarray, i: int, j: int) -> float:
+    # conditional_mutual_info on the entries of a precision, unchecked
     a = arr[i, i] * arr[j, j]
     b = arr[i, j] ** 2
     if b >= a:
@@ -158,16 +175,20 @@ def c_theta_star(theta: PrecisionMatrix, zero_tol: float = 1e-12) -> float:
     """
     if zero_tol < 0.0:
         raise InvalidParameters("zero_tol must be >= 0")
-    arr = theta.matrix
     rows, cols = _upper_pairs(theta.p)
-    off = arr[rows, cols]
-    mask = np.abs(off) > zero_tol
+    mask = np.abs(theta.matrix[rows, cols]) > zero_tol
     if not np.any(mask):
         raise NoEdges("matrix has no off-diagonal support")
-    diag = np.diag(arr)
-    a = diag[rows[mask]] * diag[cols[mask]]
-    b = off[mask] ** 2
-    return float(np.min(a / (a - b)))
+    return float(_separation_constants(theta.matrix[None], mask[None])[0])
+
+
+def _separation_constants(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """c_theta_star of each matrix of a (k, p, p) stack over the edges that
+    the (k, pairs) mask marks among _upper_pairs(p), at least one each."""
+    rows, cols = _upper_pairs(arr.shape[-1])
+    diag = np.diagonal(arr, axis1=-2, axis2=-1)
+    a = diag[:, rows] * diag[:, cols]
+    return np.min(np.where(edge, a / (a - arr[:, rows, cols] ** 2), np.inf), axis=-1)
 
 
 def one_edge_lower_bound(theta_star: PrecisionMatrix, zero_tol: float = 1e-12) -> float:

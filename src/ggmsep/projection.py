@@ -12,7 +12,10 @@ and Cov(X_A | X_R) is replaced by its block-diagonal part. That is a
 rank-2 update of the precision after one |A| x |A| Cholesky factor and one
 LAPACK solve against it (dpotrs, called directly like every solve of a
 fit), so the covariance is never formed. The result is built, checked and
-symmetrized in one buffer, which it keeps with the factor that checked it.
+symmetrized in one buffer, which it keeps with the factor that checked it;
+it is checked once. The surgery runs on a stack of precisions, each with
+its own edges to sever; a projection is a stack of one, and the
+lower-bound driver severs all the trials of one p at once.
 
 ``fit_graph_mle`` minimizes the Gaussian negative log likelihood over
 precision matrices supported on a given graph (diagonal always free)
@@ -86,36 +89,55 @@ def _validate_vertex(p: int, v: int) -> int:
     return v
 
 
-def _sever(theta1: PrecisionMatrix, v: int, s: list[int]) -> PrecisionMatrix:
+def _sever(arr: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Surgery on a (k, p, p) stack of validated precisions: matrix t loses
+    its edges between vertex v[t] and the m vertices s[t] (shape (k, m)).
+    Returns the results, symmetrized and frozen, and their read-only lower
+    Cholesky factors, both (k, p, p)."""
     # Precision-side surgery over A = s + [v] (v last) against the rest R.
     # Theta2 = Theta + N^T (K - Theta_AA) N with N = inv(Theta_AA) Theta[A, :],
     # whose A columns are the identity. K - Theta_AA = -[[b b^T / t_vv, b],
     # [b^T, beta]] for b = Theta_Sv and beta = b^T inv(Theta_SS) b, so the
     # update is U H U^T with U = N^T [b~, e_v] and a 2x2 H. The last row of
-    # Theta_AA's Cholesky factor is [inv(L_SS) b, sqrt(t_vv - beta)].
-    arr = theta1.matrix
-    a = [*s, v]
-    severed = set(a)
-    rest = [u for u in range(theta1.p) if u not in severed]
-    lower = _cholesky_lower(arr[np.ix_(a, a)])
-    coupling = arr[s, v]
-    t_vv = float(arr[v, v])
-    beta = float(lower[-1, :-1] @ lower[-1, :-1])
-    basis = np.zeros((theta1.p, 2))
-    basis[s, 0] = coupling
-    basis[v, 1] = 1.0
-    if rest:
-        regression, info = lapack.dpotrs(lower, arr[np.ix_(a, rest)], lower=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
-        basis[rest, 0] = coupling @ regression[:-1]
-        basis[rest, 1] = regression[-1]
-    gap = -np.array([[1.0 / t_vv, 1.0], [1.0, beta]])
-    theta2 = basis @ gap @ basis.T
+    # Theta_AA's Cholesky factor is [inv(L_SS) b, sqrt(t_vv - beta)]. Every
+    # stacked step has the bits of the same step on one matrix; the
+    # regression on the rest is one dpotrs call per matrix, each written
+    # into a Fortran-ordered slice as dpotrs returns it.
+    count, p = arr.shape[0], arr.shape[-1]
+    t = np.arange(count)[:, None]
+    a = np.concatenate([s, v[:, None]], axis=1)
+    outside = np.ones((count, p), dtype=bool)
+    outside[t, a] = False
+    rest = np.nonzero(outside)[1].reshape(count, -1)
+    lower = _cholesky_lower(arr[t[:, :, None], a[:, :, None], a[:, None, :]])
+    coupling = arr[t, s, v[:, None]]
+    beta = np.matmul(lower[:, -1:, :-1], lower[:, -1, :-1, None])[:, 0, 0]
+    basis = np.zeros((count, p, 2))
+    basis[t, s, 0] = coupling
+    basis[t[:, 0], v, 1] = 1.0
+    if rest.shape[1]:
+        block = arr[t[:, :, None], a[:, :, None], rest[:, None, :]]
+        regression = np.empty((count, rest.shape[1], a.shape[1])).transpose(0, 2, 1)
+        for k in range(count):
+            regression[k], info = lapack.dpotrs(lower[k], block[k], lower=1)
+            if info:
+                raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
+        basis[t, rest, 0] = np.matmul(coupling[:, None, :], regression[:, :-1])[:, 0]
+        basis[t, rest, 1] = regression[:, -1]
+    gap = np.ones((count, 2, 2))
+    gap[:, 0, 0] = 1.0 / arr[t[:, 0], v, v]
+    gap[:, 1, 1] = beta
+    np.negative(gap, out=gap)
+    theta2 = basis @ gap @ basis.swapaxes(-1, -2)
     theta2 += arr
-    theta2[v, s] = theta2[s, v] = 0.0
+    theta2[t, v[:, None], s] = theta2[t, s, v[:, None]] = 0.0
     _symmetrize_in_place(theta2, "precision matrix")
-    return PrecisionMatrix._adopt(theta2, _cholesky_lower(theta2))
+    return theta2, _cholesky_lower(theta2)
+
+
+def _severed(theta1: PrecisionMatrix, v: int, s: list[int]) -> PrecisionMatrix:
+    arr, lower = _sever(theta1.matrix[None], np.array([v]), np.array([s]))
+    return PrecisionMatrix._validated(arr[0], lower[0])
 
 
 def project_remove_edge(theta1: PrecisionMatrix, edge: Iterable[int]) -> PrecisionMatrix:
@@ -139,7 +161,7 @@ def project_remove_edge(theta1: PrecisionMatrix, edge: Iterable[int]) -> Precisi
     if i == j:
         raise SameVertex(f"edge endpoints coincide: ({i}, {j})")
     i, j = _validate_vertex(theta1.p, i), _validate_vertex(theta1.p, j)
-    return _sever(theta1, i, [j])
+    return _severed(theta1, i, [j])
 
 
 def project_remove_star(theta1: PrecisionMatrix, vertex: int, neighbors: Iterable[int]) -> PrecisionMatrix:
@@ -170,7 +192,7 @@ def project_remove_star(theta1: PrecisionMatrix, vertex: int, neighbors: Iterabl
         raise IndexOutOfRange(f"neighbor indices must lie in [0, {p})")
     if v in ns:
         raise IndexOverlap(f"vertex {v} appears among its neighbors")
-    return _sever(theta1, v, ns)
+    return _severed(theta1, v, ns)
 
 
 def nll(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> float:

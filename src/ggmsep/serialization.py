@@ -11,8 +11,8 @@ values always serialize to identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Union
@@ -37,22 +37,30 @@ __all__ = [
 ]
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def format_float(value: float) -> str:
     """17-significant-digit decimal that re-parses to the identical double."""
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
     text = format(value, ".17g")
-    if not any(c in text for c in ".eE"):
-        text += ".0"
-    return text
+    if "." in text or "e" in text:
+        return text
+    return _NON_FINITE.get(text, text + ".0")
+
+
+@functools.lru_cache(maxsize=1024)
+def _key_text(key: str) -> str:
+    # an object key as JSON text; reports repeat a few keys many times
+    return json.dumps(key)
 
 
 def _encode(value: object, indent: int, depth: int) -> str:
+    # float first: most of a report's values are floats (np.float64 too)
+    if isinstance(value, float):
+        return format_float(float(value))
     if isinstance(value, (np.bool_, bool)):
         return "true" if value else "false"
-    if isinstance(value, (np.floating, float)):
+    if isinstance(value, np.floating):
         return format_float(float(value))
     if isinstance(value, (np.integer, int)):
         return str(int(value))
@@ -66,7 +74,7 @@ def _encode(value: object, indent: int, depth: int) -> str:
         if not value:
             return "{}"
         items = [
-            f"{pad}{json.dumps(str(key))}: {_encode(value[key], indent, depth + 1)}"
+            f"{pad}{_key_text(str(key))}: {_encode(value[key], indent, depth + 1)}"
             for key in sorted(value)
         ]
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"

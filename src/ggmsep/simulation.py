@@ -6,13 +6,16 @@ matter how many edges go), the randomized one-edge separation bound, and
 the sample-size behavior of likelihood-based graph selection.
 ``run_experiment`` runs any of them from a JSON config document.
 
-The lower-bound and selection drivers are each a trial function (grid
-value, trial index, seed) -> record fields and an aggregate function (grid
-value, records) -> row fields, run by one skeleton, ``_run_grid``, that owns
-the loop, seeding, record layout and progress. Reproducibility contract:
-trial t at grid index g draws from a generator seeded by ``trial_seed(
-base_seed, g, t)`` and records come in grid-then-trial order, so identical
-configurations produce byte-identical reports.
+The lower-bound and selection drivers are each a trials function (grid
+value, the seeds of its trials) -> record fields of every trial and an
+aggregate function (grid value, records) -> row fields, run by one
+skeleton, ``_run_grid``, that owns the loop, seeding, record layout and
+progress, and calls the trials function once per grid value. The
+selection driver runs its trials one by one; the lower-bound driver runs
+the trials of one p as one stack of matrices. Reproducibility contract:
+trial t at grid index g draws only from its own generator, seeded by
+``trial_seed(base_seed, g, t)``, and records come in grid-then-trial
+order, so identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -29,22 +32,34 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import CovarianceMatrix, PrecisionMatrix, _upper_pairs, edge_set_of, factorize, invert
+from .core import (
+    CovarianceMatrix,
+    PrecisionMatrix,
+    _cholesky_lower,
+    _factorizable,
+    _symmetrize_in_place,
+    _upper_pairs,
+    edge_set_of,
+    factorize,
+    invert,
+)
 from .divergence import (
+    _kl_divergences,
+    _pair_information,
+    _separation_constants,
     c_theta_star,
-    conditional_mutual_info,
     kl_gaussian,
     omega_inf_lower_bound,
     one_edge_lower_bound,
-    verify_separation,
 )
 from .errors import (
     InvalidCandidates,
     InvalidDiagonal,
     InvalidParameters,
+    NoMissingEdge,
     NotPositiveDefinite,
 )
-from .projection import FitOptions, project_remove_edge, project_remove_star
+from .projection import FitOptions, _sever, project_remove_star
 from .selection import CandidateCollection, select_graph
 from .serialization import dumps
 
@@ -201,18 +216,37 @@ def random_sparse_precision(
     pair in row-major order, then a magnitude and a sign per chosen pair.
     """
     p = _checked_size("p", p, 2)
-    arr = np.zeros((p, p))
+    return PrecisionMatrix(_sparse_precision_entries(p, [rng], edge_probability, coupling_range, margin_range)[0])
+
+
+def _sparse_precision_entries(
+    p: int,
+    rngs: list[np.random.Generator],
+    edge_probability: float = 0.35,
+    coupling_range: tuple[float, float] = (0.3, 1.0),
+    margin_range: tuple[float, float] = (0.3, 1.2),
+) -> np.ndarray:
+    # random_sparse_precision's entries, unvalidated, as a (len(rngs), p, p)
+    # stack: each generator makes its own draws, and the stack is built from
+    # them in one pass
     rows, cols = _upper_pairs(p)
-    chosen = np.flatnonzero(rng.uniform(size=rows.size) < edge_probability)
-    if not chosen.size:
-        chosen = np.array([int(rng.integers(rows.size))])
-    draws = rng.uniform(size=(chosen.size, 2))
-    magnitude = coupling_range[0] + (coupling_range[1] - coupling_range[0]) * draws[:, 0]
-    arr[rows[chosen], cols[chosen]] = np.where(draws[:, 1] < 0.5, magnitude, -magnitude)
-    arr += arr.T
-    row_sums = np.sum(np.abs(arr), axis=1)
-    arr[np.diag_indices(p)] = row_sums + rng.uniform(*margin_range, size=p)
-    return PrecisionMatrix(arr)
+    chosen, draws, margins = [], [], []
+    for rng in rngs:
+        pairs = np.flatnonzero(rng.uniform(size=rows.size) < edge_probability)
+        if not pairs.size:
+            pairs = np.array([int(rng.integers(rows.size))])
+        chosen.append(pairs)
+        draws.append(rng.uniform(size=(pairs.size, 2)))
+        margins.append(rng.uniform(*margin_range, size=p))
+    chosen_pairs, drawn = np.concatenate(chosen), np.concatenate(draws)
+    owner = np.repeat(np.arange(len(rngs)), [pairs.size for pairs in chosen])
+    magnitude = coupling_range[0] + (coupling_range[1] - coupling_range[0]) * drawn[:, 0]
+    arr = np.zeros((len(rngs), p, p))
+    arr[owner, rows[chosen_pairs], cols[chosen_pairs]] = np.where(drawn[:, 1] < 0.5, magnitude, -magnitude)
+    arr += arr.swapaxes(-1, -2)
+    diag = np.arange(p)
+    arr[:, diag, diag] = np.sum(np.abs(arr), axis=-1) + np.stack(margins)
+    return arr
 
 
 def random_omega_inf_member(
@@ -234,6 +268,11 @@ def random_omega_inf_member(
     p = _checked_size("p", p, 2)
     if not (0.0 < alpha < h):
         raise InvalidParameters(f"requires 0 < alpha < h, got alpha={alpha}, h={h}")
+    return PrecisionMatrix(_omega_inf_entries(p, alpha, h, rng, extremal))
+
+
+def _omega_inf_entries(p: int, alpha: float, h: float, rng: np.random.Generator, extremal: bool) -> np.ndarray:
+    # random_omega_inf_member's draws and entries, unvalidated
     arr = np.zeros((p, p))
     row_sums = np.zeros(p)
     degrees = np.zeros(p, dtype=int)
@@ -278,7 +317,7 @@ def random_omega_inf_member(
         diag[p - 2] = h
         diag[p - 1] = h
     arr[np.diag_indices(p)] = diag
-    return PrecisionMatrix(arr)
+    return arr
 
 
 def _checked_fields(what: str, doc: Mapping, defaults: object) -> dict:
@@ -402,22 +441,24 @@ _Progress = Optional[Callable[[str], None]]
 
 def _run_grid(
     kind: str, cfg: ExperimentConfig, key: str, values: tuple[int, ...],
-    trial: Callable[[int, int, int], dict], aggregate: Callable[[int, list], dict],
+    trials: Callable[[int, list[int]], list[dict]], aggregate: Callable[[int, list], dict],
     extras: Callable[[list], dict], progress: _Progress, tally: Callable[[list], str],
 ) -> ExperimentReport:
     """Seeded grid skeleton: trial t at values[g] gets the seed
-    trial_seed(cfg.base_seed, g, t) and yields the record {key: value,
-    "trial": t, "seed": seed, **trial(value, t, seed)}, in grid-then-trial
+    trial_seed(cfg.base_seed, g, t). trials(value, seeds) returns the fields
+    of every trial at that value, in trial order, and trial t's record is
+    {key: value, "trial": t, "seed": seed, **fields[t]}, in grid-then-trial
     order. Each grid value then gets the aggregate row {key: value,
     **aggregate(value, rows)} over its own records and one progress line
     ending in tally(rows); extras(records) runs last."""
     records: list = []
     aggregates: list = []
     for grid_index, value in enumerate(values):
-        rows = []
-        for index in range(cfg.trials):
-            seed = trial_seed(cfg.base_seed, grid_index, index)
-            rows.append({key: value, "trial": index, "seed": seed, **trial(value, index, seed)})
+        seeds = [trial_seed(cfg.base_seed, grid_index, index) for index in range(cfg.trials)]
+        rows = [
+            {key: value, "trial": index, "seed": seed, **fields}
+            for index, (seed, fields) in enumerate(zip(seeds, trials(value, seeds), strict=True))
+        ]
         records += rows
         aggregates.append({key: value, **aggregate(value, rows)})
         if progress is not None:
@@ -476,46 +517,152 @@ _LOWER_BOUND_METHODS = (
 _EXTREMAL_SIGNAL_RATIOS = (0.9, 0.99, 0.999)
 
 
-def _perturbed_missing_edge(
-    theta_star: PrecisionMatrix,
-    removed: tuple[int, int],
-    rng: np.random.Generator,
-    scale: float,
-) -> PrecisionMatrix:
-    """Random feasible perturbation of the edge-deleted projection,
-    re-projected so the removed edge stays absent."""
-    base = project_remove_edge(theta_star, removed)
-    arr = np.array(base.matrix)
-    noise = rng.standard_normal(arr.shape)
-    noise = 0.5 * (noise + noise.T)
-    noise[removed[0], removed[1]] = noise[removed[1], removed[0]] = 0.0
-    step = scale * float(np.mean(np.abs(arr)))
-    for _ in range(60):
-        try:
-            perturbed = PrecisionMatrix(arr + step * noise)
-        except NotPositiveDefinite:
-            step *= 0.5
-            continue
-        return project_remove_edge(perturbed, removed)
-    return base
+# edge_set_of's and verify_separation's default: smaller magnitudes are no edge
+_ZERO_TOL = 1e-12
+# step halvings a perturbed candidate gets before the plain projection is kept
+_PERTURBATION_HALVINGS = 60
 
 
-def _weakest_edge(theta: PrecisionMatrix, edges: list[tuple[int, int]]) -> tuple[int, int]:
-    """The first of the sorted `edges` with the smallest
-    conditional_mutual_info, as min(edges, key=...) picks it.
+def _weakest_edges(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """For each matrix of a (k, p, p) stack, the index into _upper_pairs of
+    the first edge (edge is the (k, pairs) support mask) with the smallest
+    conditional_mutual_info, as min(sorted edges, key=...) picks it.
 
-    The information increases with t_ij^2 / (t_ii t_jj). One vectorized
-    pass over that ratio keeps the edges within 1e-12 relative of its
-    minimum, a margin far above rounding; their informations can round to
-    a tie, so only they are ranked by conditional_mutual_info itself.
+    The information increases with t_ij^2 / (t_ii t_jj). One pass over that
+    ratio keeps the edges within 1e-12 relative of each matrix's minimum, a
+    margin far above rounding; their informations can round to a tie, so
+    only they are ranked by the information itself.
     """
-    rows, cols = np.array(edges).T
-    arr = theta.matrix
-    ratio = arr[rows, cols] ** 2 / (arr[rows, rows] * arr[cols, cols])
-    near = np.flatnonzero(ratio <= ratio.min() * (1.0 + 1e-12))
-    if near.size == 1:
-        return edges[near[0]]
-    return min((edges[k] for k in near), key=lambda e: conditional_mutual_info(theta, *e))
+    rows, cols = _upper_pairs(arr.shape[-1])
+    diag = np.diagonal(arr, axis1=-2, axis2=-1)
+    ratio = np.where(edge, arr[:, rows, cols] ** 2 / (diag[:, rows] * diag[:, cols]), np.inf)
+    near = ratio <= ratio.min(axis=1, keepdims=True) * (1.0 + 1e-12)
+    weakest = np.argmax(near, axis=1)
+    for k in np.flatnonzero(near.sum(axis=1) > 1):
+        weakest[k] = min(np.flatnonzero(near[k]), key=lambda e: _pair_information(arr[k], rows[e], cols[e]))
+    return weakest
+
+
+def _perturbed_candidates(base: np.ndarray, noise: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Random feasible perturbations of a stack of edge-deleted projections.
+
+    Matrix t is moved by step * noise[t] (noise symmetric and zero at the
+    deleted edge) with step = scale * mean |base[t]|. A candidate is checked
+    as PrecisionMatrix checks one; one that does not factor halves its step
+    and tries again, at most _PERTURBATION_HALVINGS times, in a stack that
+    shrinks as candidates pass. Returns the indices of the matrices whose
+    candidate passed, and those candidates; the others get none.
+    """
+    step = scale * np.mean(np.abs(base), axis=(-2, -1))
+    pending = np.arange(len(base))
+    passed, candidates = [], []
+    for _ in range(_PERTURBATION_HALVINGS):
+        trial = base[pending] + step[pending, None, None] * noise[pending]
+        _symmetrize_in_place(trial, "precision matrix")
+        ok = _factorizable(trial)
+        passed.append(pending[ok])
+        candidates.append(trial[ok])
+        pending = pending[~ok]
+        if not pending.size:
+            break
+        step[pending] *= 0.5
+    return np.concatenate(passed), np.concatenate(candidates)
+
+
+def _lower_bound_trials(cfg: ExperimentConfig, p: int, seeds: list[int]) -> list[dict]:
+    """The record fields of every lower-bound trial at one p, as one stack.
+
+    Trial t draws from its own generator, seeded by seeds[t], in this
+    order: the entries of theta_star, then the index of a random edge
+    (random and perturbed trials), then the perturbation noise (perturbed
+    trials). The stack is validated once, and the projections, bounds and
+    divergences of all its matrices are computed together.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    methods = [_LOWER_BOUND_METHODS[t % len(_LOWER_BOUND_METHODS)] for t in range(len(seeds))]
+    extremal = [t for t, method in enumerate(methods) if method == "extremal_high_signal"]
+    sparse = [t for t, method in enumerate(methods) if method != "extremal_high_signal"]
+    star = np.empty((len(seeds), p, p))
+    star[sparse] = _sparse_precision_entries(p, [rngs[t] for t in sparse])
+    for t in extremal:
+        ratio = _EXTREMAL_SIGNAL_RATIOS[(t // len(_LOWER_BOUND_METHODS)) % len(_EXTREMAL_SIGNAL_RATIOS)]
+        h = float(rngs[t].uniform(1.0, 3.0))
+        star[t] = _omega_inf_entries(p, ratio * h, h, rngs[t], extremal=True)
+    _symmetrize_in_place(star, "precision matrix")
+    star_lower = _cholesky_lower(star)
+
+    rows, cols = _upper_pairs(p)
+    off = star[:, rows, cols]
+    edge = np.abs(off) > _ZERO_TOL
+    weakest = _weakest_edges(star, edge)
+    removed = weakest.copy()
+    for t, (method, rng) in enumerate(zip(methods, rngs)):
+        if method in ("project_random_edge", "perturbed_reprojection"):
+            choices = np.flatnonzero(edge[t])
+            removed[t] = choices[int(rng.integers(choices.size))]
+    v, u = rows[removed], cols[removed]
+    theta, lower = _sever(star, v, u[:, None])
+
+    perturbed = np.array([t for t, method in enumerate(methods) if method == "perturbed_reprojection"], dtype=int)
+    if perturbed.size:
+        noise = np.stack([rngs[t].standard_normal((p, p)) for t in perturbed])
+        noise = 0.5 * (noise + noise.swapaxes(-1, -2))
+        index = np.arange(perturbed.size)
+        noise[index, v[perturbed], u[perturbed]] = noise[index, u[perturbed], v[perturbed]] = 0.0
+        done, candidates = _perturbed_candidates(theta[perturbed], noise, cfg.perturbation_scale)
+        if done.size:
+            kept = perturbed[done]
+            theta, lower = theta.copy(), lower.copy()
+            theta[kept], lower[kept] = _sever(candidates, v[kept], u[kept, None])
+
+    # verify_separation's check, bound and divergence, for every matrix
+    if not (edge & (np.abs(theta[:, rows, cols]) <= _ZERO_TOL)).any(axis=1).all():
+        raise NoMissingEdge("every edge of theta_star is present in theta")
+    kls = _kl_divergences(star_lower, lower)
+    bounds = [0.5 * math.log(c) for c in _separation_constants(star, edge).tolist()]
+    alphas = np.min(np.where(edge, np.abs(off), np.inf), axis=1).tolist()
+    heights = np.max(np.diagonal(star, axis1=-2, axis2=-1), axis=1).tolist()
+    fields = []
+    for t, method in enumerate(methods):
+        kl, bound = kls[t], bounds[t]
+        class_bound = omega_inf_lower_bound(alphas[t], heights[t])
+        fields.append({
+            "method": method,
+            "removed_edge": [int(v[t]), int(u[t])],
+            "removed_argmin": bool(removed[t] == weakest[t]),
+            "kl": kl,
+            "bound": bound,
+            "slack": kl - bound,
+            "class_bound": class_bound,
+            "class_slack": kl - class_bound,
+        })
+    return fields
+
+
+def _lower_bound_aggregate(p: int, rows: list) -> dict:
+    return {
+        "trials": len(rows),
+        "min_slack": min(r["slack"] for r in rows),
+        "mean_kl": float(np.mean([r["kl"] for r in rows])),
+        "min_class_slack": min(r["class_slack"] for r in rows),
+        "max_class_bound": max(r["class_bound"] for r in rows),
+    }
+
+
+def _lower_bound_extras(records: list) -> dict:
+    # clean projection at the separation-attaining edge is exact equality;
+    # perturbed trials can remove that edge too but pay extra KL
+    tight = [
+        abs(r["slack"])
+        for r in records
+        if r["removed_argmin"] and r["method"] != "perturbed_reprojection"
+    ]
+    return {
+        "min_slack": min(r["slack"] for r in records),
+        "min_class_slack": min(r["class_slack"] for r in records),
+        "max_class_bound": max(r["class_bound"] for r in records),
+        "max_tight_slack": max(tight) if tight else None,
+    }
 
 
 def run_lower_bound_experiment(cfg: ExperimentConfig, progress: _Progress = None) -> ExperimentReport:
@@ -529,67 +676,20 @@ def run_lower_bound_experiment(cfg: ExperimentConfig, progress: _Progress = None
     without cap there). Each record carries the one-edge slack and, since
     every instance lies in an entrywise class measured from its own
     entries, the class-bound slack too.
+
+    The trials of one p run as one (trials, p, p) stack: each still draws
+    from its own generator, so a record depends only on its seed, and the
+    report has the bytes of running the trials one at a time through
+    random_sparse_precision / random_omega_inf_member, project_remove_edge
+    and verify_separation. Every theta_star, perturbed candidate and
+    projection is checked as PrecisionMatrix checks one (finite, symmetric
+    to 1e-8, factorizable with finite pivots), and NoMissingEdge is raised
+    if a projection kept every true edge.
     """
-
-    def trial(p: int, index: int, seed: int) -> dict:
-        rng = np.random.default_rng(seed)
-        method = _LOWER_BOUND_METHODS[index % len(_LOWER_BOUND_METHODS)]
-        if method == "extremal_high_signal":
-            ratio = _EXTREMAL_SIGNAL_RATIOS[(index // len(_LOWER_BOUND_METHODS)) % len(_EXTREMAL_SIGNAL_RATIOS)]
-            h = float(rng.uniform(1.0, 3.0))
-            theta_star = random_omega_inf_member(p, ratio * h, h, rng, extremal=True)
-        else:
-            theta_star = random_sparse_precision(p, rng)
-        edges = sorted(edge_set_of(theta_star))
-        argmin_edge = _weakest_edge(theta_star, edges)
-        if method in ("project_argmin_edge", "extremal_high_signal"):
-            removed = argmin_edge
-        else:
-            removed = edges[int(rng.integers(len(edges)))]
-        if method == "perturbed_reprojection":
-            theta = _perturbed_missing_edge(theta_star, removed, rng, cfg.perturbation_scale)
-        else:
-            theta = project_remove_edge(theta_star, removed)
-        report = verify_separation(theta_star, theta)
-        alpha_eff = min(abs(float(theta_star.matrix[edge])) for edge in edges)
-        class_bound = omega_inf_lower_bound(alpha_eff, float(np.max(np.diag(theta_star.matrix))))
-        return {
-            "method": method,
-            "removed_edge": list(removed),
-            "removed_argmin": bool(removed == argmin_edge),
-            "kl": report.kl_value,
-            "bound": report.lower_bound,
-            "slack": report.slack,
-            "class_bound": class_bound,
-            "class_slack": report.kl_value - class_bound,
-        }
-
-    def aggregate(p: int, rows: list) -> dict:
-        return {
-            "trials": len(rows),
-            "min_slack": min(r["slack"] for r in rows),
-            "mean_kl": float(np.mean([r["kl"] for r in rows])),
-            "min_class_slack": min(r["class_slack"] for r in rows),
-            "max_class_bound": max(r["class_bound"] for r in rows),
-        }
-
-    def extras(records: list) -> dict:
-        # clean projection at the separation-attaining edge is exact equality;
-        # perturbed trials can remove that edge too but pay extra KL
-        tight = [
-            abs(r["slack"])
-            for r in records
-            if r["removed_argmin"] and r["method"] != "perturbed_reprojection"
-        ]
-        return {
-            "min_slack": min(r["slack"] for r in records),
-            "min_class_slack": min(r["class_slack"] for r in records),
-            "max_class_bound": max(r["class_bound"] for r in records),
-            "max_tight_slack": max(tight) if tight else None,
-        }
-
     return _run_grid(
-        "lower-bound", cfg, "p", cfg.dimensions, trial, aggregate, extras, progress,
+        "lower-bound", cfg, "p", cfg.dimensions,
+        lambda p, seeds: _lower_bound_trials(cfg, p, seeds),
+        _lower_bound_aggregate, _lower_bound_extras, progress,
         lambda rows: f"{len(rows)} trials",
     )
 
@@ -646,7 +746,7 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
     sigma_star = invert(theta_star)
     unconverged = 0
 
-    def trial(n: int, index: int, seed: int) -> dict:
+    def trial(n: int, seed: int) -> dict:
         nonlocal unconverged
         sigma_hat = empirical_covariance(sample(theta_star, n, seed))
         if cfg.use_true_diagonal:
@@ -688,7 +788,8 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
         return doc
 
     return _run_grid(
-        "selection", cfg, "n", cfg.sample_sizes, trial, aggregate, extras, progress,
+        "selection", cfg, "n", cfg.sample_sizes,
+        lambda n, seeds: [trial(n, seed) for seed in seeds], aggregate, extras, progress,
         lambda rows: f"{sum(r['success'] for r in rows)}/{len(rows)} successes",
     )
 

@@ -2,14 +2,26 @@
 
 Each one takes a route independent of the library code under test, so
 agreement is evidence and not a restatement. The exceptions are the last
-three, which pin bits: each is a library route as it was before it was
+four, which pin bits: each is a library route as it was before it was
 made cheaper, and the library must still return exactly its bits.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack
 
-from ggmsep import PrecisionMatrix, factorize
+from ggmsep import (
+    NotPositiveDefinite,
+    PrecisionMatrix,
+    conditional_mutual_info,
+    edge_set_of,
+    factorize,
+    omega_inf_lower_bound,
+    project_remove_edge,
+    random_omega_inf_member,
+    random_sparse_precision,
+    verify_separation,
+)
+from ggmsep import simulation
 
 
 def schur_complement(m, keep):
@@ -75,3 +87,80 @@ def severed_by_validating_a_copy(theta, v, s):
     theta2[v, s] = 0.0
     theta2[s, v] = 0.0
     return PrecisionMatrix(theta2)
+
+
+def lower_bound_trial_by_trial(cfg):
+    """run_lower_bound_experiment as it ran before the trials of one p were
+    stacked: each trial alone, through the public one-matrix API. Returns
+    the report, built by the library's grid skeleton, aggregate and extras,
+    and the number of times a perturbed candidate failed to factor and
+    halved its step."""
+    halvings = 0
+
+    def perturbed_missing_edge(theta_star, removed, rng, scale):
+        nonlocal halvings
+        base = project_remove_edge(theta_star, removed)
+        arr = np.array(base.matrix)
+        noise = rng.standard_normal(arr.shape)
+        noise = 0.5 * (noise + noise.T)
+        noise[removed[0], removed[1]] = noise[removed[1], removed[0]] = 0.0
+        step = scale * float(np.mean(np.abs(arr)))
+        for _ in range(60):
+            try:
+                perturbed = PrecisionMatrix(arr + step * noise)
+            except NotPositiveDefinite:
+                halvings += 1
+                step *= 0.5
+                continue
+            return project_remove_edge(perturbed, removed)
+        return base
+
+    def weakest_edge(theta, edges):
+        rows, cols = np.array(edges).T
+        arr = theta.matrix
+        ratio = arr[rows, cols] ** 2 / (arr[rows, rows] * arr[cols, cols])
+        near = np.flatnonzero(ratio <= ratio.min() * (1.0 + 1e-12))
+        if near.size == 1:
+            return edges[near[0]]
+        return min((edges[k] for k in near), key=lambda e: conditional_mutual_info(theta, *e))
+
+    def trial(p, index, seed):
+        rng = np.random.default_rng(seed)
+        methods = ("project_random_edge", "project_argmin_edge", "perturbed_reprojection", "extremal_high_signal")
+        method = methods[index % 4]
+        if method == "extremal_high_signal":
+            ratio = (0.9, 0.99, 0.999)[(index // 4) % 3]
+            h = float(rng.uniform(1.0, 3.0))
+            theta_star = random_omega_inf_member(p, ratio * h, h, rng, extremal=True)
+        else:
+            theta_star = random_sparse_precision(p, rng)
+        edges = sorted(edge_set_of(theta_star))
+        argmin_edge = weakest_edge(theta_star, edges)
+        if method in ("project_argmin_edge", "extremal_high_signal"):
+            removed = argmin_edge
+        else:
+            removed = edges[int(rng.integers(len(edges)))]
+        if method == "perturbed_reprojection":
+            theta = perturbed_missing_edge(theta_star, removed, rng, cfg.perturbation_scale)
+        else:
+            theta = project_remove_edge(theta_star, removed)
+        report = verify_separation(theta_star, theta)
+        alpha_eff = min(abs(float(theta_star.matrix[edge])) for edge in edges)
+        class_bound = omega_inf_lower_bound(alpha_eff, float(np.max(np.diag(theta_star.matrix))))
+        return {
+            "method": method,
+            "removed_edge": list(removed),
+            "removed_argmin": bool(removed == argmin_edge),
+            "kl": report.kl_value,
+            "bound": report.lower_bound,
+            "slack": report.slack,
+            "class_bound": class_bound,
+            "class_slack": report.kl_value - class_bound,
+        }
+
+    report = simulation._run_grid(
+        "lower-bound", cfg, "p", cfg.dimensions,
+        lambda p, seeds: [trial(p, index, seed) for index, seed in enumerate(seeds)],
+        simulation._lower_bound_aggregate, simulation._lower_bound_extras, None, len,
+    )
+    return report, halvings

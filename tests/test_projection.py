@@ -288,7 +288,8 @@ class TestPrecisionSideSurgery:
         cholesky = np.linalg.cholesky
 
         def counting_cholesky(arr, *args, **kwargs):
-            orders.append(np.shape(arr)[0])
+            # the order is the trailing axis: projections factor stacks of one
+            orders.append(np.shape(arr)[-1])
             return cholesky(arr, *args, **kwargs)
 
         def counting_invert(m):

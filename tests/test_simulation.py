@@ -38,10 +38,18 @@ from ggmsep import (
 )
 from ggmsep import core
 from ggmsep import selection as selection_module
-from ggmsep.simulation import _weakest_edge
-from reference import in_omega_inf
+from ggmsep.simulation import _weakest_edges
+from reference import in_omega_inf, lower_bound_trial_by_trial
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
+
+
+def weakest_edge(theta):
+    """_weakest_edges on a stack of one, as an (i, j) pair."""
+    rows, cols = np.triu_indices(theta.p, k=1)
+    edge = np.abs(theta.matrix[rows, cols]) > 1e-12
+    k = _weakest_edges(theta.matrix[None], edge[None])[0]
+    return (int(rows[k]), int(cols[k]))
 
 
 class TestSample:
@@ -278,8 +286,8 @@ class TestLowerBoundExperiment:
         assert all(r["class_slack"] >= -1e-9 for r in report.records)
 
     def test_one_instance_scans_edges_once_and_runs_no_scipy_solve_wrapper(self, monkeypatch):
-        # counts instead of timing: verify_separation finds the missing edge
-        # with its own scan, and surgery, KL and CMI call LAPACK directly
+        # counts instead of timing: at most one edge scan per grid value, and
+        # surgery, KL and CMI call LAPACK directly
         calls = []
 
         def counting(name, original):
@@ -301,9 +309,10 @@ class TestLowerBoundExperiment:
                         if value is original:
                             monkeypatch.setattr(module, key, wrapper)
 
-        report = run_lower_bound_experiment(ExperimentConfig(base_seed=3, trials=4, dimensions=(7,)))
+        report = run_lower_bound_experiment(ExperimentConfig(base_seed=3, trials=4, dimensions=(7, 5)))
         assert len({r["method"] for r in report.records}) == 4
-        assert calls == ["edge_set_of"] * 4
+        # the trials of one p share one edge scan, which needs no EdgeSet
+        assert set(calls) <= {"edge_set_of"} and len(calls) <= 2
 
     @settings(max_examples=100, deadline=None)
     @given(p=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), tied=st.booleans())
@@ -324,7 +333,7 @@ class TestLowerBoundExperiment:
             theta = PrecisionMatrix(arr)
         edges = sorted(edge_set_of(theta))
         expected = min(edges, key=lambda e: conditional_mutual_info(theta, *e))
-        assert _weakest_edge(theta, edges) == expected
+        assert weakest_edge(theta) == expected
 
     @pytest.mark.parametrize("coupling", [0.648062, 0.666969])
     def test_weakest_edge_keeps_a_tie_that_rounding_makes(self, coupling):
@@ -337,7 +346,26 @@ class TestLowerBoundExperiment:
         assert conditional_mutual_info(theta, 0, 1) == conditional_mutual_info(theta, 2, 3)
         arr = theta.matrix
         assert arr[0, 1] ** 2 / (arr[0, 0] * arr[1, 1]) > arr[2, 3] ** 2 / (arr[2, 2] * arr[3, 3])
-        assert _weakest_edge(theta, sorted(edge_set_of(theta))) == (0, 1)
+        assert weakest_edge(theta) == (0, 1)
+
+    @pytest.mark.parametrize("dimensions, trials, scale", [
+        ((2,), 13, 0.25),                 # no rest block
+        (tuple(range(3, 11)), 13, 0.25),  # a trial count that is not a multiple of 4
+        ((12, 40), 9, 0.25),              # at p=40 the KL trace takes two blocks
+        (tuple(range(3, 11)), 13, 20.0),  # candidates that fail to factor and halve their step
+        ((3, 6), 9, 1e20),                # candidates that never factor: the projection is kept
+    ])
+    def test_stacked_trials_keep_the_bits_of_one_trial_at_a_time(self, dimensions, trials, scale):
+        cfg = ExperimentConfig(base_seed=4242, trials=trials, dimensions=dimensions, perturbation_scale=scale)
+        expected, halvings = lower_bound_trial_by_trial(cfg)
+        report = run_lower_bound_experiment(cfg)
+        assert report.to_json().encode() == expected.to_json().encode()
+        assert report.to_csv().encode() == expected.to_csv().encode()
+        perturbed = sum(r["method"] == "perturbed_reprojection" for r in report.records)
+        if scale == 1e20:
+            assert halvings == 60 * perturbed
+        else:
+            assert (halvings > 0) == (scale > 1.0)
 
     def test_byte_identical_reruns(self):
         cfg = ExperimentConfig(base_seed=9, trials=8, dimensions=(4,))

@@ -16,7 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # Prints one line per case: what must not change, then the evidence that
-# the case exercises what it is meant to (Newton fits, several KL blocks).
+# the case exercises what it is meant to (Newton fits, several KL blocks,
+# stacked lower-bound trials).
 SCRIPT = r"""
 import hashlib, math
 import numpy as np
@@ -24,7 +25,7 @@ from ggmsep import (EdgeSet, edge_set_of, empirical_covariance, fit_graph_mle, k
                     project_remove_edge, project_remove_star, random_sparse_precision, sample)
 from ggmsep import projection
 from ggmsep.divergence import _KL_BLOCK
-from ggmsep.simulation import ExperimentConfig, run_selection_experiment
+from ggmsep.simulation import ExperimentConfig, run_lower_bound_experiment, run_selection_experiment
 
 def digest(*parts):
     return hashlib.sha256(b"".join(parts)).hexdigest()
@@ -55,6 +56,9 @@ v, u = min(edge_set_of(theta))
 star = [w for w in range(p) if w != v and theta.matrix[v, w] != 0.0]
 values = [kl_gaussian(theta, project_remove_edge(theta, (v, u))), kl_gaussian(theta, project_remove_star(theta, v, star))]
 print("kl", digest(repr(values).encode()), "blocks", len(range(0, p - 1, _KL_BLOCK)))
+
+report = run_lower_bound_experiment(ExperimentConfig(base_seed=777, trials=40, dimensions=(*range(3, 11), 40)))
+print("lower-bound", digest(report.to_json().encode(), report.to_csv().encode()), "records", len(report.records))
 """
 
 
@@ -73,9 +77,10 @@ def runs():
     return run_with_threads(1), run_with_threads(2)
 
 
-@pytest.mark.parametrize("case", ["selection", "fit", "kl"])
+@pytest.mark.parametrize("case", ["selection", "fit", "kl", "lower-bound"])
 def test_same_bits_at_one_and_two_blas_threads(runs, case):
     one, two = ({line[0]: line for line in run}[case] for run in runs)
     assert one == two
-    # the case reaches the code it guards: Newton fits, or two KL blocks
-    assert int(one[-1]) >= (2 if case == "kl" else 1)
+    # the case reaches the code it guards: Newton fits, two KL blocks, or
+    # every record of the stacked lower-bound trials
+    assert int(one[-1]) >= {"kl": 2, "lower-bound": 360}.get(case, 1)
