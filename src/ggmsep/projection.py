@@ -25,15 +25,15 @@ that optimum in closed form; otherwise it runs damped Newton steps in the
 p + |E| coordinates of the support, each minimizing the quadratic model of
 the objective over the ball. What a fit needs of its graph alone, the
 support basis and, for a chordal graph, the perfect-elimination families
-grouped by parent count, is a plan built once per graph and kept in a
-bounded cache keyed on the EdgeSet, so refitting the same candidates, as
-model selection does, repeats only the arithmetic on the data. The closed
-form is one batched pass per parent count: one gather of the conditioning
-blocks, one batched Cholesky check and solve, and one scatter of every
-family's term. Model selection fits its whole collection on one
-sigma_hat at once: the candidates' plans are merged, once per tuple of
-graphs, so that one such pass computes the closed form of every chordal
-candidate into a stack. Every other factorization, solve and inverse of a
+grouped by parent count, is planned once per tuple of graphs fitted
+together on one sigma_hat (one graph for fit_graph_mle, a whole collection
+for model selection). The plan is kept in a 16-entry cache keyed on the
+tuple, so refitting the same candidates repeats only the arithmetic on the
+data; a tuple holding a graph with more than 128 coordinates p + |E| is
+planned afresh. The closed form is one batched pass per parent count over
+every chordal graph of the tuple: one gather of the conditioning blocks,
+one batched Cholesky check and solve, and one scatter of every family's
+term into a stack. Every other factorization, solve and inverse of a
 fit calls LAPACK directly through scipy.linalg.lapack, without the
 checking wrappers of scipy.linalg. A fitted precision keeps the Cholesky
 factor that its fit's own check computed, so it is factored once.
@@ -54,6 +54,7 @@ from .core import (
     EdgeSet,
     PrecisionMatrix,
     _cholesky_lower,
+    _factorizable,
     _symmetrize_in_place,
     _upper_pairs,
     factorize,
@@ -276,7 +277,7 @@ _HESSIAN_BLOCK = 64
 # on the Newton steps (Cholesky factorizations) spent reaching it.
 _SECULAR_TOLERANCE = 1e-15
 _SECULAR_STEPS = 50
-# Largest p + |E| whose fit plan is kept in the cache.
+# Largest p + |E| of a graph whose fit plans are kept in the cache.
 _CACHED_PLAN_COORDINATES = 128
 
 
@@ -458,108 +459,53 @@ class _Families(NamedTuple):
     scatter: np.ndarray
 
 
-def _frozen_families(groups: list[tuple[np.ndarray, ...]], flat: list[np.ndarray]) -> _Families:
-    scatter = np.concatenate(flat)
-    for array in (scatter, *(a for group in groups for a in group)):
-        array.flags.writeable = False
-    return _Families(tuple(groups), scatter)
-
-
-class _FitPlan:
-    """What a fit needs of its graph, built once per graph: the support
-    basis and, for a chordal graph, its perfect-elimination families, in
-    slot 0 (None for a non-chordal graph). Nothing here grows like p^2 on
-    a sparse graph."""
-
-    __slots__ = ("basis", "families")
-
-    def __init__(self, graph: EdgeSet) -> None:
-        self.basis = _SupportBasis(graph)
-        self.families: Optional[_Families] = None
-        families = _perfect_families(graph)
-        if families is None:
-            return
-        by_count: dict[int, list[list[int]]] = {}
-        for v, parents in families:
-            by_count.setdefault(len(parents), []).append([v, *parents])
-        groups, flat = [], []
-        for _, rows in sorted(by_count.items()):
-            block = np.array(rows, dtype=np.intp)
-            groups.append((block[:, 0], block[:, 1:], np.zeros(len(rows), dtype=np.intp)))
-            flat.append((block[:, :, None] * graph.p + block[:, None, :]).ravel())
-        self.families = _frozen_families(groups, flat)
-
-
-def _merged_families(plans: list[_FitPlan], p: int) -> _Families:
-    # Plan m goes to slot m. Within a parent count each plan's families keep
-    # their order, so every graph's terms reach bincount in the order its
-    # own plan gives them, and its sums come out bit for bit the same.
-    by_count: dict[int, list[tuple[np.ndarray, ...]]] = {}
-    for slot, plan in enumerate(plans):
-        start = 0
-        for vertices, parents, _ in plan.families.groups:
-            n, k = parents.shape
-            stop = start + n * (k + 1) ** 2
-            scatter = plan.families.scatter[start:stop] + slot * p * p
-            by_count.setdefault(k, []).append((vertices, parents, np.full(n, slot, dtype=np.intp), scatter))
-            start = stop
-    groups, flat = [], []
-    for _, parts in sorted(by_count.items()):
-        vertices, parents, slots, scatter = (np.concatenate(arrays) for arrays in zip(*parts))
-        groups.append((vertices, parents, slots))
-        flat.append(scatter)
-    return _frozen_families(groups, flat)
-
-
 class _BatchPlan(NamedTuple):
-    """Plans of the graphs fitted together on one sigma_hat: each graph's
-    _FitPlan, the indices of the chordal ones, and their families merged
-    into one _Families, the m-th chordal graph in slot m."""
+    """What the fits of a tuple of graphs on one sigma_hat need of the
+    graphs alone: each graph's support basis, the indices of the chordal
+    ones, and their families, the m-th chordal graph in slot m (None when
+    no graph is chordal). Nothing here grows like p^2 on sparse graphs."""
 
-    plans: tuple[_FitPlan, ...]
+    bases: tuple[_SupportBasis, ...]
     chordal: tuple[int, ...]
     families: Optional[_Families]
 
 
-def _merged_batch(graphs: tuple[EdgeSet, ...]) -> _BatchPlan:
-    plans = tuple(_fit_plan(graph) for graph in graphs)
-    chordal = tuple(index for index, plan in enumerate(plans) if plan.families is not None)
-    members = [plans[index] for index in chordal]
-    if len(members) > 1:
-        return _BatchPlan(plans, chordal, _merged_families(members, graphs[0].p))
-    return _BatchPlan(plans, chordal, members[0].families if members else None)
-
-
-@functools.lru_cache(maxsize=1024)
-def _cached_plan(graph: EdgeSet) -> _FitPlan:
-    return _FitPlan(graph)
-
-
-_cached_batch = functools.lru_cache(maxsize=16)(_merged_batch)
-
-
-def _fit_plan(graph: EdgeSet) -> _FitPlan:
-    # A graph with more coordinates is planned afresh on every fit: its
-    # O(m^3) Newton steps dwarf the build, while a cached plan, and the
-    # graph keying it, would hold memory for the life of the process.
-    if graph.p + len(graph) > _CACHED_PLAN_COORDINATES:
-        return _FitPlan(graph)
-    return _cached_plan(graph)
-
-
+@functools.lru_cache(maxsize=16)
 def _batch_plan(graphs: tuple[EdgeSet, ...]) -> _BatchPlan:
-    # A single graph needs no merge and its plan is cached already. A batch
-    # is cached only when every one of its graphs' plans is.
-    if len(graphs) > 1 and all(g.p + len(g) <= _CACHED_PLAN_COORDINATES for g in graphs):
-        return _cached_batch(graphs)
-    return _merged_batch(graphs)
+    # Slots rise in graph order within each parent count, and each graph's
+    # families keep their search order, so every graph's terms reach
+    # bincount in the same order whatever else shares its batch, and its
+    # sums come out bit for bit the same.
+    chordal: list[int] = []
+    by_count: dict[int, list[list[int]]] = {}
+    for index, graph in enumerate(graphs):
+        families = _perfect_families(graph)
+        if families is not None:
+            for v, parents in families:
+                by_count.setdefault(len(parents), []).append([len(chordal), v, *parents])
+            chordal.append(index)
+    bases = tuple(_SupportBasis(graph) for graph in graphs)
+    if not chordal:
+        return _BatchPlan(bases, (), None)
+    p = graphs[0].p
+    groups, flat = [], []
+    for _, rows in sorted(by_count.items()):
+        block = np.array(rows, dtype=np.intp)
+        slots, family = block[:, 0], block[:, 1:]
+        groups.append((family[:, 0], family[:, 1:], slots))
+        flat.append((slots[:, None, None] * (p * p) + family[:, :, None] * p + family[:, None, :]).ravel())
+    scatter = np.concatenate(flat)
+    for array in (scatter, *(a for group in groups for a in group)):
+        array.flags.writeable = False
+    return _BatchPlan(bases, tuple(chordal), _Families(tuple(groups), scatter))
 
 
 def _chordal_mles(sig: np.ndarray, families: _Families, slots: int) -> tuple[np.ndarray, np.ndarray]:
     """The closed form of every slot's graph, stacked (slots, p, p), and
-    which slots have one: False where a conditioning block is not positive
-    definite or a residual variance is not positive, and the slot's entries
-    are meaningless.
+    which slots have one: False where a conditioning block has no Cholesky
+    factor with finite pivots (core._factorizable, stricter than positive
+    definiteness alone) or a residual variance is not positive, and the
+    slot's entries are meaningless.
 
     The chordal MLE factors along the perfect ordering as (I-B)^T D^-1
     (I-B): each vertex's regression on its earlier neighbours contributes
@@ -575,17 +521,11 @@ def _chordal_mles(sig: np.ndarray, families: _Families, slots: int) -> tuple[np.
         w = np.ones((count, k + 1))
         if k:
             blocks = sig[parents[:, :, None], parents[:, None, :]]
-            try:
-                np.linalg.cholesky(blocks)
-            except np.linalg.LinAlgError:
-                # the stacked call fails as a whole; find the failing blocks
-                # and solve the identity in their place
-                for index, block in enumerate(blocks):
-                    try:
-                        np.linalg.cholesky(block)
-                    except np.linalg.LinAlgError:
-                        valid[owner[index]] = False
-                        blocks[index] = np.eye(k)
+            factorizable = _factorizable(blocks)
+            if not factorizable.all():
+                # solve the identity in place of the failing blocks
+                valid[owner[~factorizable]] = False
+                blocks[~factorizable] = np.eye(k)
             cross = sig[parents, vertices[:, None]]
             coef = np.linalg.solve(blocks, cross[:, :, None])[:, :, 0]
             resid = resid - (cross * coef).sum(axis=1)
@@ -626,10 +566,8 @@ def _closed_form_fit(
     )
 
 
-def _newton_fit(
-    sig: np.ndarray, basis: _SupportBasis, gamma: float, opts: FitOptions, initial: Optional[PrecisionMatrix]
-) -> FitResult:
-    start = np.diag(1.0 / np.diag(sig)) if initial is None else initial.matrix
+def _newton_fit(sig: np.ndarray, basis: _SupportBasis, gamma: float, opts: FitOptions) -> FitResult:
+    start = np.diag(1.0 / np.diag(sig))
     point = _iterate_at(basis, sig, gamma, _into_ball(basis.coordinates(start), gamma))
     if point is None:
         raise InvalidParameters("initial point is not positive definite after projection")
@@ -684,8 +622,6 @@ def _fit_graphs(
     graphs: tuple[EdgeSet, ...],
     gamma: float,
     opts: FitOptions = FitOptions(),
-    *,
-    initial: Optional[PrecisionMatrix] = None,
 ) -> list[Union[FitResult, GgmError]]:
     """fit_graph_mle of every graph on one sigma_hat, with one batched
     closed form for all the chordal graphs.
@@ -693,33 +629,39 @@ def _fit_graphs(
     Raises what no graph's fit could escape: an order that differs from
     sigma_hat's, a gamma that is not positive, or a nonpositive diagonal
     entry of sigma_hat. Otherwise returns, in order, each graph's FitResult
-    or the GgmError its own fit raised. The plans of a tuple of graphs are
-    merged once and cached, like each graph's own plan, when every graph
-    has at most _CACHED_PLAN_COORDINATES coordinates.
+    or the GgmError its own fit raised. The tuple of graphs is planned
+    once (_batch_plan) and the plan is cached when every graph has at most
+    _CACHED_PLAN_COORDINATES coordinates.
     """
     for graph in graphs:
         if graph.p != sigma_hat.p:
             raise DimensionMismatch(f"orders differ: graph p={graph.p}, sigma p={sigma_hat.p}")
-    if initial is not None and initial.p != sigma_hat.p:
-        raise DimensionMismatch(f"orders differ: initial p={initial.p}, sigma p={sigma_hat.p}")
     if not gamma > 0:
         raise InvalidParameters(f"gamma must be positive (inf allowed), got {gamma}")
     sig = sigma_hat.matrix
     if not (np.diagonal(sig) > 0).all():
         raise InfeasibleStart("sigma_hat has a nonpositive diagonal entry; no diagonal start exists")
-    batch = _batch_plan(tuple(graphs))
-    closed: list[Optional[np.ndarray]] = [None] * len(batch.plans)
+    graphs = tuple(graphs)
+    # A tuple holding a graph with more coordinates is planned afresh on
+    # every fit: that graph's O(m^3) Newton steps dwarf the build, while a
+    # cached plan, and the graphs keying it, would hold memory for the life
+    # of the process.
+    if all(graph.p + len(graph) <= _CACHED_PLAN_COORDINATES for graph in graphs):
+        batch = _batch_plan(graphs)
+    else:
+        batch = _batch_plan.__wrapped__(graphs)
+    closed: list[Optional[np.ndarray]] = [None] * len(graphs)
     if batch.families is not None:
         stack, valid = _chordal_mles(sig, batch.families, len(batch.chordal))
         for slot, index in enumerate(batch.chordal):
             if valid[slot]:
                 closed[index] = stack[slot]
     outcomes: list[Union[FitResult, GgmError]] = []
-    for plan, theta in zip(batch.plans, closed):
+    for basis, theta in zip(batch.bases, closed):
         try:
-            fit = None if theta is None else _closed_form_fit(sig, plan.basis, theta, gamma, opts)
+            fit = None if theta is None else _closed_form_fit(sig, basis, theta, gamma, opts)
             if fit is None:
-                fit = _newton_fit(sig, plan.basis, gamma, opts, initial)
+                fit = _newton_fit(sig, basis, gamma, opts)
         except GgmError as exc:
             fit = exc
         outcomes.append(fit)
@@ -731,16 +673,16 @@ def fit_graph_mle(
     graph: EdgeSet,
     gamma: float,
     opts: FitOptions = FitOptions(),
-    *,
-    initial: Optional[PrecisionMatrix] = None,
 ) -> FitResult:
     """Minimize nll over PD matrices supported on `graph` (plus diagonal)
     with Frobenius norm at most gamma. gamma=inf disables the ball.
 
     What depends on the graph alone (the support basis and, for a chordal
     graph, the perfect-elimination families grouped by parent count) is
-    built once per graph and kept in a bounded cache, so refitting a graph
-    repeats only the arithmetic on sigma_hat. select_graph fits a whole
+    planned once per tuple of graphs and kept in a 16-entry cache, so
+    refitting a graph repeats only the arithmetic on sigma_hat; a graph
+    with more than 128 coordinates p + |E| is planned afresh on every fit.
+    This function fits the 1-tuple (graph,). select_graph fits a whole
     collection through the same code, with the closed forms of all its
     chordal candidates computed in one batch; each candidate's result is
     bit for bit what this function returns for it. Two paths, chosen from
@@ -789,13 +731,11 @@ def fit_graph_mle(
     step taken with lam < 1/4, where Newton converges quadratically, fails
     to reduce the gradient mapping: only rounding error can do that.
 
-    The Newton run starts from `initial`, which must have the order of
-    sigma_hat, or else from diag(1 / sigma_hat diagonal), rescaled into
-    the ball if needed; `initial` does not affect the closed form. A
-    non-converged run returns its last iterate with converged=False rather
-    than raising.
+    The Newton run starts from diag(1 / sigma_hat diagonal), rescaled into
+    the ball if needed. A non-converged run returns its last iterate with
+    converged=False rather than raising.
     """
-    (outcome,) = _fit_graphs(sigma_hat, (graph,), gamma, opts, initial=initial)
+    (outcome,) = _fit_graphs(sigma_hat, (graph,), gamma, opts)
     if isinstance(outcome, GgmError):
         raise outcome
     return outcome

@@ -102,7 +102,9 @@ def select_graph(
     """Fit every candidate and return the minimum-score graph.
 
     The closed forms of all chordal candidates are computed in one batched
-    pass over sigma_hat, from a plan merged once per collection; the other
+    pass over sigma_hat, from a plan built once per tuple of candidate
+    graphs and cached (16 entries; a collection holding a graph with more
+    than 128 coordinates p + |E| is planned afresh on every call); the other
     candidates, and those whose closed form fails its check, take the Newton
     path one by one. Each candidate's fit is bit for bit fit_graph_mle's,
     and its fitted precision keeps the Cholesky factor its fit computed.

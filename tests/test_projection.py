@@ -16,7 +16,6 @@ from scipy.linalg import cho_solve, lapack
 from ggmsep import (
     CandidateCollection,
     CovarianceMatrix,
-    DimensionMismatch,
     EdgeSet,
     EmptySet,
     FitOptions,
@@ -482,12 +481,6 @@ class TestFitGraphMle:
         assert abs(result.objective - tight.objective) <= 1e-12 * abs(tight.objective)
         assert _non_increasing(result.objective_trace)
 
-    @pytest.mark.parametrize("order", [5, 7])
-    def test_initial_of_another_order_is_rejected(self, order):
-        cycle = EdgeSet(6, [(k, (k + 1) % 6) for k in range(6)])
-        with pytest.raises(DimensionMismatch, match="initial"):
-            fit_graph_mle(_sample_covariance(6, 5), cycle, math.inf, initial=PrecisionMatrix(np.eye(order)))
-
     def test_nesting_of_feasible_sets(self):
         sigma = invert(random_sparse_precision(6, np.random.default_rng(22)))
         small = EdgeSet(6, [(0, 1), (2, 4)])
@@ -495,18 +488,6 @@ class TestFitGraphMle:
         f_small = fit_graph_mle(sigma, small, 6.0).objective
         f_large = fit_graph_mle(sigma, large, 6.0).objective
         assert f_large <= f_small + 1e-8
-
-    def test_random_starts_agree(self):
-        rng = np.random.default_rng(25)
-        sigma = invert(random_sparse_precision(5, rng))
-        graph = EdgeSet(5, [(0, 1), (1, 2), (2, 3)])
-        gamma = 5.0
-        default_run = fit_graph_mle(sigma, graph, gamma)
-        for _ in range(2):
-            start = PrecisionMatrix(np.diag(rng.uniform(0.5, 2.0, size=5)))
-            other = fit_graph_mle(sigma, graph, gamma, initial=start)
-            assert other.converged
-            assert abs(other.objective - default_run.objective) < 1e-6
 
     def test_infeasible_start(self):
         sigma = CovarianceMatrix([[0.0, 0.0], [0.0, 1.0]])
@@ -675,13 +656,17 @@ class TestChordalClosedForm:
     @settings(max_examples=150, deadline=None)
     @given(graph=chordal_supports(max_p=12), seed=st.integers(0, 2**32 - 1))
     def test_batched_closed_form_matches_per_vertex_reference(self, graph, seed):
-        # three slots of one merged plan: the graph, the empty graph, the graph again
-        sig = _sample_covariance(graph.p, seed).matrix
-        graphs = (graph, EdgeSet(graph.p), graph)
-        batch = projection._merged_batch(graphs)
+        # three slots of one plan: the graph, the empty graph, the graph again;
+        # from p = 4 a 4-cycle, which has no slot, comes first
+        p = graph.p
+        sig = _sample_covariance(p, seed).matrix
+        members = (graph, EdgeSet(p), graph)
+        graphs = (EdgeSet(p, [(0, 1), (1, 2), (2, 3), (0, 3)]), *members) if p >= 4 else members
+        batch = projection._batch_plan(graphs)
         stack, valid = projection._chordal_mles(sig, batch.families, len(batch.chordal))
-        assert batch.chordal == (0, 1, 2) and valid.all()
-        for batched, member in zip(stack, graphs):
+        assert batch.chordal == ((1, 2, 3) if p >= 4 else (0, 1, 2)) and valid.all()
+        assert len(batch.bases) == len(graphs)
+        for batched, member in zip(stack, members):
             expected = reference_chordal_mle(sig, projection._perfect_families(member))
             assert expected is not None
             assert np.all(batched[~_support(member)] == 0.0)
@@ -726,17 +711,14 @@ class TestChordalClosedForm:
 
     def test_repeated_selection_builds_each_plan_once(self, monkeypatch):
         built = []
+        search = projection._perfect_families
 
-        class CountingPlan(projection._FitPlan):
-            __slots__ = ()
+        def counting_search(graph):
+            built.append(graph)
+            return search(graph)
 
-            def __init__(self, graph):
-                built.append(graph)
-                super().__init__(graph)
-
-        monkeypatch.setattr(projection, "_FitPlan", CountingPlan)
-        projection._cached_plan.cache_clear()
-        projection._cached_batch.cache_clear()
+        monkeypatch.setattr(projection, "_perfect_families", counting_search)
+        projection._batch_plan.cache_clear()
         try:
             theta = chain_precision(6)
             truth = edge_set_of(theta)
@@ -746,11 +728,29 @@ class TestChordalClosedForm:
             first = select_graph(collection, sigma, 10.0)
             for _ in range(3):
                 assert select_graph(collection, sigma, 10.0).scores == first.scores
-            assert projection._cached_batch.cache_info().misses == 1
+            assert projection._batch_plan.cache_info().misses == 1
         finally:
-            projection._cached_plan.cache_clear()
-            projection._cached_batch.cache_clear()
+            projection._batch_plan.cache_clear()
         assert Counter(built) == Counter(collection.graphs)
+
+    def test_plans_are_cached_only_for_graphs_of_at_most_128_coordinates(self):
+        # a chain on p vertices has p + (p - 1) coordinates: 119 at p = 60, 139 at p = 70
+        def cached_after(p):
+            theta = chain_precision(p)
+            projection._batch_plan.cache_clear()
+            result = fit_graph_mle(invert(theta), edge_set_of(theta), math.inf)
+            assert result.termination == "closed_form"
+            return projection._batch_plan.cache_info().currsize
+
+        try:
+            assert cached_after(60) == 1
+            assert cached_after(70) == 0
+            theta = chain_precision(70)
+            projection._batch_plan.cache_clear()
+            select_graph(CandidateCollection([EdgeSet(70), edge_set_of(theta)]), invert(theta), math.inf)
+            assert projection._batch_plan.cache_info().currsize == 0
+        finally:
+            projection._batch_plan.cache_clear()
 
     def test_termination_reports_the_iteration_cap(self):
         result = fit_graph_mle(_sample_covariance(5, 3), CYCLES[1], math.inf, FitOptions(max_iterations=1))
