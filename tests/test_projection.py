@@ -733,24 +733,54 @@ class TestChordalClosedForm:
             projection._batch_plan.cache_clear()
         assert Counter(built) == Counter(collection.graphs)
 
-    def test_plans_are_cached_only_for_graphs_of_at_most_128_coordinates(self):
-        # a chain on p vertices has p + (p - 1) coordinates: 119 at p = 60, 139 at p = 70
-        def cached_after(p):
-            theta = chain_precision(p)
-            projection._batch_plan.cache_clear()
-            result = fit_graph_mle(invert(theta), edge_set_of(theta), math.inf)
-            assert result.termination == "closed_form"
-            return projection._batch_plan.cache_info().currsize
-
+    # A chain on p vertices has p + (p - 1) coordinates: 119 at p = 60, 139
+    # at p = 70, either side of the 128 up to which plans are cached.
+    @staticmethod
+    def _plans_cached_by(fit):
+        projection._batch_plan.cache_clear()
         try:
-            assert cached_after(60) == 1
-            assert cached_after(70) == 0
-            theta = chain_precision(70)
-            projection._batch_plan.cache_clear()
-            select_graph(CandidateCollection([EdgeSet(70), edge_set_of(theta)]), invert(theta), math.inf)
-            assert projection._batch_plan.cache_info().currsize == 0
+            fit()
+            return projection._batch_plan.cache_info().currsize
         finally:
             projection._batch_plan.cache_clear()
+
+    @staticmethod
+    def _closed_form_chain_fit(p):
+        theta = chain_precision(p)
+        result = fit_graph_mle(invert(theta), edge_set_of(theta), math.inf)
+        assert result.termination == "closed_form"
+
+    def test_plan_of_a_graph_of_119_coordinates_is_cached(self):
+        assert projection._CACHED_PLAN_COORDINATES == 128
+        assert self._plans_cached_by(lambda: self._closed_form_chain_fit(60)) == 1
+
+    def test_plan_of_a_graph_of_139_coordinates_is_not_cached(self):
+        assert self._plans_cached_by(lambda: self._closed_form_chain_fit(70)) == 0
+
+    def test_selection_holding_one_graph_above_the_limit_is_not_cached(self):
+        theta = chain_precision(70)
+        collection = CandidateCollection([EdgeSet(70), edge_set_of(theta)])
+        assert self._plans_cached_by(lambda: select_graph(collection, invert(theta), math.inf)) == 0
+
+    def test_slot_without_a_factorizable_block_is_flagged_alone(self):
+        # a triangle whose family of two parents conditions on an indefinite
+        # block, batched with a graph on other vertices whose blocks are fine
+        p = 5
+        triangle = EdgeSet(p, [(0, 1), (1, 2), (0, 2)])
+        other = EdgeSet(p, [(3, 4)])
+        (group,) = [g for g in projection._batch_plan.__wrapped__((triangle,)).families.groups if g[1].shape[1] == 2]
+        a, b = group[1][0]
+        sig = _sample_covariance(p, 11).matrix.copy()
+        sig[a, b] = sig[b, a] = 2.0 * math.sqrt(sig[a, a] * sig[b, b])
+        assert not projection._factorizable(sig[np.ix_([a, b], [a, b])][None]).any()
+        batch = projection._batch_plan.__wrapped__((triangle, other))
+        stack, valid = projection._chordal_mles(sig, batch.families, len(batch.chordal))
+        assert valid.tolist() == [False, True]
+        alone = projection._batch_plan.__wrapped__((other,))
+        solo, solo_valid = projection._chordal_mles(sig, alone.families, 1)
+        assert solo_valid.tolist() == [True]
+        assert np.array_equal(stack[1], solo[0])
+        assert np.all(stack[1][~_support(other)] == 0.0)
 
     def test_termination_reports_the_iteration_cap(self):
         result = fit_graph_mle(_sample_covariance(5, 3), CYCLES[1], math.inf, FitOptions(max_iterations=1))
