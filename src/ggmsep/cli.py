@@ -25,7 +25,7 @@ from .divergence import (
     omega_inf_lower_bound,
     one_edge_lower_bound,
 )
-from .errors import GgmError
+from .errors import GgmError, InvalidParameters
 from .projection import FitOptions, fit_graph_mle, project_remove_edge, project_remove_star
 from .selection import CandidateCollection, select_graph
 from .serialization import (
@@ -54,10 +54,11 @@ def _emit(args: argparse.Namespace, doc: object) -> None:
 
 
 def _fit_options(args: argparse.Namespace) -> FitOptions:
-    return FitOptions(
-        max_iterations=args.max_iterations,
-        gradient_tolerance=args.gradient_tolerance,
-    )
+    # a flag out of range is bad input (exit 2); the message names its option
+    try:
+        return FitOptions(max_iterations=args.max_iterations, gradient_tolerance=args.gradient_tolerance)
+    except InvalidParameters as exc:
+        raise ValueError(f"fit flag out of range: {exc}") from None
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:

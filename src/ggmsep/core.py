@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite
 
@@ -35,6 +35,11 @@ __all__ = [
 _ASYMMETRY_RTOL = 1e-8
 # Largest magnitude whose doubling cannot overflow.
 _HALF_MAX = 0.5 * float(np.finfo(float).max)
+
+
+def _is_int(value: object) -> bool:
+    """Whether value is an integer: a Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _cholesky_lower(arr: np.ndarray) -> np.ndarray:
@@ -115,6 +120,15 @@ def _factorizable(stack: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _check_adoptable(arr: np.ndarray) -> None:
+    """ValueError unless the matrix, or every matrix of a stack, is finite
+    and exactly symmetric: the checks PrecisionMatrix._adopt makes."""
+    if not np.isfinite(arr).all():
+        raise ValueError("precision matrix has non-finite entries")
+    if not (arr == arr.swapaxes(-1, -2)).all():
+        raise ValueError("precision matrix is not exactly symmetric")
+
+
 class PrecisionMatrix:
     """Inverse covariance of a zero-mean Gaussian: symmetric positive definite.
 
@@ -143,10 +157,7 @@ class PrecisionMatrix:
         successful potrf computed from this exact array (a fit's check). The
         entries are still checked: ValueError unless finite and exactly
         symmetric. Both are frozen, not copied."""
-        if not np.isfinite(arr).all():
-            raise ValueError("precision matrix has non-finite entries")
-        if not (arr == arr.T).all():
-            raise ValueError("precision matrix is not exactly symmetric")
+        _check_adoptable(arr)
         arr.flags.writeable = lower.flags.writeable = False
         return cls._validated(arr, lower)
 
@@ -214,11 +225,13 @@ def factorize(m: MatrixLike) -> SpdFactorization:
 def invert(m: MatrixLike) -> MatrixLike:
     """Invert a PD matrix; precision and covariance swap roles.
 
-    Solves against the identity through the Cholesky factor, so
-    M @ invert(M) == I to ~1e-10 relative error for well conditioned input.
+    Solves against the identity through the Cholesky factor (one LAPACK
+    dpotrs call), so M @ invert(M) == I to ~1e-10 relative error for well
+    conditioned input.
     """
-    fact = factorize(m)
-    inverse = cho_solve((fact.factor, True), np.eye(m.p))
+    inverse, info = lapack.dpotrs(factorize(m).factor, np.eye(m.p), lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
     if isinstance(m, PrecisionMatrix):
         return CovarianceMatrix(inverse)
     return PrecisionMatrix(inverse)

@@ -33,10 +33,12 @@ data; a tuple holding a graph with more than 128 coordinates p + |E| is
 planned afresh. The closed form is one batched pass per parent count over
 every chordal graph of the tuple: one gather of the conditioning blocks,
 one batched Cholesky check and solve, and one scatter of every family's
-term into a stack. Every other factorization, solve and inverse of a
-fit calls LAPACK directly through scipy.linalg.lapack, without the
-checking wrappers of scipy.linalg. A fitted precision keeps the Cholesky
-factor that its fit's own check computed, so it is factored once.
+term into a stack, which is then checked as a whole: only potrf, potrs,
+two norms and the result are per graph. Every factorization, solve and
+inverse of a fit calls LAPACK directly through scipy.linalg.lapack,
+without the checking wrappers of scipy.linalg. A fitted precision keeps
+the Cholesky factor that its fit's own check computed, so it is factored
+once.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ from .core import (
     CovarianceMatrix,
     EdgeSet,
     PrecisionMatrix,
+    _check_adoptable,
     _cholesky_lower,
     _factorizable,
+    _is_int,
     _symmetrize_in_place,
     _upper_pairs,
     factorize,
@@ -221,17 +225,17 @@ def nll_gradient(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> np.ndar
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Stopping rule of the constrained fit: an iteration cap and the
-    gradient-mapping tolerance at which a fit counts as converged."""
+    """Stopping rule of the constrained fit: an integer iteration cap and
+    the finite gradient-mapping tolerance at which a fit is converged."""
 
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise InvalidParameters("max_iterations must be >= 1")
-        if not self.gradient_tolerance > 0:
-            raise InvalidParameters("gradient_tolerance must be positive")
+        if not _is_int(self.max_iterations) or self.max_iterations < 1:
+            raise InvalidParameters(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        if not 0 < self.gradient_tolerance < math.inf:
+            raise InvalidParameters(f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -453,10 +457,15 @@ class _Families(NamedTuple):
     neighbours, shape (n_k, k), and the slot of each family's graph, shape
     (n_k,). scatter holds, group after group, the flat index slot * p^2 +
     u * p + w of every entry (u, w) of every family's (k+1) x (k+1) block,
-    family = [vertex, *parents]. Every array is read-only."""
+    family = [vertex, *parents]. support and scale hold slot s's _SupportBasis
+    at offsets[s]:offsets[s + 1], as flat indices slot * p^2 + row * p +
+    col and basis scales. Every array is read-only."""
 
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     scatter: np.ndarray
+    support: np.ndarray
+    scale: np.ndarray
+    offsets: np.ndarray
 
 
 class _BatchPlan(NamedTuple):
@@ -494,10 +503,13 @@ def _batch_plan(graphs: tuple[EdgeSet, ...]) -> _BatchPlan:
         slots, family = block[:, 0], block[:, 1:]
         groups.append((family[:, 0], family[:, 1:], slots))
         flat.append((slots[:, None, None] * (p * p) + family[:, :, None] * p + family[:, None, :]).ravel())
-    scatter = np.concatenate(flat)
-    for array in (scatter, *(a for group in groups for a in group)):
+    slotted = [bases[index] for index in chordal]
+    support = [slot * (p * p) + b.rows * p + b.cols for slot, b in enumerate(slotted)]
+    arrays = (np.concatenate(flat), np.concatenate(support), np.concatenate([b.scale for b in slotted]),
+              np.cumsum([0, *(b.rows.size for b in slotted)]))
+    for array in (*arrays, *(a for group in groups for a in group)):
         array.flags.writeable = False
-    return _BatchPlan(bases, tuple(chordal), _Families(tuple(groups), scatter))
+    return _BatchPlan(bases, tuple(chordal), _Families(tuple(groups), *arrays))
 
 
 def _chordal_mles(sig: np.ndarray, families: _Families, slots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -540,30 +552,50 @@ def _chordal_mles(sig: np.ndarray, families: _Families, slots: int) -> tuple[np.
     return stack.reshape(slots, p, p), valid
 
 
-def _closed_form_fit(
-    sig: np.ndarray, basis: _SupportBasis, theta: np.ndarray, gamma: float, opts: FitOptions
-) -> Optional[FitResult]:
-    # The problem is convex, so an unconstrained optimum inside the ball is
-    # the constrained optimum. None unless theta lies in the ball, is
-    # positive definite and passes the gradient check.
-    if float(np.linalg.norm(theta)) > gamma:
-        return None
-    f, lower = _barrier_objective(theta, sig)
-    if lower is None:
-        return None
-    grad = basis.coordinates(sig - _covariance(lower))
-    gnorm = _gradient_map_norm(basis.coordinates(theta), grad, gamma)
-    if not gnorm <= opts.gradient_tolerance:
-        return None
-    return FitResult(
-        theta_hat=PrecisionMatrix._adopt(theta, lower),
-        objective=f,
-        iterations=0,
-        converged=True,
-        projected_gradient_norm=gnorm,
-        termination="closed_form",
-        objective_trace=(f,),
-    )
+def _closed_form_fits(
+    sig: np.ndarray, families: _Families, stack: np.ndarray, valid: np.ndarray, gamma: float, opts: FitOptions
+) -> list[Optional[FitResult]]:
+    """Each slot's closed form as its fit, or None unless it is valid, lies
+    in the ball, is positive definite and passes the gradient check (the
+    problem is convex). Only potrf, potrs, the gradient mapping's two norms
+    and the FitResult are per slot. A norm is a dot product, as
+    np.linalg.norm takes it, so each slot has the bits of its fit alone."""
+    slots, p = stack.shape[:2]
+    flat = stack.reshape(slots, 1, p * p)
+    candidate = valid & ~(np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0]) > gamma)
+    # slot s is factored and inverted in the Fortran-ordered lower[s].T and
+    # cov[s].T, so cov[s, i, j], i <= j, is the inverse's lower entry (j, i)
+    lower = stack.transpose(0, 2, 1).copy()
+    cov = np.zeros_like(stack)
+    cov.reshape(slots, p * p)[:, :: p + 1] = 1.0
+    for slot in np.flatnonzero(candidate).tolist():
+        factor, info = lapack.dpotrf(lower[slot].T, lower=1, overwrite_a=1)
+        candidate[slot] = not info
+        if not info and lapack.dpotrs(factor, cov[slot].T, lower=1, overwrite_b=1)[1]:
+            raise np.linalg.LinAlgError("dpotrs failed")
+    coords = families.scale * stack.reshape(-1)[families.support]
+    moved = coords - families.scale * (sig - cov).reshape(-1)[families.support]
+    offsets = families.offsets.tolist()
+    gnorm = np.full(slots, math.inf)
+    for slot in np.flatnonzero(candidate).tolist():
+        run = slice(offsets[slot], offsets[slot + 1])
+        norm = math.sqrt(np.dot(moved[run], moved[run]))
+        if norm > gamma:
+            moved[run] *= gamma / norm
+        gap = coords[run] - moved[run]
+        gnorm[slot] = math.sqrt(np.dot(gap, gap))
+    accepted = candidate & (gnorm <= opts.gradient_tolerance)
+    kept = stack[accepted]
+    _check_adoptable(kept)
+    log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)[accepted]).sum(axis=1)
+    objective = -log_det + (sig * kept).reshape(-1, p * p).sum(axis=1)
+    stack.flags.writeable = lower.flags.writeable = False
+    fits: list[Optional[FitResult]] = [None] * slots
+    for slot, f, g in zip(np.flatnonzero(accepted).tolist(), objective.tolist(), gnorm[accepted].tolist()):
+        theta = PrecisionMatrix._validated(stack[slot], lower[slot].T)
+        fits[slot] = FitResult(theta, objective=f, iterations=0, converged=True, projected_gradient_norm=g,
+                               termination="closed_form", objective_trace=(f,))
+    return fits
 
 
 def _newton_fit(sig: np.ndarray, basis: _SupportBasis, gamma: float, opts: FitOptions) -> FitResult:
@@ -650,21 +682,17 @@ def _fit_graphs(
         batch = _batch_plan(graphs)
     else:
         batch = _batch_plan.__wrapped__(graphs)
-    closed: list[Optional[np.ndarray]] = [None] * len(graphs)
+    outcomes: list[Union[None, FitResult, GgmError]] = [None] * len(graphs)
     if batch.families is not None:
         stack, valid = _chordal_mles(sig, batch.families, len(batch.chordal))
-        for slot, index in enumerate(batch.chordal):
-            if valid[slot]:
-                closed[index] = stack[slot]
-    outcomes: list[Union[FitResult, GgmError]] = []
-    for basis, theta in zip(batch.bases, closed):
-        try:
-            fit = None if theta is None else _closed_form_fit(sig, basis, theta, gamma, opts)
-            if fit is None:
-                fit = _newton_fit(sig, basis, gamma, opts)
-        except GgmError as exc:
-            fit = exc
-        outcomes.append(fit)
+        for index, fit in zip(batch.chordal, _closed_form_fits(sig, batch.families, stack, valid, gamma, opts)):
+            outcomes[index] = fit
+    for index, basis in enumerate(batch.bases):
+        if outcomes[index] is None:
+            try:
+                outcomes[index] = _newton_fit(sig, basis, gamma, opts)
+            except GgmError as exc:
+                outcomes[index] = exc
     return outcomes
 
 
@@ -698,8 +726,9 @@ def fit_graph_mle(
       place by one scatter. The result is returned, with iterations=0,
       termination="closed_form" and a one-entry objective_trace, only if
       it lies in the ball, is positive definite and its gradient mapping
-      is at most gradient_tolerance. The problem is convex, so an
-      unconstrained optimum inside the ball is the constrained optimum.
+      is at most gradient_tolerance, all checked in one stacked pass over
+      a tuple's closed forms. The problem is convex, so an unconstrained
+      optimum inside the ball is the constrained optimum.
     - Damped Newton otherwise: the graph is not chordal, a conditioning
       block of sigma_hat is singular, the ball binds, or the check fails.
       It works in the p + |E| coordinates of an orthonormal basis of the
@@ -712,7 +741,7 @@ def fit_graph_mle(
       Kyrillidis & Cevher 2015 for the constrained step), and as a convex
       combination of two points in the ball it stays in the ball.
 
-    Outside the batched closed form, every factorization, solve and
+    Outside the batched regressions, every factorization, solve and
     inverse calls LAPACK (potrf, potrs, trtrs) directly, without
     the checking wrappers of scipy.linalg. The fitted precision keeps the
     lower Cholesky factor that the fit's own check computed for that exact

@@ -102,11 +102,11 @@ def select_graph(
     """Fit every candidate and return the minimum-score graph.
 
     The closed forms of all chordal candidates are computed in one batched
-    pass over sigma_hat, from a plan built once per tuple of candidate
-    graphs and cached (16 entries; a collection holding a graph with more
-    than 128 coordinates p + |E| is planned afresh on every call); the other
-    candidates, and those whose closed form fails its check, take the Newton
-    path one by one. Each candidate's fit is bit for bit fit_graph_mle's,
+    pass over sigma_hat, and checked in one stacked pass, from a plan built
+    once per tuple of candidate graphs and cached (16 entries; a collection
+    holding a graph with more than 128 coordinates p + |E| is planned
+    afresh on every call); the other candidates, and those whose closed
+    form fails its check, take the Newton path one by one. Each candidate's fit is bit for bit fit_graph_mle's,
     and its fitted precision keeps the Cholesky factor its fit computed.
     Results are in index order, so repeated calls with identical inputs
     produce identical results. A sigma_hat whose order differs from the

@@ -30,13 +30,14 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .core import (
     CovarianceMatrix,
     PrecisionMatrix,
     _cholesky_lower,
     _factorizable,
+    _is_int,
     _symmetrize_in_place,
     _upper_pairs,
     edge_set_of,
@@ -115,10 +116,6 @@ class SampleMatrix:
         return int(self.rows.shape[1])
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _checked_size(name: str, value: object, minimum: int) -> int:
     """value as an int; InvalidParameters unless it is an integer (numpy
     integers too, never a bool or float) of at least minimum."""
@@ -146,8 +143,10 @@ def sample(theta: PrecisionMatrix, n: int, seed: int) -> SampleMatrix:
     fact = factorize(theta)
     rng = np.random.default_rng(int(seed))
     z = rng.standard_normal((n, theta.p))
-    rows = solve_triangular(fact.factor, z.T, lower=True, trans="T").T
-    return SampleMatrix(rows=rows)
+    solved, info = lapack.dtrtrs(fact.factor.T, z.T, lower=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
+    return SampleMatrix(rows=solved.T)
 
 
 def empirical_covariance(x: SampleMatrix) -> CovarianceMatrix:

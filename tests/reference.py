@@ -2,7 +2,7 @@
 
 Each one takes a route independent of the library code under test, so
 agreement is evidence and not a restatement. The exceptions are the last
-four, which pin bits: each is a library route as it was before it was
+five, which pin bits: each is a library route as it was before it was
 made cheaper, and the library must still return exactly its bits.
 """
 
@@ -22,6 +22,7 @@ from ggmsep import (
     verify_separation,
 )
 from ggmsep import simulation
+from ggmsep.projection import FitResult
 
 
 def schur_complement(m, keep):
@@ -164,3 +165,40 @@ def lower_bound_trial_by_trial(cfg):
         simulation._lower_bound_aggregate, simulation._lower_bound_extras, None, len,
     )
     return report, halvings
+
+
+def closed_form_fit(sig, basis, theta, gamma, opts):
+    """The chordal closed form theta checked as a fit of the graph of
+    `basis`, one graph at a time, as fit_graph_mle checked it before the
+    checks of a collection were stacked: None unless theta lies in the
+    ball, is positive definite and its gradient mapping is at most
+    opts.gradient_tolerance."""
+    if float(np.linalg.norm(theta)) > gamma:
+        return None
+    lower, info = lapack.dpotrf(theta, lower=1)
+    if info:
+        return None
+    log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
+    f = -log_det + float(np.sum(sig * theta))
+    cov, info = lapack.dpotrs(lower, np.eye(theta.shape[0]), lower=1)
+    assert info == 0
+    rows, cols = np.triu_indices(theta.shape[0], k=1)
+    cov[rows, cols] = cov[cols, rows]
+    grad = basis.coordinates(sig - cov)
+    coords = basis.coordinates(theta)
+    moved = coords - grad
+    norm = float(np.linalg.norm(moved))
+    if norm > gamma:
+        moved = moved * (gamma / norm)
+    gnorm = float(np.linalg.norm(coords - moved))
+    if not gnorm <= opts.gradient_tolerance:
+        return None
+    return FitResult(
+        theta_hat=PrecisionMatrix._adopt(theta, lower),
+        objective=f,
+        iterations=0,
+        converged=True,
+        projected_gradient_norm=gnorm,
+        termination="closed_form",
+        objective_trace=(f,),
+    )

@@ -167,6 +167,22 @@ class TestFitAndSelect:
         assert out == ""
         assert "DimensionMismatch" in err and "orders differ" in err
 
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--gradient-tolerance", "inf", "gradient_tolerance"),
+        ("--gradient-tolerance", "nan", "gradient_tolerance"),
+        ("--gradient-tolerance", "0", "gradient_tolerance"),
+        ("--max-iterations", "0", "max_iterations"),
+    ])
+    def test_fit_flag_out_of_range_exits_2_naming_it(self, tmp_path, capsys, command, flag, value, named):
+        sigma_path = write_json(tmp_path / "sigma.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
+        graph = {"p": 2, "edges": []}
+        graph_path = write_json(tmp_path / "graph.json", graph if command == "fit" else [graph])
+        code, out, err = run(capsys, command, sigma_path, graph_path, "--gamma", "inf", flag, value)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
     def test_fit_invalid_gamma_exits_3(self, tmp_path, capsys):
         sigma_path = write_json(tmp_path / "sigma.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
         graph_path = write_json(tmp_path / "graph.json", {"p": 2, "edges": []})
@@ -233,6 +249,8 @@ class TestExperiment:
         ({"fit": {"armijo_constant": 1e-4}}, "armijo_constant"),
         ({"gamma": "inf"}, "gamma"),
         ({"trials": 2.5}, "trials"),
+        ({"fit": {"max_iterations": 2.0}}, "max_iterations"),
+        ({"fit": {"max_iterations": True}}, "max_iterations"),
     ])
     def test_invalid_selection_config_exits_2_naming_the_key(self, tmp_path, capsys, doc, named):
         config = write_json(tmp_path / "config.json", doc)
@@ -267,6 +285,8 @@ class TestExperiment:
         ("selection", {"gamma": 0}, "gamma"),
         ("lower-bound", {"perturbation_scale": -1}, "perturbation_scale"),
         ("selection", {"fit": {"max_iterations": 0}}, "max_iterations"),
+        ("selection", {"fit": {"gradient_tolerance": math.inf}}, "gradient_tolerance"),
+        ("lower-bound", {"fit": {"gradient_tolerance": math.nan}}, "gradient_tolerance"),
         ("counterexample", {"d_values": [0]}, "d_values"),
         ("counterexample", {"d_values": []}, "d_values"),
         ("selection", {"gamma": 1.0, "dimensions": [4]}, "gamma"),

@@ -1,6 +1,8 @@
 """Matrix types, the kept factor, inversion, edge sets, and the test references."""
 
+import ast
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_solve
 
+import ggmsep
 from ggmsep import (
     CovarianceMatrix,
     DimensionMismatch,
@@ -239,6 +243,25 @@ class TestInvert:
         theta = random_sparse_precision(50, np.random.default_rng(3))
         cov = invert(theta)
         assert np.max(np.abs(theta.matrix @ cov.matrix - np.eye(50))) < 1e-10
+
+    def test_bits_match_the_checked_cho_solve(self):
+        # invert calls dpotrs itself; scipy's checking wrapper gave the same bits
+        theta = random_sparse_precision(8, np.random.default_rng(5))
+        sigma = empirical_covariance(sample(theta, 4000, 6))
+        fitted = fit_graph_mle(sigma, edge_set_of(theta), math.inf).theta_hat
+        for m in (theta, sigma, fitted):
+            expected = cho_solve((factorize(m).factor, True), np.eye(m.p))
+            assert invert(m).matrix.tobytes() == type(invert(m))(expected).matrix.tobytes()
+
+    def test_the_library_imports_only_lapack_from_scipy(self):
+        imported = set()
+        for path in (Path(ggmsep.__file__).parent).glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                    imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names if alias.name.startswith("scipy"))
+        assert imported == {"scipy.linalg.lapack"}
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 50))

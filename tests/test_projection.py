@@ -45,7 +45,7 @@ from ggmsep import (
     trial_seed,
 )
 from ggmsep import projection
-from reference import severed_by_validating_a_copy
+from reference import closed_form_fit, severed_by_validating_a_copy
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 HALF_LOG_4_3 = 0.5 * math.log(4.0 / 3.0)
@@ -522,10 +522,10 @@ class TestFitGraphMle:
 
 
 @st.composite
-def chordal_supports(draw, max_p=9):
+def chordal_supports(draw, max_p=9, min_p=2):
     """Random chordal graphs: forests, K_p minus one edge, and the fill-in
     of a random graph along a random elimination order."""
-    p = draw(st.integers(2, max_p))
+    p = draw(st.integers(min_p, max_p))
     kind = draw(st.sampled_from(["forest", "complete_minus_edge", "elimination"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = rng.permutation(p).tolist()
@@ -728,10 +728,70 @@ class TestChordalClosedForm:
             first = select_graph(collection, sigma, 10.0)
             for _ in range(3):
                 assert select_graph(collection, sigma, 10.0).scores == first.scores
-            assert projection._batch_plan.cache_info().misses == 1
+            info = projection._batch_plan.cache_info()
+            assert (info.misses, info.hits) == (1, 3)
+            families = projection._batch_plan(collection.graphs).families
+            assert not any(a.flags.writeable for a in (families.support, families.scale, families.offsets))
         finally:
             projection._batch_plan.cache_clear()
         assert Counter(built) == Counter(collection.graphs)
+
+    def test_plan_lays_out_every_slots_support_read_only(self):
+        p = 6
+        truth = edge_set_of(chain_precision(p))
+        graphs = (truth, EdgeSet(p, [(0, 1), (1, 2), (2, 3), (0, 3)]), EdgeSet(p), truth.without((2, 3)))
+        batch = projection._batch_plan.__wrapped__(graphs)
+        families = batch.families
+        assert batch.chordal == (0, 2, 3)
+        # each slot's run holds its p + |E| coordinates
+        assert families.offsets.tolist() == [0, 11, 17, 27]
+        for slot, index in enumerate(batch.chordal):
+            basis = batch.bases[index]
+            run = slice(families.offsets[slot], families.offsets[slot + 1])
+            assert families.support[run].tolist() == (slot * p * p + basis.rows * p + basis.cols).tolist()
+            assert families.scale[run].tolist() == basis.scale.tolist()
+        for array in (families.support, families.scale, families.offsets):
+            assert not array.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), few_samples=st.booleans())
+    def test_stacked_check_matches_the_per_graph_reference(self, data, seed, few_samples):
+        # One collection whose slots pass, fail the ball, fail the gradient
+        # check, or have no closed form (n = p - 1 samples, with K_p among
+        # the graphs). gamma and the tolerance are drawn from the slots' own
+        # norms and gradient mappings, at and just below each, so slots
+        # fall on both sides of both checks.
+        p = data.draw(st.integers(3, 8))
+        graphs = (*data.draw(st.lists(chordal_supports(max_p=p, min_p=p), min_size=1, max_size=5)), EdgeSet.complete(p))
+        truth = random_sparse_precision(p, np.random.default_rng(seed))
+        sig = empirical_covariance(sample(truth, p - 1 if few_samples else 2 * p + 5, seed)).matrix
+        batch = projection._batch_plan.__wrapped__(graphs)
+        stack, valid = projection._chordal_mles(sig, batch.families, len(batch.chordal))
+
+        def reference_fits(gamma, opts):
+            return [
+                closed_form_fit(sig, batch.bases[index], stack[slot].copy(), gamma, opts) if valid[slot] else None
+                for slot, index in enumerate(batch.chordal)
+            ]
+
+        loose = [fit for fit in reference_fits(math.inf, FitOptions(gradient_tolerance=1e300)) if fit]
+        norms = [float(np.linalg.norm(fit.theta_hat.matrix)) for fit in loose]
+        gnorms = [fit.projected_gradient_norm for fit in loose]
+        at_and_below = lambda values: [v for x in values for v in (x, float(np.nextafter(x, 0.0))) if v > 0]
+        gamma = data.draw(st.sampled_from([math.inf, *at_and_below(norms)]))
+        opts = FitOptions(gradient_tolerance=data.draw(st.sampled_from([1e-8, *at_and_below(gnorms)])))
+        expected = reference_fits(gamma, opts)
+        fits = projection._closed_form_fits(sig, batch.families, stack.copy(), valid, gamma, opts)
+        assert [fit is None for fit in fits] == [fit is None for fit in expected]
+        for fit, ref in zip(fits, expected):
+            if ref is not None:
+                assert fit.termination == ref.termination == "closed_form"
+                assert fit.objective.hex() == ref.objective.hex()
+                assert fit.projected_gradient_norm.hex() == ref.projected_gradient_norm.hex()
+                assert (fit.iterations, fit.converged, fit.objective_trace) == (0, True, (fit.objective,))
+                assert fit.theta_hat.matrix.tobytes() == ref.theta_hat.matrix.tobytes()
+                kept, expected_factor = (ggmsep.factorize(f.theta_hat).factor for f in (fit, ref))
+                assert kept.tobytes() == expected_factor.tobytes()
 
     # A chain on p vertices has p + (p - 1) coordinates: 119 at p = 60, 139
     # at p = 70, either side of the 128 up to which plans are cached.
@@ -865,3 +925,20 @@ class TestFitOptions:
             FitOptions(max_iterations=0)
         with pytest.raises(InvalidParameters):
             FitOptions(gradient_tolerance=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gradient_tolerance": math.inf},
+        {"gradient_tolerance": math.nan},
+        {"gradient_tolerance": -math.inf},
+        {"max_iterations": True},
+        {"max_iterations": 10.0},
+        {"max_iterations": 2.5},
+    ])
+    def test_non_finite_tolerance_and_non_integer_cap_are_rejected(self, kwargs):
+        # an infinite tolerance would pass every Newton fit's diagonal start
+        # as converged, after 0 iterations
+        with pytest.raises(InvalidParameters, match=next(iter(kwargs))):
+            FitOptions(**kwargs)
+
+    def test_numpy_integer_cap_is_accepted(self):
+        assert FitOptions(max_iterations=np.int64(3)).max_iterations == 3

@@ -25,6 +25,7 @@ from ggmsep import (
     counterexample_precision,
     edge_set_of,
     empirical_covariance,
+    fit_graph_mle,
     invert,
     omega_inf_lower_bound,
     one_edge_lower_bound,
@@ -60,6 +61,16 @@ class TestSample:
         assert np.array_equal(a.rows, b.rows)
         c = sample(theta, 64, seed=100)
         assert not np.array_equal(a.rows, c.rows)
+
+    def test_bits_match_the_checked_triangular_solve(self):
+        # sample calls dtrtrs itself; scipy's checking wrapper gave the same
+        # bits, for a constructed precision's factor and a fitted one's
+        theta = random_sparse_precision(8, np.random.default_rng(11))
+        fitted = fit_graph_mle(empirical_covariance(sample(theta, 500, 12)), edge_set_of(theta), math.inf)
+        for precision in (theta, fitted.theta_hat):
+            z = np.random.default_rng(13).standard_normal((4000, 8))
+            expected = scipy.linalg.solve_triangular(core.factorize(precision).factor, z.T, lower=True, trans="T").T
+            assert sample(precision, 4000, 13).rows.tobytes() == expected.tobytes()
 
     def test_identity_moments(self):
         x = sample(PrecisionMatrix(np.eye(3)), 100_000, seed=42)
