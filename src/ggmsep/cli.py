@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .divergence import (
     c_theta_star,
@@ -43,6 +43,8 @@ EXIT_INPUT = 2
 EXIT_MATH = 3
 EXIT_NOT_CONVERGED = 4
 
+T = TypeVar("T")
+
 
 def _emit(args: argparse.Namespace, doc: object) -> None:
     text = dumps(doc) + "\n"
@@ -53,12 +55,16 @@ def _emit(args: argparse.Namespace, doc: object) -> None:
         sys.stdout.write(text)
 
 
-def _fit_options(args: argparse.Namespace) -> FitOptions:
-    # a flag out of range is bad input (exit 2); the message names its option
+def _in_range(flags: str, compute: Callable[[], T]) -> T:
+    # a flag out of range is bad input (exit 2); the message names it
     try:
-        return FitOptions(max_iterations=args.max_iterations, gradient_tolerance=args.gradient_tolerance)
+        return compute()
     except InvalidParameters as exc:
-        raise ValueError(f"fit flag out of range: {exc}") from None
+        raise ValueError(f"{flags} out of range: {exc}") from None
+
+
+def _fit_options(args: argparse.Namespace) -> FitOptions:
+    return _in_range("fit flag", lambda: FitOptions(args.max_iterations, args.gradient_tolerance))
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
@@ -81,11 +87,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         raise ValueError("--alpha and --h must be given together")
     theta = load_precision(args.theta)
     doc = {
-        "c_star": c_theta_star(theta, args.zero_tol),
+        "c_star": _in_range("--zero-tol", lambda: c_theta_star(theta, args.zero_tol)),
         "bound": one_edge_lower_bound(theta, args.zero_tol),
     }
     if args.alpha is not None:
-        doc["omega_inf_bound"] = omega_inf_lower_bound(args.alpha, args.h)
+        doc["omega_inf_bound"] = _in_range("--alpha/--h", lambda: omega_inf_lower_bound(args.alpha, args.h))
     _emit(args, doc)
     return EXIT_OK
 

@@ -18,7 +18,15 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite
+from .errors import (
+    DimensionMismatch,
+    EmptySet,
+    IndexOutOfRange,
+    IndexOverlap,
+    InvalidParameters,
+    NotPositiveDefinite,
+    SameVertex,
+)
 
 __all__ = [
     "PrecisionMatrix",
@@ -40,6 +48,39 @@ _HALF_MAX = 0.5 * float(np.finfo(float).max)
 def _is_int(value: object) -> bool:
     """Whether value is an integer: a Python or numpy integer, never a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _vertex(p: int, v: object) -> int:
+    """v as a vertex of {0, ..., p-1}; IndexOutOfRange unless it is an
+    integer (_is_int: never a float or a bool) in that range."""
+    if not _is_int(v) or not 0 <= v < p:
+        raise IndexOutOfRange(f"vertex {v!r} is not an integer in [0, {p})")
+    return int(v)
+
+
+def _vertex_pair(p: int, i: object, j: object) -> tuple[int, int]:
+    """(i, j) as two distinct vertices; SameVertex when they coincide."""
+    i, j = _vertex(p, i), _vertex(p, j)
+    if i == j:
+        raise SameVertex(f"i == j == {i}")
+    return i, j
+
+
+def _vertex_star(p: int, v: object, others: Iterable[object]) -> tuple[int, list[int]]:
+    """v and the sorted distinct vertices of `others`, which must be nonempty
+    (EmptySet) and exclude v (IndexOverlap)."""
+    v = _vertex(p, v)
+    s = sorted({_vertex(p, u) for u in others})
+    if not s:
+        raise EmptySet("the set of other vertices is empty")
+    if v in s:
+        raise IndexOverlap(f"vertex {v} appears among the other vertices")
+    return v, s
+
+
+def _check_zero_tol(zero_tol: float) -> None:
+    if not 0.0 <= zero_tol < math.inf:
+        raise InvalidParameters(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
 
 
 def _cholesky_lower(arr: np.ndarray) -> np.ndarray:
@@ -122,7 +163,8 @@ def _factorizable(stack: np.ndarray) -> np.ndarray:
 
 def _check_adoptable(arr: np.ndarray) -> None:
     """ValueError unless the matrix, or every matrix of a stack, is finite
-    and exactly symmetric: the checks PrecisionMatrix._adopt makes."""
+    and exactly symmetric: the checks a fitted precision passes before
+    PrecisionMatrix._validated keeps it."""
     if not np.isfinite(arr).all():
         raise ValueError("precision matrix has non-finite entries")
     if not (arr == arr.swapaxes(-1, -2)).all():
@@ -151,20 +193,13 @@ class PrecisionMatrix:
         self._factor = _cholesky_lower(self.matrix)
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray, lower: np.ndarray) -> "PrecisionMatrix":
-        """Precision over a square float array the caller owns, keeping
-        `lower`, the lower Cholesky factor (upper triangle zero) that a
-        successful potrf computed from this exact array (a fit's check). The
-        entries are still checked: ValueError unless finite and exactly
-        symmetric. Both are frozen, not copied."""
-        _check_adoptable(arr)
-        arr.flags.writeable = lower.flags.writeable = False
-        return cls._validated(arr, lower)
-
-    @classmethod
     def _validated(cls, arr: np.ndarray, lower: np.ndarray) -> "PrecisionMatrix":
-        """Precision over an array that _symmetrize_in_place froze and
-        _cholesky_lower factored into `lower`, both kept as they are."""
+        """Precision over a checked array and its lower Cholesky factor
+        (upper triangle zero), both kept as they are and frozen, not copied:
+        an array that _symmetrize_in_place froze and _cholesky_lower
+        factored, or a fit's array that passed _check_adoptable with the
+        factor that the fit's own potrf computed from it."""
+        arr.flags.writeable = lower.flags.writeable = False
         theta = cls.__new__(cls)
         theta.matrix, theta._factor = arr, lower
         return theta
@@ -238,7 +273,10 @@ def invert(m: MatrixLike) -> MatrixLike:
 
 
 def _normalized_edge(edge: object) -> tuple[int, int]:
-    i, j = (int(v) for v in edge)
+    i, j = edge
+    if not (_is_int(i) and _is_int(j)):
+        raise ValueError(f"edge endpoints must be integers, got {edge!r}")
+    i, j = int(i), int(j)
     if i == j:
         raise ValueError(f"self-loop ({i}, {i}) is not a valid edge")
     return (i, j) if i < j else (j, i)
@@ -255,9 +293,9 @@ class EdgeSet:
     __slots__ = ("p", "edges")
 
     def __init__(self, p: int, edges: Iterable[object] = ()) -> None:
+        if not _is_int(p) or p < 2:
+            raise ValueError(f"vertex count must be an integer >= 2, got {p!r}")
         p = int(p)
-        if p < 2:
-            raise ValueError(f"vertex count must be >= 2, got {p}")
         normalized = set()
         for edge in edges:
             pair = _normalized_edge(edge)
@@ -320,8 +358,7 @@ def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def edge_set_of(theta: MatrixLike, zero_tol: float = 1e-12) -> EdgeSet:
     """Off-diagonal support: edge (i, j), i < j, iff |theta[i, j]| > zero_tol."""
-    if zero_tol < 0.0:
-        raise InvalidParameters("zero_tol must be >= 0")
+    _check_zero_tol(zero_tol)
     arr = theta.matrix
     rows, cols = _upper_pairs(theta.p)
     mask = np.abs(arr[rows, cols]) > zero_tol

@@ -16,20 +16,19 @@ from scipy.linalg import lapack
 
 from .core import (
     PrecisionMatrix,
+    _check_zero_tol,
     _cholesky_lower,
     _upper_pairs,
+    _vertex_pair,
+    _vertex_star,
     factorize,
 )
 from .errors import (
     DimensionMismatch,
-    EmptySet,
-    IndexOutOfRange,
-    IndexOverlap,
     InvalidParameters,
     NoEdges,
     NoMissingEdge,
     NotPositiveDefinite,
-    SameVertex,
 )
 
 __all__ = [
@@ -116,13 +115,7 @@ def conditional_mutual_info(theta: PrecisionMatrix, i: int, j: int) -> float:
     evaluated as -0.5 * log1p(-t_ij^2 / (t_ii t_jj)) so a zero coupling
     gives exactly 0.
     """
-    i, j = int(i), int(j)
-    if i == j:
-        raise SameVertex(f"i == j == {i}")
-    for v in (i, j):
-        if not 0 <= v < theta.p:
-            raise IndexOutOfRange(f"vertex {v} out of range for p={theta.p}")
-    return _pair_information(theta.matrix, i, j)
+    return _pair_information(theta.matrix, *_vertex_pair(theta.p, i, j))
 
 
 def _pair_information(arr: np.ndarray, i: int, j: int) -> float:
@@ -146,15 +139,7 @@ def block_conditional_mutual_info(theta: PrecisionMatrix, i: int, subset: Iterab
     conditional_mutual_info. When A exhausts the vertices this is the plain
     mutual information I(X_i; X_subset).
     """
-    p = theta.p
-    i = int(i)
-    s = sorted({int(v) for v in subset})
-    if not s:
-        raise EmptySet("subset is empty")
-    if not 0 <= i < p or s[0] < 0 or s[-1] >= p:
-        raise IndexOutOfRange(f"vertex indices must lie in [0, {p})")
-    if i in s:
-        raise IndexOverlap(f"vertex {i} appears in the subset")
+    i, s = _vertex_star(theta.p, i, subset)
     arr = theta.matrix
     lower = _cholesky_lower(arr[np.ix_(s, s)])
     whitened, info = lapack.dtrtrs(lower.T, arr[s, i], lower=0, trans=1)
@@ -173,8 +158,7 @@ def c_theta_star(theta: PrecisionMatrix, zero_tol: float = 1e-12) -> float:
     above zero_tol; it is always > 1 for a PD matrix and equals
     exp(2 * min edgewise conditional mutual information).
     """
-    if zero_tol < 0.0:
-        raise InvalidParameters("zero_tol must be >= 0")
+    _check_zero_tol(zero_tol)
     rows, cols = _upper_pairs(theta.p)
     mask = np.abs(theta.matrix[rows, cols]) > zero_tol
     if not np.any(mask):
@@ -225,8 +209,7 @@ def verify_separation(
     """
     if theta_star.p != theta.p:
         raise DimensionMismatch(f"orders differ: {theta_star.p} vs {theta.p}")
-    if zero_tol < 0.0:
-        raise InvalidParameters("zero_tol must be >= 0")
+    _check_zero_tol(zero_tol)
     rows, cols = _upper_pairs(theta.p)
     missing = np.flatnonzero(
         (np.abs(theta_star.matrix[rows, cols]) > zero_tol) & (np.abs(theta.matrix[rows, cols]) <= zero_tol)

@@ -23,22 +23,24 @@ inside a Frobenius ball, the inner optimization behind graph scores. On a
 chordal graph whose unconstrained optimum lies inside the ball it returns
 that optimum in closed form; otherwise it runs damped Newton steps in the
 p + |E| coordinates of the support, each minimizing the quadratic model of
-the objective over the ball. What a fit needs of its graph alone, the
-support basis and, for a chordal graph, the perfect-elimination families
-grouped by parent count, is planned once per tuple of graphs fitted
-together on one sigma_hat (one graph for fit_graph_mle, a whole collection
-for model selection). The plan is kept in a 16-entry cache keyed on the
-tuple, so refitting the same candidates repeats only the arithmetic on the
-data; a tuple holding a graph with more than 128 coordinates p + |E| is
-planned afresh. The closed form is one batched pass per parent count over
-every chordal graph of the tuple: one gather of the conditioning blocks,
-one batched Cholesky check and solve, and one scatter of every family's
-term into a stack, which is then checked as a whole: only potrf, potrs,
-two norms and the result are per graph. Every factorization, solve and
-inverse of a fit calls LAPACK directly through scipy.linalg.lapack,
-without the checking wrappers of scipy.linalg. A fitted precision keeps
-the Cholesky factor that its fit's own check computed, so it is factored
-once.
+the objective over the ball. What a fit needs of its graph alone is
+planned once per tuple of graphs fitted together on one sigma_hat (one
+graph for fit_graph_mle, a whole collection for model selection), in one
+layout with graph g in slot g: every graph's support basis as flat indices
+into a (graphs, p, p) stack, and every chordal graph's perfect-elimination
+families grouped by parent count. The plan is kept in a 16-entry cache
+keyed on the tuple, so refitting the same candidates repeats only the
+arithmetic on the data; a tuple holding a graph with more than 128
+coordinates p + |E| is planned afresh. The closed form is one batched pass
+per parent count over every chordal graph of the tuple: one gather of the
+conditioning blocks, one batched Cholesky check and solve, and one scatter
+of every family's term into the stack, which is then checked as a whole:
+only potrf, potrs, two norms and the result are per graph. A Newton fit
+reads its graph's run of the same support indices. Every factorization,
+solve and inverse of a fit calls LAPACK directly through
+scipy.linalg.lapack, without the checking wrappers of scipy.linalg. A
+fitted precision keeps the Cholesky factor that its fit's own check
+computed, so it is factored once.
 """
 
 from __future__ import annotations
@@ -61,18 +63,16 @@ from .core import (
     _is_int,
     _symmetrize_in_place,
     _upper_pairs,
+    _vertex_pair,
+    _vertex_star,
     factorize,
     invert,
 )
 from .errors import (
     DimensionMismatch,
-    EmptySet,
     GgmError,
-    IndexOutOfRange,
-    IndexOverlap,
     InfeasibleStart,
     InvalidParameters,
-    SameVertex,
 )
 from .serialization import matrix_doc
 
@@ -85,13 +85,6 @@ __all__ = [
     "nll_gradient",
     "fit_graph_mle",
 ]
-
-
-def _validate_vertex(p: int, v: int) -> int:
-    v = int(v)
-    if not 0 <= v < p:
-        raise IndexOutOfRange(f"vertex {v} out of range for p={p}")
-    return v
 
 
 def _sever(arr: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,10 +155,7 @@ def project_remove_edge(theta1: PrecisionMatrix, edge: Iterable[int]) -> Precisi
     One 2x2 Cholesky factor, O(p^2) in all, plus the validation of the
     result, whose p x p Cholesky factor the result keeps for factorize.
     """
-    i, j = (int(v) for v in edge)
-    if i == j:
-        raise SameVertex(f"edge endpoints coincide: ({i}, {j})")
-    i, j = _validate_vertex(theta1.p, i), _validate_vertex(theta1.p, j)
+    i, j = _vertex_pair(theta1.p, *edge)
     return _severed(theta1, i, [j])
 
 
@@ -188,16 +178,7 @@ def project_remove_star(theta1: PrecisionMatrix, vertex: int, neighbors: Iterabl
     |A|, O(|A|^2 p + p^2) in all, plus the validation of the result, whose
     p x p Cholesky factor the result keeps for factorize.
     """
-    p = theta1.p
-    v = _validate_vertex(p, int(vertex))
-    ns = sorted({int(u) for u in neighbors})
-    if not ns:
-        raise EmptySet("neighbors is empty")
-    if ns[0] < 0 or ns[-1] >= p:
-        raise IndexOutOfRange(f"neighbor indices must lie in [0, {p})")
-    if v in ns:
-        raise IndexOverlap(f"vertex {v} appears among its neighbors")
-    return _severed(theta1, v, ns)
+    return _severed(theta1, *_vertex_star(theta1.p, vertex, neighbors))
 
 
 def nll(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> float:
@@ -285,52 +266,26 @@ _SECULAR_STEPS = 50
 _CACHED_PLAN_COORDINATES = 128
 
 
-class _SupportBasis:
-    """Orthonormal basis, in the Frobenius inner product, of the symmetric
-    matrices supported on a graph plus the diagonal: e_i e_i^T for every
-    vertex, then (e_i e_j^T + e_j e_i^T) / sqrt(2) for every edge.
+def _hessian(rows: np.ndarray, cols: np.ndarray, scale: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Hessian of nll in the support coordinates at rows, cols with basis
+    scales scale, given cov = inv(theta).
 
-    In these coordinates the Euclidean norm is the Frobenius norm, so the
-    ball is a Euclidean ball and projecting onto it is a rescale."""
-
-    def __init__(self, graph: EdgeSet) -> None:
-        edges = sorted(graph.edges)
-        self.p = graph.p
-        self.rows = np.array([*range(graph.p), *(i for i, _ in edges)], dtype=np.intp)
-        self.cols = np.array([*range(graph.p), *(j for _, j in edges)], dtype=np.intp)
-        self.scale = np.where(self.rows == self.cols, 1.0, math.sqrt(2.0))
-
-    def coordinates(self, arr: np.ndarray) -> np.ndarray:
-        # coordinates of the projection of a symmetric matrix onto the
-        # support; applied to a gradient matrix, the gradient in coordinates
-        return self.scale * arr[self.rows, self.cols]
-
-    def matrix(self, coords: np.ndarray) -> np.ndarray:
-        arr = np.zeros((self.p, self.p))
-        entries = coords / self.scale
-        arr[self.rows, self.cols] = entries
-        arr[self.cols, self.rows] = entries
-        return arr
-
-    def hessian(self, cov: np.ndarray) -> np.ndarray:
-        """Hessian of nll in coordinates, given cov = inv(theta).
-
-        Entry (a, b) is tr(cov E_a cov E_b) = w_a w_b (cov_ik cov_jl +
-        cov_il cov_jk) for basis elements E_a at (i, j) and E_b at (k, l),
-        with w = 1/sqrt(2) on the diagonal and 1 on edges. It is filled a
-        block of rows at a time, so no temporary is larger than a block.
-        """
-        m = self.rows.size
-        weight = self.scale / math.sqrt(2.0)
-        hess = np.empty((m, m))
-        for start in range(0, m, _HESSIAN_BLOCK):
-            block = slice(start, start + _HESSIAN_BLOCK)
-            at_rows, at_cols = cov[self.rows[block]], cov[self.cols[block]]
-            out = hess[block]
-            np.multiply(at_rows[:, self.rows], at_cols[:, self.cols], out=out)
-            out += at_rows[:, self.cols] * at_cols[:, self.rows]
-            out *= np.outer(weight[block], weight)
-        return hess
+    Entry (a, b) is tr(cov E_a cov E_b) = w_a w_b (cov_ik cov_jl +
+    cov_il cov_jk) for basis elements E_a at (i, j) and E_b at (k, l),
+    with w = 1/sqrt(2) on the diagonal and 1 on edges. It is filled a
+    block of rows at a time, so no temporary is larger than a block.
+    """
+    m = rows.size
+    weight = scale / math.sqrt(2.0)
+    hess = np.empty((m, m))
+    for start in range(0, m, _HESSIAN_BLOCK):
+        block = slice(start, start + _HESSIAN_BLOCK)
+        at_rows, at_cols = cov[rows[block]], cov[cols[block]]
+        out = hess[block]
+        np.multiply(at_rows[:, rows], at_cols[:, cols], out=out)
+        out += at_rows[:, cols] * at_cols[:, rows]
+        out *= np.outer(weight[block], weight)
+    return hess
 
 
 def _barrier_objective(arr: np.ndarray, sig: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
@@ -379,15 +334,17 @@ class _Iterate(NamedTuple):
 
 
 def _iterate_at(
-    basis: _SupportBasis, sig: np.ndarray, gamma: float, coords: np.ndarray
+    rows: np.ndarray, cols: np.ndarray, scale: np.ndarray, sig: np.ndarray, gamma: float, coords: np.ndarray
 ) -> Optional[_Iterate]:
-    # None outside the PD cone
-    theta = basis.matrix(coords)
+    # None outside the PD cone. theta is the matrix with coordinates coords;
+    # grad is the gradient sig - cov projected onto the support, in coordinates.
+    theta = np.zeros(sig.shape)
+    theta[rows, cols] = theta[cols, rows] = coords / scale
     f, lower = _barrier_objective(theta, sig)
     if lower is None:
         return None
     cov = _covariance(lower)
-    grad = basis.coordinates(sig - cov)
+    grad = scale * (sig - cov)[rows, cols]
     return _Iterate(coords, theta, lower, f, cov, grad, _gradient_map_norm(coords, grad, gamma))
 
 
@@ -449,34 +406,33 @@ def _perfect_families(graph: EdgeSet) -> Optional[list[tuple[int, list[int]]]]:
     return families
 
 
-class _Families(NamedTuple):
-    """Perfect-elimination families of the chordal graphs of one fit, each
-    graph in its own slot, grouped by parent count k in increasing order.
+class _BatchPlan(NamedTuple):
+    """What the fits of a tuple of graphs on one sigma_hat need of the
+    graphs alone, graph g in slot g. Every array is read-only, and nothing
+    here grows like p^2 on sparse graphs.
 
-    Group k holds the vertices, shape (n_k,), their earlier-numbered
-    neighbours, shape (n_k, k), and the slot of each family's graph, shape
-    (n_k,). scatter holds, group after group, the flat index slot * p^2 +
-    u * p + w of every entry (u, w) of every family's (k+1) x (k+1) block,
-    family = [vertex, *parents]. support and scale hold slot s's _SupportBasis
-    at offsets[s]:offsets[s + 1], as flat indices slot * p^2 + row * p +
-    col and basis scales. Every array is read-only."""
+    Slot g's support basis is support[offsets[g]:offsets[g + 1]], its
+    coordinates as flat indices g * p^2 + i * p + j: the diagonal (i, i) of
+    every vertex, then every edge (i, j), i < j, in sorted order. scale
+    holds each basis element's scale, 1 on the diagonal and sqrt(2) on an
+    edge: the element is (e_i e_j^T + e_j e_i^T) / scale, so the basis is
+    orthonormal in the Frobenius inner product, the Euclidean norm of
+    coordinates is the Frobenius norm, and the ball is a Euclidean ball.
 
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    scatter: np.ndarray
+    chordal lists the slots of the chordal graphs. Their perfect-elimination
+    families are grouped by parent count k in increasing order: group k
+    holds the vertices, shape (n_k,), their earlier-numbered neighbours,
+    shape (n_k, k), and the slot of each family's graph, shape (n_k,).
+    scatter holds, group after group, the flat index slot * p^2 + u * p + w
+    of every entry (u, w) of every family's (k+1) x (k+1) block, family =
+    [vertex, *parents]."""
+
     support: np.ndarray
     scale: np.ndarray
     offsets: np.ndarray
-
-
-class _BatchPlan(NamedTuple):
-    """What the fits of a tuple of graphs on one sigma_hat need of the
-    graphs alone: each graph's support basis, the indices of the chordal
-    ones, and their families, the m-th chordal graph in slot m (None when
-    no graph is chordal). Nothing here grows like p^2 on sparse graphs."""
-
-    bases: tuple[_SupportBasis, ...]
     chordal: tuple[int, ...]
-    families: Optional[_Families]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    scatter: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -485,39 +441,40 @@ def _batch_plan(graphs: tuple[EdgeSet, ...]) -> _BatchPlan:
     # families keep their search order, so every graph's terms reach
     # bincount in the same order whatever else shares its batch, and its
     # sums come out bit for bit the same.
+    p = graphs[0].p if graphs else 0
+    pairs: list[tuple[int, int]] = []
     chordal: list[int] = []
     by_count: dict[int, list[list[int]]] = {}
-    for index, graph in enumerate(graphs):
+    for slot, graph in enumerate(graphs):
+        pairs += [*((v, v) for v in range(p)), *sorted(graph.edges)]
         families = _perfect_families(graph)
         if families is not None:
             for v, parents in families:
-                by_count.setdefault(len(parents), []).append([len(chordal), v, *parents])
-            chordal.append(index)
-    bases = tuple(_SupportBasis(graph) for graph in graphs)
-    if not chordal:
-        return _BatchPlan(bases, (), None)
-    p = graphs[0].p
-    groups, flat = [], []
-    for _, rows in sorted(by_count.items()):
-        block = np.array(rows, dtype=np.intp)
+                by_count.setdefault(len(parents), []).append([slot, v, *parents])
+            chordal.append(slot)
+    groups, scatter = [], [np.empty(0, dtype=np.intp)]
+    for _, members in sorted(by_count.items()):
+        block = np.array(members, dtype=np.intp)
         slots, family = block[:, 0], block[:, 1:]
         groups.append((family[:, 0], family[:, 1:], slots))
-        flat.append((slots[:, None, None] * (p * p) + family[:, :, None] * p + family[:, None, :]).ravel())
-    slotted = [bases[index] for index in chordal]
-    support = [slot * (p * p) + b.rows * p + b.cols for slot, b in enumerate(slotted)]
-    arrays = (np.concatenate(flat), np.concatenate(support), np.concatenate([b.scale for b in slotted]),
-              np.cumsum([0, *(b.rows.size for b in slotted)]))
-    for array in (*arrays, *(a for group in groups for a in group)):
+        scatter.append((slots[:, None, None] * (p * p) + family[:, :, None] * p + family[:, None, :]).ravel())
+    sizes = [p + len(graph) for graph in graphs]
+    owner = np.repeat(np.arange(len(graphs)), sizes)
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    plan = _BatchPlan(owner * (p * p) + rows * p + cols, np.where(rows == cols, 1.0, math.sqrt(2.0)),
+                      np.cumsum([0, *sizes]), tuple(chordal), tuple(groups), np.concatenate(scatter))
+    for array in (plan.support, plan.scale, plan.offsets, plan.scatter, *(a for group in groups for a in group)):
         array.flags.writeable = False
-    return _BatchPlan(bases, tuple(chordal), _Families(tuple(groups), *arrays))
+    return plan
 
 
-def _chordal_mles(sig: np.ndarray, families: _Families, slots: int) -> tuple[np.ndarray, np.ndarray]:
+def _chordal_mles(sig: np.ndarray, plan: _BatchPlan) -> tuple[np.ndarray, np.ndarray]:
     """The closed form of every slot's graph, stacked (slots, p, p), and
-    which slots have one: False where a conditioning block has no Cholesky
-    factor with finite pivots (core._factorizable, stricter than positive
-    definiteness alone) or a residual variance is not positive, and the
-    slot's entries are meaningless.
+    which slots have one: False, with the slot's entries all zero, where
+    the graph is not chordal; False, with meaningless entries, where a
+    conditioning block has no Cholesky factor with finite pivots
+    (core._factorizable, stricter than positive definiteness alone) or a
+    residual variance is not positive.
 
     The chordal MLE factors along the perfect ordering as (I-B)^T D^-1
     (I-B): each vertex's regression on its earlier neighbours contributes
@@ -525,9 +482,11 @@ def _chordal_mles(sig: np.ndarray, families: _Families, slots: int) -> tuple[np.
     k parents, of every slot, are solved together, and one bincount adds
     every term into place. Every term lives on a clique, so off-support
     entries stay exactly zero."""
-    valid = np.ones(slots, dtype=bool)
+    slots = plan.offsets.size - 1
+    valid = np.zeros(slots, dtype=bool)
+    valid[list(plan.chordal)] = True
     terms = []
-    for vertices, parents, owner in families.groups:
+    for vertices, parents, owner in plan.groups:
         count, k = parents.shape
         resid = sig[vertices, vertices]
         w = np.ones((count, k + 1))
@@ -548,12 +507,12 @@ def _chordal_mles(sig: np.ndarray, families: _Families, slots: int) -> tuple[np.
             resid[failed] = 1.0
         terms.append((w[:, :, None] * w[:, None, :] / resid[:, None, None]).ravel())
     p = sig.shape[0]
-    stack = np.bincount(families.scatter, np.concatenate(terms), minlength=slots * p * p)
+    stack = np.bincount(plan.scatter, np.concatenate(terms), minlength=slots * p * p)
     return stack.reshape(slots, p, p), valid
 
 
 def _closed_form_fits(
-    sig: np.ndarray, families: _Families, stack: np.ndarray, valid: np.ndarray, gamma: float, opts: FitOptions
+    sig: np.ndarray, plan: _BatchPlan, stack: np.ndarray, valid: np.ndarray, gamma: float, opts: FitOptions
 ) -> list[Optional[FitResult]]:
     """Each slot's closed form as its fit, or None unless it is valid, lies
     in the ball, is positive definite and passes the gradient check (the
@@ -573,9 +532,9 @@ def _closed_form_fits(
         candidate[slot] = not info
         if not info and lapack.dpotrs(factor, cov[slot].T, lower=1, overwrite_b=1)[1]:
             raise np.linalg.LinAlgError("dpotrs failed")
-    coords = families.scale * stack.reshape(-1)[families.support]
-    moved = coords - families.scale * (sig - cov).reshape(-1)[families.support]
-    offsets = families.offsets.tolist()
+    coords = plan.scale * stack.reshape(-1)[plan.support]
+    moved = coords - plan.scale * (sig - cov).reshape(-1)[plan.support]
+    offsets = plan.offsets.tolist()
     gnorm = np.full(slots, math.inf)
     for slot in np.flatnonzero(candidate).tolist():
         run = slice(offsets[slot], offsets[slot + 1])
@@ -598,9 +557,13 @@ def _closed_form_fits(
     return fits
 
 
-def _newton_fit(sig: np.ndarray, basis: _SupportBasis, gamma: float, opts: FitOptions) -> FitResult:
-    start = np.diag(1.0 / np.diag(sig))
-    point = _iterate_at(basis, sig, gamma, _into_ball(basis.coordinates(start), gamma))
+def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: float, opts: FitOptions) -> FitResult:
+    # support and scale are one slot's run of a _BatchPlan
+    p = sig.shape[0]
+    rows, cols = np.divmod(support % (p * p), p)
+    at = functools.partial(_iterate_at, rows, cols, scale, sig, gamma)
+    hessian = functools.partial(_hessian, rows, cols, scale)
+    point = at(_into_ball(scale * np.diag(1.0 / np.diag(sig))[rows, cols], gamma))
     if point is None:
         raise InvalidParameters("initial point is not positive definite after projection")
 
@@ -609,10 +572,10 @@ def _newton_fit(sig: np.ndarray, basis: _SupportBasis, gamma: float, opts: FitOp
     nu = 0.0
     while point.gnorm > opts.gradient_tolerance and iterations < opts.max_iterations:
         try:
-            step, decrement, nu = _newton_step(basis.hessian(point.cov), point.grad, point.coords, gamma, nu)
+            step, decrement, nu = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)
         except np.linalg.LinAlgError:
             break
-        cand = _iterate_at(basis, sig, gamma, point.coords + step / (1.0 + decrement))
+        cand = at(point.coords + step / (1.0 + decrement))
         if cand is None:
             break
         previous, point = point, cand
@@ -624,10 +587,10 @@ def _newton_fit(sig: np.ndarray, basis: _SupportBasis, gamma: float, opts: FitOp
     converged = point.gnorm <= opts.gradient_tolerance
     if converged and nu > 0.0 and iterations < opts.max_iterations:
         try:
-            step = _newton_step(basis.hessian(point.cov), point.grad, point.coords, gamma, nu)[0]
+            step = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)[0]
         except np.linalg.LinAlgError:
             step = None
-        cand = None if step is None else _iterate_at(basis, sig, gamma, point.coords + step)
+        cand = None if step is None else at(point.coords + step)
         if cand is not None and cand.objective < point.objective and cand.gnorm <= opts.gradient_tolerance:
             point = cand
             trace.append(point.objective)
@@ -638,8 +601,9 @@ def _newton_fit(sig: np.ndarray, basis: _SupportBasis, gamma: float, opts: FitOp
         termination = "max_iterations"
     else:
         termination = "stalled"
+    _check_adoptable(point.theta)
     return FitResult(
-        theta_hat=PrecisionMatrix._adopt(point.theta, point.lower),
+        theta_hat=PrecisionMatrix._validated(point.theta, point.lower),
         objective=point.objective,
         iterations=iterations,
         converged=converged,
@@ -655,15 +619,17 @@ def _fit_graphs(
     gamma: float,
     opts: FitOptions = FitOptions(),
 ) -> list[Union[FitResult, GgmError]]:
-    """fit_graph_mle of every graph on one sigma_hat, with one batched
-    closed form for all the chordal graphs.
+    """fit_graph_mle of every graph on one sigma_hat: one batched closed
+    form and one stacked check for all the chordal graphs, then a Newton
+    run for each graph that the closed form did not settle.
 
     Raises what no graph's fit could escape: an order that differs from
     sigma_hat's, a gamma that is not positive, or a nonpositive diagonal
     entry of sigma_hat. Otherwise returns, in order, each graph's FitResult
     or the GgmError its own fit raised. The tuple of graphs is planned
-    once (_batch_plan) and the plan is cached when every graph has at most
-    _CACHED_PLAN_COORDINATES coordinates.
+    once (_batch_plan, graph g in slot g of every plan array) and the plan
+    is cached when every graph has at most _CACHED_PLAN_COORDINATES
+    coordinates.
     """
     for graph in graphs:
         if graph.p != sigma_hat.p:
@@ -679,20 +645,20 @@ def _fit_graphs(
     # cached plan, and the graphs keying it, would hold memory for the life
     # of the process.
     if all(graph.p + len(graph) <= _CACHED_PLAN_COORDINATES for graph in graphs):
-        batch = _batch_plan(graphs)
+        plan = _batch_plan(graphs)
     else:
-        batch = _batch_plan.__wrapped__(graphs)
+        plan = _batch_plan.__wrapped__(graphs)
     outcomes: list[Union[None, FitResult, GgmError]] = [None] * len(graphs)
-    if batch.families is not None:
-        stack, valid = _chordal_mles(sig, batch.families, len(batch.chordal))
-        for index, fit in zip(batch.chordal, _closed_form_fits(sig, batch.families, stack, valid, gamma, opts)):
-            outcomes[index] = fit
-    for index, basis in enumerate(batch.bases):
-        if outcomes[index] is None:
+    if plan.chordal:
+        outcomes[:] = _closed_form_fits(sig, plan, *_chordal_mles(sig, plan), gamma, opts)
+    offsets = plan.offsets.tolist()
+    for slot, outcome in enumerate(outcomes):
+        if outcome is None:
+            run = slice(offsets[slot], offsets[slot + 1])
             try:
-                outcomes[index] = _newton_fit(sig, basis, gamma, opts)
+                outcomes[slot] = _newton_fit(sig, plan.support[run], plan.scale[run], gamma, opts)
             except GgmError as exc:
-                outcomes[index] = exc
+                outcomes[slot] = exc
     return outcomes
 
 
@@ -707,14 +673,15 @@ def fit_graph_mle(
 
     What depends on the graph alone (the support basis and, for a chordal
     graph, the perfect-elimination families grouped by parent count) is
-    planned once per tuple of graphs and kept in a 16-entry cache, so
-    refitting a graph repeats only the arithmetic on sigma_hat; a graph
-    with more than 128 coordinates p + |E| is planned afresh on every fit.
-    This function fits the 1-tuple (graph,). select_graph fits a whole
-    collection through the same code, with the closed forms of all its
-    chordal candidates computed in one batch; each candidate's result is
-    bit for bit what this function returns for it. Two paths, chosen from
-    the graph itself:
+    planned once per tuple of graphs, each graph in its own slot of one
+    layout, and kept in a 16-entry cache, so refitting a graph repeats only
+    the arithmetic on sigma_hat; a graph with more than 128 coordinates
+    p + |E| is planned afresh on every fit. This function fits the 1-tuple
+    (graph,). select_graph fits a whole collection through the same code,
+    with the closed forms of all its chordal candidates computed and
+    checked in one batch, and its other candidates fitted by Newton one at
+    a time; each candidate's result is bit for bit what this function
+    returns for it. Two paths, chosen from the graph itself:
 
     - Closed form. When `graph` is chordal (maximum-cardinality search
       finds a perfect ordering), the unconstrained MLE is built directly

@@ -153,21 +153,14 @@ def edge_set_from_doc(doc: object) -> EdgeSet:
     extra = set(doc) - {"p", "edges"}
     if extra:
         raise ValueError(f"unexpected edge-set document keys: {sorted(extra)}")
-    p = doc.get("p")
     edges = doc.get("edges")
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise ValueError(f"p must be an integer, got {p!r}")
     if not isinstance(edges, list):
         raise ValueError("edges must be a list of [i, j] pairs")
-    pairs = []
     for item in edges:
         if not isinstance(item, list) or len(item) != 2:
             raise ValueError(f"each edge must be an [i, j] pair, got {item!r}")
-        i, j = item
-        if isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int):
-            raise ValueError(f"edge endpoints must be integers, got {item!r}")
-        pairs.append((i, j))
-    return EdgeSet(p, pairs)
+    # EdgeSet rejects a p or an endpoint that is not an integer
+    return EdgeSet(doc.get("p"), edges)
 
 
 def load_edge_set(path: Union[str, Path]) -> EdgeSet:

@@ -22,6 +22,7 @@ from ggmsep import (
     verify_separation,
 )
 from ggmsep import simulation
+from ggmsep.core import _check_adoptable
 from ggmsep.projection import FitResult
 
 
@@ -167,11 +168,12 @@ def lower_bound_trial_by_trial(cfg):
     return report, halvings
 
 
-def closed_form_fit(sig, basis, theta, gamma, opts):
-    """The chordal closed form theta checked as a fit of the graph of
-    `basis`, one graph at a time, as fit_graph_mle checked it before the
-    checks of a collection were stacked: None unless theta lies in the
-    ball, is positive definite and its gradient mapping is at most
+def closed_form_fit(sig, rows, cols, scale, theta, gamma, opts):
+    """The chordal closed form theta checked as a fit of the graph whose
+    support basis has coordinates at rows, cols with scales scale, one
+    graph at a time, as fit_graph_mle checked it before the checks of a
+    collection were stacked: None unless theta lies in the ball, is
+    positive definite and its gradient mapping is at most
     opts.gradient_tolerance."""
     if float(np.linalg.norm(theta)) > gamma:
         return None
@@ -182,10 +184,10 @@ def closed_form_fit(sig, basis, theta, gamma, opts):
     f = -log_det + float(np.sum(sig * theta))
     cov, info = lapack.dpotrs(lower, np.eye(theta.shape[0]), lower=1)
     assert info == 0
-    rows, cols = np.triu_indices(theta.shape[0], k=1)
-    cov[rows, cols] = cov[cols, rows]
-    grad = basis.coordinates(sig - cov)
-    coords = basis.coordinates(theta)
+    upper, lower_of_upper = np.triu_indices(theta.shape[0], k=1)
+    cov[upper, lower_of_upper] = cov[lower_of_upper, upper]
+    grad = scale * (sig - cov)[rows, cols]
+    coords = scale * theta[rows, cols]
     moved = coords - grad
     norm = float(np.linalg.norm(moved))
     if norm > gamma:
@@ -193,8 +195,9 @@ def closed_form_fit(sig, basis, theta, gamma, opts):
     gnorm = float(np.linalg.norm(coords - moved))
     if not gnorm <= opts.gradient_tolerance:
         return None
+    _check_adoptable(theta)
     return FitResult(
-        theta_hat=PrecisionMatrix._adopt(theta, lower),
+        theta_hat=PrecisionMatrix._validated(theta, lower),
         objective=f,
         iterations=0,
         converged=True,

@@ -89,6 +89,19 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", theta_d2_path, "--alpha", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--zero-tol", "nan"], "--zero-tol"),
+        (["--zero-tol", "inf"], "--zero-tol"),
+        (["--zero-tol", "-1"], "--zero-tol"),
+        (["--alpha", "5", "--h", "1"], "--alpha/--h"),
+        (["--alpha", "nan", "--h", "1"], "--alpha/--h"),
+    ])
+    def test_flag_out_of_range_exits_2_naming_it(self, capsys, theta_d2_path, flags, named):
+        code, out, err = run(capsys, "bounds", theta_d2_path, *flags)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
     def test_diagonal_matrix_exits_3(self, tmp_path, capsys):
         path = write_json(tmp_path / "diag.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 2.0]})
         code, _, err = run(capsys, "bounds", path)

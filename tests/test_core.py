@@ -30,7 +30,7 @@ from ggmsep import (
     random_sparse_precision,
     sample,
 )
-from ggmsep.core import _symmetrize_in_place
+from ggmsep.core import _check_adoptable, _symmetrize_in_place
 from reference import in_omega_inf, schur_complement
 
 COUNTEREXAMPLE_D2 = [[2.0, 1.0, -1.0], [1.0, 2.0, -1.0], [-1.0, -1.0, 1.0]]
@@ -216,9 +216,8 @@ class TestKeptFactor:
         [([[2.0, math.inf], [math.inf, 2.0]], "finite"), ([[2.0, 0.5], [0.5 + 1e-15, 2.0]], "symmetric")],
     )
     def test_adopting_a_factor_still_checks_the_entries(self, entries, match):
-        arr = np.array(entries)
         with pytest.raises(ValueError, match=match):
-            PrecisionMatrix._adopt(arr, np.linalg.cholesky(np.eye(2) * 2.0))
+            _check_adoptable(np.array(entries))
 
 
 class TestInvert:
@@ -337,6 +336,22 @@ class TestEdgeSet:
         assert b.is_subset_of(a)
         with pytest.raises(DimensionMismatch):
             a.difference(EdgeSet(4, [(0, 1)]))
+
+    @pytest.mark.parametrize("p", [4.7, 4.0, True, "4", None])
+    def test_rejects_an_order_that_is_not_an_integer(self, p):
+        with pytest.raises(ValueError, match="integer"):
+            EdgeSet(p, [(0, 1)])
+
+    @pytest.mark.parametrize("edge", [(0.5, 1.2), (0, 1.0), (np.float64(0.0), 1), (True, 2)])
+    def test_rejects_an_endpoint_that_is_not_an_integer(self, edge):
+        with pytest.raises(ValueError, match="integers"):
+            EdgeSet(4, [edge])
+        assert edge not in EdgeSet(4, [(0, 1), (1, 2)])
+
+    def test_accepts_numpy_integers(self):
+        e = EdgeSet(np.int64(4), [(np.int32(2), np.int64(0))])
+        assert e == EdgeSet(4, [(0, 2)]) and type(e.p) is int
+        assert (np.int64(0), np.int8(2)) in e
 
     def test_equality_and_hash(self):
         assert EdgeSet(3, [(0, 1)]) == EdgeSet(3, [(1, 0)])

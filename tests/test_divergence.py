@@ -154,6 +154,13 @@ class TestConditionalMutualInfo:
         with pytest.raises(IndexOutOfRange):
             conditional_mutual_info(theta, 0, 3)
 
+    @pytest.mark.parametrize("i, j", [(0.9, 2.7), (0, 2.0), (np.float64(0.0), 2), (True, 2)])
+    def test_rejects_vertices_that_are_not_integers(self, i, j):
+        theta = counterexample_precision(2)
+        with pytest.raises(IndexOutOfRange):
+            conditional_mutual_info(theta, i, j)
+        assert conditional_mutual_info(theta, np.int64(0), np.int32(2)) == conditional_mutual_info(theta, 0, 2)
+
     def test_matches_entropy_path_for_pairs(self):
         # the closed form and the conditional-covariance path are
         # independent computations of the same quantity
@@ -188,6 +195,14 @@ class TestBlockConditionalMutualInfo:
             block_conditional_mutual_info(theta, 1, [1, 2])
         with pytest.raises(IndexOutOfRange):
             block_conditional_mutual_info(theta, 0, [5])
+
+    @pytest.mark.parametrize("i, subset", [(0.9, [1, 2]), (0, [1, 2.7]), (np.float64(0.0), [1]), (0, [True])])
+    def test_rejects_vertices_that_are_not_integers(self, i, subset):
+        theta = counterexample_precision(3)
+        with pytest.raises(IndexOutOfRange):
+            block_conditional_mutual_info(theta, i, subset)
+        expected = block_conditional_mutual_info(theta, 0, [1, 2])
+        assert block_conditional_mutual_info(theta, np.int64(0), np.array([1, 2])) == expected
 
     def test_nonnegative_on_random_instances(self):
         rng = np.random.default_rng(23)
@@ -387,6 +402,18 @@ def tolerance_and_two_precisions(draw):
         return PrecisionMatrix(arr)
 
     return zero_tol, precision(), precision()
+
+
+@pytest.mark.parametrize("zero_tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("check", [
+    lambda theta, tol: edge_set_of(theta, tol),
+    lambda theta, tol: c_theta_star(theta, tol),
+    lambda theta, tol: one_edge_lower_bound(theta, tol),
+    lambda theta, tol: verify_separation(theta, project_remove_edge(theta, (0, 1)), tol),
+], ids=["edge_set_of", "c_theta_star", "one_edge_lower_bound", "verify_separation"])
+def test_zero_tol_must_be_finite_and_nonnegative(check, zero_tol):
+    with pytest.raises(InvalidParameters, match="zero_tol must be finite and >= 0"):
+        check(counterexample_precision(2), zero_tol)
 
 
 class TestMissingEdgeScan:

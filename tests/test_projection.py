@@ -103,6 +103,14 @@ class TestProjectRemoveEdge:
         with pytest.raises(IndexOutOfRange):
             project_remove_edge(theta, (0, 3))
 
+    @pytest.mark.parametrize("edge", [(0.9, 2.7), (0, 2.0), (np.float64(0.0), 2), (True, 2)])
+    def test_rejects_vertices_that_are_not_integers(self, edge):
+        theta = random_sparse_precision(4, np.random.default_rng(3))
+        with pytest.raises(IndexOutOfRange):
+            project_remove_edge(theta, edge)
+        expected = project_remove_edge(theta, (0, 2)).matrix
+        assert np.array_equal(project_remove_edge(theta, np.array([0, 2])).matrix, expected)
+
 
 class TestProjectRemoveStar:
     def test_single_neighbor_matches_edge_removal(self):
@@ -151,6 +159,14 @@ class TestProjectRemoveStar:
             project_remove_star(theta, 1, [1, 2])
         with pytest.raises(IndexOutOfRange):
             project_remove_star(theta, 0, [4])
+
+    @pytest.mark.parametrize("vertex, neighbors", [(0.9, [1, 2]), (0, [1, 2.7]), (np.float64(0.0), [1]), (0, [True])])
+    def test_rejects_vertices_that_are_not_integers(self, vertex, neighbors):
+        theta = random_sparse_precision(4, np.random.default_rng(3))
+        with pytest.raises(IndexOutOfRange):
+            project_remove_star(theta, vertex, neighbors)
+        expected = project_remove_star(theta, 0, [1, 2]).matrix
+        assert np.array_equal(project_remove_star(theta, np.int64(0), np.array([2, 1])).matrix, expected)
 
 
 def reference_remove_edge(theta1, edge):
@@ -585,6 +601,15 @@ def _support(graph):
     return mask
 
 
+def _support_basis(graph):
+    """rows, cols and scales of the graph's support coordinates: the
+    diagonal, then the sorted edges, with scale sqrt(2) on an edge."""
+    edges = sorted(graph.edges)
+    rows = np.array([*range(graph.p), *(i for i, _ in edges)], dtype=np.intp)
+    cols = np.array([*range(graph.p), *(j for _, j in edges)], dtype=np.intp)
+    return rows, cols, np.where(rows == cols, 1.0, math.sqrt(2.0))
+
+
 def _non_increasing(trace):
     return all(later <= earlier + 1e-12 for earlier, later in zip(trace, trace[1:]))
 
@@ -656,22 +681,25 @@ class TestChordalClosedForm:
     @settings(max_examples=150, deadline=None)
     @given(graph=chordal_supports(max_p=12), seed=st.integers(0, 2**32 - 1))
     def test_batched_closed_form_matches_per_vertex_reference(self, graph, seed):
-        # three slots of one plan: the graph, the empty graph, the graph again;
-        # from p = 4 a 4-cycle, which has no slot, comes first
+        # three chordal slots of one plan: the graph, the empty graph, the
+        # graph again; from p = 4 a 4-cycle, whose slot stays zero and
+        # invalid, comes first
         p = graph.p
         sig = _sample_covariance(p, seed).matrix
         members = (graph, EdgeSet(p), graph)
         graphs = (EdgeSet(p, [(0, 1), (1, 2), (2, 3), (0, 3)]), *members) if p >= 4 else members
+        first = len(graphs) - len(members)
         batch = projection._batch_plan(graphs)
-        stack, valid = projection._chordal_mles(sig, batch.families, len(batch.chordal))
-        assert batch.chordal == ((1, 2, 3) if p >= 4 else (0, 1, 2)) and valid.all()
-        assert len(batch.bases) == len(graphs)
-        for batched, member in zip(stack, members):
+        stack, valid = projection._chordal_mles(sig, batch)
+        assert batch.chordal == tuple(range(first, len(graphs)))
+        assert valid.tolist() == [False] * first + [True] * len(members)
+        assert stack.shape == (len(graphs), p, p) and not stack[:first].any()
+        for batched, member in zip(stack[first:], members):
             expected = reference_chordal_mle(sig, projection._perfect_families(member))
             assert expected is not None
             assert np.all(batched[~_support(member)] == 0.0)
             assert np.max(np.abs(batched - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert np.array_equal(stack[0], stack[2])
+        assert np.array_equal(stack[first], stack[first + 2])
 
     def test_chain_fit_factors_at_most_three_times(self, monkeypatch):
         # counts instead of timing: the parent-count batches of a p=8 chain
@@ -730,27 +758,33 @@ class TestChordalClosedForm:
                 assert select_graph(collection, sigma, 10.0).scores == first.scores
             info = projection._batch_plan.cache_info()
             assert (info.misses, info.hits) == (1, 3)
-            families = projection._batch_plan(collection.graphs).families
-            assert not any(a.flags.writeable for a in (families.support, families.scale, families.offsets))
+            plan = projection._batch_plan(collection.graphs)
+            assert not any(a.flags.writeable for a in (plan.support, plan.scale, plan.offsets, plan.scatter))
         finally:
             projection._batch_plan.cache_clear()
         assert Counter(built) == Counter(collection.graphs)
 
     def test_plan_lays_out_every_slots_support_read_only(self):
+        # graph g in slot g, the 4-cycle included
         p = 6
         truth = edge_set_of(chain_precision(p))
         graphs = (truth, EdgeSet(p, [(0, 1), (1, 2), (2, 3), (0, 3)]), EdgeSet(p), truth.without((2, 3)))
-        batch = projection._batch_plan.__wrapped__(graphs)
-        families = batch.families
-        assert batch.chordal == (0, 2, 3)
+        plan = projection._batch_plan.__wrapped__(graphs)
+        assert plan.chordal == (0, 2, 3)
         # each slot's run holds its p + |E| coordinates
-        assert families.offsets.tolist() == [0, 11, 17, 27]
-        for slot, index in enumerate(batch.chordal):
-            basis = batch.bases[index]
-            run = slice(families.offsets[slot], families.offsets[slot + 1])
-            assert families.support[run].tolist() == (slot * p * p + basis.rows * p + basis.cols).tolist()
-            assert families.scale[run].tolist() == basis.scale.tolist()
-        for array in (families.support, families.scale, families.offsets):
+        assert plan.offsets.tolist() == [0, 11, 21, 27, 37]
+        for slot, graph in enumerate(graphs):
+            rows, cols, scale = _support_basis(graph)
+            run = slice(plan.offsets[slot], plan.offsets[slot + 1])
+            assert plan.support[run].tolist() == (slot * p * p + rows * p + cols).tolist()
+            assert plan.scale[run].tolist() == scale.tolist()
+        # the families are slotted by graph index too
+        assert sorted(set((plan.scatter // (p * p)).tolist())) == [0, 2, 3]
+        assert sorted({slot for group in plan.groups for slot in group[2].tolist()}) == [0, 2, 3]
+        stack, valid = projection._chordal_mles(_sample_covariance(p, 5).matrix, plan)
+        assert valid.tolist() == [True, False, True, True]
+        assert stack.shape == (4, p, p) and not stack[1].any()
+        for array in (plan.support, plan.scale, plan.offsets, plan.scatter, *(a for g in plan.groups for a in g)):
             assert not array.flags.writeable
 
     @settings(max_examples=100, deadline=None)
@@ -758,20 +792,23 @@ class TestChordalClosedForm:
     def test_stacked_check_matches_the_per_graph_reference(self, data, seed, few_samples):
         # One collection whose slots pass, fail the ball, fail the gradient
         # check, or have no closed form (n = p - 1 samples, with K_p among
-        # the graphs). gamma and the tolerance are drawn from the slots' own
-        # norms and gradient mappings, at and just below each, so slots
-        # fall on both sides of both checks.
+        # the graphs; from p = 4 a 4-cycle, which is not chordal, too).
+        # gamma and the tolerance are drawn from the slots' own norms and
+        # gradient mappings, at and just below each, so slots fall on both
+        # sides of both checks.
         p = data.draw(st.integers(3, 8))
         graphs = (*data.draw(st.lists(chordal_supports(max_p=p, min_p=p), min_size=1, max_size=5)), EdgeSet.complete(p))
+        if p >= 4:
+            graphs = (*graphs, EdgeSet(p, [(0, 1), (1, 2), (2, 3), (0, 3)]))
         truth = random_sparse_precision(p, np.random.default_rng(seed))
         sig = empirical_covariance(sample(truth, p - 1 if few_samples else 2 * p + 5, seed)).matrix
         batch = projection._batch_plan.__wrapped__(graphs)
-        stack, valid = projection._chordal_mles(sig, batch.families, len(batch.chordal))
+        stack, valid = projection._chordal_mles(sig, batch)
 
         def reference_fits(gamma, opts):
             return [
-                closed_form_fit(sig, batch.bases[index], stack[slot].copy(), gamma, opts) if valid[slot] else None
-                for slot, index in enumerate(batch.chordal)
+                closed_form_fit(sig, *_support_basis(graph), stack[slot].copy(), gamma, opts) if valid[slot] else None
+                for slot, graph in enumerate(graphs)
             ]
 
         loose = [fit for fit in reference_fits(math.inf, FitOptions(gradient_tolerance=1e300)) if fit]
@@ -781,7 +818,7 @@ class TestChordalClosedForm:
         gamma = data.draw(st.sampled_from([math.inf, *at_and_below(norms)]))
         opts = FitOptions(gradient_tolerance=data.draw(st.sampled_from([1e-8, *at_and_below(gnorms)])))
         expected = reference_fits(gamma, opts)
-        fits = projection._closed_form_fits(sig, batch.families, stack.copy(), valid, gamma, opts)
+        fits = projection._closed_form_fits(sig, batch, stack.copy(), valid, gamma, opts)
         assert [fit is None for fit in fits] == [fit is None for fit in expected]
         for fit, ref in zip(fits, expected):
             if ref is not None:
@@ -828,16 +865,16 @@ class TestChordalClosedForm:
         p = 5
         triangle = EdgeSet(p, [(0, 1), (1, 2), (0, 2)])
         other = EdgeSet(p, [(3, 4)])
-        (group,) = [g for g in projection._batch_plan.__wrapped__((triangle,)).families.groups if g[1].shape[1] == 2]
+        (group,) = [g for g in projection._batch_plan.__wrapped__((triangle,)).groups if g[1].shape[1] == 2]
         a, b = group[1][0]
         sig = _sample_covariance(p, 11).matrix.copy()
         sig[a, b] = sig[b, a] = 2.0 * math.sqrt(sig[a, a] * sig[b, b])
         assert not projection._factorizable(sig[np.ix_([a, b], [a, b])][None]).any()
         batch = projection._batch_plan.__wrapped__((triangle, other))
-        stack, valid = projection._chordal_mles(sig, batch.families, len(batch.chordal))
+        stack, valid = projection._chordal_mles(sig, batch)
         assert valid.tolist() == [False, True]
         alone = projection._batch_plan.__wrapped__((other,))
-        solo, solo_valid = projection._chordal_mles(sig, alone.families, 1)
+        solo, solo_valid = projection._chordal_mles(sig, alone)
         assert solo_valid.tolist() == [True]
         assert np.array_equal(stack[1], solo[0])
         assert np.all(stack[1][~_support(other)] == 0.0)
