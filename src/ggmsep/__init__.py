@@ -34,7 +34,6 @@ from .errors import (
     IndexOutOfRange,
     IndexOverlap,
     InfeasibleStart,
-    InvalidCandidates,
     InvalidDiagonal,
     InvalidParameters,
     NoEdges,
@@ -93,7 +92,6 @@ __all__ = [
     "IndexOutOfRange",
     "IndexOverlap",
     "InfeasibleStart",
-    "InvalidCandidates",
     "InvalidDiagonal",
     "InvalidParameters",
     "NoEdges",

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
+from .core import _ZERO_TOL
 from .divergence import (
     c_theta_star,
     kl_gaussian,
@@ -151,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="separation constant and one-edge lower bound")
     p_bounds.add_argument("theta", help="precision matrix JSON")
-    p_bounds.add_argument("--zero-tol", type=float, default=1e-12)
+    p_bounds.add_argument("--zero-tol", type=float, default=_ZERO_TOL)
     p_bounds.add_argument("--alpha", type=float, help="entrywise-class minimum coupling")
     p_bounds.add_argument("--h", type=float, help="entrywise-class diagonal bound")
     p_bounds.add_argument("--out")

@@ -6,6 +6,10 @@ here is a pure function of its arguments. A PrecisionMatrix also keeps the
 read-only lower Cholesky factor that validated it, so factorize, and the
 log-determinants, solves, inverses and samples built on it, never factor a
 precision again.
+
+It is also the library's one LAPACK boundary: only _potrf, _potrs and
+_trtrs call scipy.linalg.lapack or read an info code, and only _log_det
+reduces a Cholesky factor's log-diagonal.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 from scipy.linalg import lapack
@@ -43,6 +47,8 @@ __all__ = [
 _ASYMMETRY_RTOL = 1e-8
 # Largest magnitude whose doubling cannot overflow.
 _HALF_MAX = 0.5 * float(np.finfo(float).max)
+# Default zero_tol of every support test: magnitudes up to it are no edge.
+_ZERO_TOL = 1e-12
 
 
 def _is_int(value: object) -> bool:
@@ -81,6 +87,35 @@ def _vertex_star(p: int, v: object, others: Iterable[object]) -> tuple[int, list
 def _check_zero_tol(zero_tol: float) -> None:
     if not 0.0 <= zero_tol < math.inf:
         raise InvalidParameters(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
+
+
+def _potrf(a: np.ndarray, overwrite_a: bool = False) -> Optional[np.ndarray]:
+    """dpotrf's lower Cholesky factor of a, upper triangle zero, or None if a
+    is not positive definite; overwrite_a factors a Fortran-ordered a in place."""
+    lower, info = lapack.dpotrf(a, lower=1, overwrite_a=overwrite_a)
+    return None if info else lower
+
+
+def _potrs(lower: np.ndarray, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+    """x with A x = b, by dpotrs from A's lower Cholesky factor."""
+    x, info = lapack.dpotrs(lower, b, lower=1, overwrite_b=overwrite_b)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
+    return x
+
+
+def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool, trans: bool = False) -> np.ndarray:
+    """x with a x = b (a^T x = b with trans), by dtrtrs on a's lower or upper triangle."""
+    x, info = lapack.dtrtrs(a, b, lower=lower, trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
+    return x
+
+
+def _log_det(lower: np.ndarray) -> Union[np.floating, np.ndarray]:
+    """log det(L L^T) = 2 sum(log diag(L)) of a Cholesky factor L, or of
+    each factor of a stack; every member has the bits of its factor alone."""
+    return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
 
 
 def _cholesky_lower(arr: np.ndarray) -> np.ndarray:
@@ -180,10 +215,10 @@ class PrecisionMatrix:
     factorize.
 
     A fitted precision (fit_graph_mle, select_graph) instead keeps the
-    factor its fit computed to check that exact array, with scipy's LAPACK
-    (dpotrf). numpy and scipy link separate LAPACK builds, so that factor
-    can differ in the last bit from np.linalg.cholesky of the same matrix
-    (28 of 120 sampled factors did).
+    factor its fit computed to check that exact array, with this module's
+    _potrf (scipy's dpotrf). numpy and scipy link separate LAPACK builds,
+    so that factor can differ in the last bit from np.linalg.cholesky of
+    the same matrix (28 of 120 sampled factors did).
     """
 
     __slots__ = ("matrix", "_factor")
@@ -254,19 +289,17 @@ def factorize(m: MatrixLike) -> SpdFactorization:
     is factored here, raising NotPositiveDefinite if it is not PD.
     """
     lower = m._factor if isinstance(m, PrecisionMatrix) else _cholesky_lower(m.matrix)
-    return SpdFactorization(factor=lower, log_determinant=2.0 * float(np.sum(np.log(np.diag(lower)))))
+    return SpdFactorization(factor=lower, log_determinant=float(_log_det(lower)))
 
 
 def invert(m: MatrixLike) -> MatrixLike:
     """Invert a PD matrix; precision and covariance swap roles.
 
-    Solves against the identity through the Cholesky factor (one LAPACK
-    dpotrs call), so M @ invert(M) == I to ~1e-10 relative error for well
+    Solves against the identity through the Cholesky factor (one _potrs
+    call), so M @ invert(M) == I to ~1e-10 relative error for well
     conditioned input.
     """
-    inverse, info = lapack.dpotrs(factorize(m).factor, np.eye(m.p), lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
+    inverse = _potrs(factorize(m).factor, np.eye(m.p))
     if isinstance(m, PrecisionMatrix):
         return CovarianceMatrix(inverse)
     return PrecisionMatrix(inverse)
@@ -356,7 +389,7 @@ def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def edge_set_of(theta: MatrixLike, zero_tol: float = 1e-12) -> EdgeSet:
+def edge_set_of(theta: MatrixLike, zero_tol: float = _ZERO_TOL) -> EdgeSet:
     """Off-diagonal support: edge (i, j), i < j, iff |theta[i, j]| > zero_tol."""
     _check_zero_tol(zero_tol)
     arr = theta.matrix

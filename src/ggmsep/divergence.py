@@ -2,7 +2,8 @@
 
 Natural logarithms throughout, so every divergence and mutual information
 is in nats. All functions are pure and safe to call concurrently. Triangular
-solves, the KL trace's by column blocks, call LAPACK's dtrtrs directly.
+solves, the KL trace's by column blocks, call LAPACK's dtrtrs through
+core's boundary (_trtrs), and log-determinants come from core's _log_det.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .core import (
+    _ZERO_TOL,
     PrecisionMatrix,
     _check_zero_tol,
     _cholesky_lower,
+    _log_det,
+    _trtrs,
     _upper_pairs,
     _vertex_pair,
     _vertex_star,
@@ -83,12 +86,10 @@ def kl_gaussian(theta1: PrecisionMatrix, theta2: PrecisionMatrix) -> float:
 
 def _kl_divergences(lower1: np.ndarray, lower2: np.ndarray) -> list[float]:
     """kl_gaussian for each pair of lower Cholesky factors of two (k, p, p)
-    stacks: the log-determinants in one pass, with factorize's reduction,
-    and each trace by its own blocked solve."""
+    stacks: the log-determinants in one pass each, and each trace by its
+    own blocked solve."""
     p = lower1.shape[-1]
-    log_dets1, log_dets2 = (
-        (2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)).tolist() for lower in (lower1, lower2)
-    )
+    log_dets1, log_dets2 = _log_det(lower1).tolist(), _log_det(lower2).tolist()
     values = []
     for l1, l2, log_det1, log_det2 in zip(lower1, lower2, log_dets1, log_dets2):
         half = np.zeros((p, p), order="F")
@@ -98,9 +99,7 @@ def _kl_divergences(lower1: np.ndarray, lower2: np.ndarray) -> list[float]:
         for j in range(0, p - 1, _KL_BLOCK):
             stop = j + _KL_BLOCK if j + _KL_BLOCK < p - 1 else p
             # L1 is C-ordered, so LAPACK sees it as the upper factor L1^T
-            half[j:, j:stop], info = lapack.dtrtrs(l1[j:, j:].T, l2[j:, j:stop], lower=0, trans=1)
-            if info:
-                raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
+            half[j:, j:stop] = _trtrs(l1[j:, j:].T, l2[j:, j:stop], lower=False, trans=True)
         trace = float(np.sum(np.square(half, out=half)))
         value = 0.5 * (trace - p + log_det1 - log_det2)
         values.append(0.0 if abs(value) < _KL_ZERO_TOL else value)
@@ -142,16 +141,14 @@ def block_conditional_mutual_info(theta: PrecisionMatrix, i: int, subset: Iterab
     i, s = _vertex_star(theta.p, i, subset)
     arr = theta.matrix
     lower = _cholesky_lower(arr[np.ix_(s, s)])
-    whitened, info = lapack.dtrtrs(lower.T, arr[s, i], lower=0, trans=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
+    whitened = _trtrs(lower.T, arr[s, i], lower=False, trans=True)
     ratio = float(whitened @ whitened) / float(arr[i, i])
     if ratio >= 1.0:
         raise NotPositiveDefinite(f"block over vertex {i} and its subset is numerically singular")
     return -0.5 * math.log1p(-ratio)
 
 
-def c_theta_star(theta: PrecisionMatrix, zero_tol: float = 1e-12) -> float:
+def c_theta_star(theta: PrecisionMatrix, zero_tol: float = _ZERO_TOL) -> float:
     """Smallest edgewise ratio t_ii t_jj / (t_ii t_jj - t_ij^2) over the support.
 
     The minimum runs over strictly off-diagonal entries with magnitude
@@ -175,7 +172,7 @@ def _separation_constants(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
     return np.min(np.where(edge, a / (a - arr[:, rows, cols] ** 2), np.inf), axis=-1)
 
 
-def one_edge_lower_bound(theta_star: PrecisionMatrix, zero_tol: float = 1e-12) -> float:
+def one_edge_lower_bound(theta_star: PrecisionMatrix, zero_tol: float = _ZERO_TOL) -> float:
     """Guaranteed KL gap (nats) when any single true edge is missing.
 
     Equal to 0.5 * log of the separation constant of theta_star; strictly
@@ -198,7 +195,7 @@ def omega_inf_lower_bound(alpha: float, h: float) -> float:
 def verify_separation(
     theta_star: PrecisionMatrix,
     theta: PrecisionMatrix,
-    zero_tol: float = 1e-12,
+    zero_tol: float = _ZERO_TOL,
 ) -> BoundReport:
     """Check KL(theta_star's Gaussian || theta's) against the one-edge bound.
 

@@ -51,7 +51,3 @@ class AllFitsFailed(GgmError):
 
 class InvalidDiagonal(GgmError):
     """A supplied diagonal is the wrong length or not strictly positive."""
-
-
-class InvalidCandidates(GgmError):
-    """Some alternative candidate graph misses no true edge."""

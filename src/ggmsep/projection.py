@@ -10,10 +10,10 @@ precision side (Lauritzen 1996, ch. 5): the marginal of the remaining
 coordinates R and the regression of the severed block A on them are kept,
 and Cov(X_A | X_R) is replaced by its block-diagonal part. That is a
 rank-2 update of the precision after one |A| x |A| Cholesky factor and one
-LAPACK solve against it (dpotrs, called directly like every solve of a
-fit), so the covariance is never formed. The result is built, checked and
-symmetrized in one buffer, which it keeps with the factor that checked it;
-it is checked once. The surgery runs on a stack of precisions, each with
+LAPACK solve against it (dpotrs, through core's boundary like every solve
+of a fit), so the covariance is never formed. The result is built,
+checked and symmetrized in one buffer, which it keeps with the factor that
+checked it; it is checked once. The surgery runs on a stack of precisions, each with
 its own edges to sever; a projection is a stack of one, and the
 lower-bound driver severs all the trials of one p at once.
 
@@ -37,21 +37,20 @@ conditioning blocks, one batched Cholesky check and solve, and one scatter
 of every family's term into the stack, which is then checked as a whole:
 only potrf, potrs, two norms and the result are per graph. A Newton fit
 reads its graph's run of the same support indices. Every factorization,
-solve and inverse of a fit calls LAPACK directly through
-scipy.linalg.lapack, without the checking wrappers of scipy.linalg. A
-fitted precision keeps the Cholesky factor that its fit's own check
-computed, so it is factored once.
+solve and inverse of a fit calls LAPACK through core's boundary (_potrf,
+_potrs, _trtrs), without the checking wrappers of scipy.linalg. A fitted
+precision keeps the Cholesky factor that its fit's own check computed, so
+it is factored once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .core import (
     CovarianceMatrix,
@@ -61,7 +60,11 @@ from .core import (
     _cholesky_lower,
     _factorizable,
     _is_int,
+    _log_det,
+    _potrf,
+    _potrs,
     _symmetrize_in_place,
+    _trtrs,
     _upper_pairs,
     _vertex_pair,
     _vertex_star,
@@ -99,7 +102,7 @@ def _sever(arr: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, n
     # update is U H U^T with U = N^T [b~, e_v] and a 2x2 H. The last row of
     # Theta_AA's Cholesky factor is [inv(L_SS) b, sqrt(t_vv - beta)]. Every
     # stacked step has the bits of the same step on one matrix; the
-    # regression on the rest is one dpotrs call per matrix, each written
+    # regression on the rest is one _potrs call per matrix, each written
     # into a Fortran-ordered slice as dpotrs returns it.
     count, p = arr.shape[0], arr.shape[-1]
     t = np.arange(count)[:, None]
@@ -117,9 +120,7 @@ def _sever(arr: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, n
         block = arr[t[:, :, None], a[:, :, None], rest[:, None, :]]
         regression = np.empty((count, rest.shape[1], a.shape[1])).transpose(0, 2, 1)
         for k in range(count):
-            regression[k], info = lapack.dpotrs(lower[k], block[k], lower=1)
-            if info:
-                raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
+            regression[k] = _potrs(lower[k], block[k])
         basis[t, rest, 0] = np.matmul(coupling[:, None, :], regression[:, :-1])[:, 0]
         basis[t, rest, 1] = regression[:, -1]
     gap = np.ones((count, 2, 2))
@@ -218,9 +219,6 @@ class FitOptions:
         if not 0 < self.gradient_tolerance < math.inf:
             raise InvalidParameters(f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
@@ -288,36 +286,9 @@ def _hessian(rows: np.ndarray, cols: np.ndarray, scale: np.ndarray, cov: np.ndar
     return hess
 
 
-def _barrier_objective(arr: np.ndarray, sig: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
-    # -log det is +inf outside the PD cone, where no Cholesky factor exists.
-    # The factor's upper triangle is zeroed (dpotrf's clean=1).
-    lower, info = lapack.dpotrf(arr, lower=1)
-    if info:
-        return math.inf, None
-    log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    return -log_det + float(np.sum(sig * arr)), lower
-
-
-def _covariance(lower: np.ndarray) -> np.ndarray:
-    """inv(theta) from theta's lower Cholesky factor, whose upper triangle
-    is zero, exactly symmetric."""
-    # dpotrs against the identity, unlike dpotri, gives the same bits at
-    # every BLAS thread count; the lower triangle is mirrored onto the upper
-    inverse, info = lapack.dpotrs(lower, np.eye(lower.shape[0]), lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
-    rows, cols = _upper_pairs(lower.shape[0])
-    inverse[rows, cols] = inverse[cols, rows]
-    return inverse
-
-
 def _into_ball(coords: np.ndarray, gamma: float) -> np.ndarray:
     norm = float(np.linalg.norm(coords))
     return coords * (gamma / norm) if norm > gamma else coords
-
-
-def _gradient_map_norm(coords: np.ndarray, grad: np.ndarray, gamma: float) -> float:
-    return float(np.linalg.norm(coords - _into_ball(coords - grad, gamma)))
 
 
 class _Iterate(NamedTuple):
@@ -336,16 +307,22 @@ class _Iterate(NamedTuple):
 def _iterate_at(
     rows: np.ndarray, cols: np.ndarray, scale: np.ndarray, sig: np.ndarray, gamma: float, coords: np.ndarray
 ) -> Optional[_Iterate]:
-    # None outside the PD cone. theta is the matrix with coordinates coords;
-    # grad is the gradient sig - cov projected onto the support, in coordinates.
+    # None outside the PD cone, where -log det is +inf; grad is the gradient
+    # sig - inv(theta) projected onto the support, in coordinates.
     theta = np.zeros(sig.shape)
     theta[rows, cols] = theta[cols, rows] = coords / scale
-    f, lower = _barrier_objective(theta, sig)
+    lower = _potrf(theta)
     if lower is None:
         return None
-    cov = _covariance(lower)
+    objective = -float(_log_det(lower)) + float(np.sum(sig * theta))
+    # _potrs against the identity, unlike dpotri, gives the same bits at
+    # every BLAS thread count; the lower triangle is mirrored onto the upper
+    cov = _potrs(lower, np.eye(sig.shape[0]))
+    upper = _upper_pairs(sig.shape[0])
+    cov[upper] = cov.T[upper]
     grad = scale * (sig - cov)[rows, cols]
-    return _Iterate(coords, theta, lower, f, cov, grad, _gradient_map_norm(coords, grad, gamma))
+    gnorm = float(np.linalg.norm(coords - _into_ball(coords - grad, gamma)))
+    return _Iterate(coords, theta, lower, objective, cov, grad, gnorm)
 
 
 def _newton_step(
@@ -359,22 +336,21 @@ def _newton_step(
     previous step's nu, lands below the root at most once and then rises
     to it monotonically. Raises LinAlgError when hess + nu I is not
     positive definite."""
-    # Fortran order lets dpotrf factor the buffer in place, without a copy;
-    # dpotrs and dtrtrs read only its lower triangle
+    # Fortran order lets dpotrf factor the buffer in place, without a copy
     shifted = np.empty_like(hess, order="F")
     diagonal = np.arange(hess.shape[0])
     for _ in range(_SECULAR_STEPS):
         np.copyto(shifted, hess)
         shifted[diagonal, diagonal] += nu
-        lower, info = lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dpotrf: shifted Hessian not positive definite (info={info})")
-        step = -lapack.dpotrs(lower, grad + nu * coords, lower=1)[0]
+        lower = _potrf(shifted, overwrite_a=True)
+        if lower is None:
+            raise np.linalg.LinAlgError("dpotrf: shifted Hessian not positive definite")
+        step = -_potrs(lower, grad + nu * coords)
         target = coords + step
         norm = float(np.linalg.norm(target))
         if (nu == 0.0 and norm <= gamma) or abs(norm - gamma) <= _SECULAR_TOLERANCE * gamma:
             break
-        slope = lapack.dtrtrs(lower, target, lower=1)[0]
+        slope = _trtrs(lower, target, lower=True)
         nu = max(nu + (norm / float(np.linalg.norm(slope))) ** 2 * (norm - gamma) / gamma, 0.0)
     if norm > gamma:
         step = target * (gamma / norm) - coords
@@ -528,10 +504,10 @@ def _closed_form_fits(
     cov = np.zeros_like(stack)
     cov.reshape(slots, p * p)[:, :: p + 1] = 1.0
     for slot in np.flatnonzero(candidate).tolist():
-        factor, info = lapack.dpotrf(lower[slot].T, lower=1, overwrite_a=1)
-        candidate[slot] = not info
-        if not info and lapack.dpotrs(factor, cov[slot].T, lower=1, overwrite_b=1)[1]:
-            raise np.linalg.LinAlgError("dpotrs failed")
+        factor = _potrf(lower[slot].T, overwrite_a=True)
+        candidate[slot] = factor is not None
+        if factor is not None:
+            _potrs(factor, cov[slot].T, overwrite_b=True)
     coords = plan.scale * stack.reshape(-1)[plan.support]
     moved = coords - plan.scale * (sig - cov).reshape(-1)[plan.support]
     offsets = plan.offsets.tolist()
@@ -546,8 +522,7 @@ def _closed_form_fits(
     accepted = candidate & (gnorm <= opts.gradient_tolerance)
     kept = stack[accepted]
     _check_adoptable(kept)
-    log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)[accepted]).sum(axis=1)
-    objective = -log_det + (sig * kept).reshape(-1, p * p).sum(axis=1)
+    objective = -_log_det(lower[accepted]) + (sig * kept).reshape(-1, p * p).sum(axis=1)
     stack.flags.writeable = lower.flags.writeable = False
     fits: list[Optional[FitResult]] = [None] * slots
     for slot, f, g in zip(np.flatnonzero(accepted).tolist(), objective.tolist(), gnorm[accepted].tolist()):
@@ -709,12 +684,12 @@ def fit_graph_mle(
       combination of two points in the ball it stays in the ball.
 
     Outside the batched regressions, every factorization, solve and
-    inverse calls LAPACK (potrf, potrs, trtrs) directly, without
-    the checking wrappers of scipy.linalg. The fitted precision keeps the
-    lower Cholesky factor that the fit's own check computed for that exact
-    array (potrf of the closed form, or of the last Newton iterate), so it
-    is not factored again; its entries are still checked to be finite and
-    exactly symmetric. Convergence is declared when the
+    inverse calls LAPACK (potrf, potrs, trtrs) through core's boundary,
+    without the checking wrappers of scipy.linalg. The fitted precision
+    keeps the lower Cholesky factor that the fit's own check computed for
+    that exact array (potrf of the closed form, or of the last Newton
+    iterate), so it is not factored again; its entries are still checked
+    to be finite and exactly symmetric. Convergence is declared when the
     unit-step gradient mapping ``x - project(x - grad)`` has Frobenius
     norm at most gradient_tolerance (termination="tolerance"). When the
     ball binds there (multiplier nu > 0), the damped steps have approached

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import CovarianceMatrix, EdgeSet
+from .core import CovarianceMatrix, EdgeSet, _is_int
 from .errors import AllFitsFailed, DimensionMismatch, GgmError, InvalidParameters
 from .projection import FitOptions, FitResult, _fit_graphs, fit_graph_mle
 
@@ -39,6 +39,8 @@ class CandidateCollection:
         max_edges = max(len(g) for g in graphs)
         if s is None:
             s = max_edges
+        elif not _is_int(s):
+            raise InvalidParameters(f"s must be an integer, got {s!r}")
         elif s < max_edges:
             raise InvalidParameters(f"s={s} is below the largest candidate edge count {max_edges}")
         self.graphs = graphs
@@ -153,9 +155,9 @@ def sample_size_bound(
     """
     if not (C > 0 and gamma > 0 and c_star > 0 and lambda_max > 0):
         raise InvalidParameters("C, gamma, c_star, and lambda_max must all be positive")
-    if p < 2:
-        raise InvalidParameters(f"p must be >= 2, got {p}")
-    if s <= 0:
-        raise InvalidParameters(f"s must be positive, got {s}")
+    if not _is_int(p) or p < 2:
+        raise InvalidParameters(f"p must be an integer >= 2, got {p!r}")
+    if not _is_int(s) or s <= 0:
+        raise InvalidParameters(f"s must be a positive integer, got {s!r}")
     factor = s if known_diagonals else p + s
     return (4.0 * C**2 * gamma**2 / c_star**2) * lambda_max**2 * factor * math.log(p)

@@ -54,7 +54,7 @@ def _key_text(key: str) -> str:
     return json.dumps(key)
 
 
-def _encode(value: object, indent: int, depth: int) -> str:
+def _encode(value: object, depth: int) -> str:
     # float first: most of a report's values are floats (np.float64 too)
     if isinstance(value, float):
         return format_float(float(value))
@@ -68,27 +68,27 @@ def _encode(value: object, indent: int, depth: int) -> str:
         return "null"
     if isinstance(value, str):
         return json.dumps(value)
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
+    pad = "  " * (depth + 1)
+    close_pad = "  " * depth
     if isinstance(value, Mapping):
         if not value:
             return "{}"
         items = [
-            f"{pad}{_key_text(str(key))}: {_encode(value[key], indent, depth + 1)}"
+            f"{pad}{_key_text(str(key))}: {_encode(value[key], depth + 1)}"
             for key in sorted(value)
         ]
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
     if isinstance(value, (list, tuple)):
         if not len(value):
             return "[]"
-        items = [f"{pad}{_encode(item, indent, depth + 1)}" for item in value]
+        items = [f"{pad}{_encode(item, depth + 1)}" for item in value]
         return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps(value: object, indent: int = 2) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
-    return _encode(value, indent, 0)
+def dumps(value: object) -> str:
+    """Deterministic JSON text: sorted keys, 17-significant-digit floats, indent 2."""
+    return _encode(value, 0)
 
 
 def write_json(path: Union[str, Path], value: object) -> Path:

@@ -30,15 +30,16 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .core import (
+    _ZERO_TOL,
     CovarianceMatrix,
     PrecisionMatrix,
     _cholesky_lower,
     _factorizable,
     _is_int,
     _symmetrize_in_place,
+    _trtrs,
     _upper_pairs,
     edge_set_of,
     factorize,
@@ -54,7 +55,6 @@ from .divergence import (
     one_edge_lower_bound,
 )
 from .errors import (
-    InvalidCandidates,
     InvalidDiagonal,
     InvalidParameters,
     NoMissingEdge,
@@ -143,10 +143,7 @@ def sample(theta: PrecisionMatrix, n: int, seed: int) -> SampleMatrix:
     fact = factorize(theta)
     rng = np.random.default_rng(int(seed))
     z = rng.standard_normal((n, theta.p))
-    solved, info = lapack.dtrtrs(fact.factor.T, z.T, lower=0)
-    if info:
-        raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
-    return SampleMatrix(rows=solved.T)
+    return SampleMatrix(rows=_trtrs(fact.factor.T, z.T, lower=False).T)
 
 
 def empirical_covariance(x: SampleMatrix) -> CovarianceMatrix:
@@ -351,7 +348,7 @@ class ExperimentConfig:
     (single) model order for the selection sweep; sample_sizes is the
     n-grid for selection. Unused fields are ignored by a given driver.
     base_seed, trials and the grids take integers (numpy integers too,
-    never bools or floats).
+    never bools or floats), the two flags bools, the reals ints or floats.
     """
 
     base_seed: int = 0
@@ -369,6 +366,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not all(map(_is_int, (self.base_seed, self.trials, *self.dimensions, *self.sample_sizes))):
             raise InvalidParameters("base_seed, trials, dimensions and sample_sizes take integers only")
+        if not isinstance(self.use_true_diagonal, bool) or not isinstance(self.include_population, bool):
+            raise InvalidParameters("use_true_diagonal and include_population take bools only")
+        if not all(_is_int(x) or isinstance(x, float) for x in (self.gamma, self.perturbation_scale,
+                                                               self.chain_diagonal, self.chain_coupling)):
+            raise InvalidParameters("gamma, perturbation_scale, chain_diagonal and chain_coupling take numbers only")
         object.__setattr__(self, "dimensions", tuple(int(p) for p in self.dimensions))
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         if self.base_seed < 0:
@@ -515,9 +517,6 @@ _LOWER_BOUND_METHODS = (
 
 _EXTREMAL_SIGNAL_RATIOS = (0.9, 0.99, 0.999)
 
-
-# edge_set_of's and verify_separation's default: smaller magnitudes are no edge
-_ZERO_TOL = 1e-12
 # step halvings a perturbed candidate gets before the plain projection is kept
 _PERTURBATION_HALVINGS = 60
 
@@ -738,9 +737,6 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
     theta_star = _selection_truth(cfg)
     true_graph = edge_set_of(theta_star)
     alternatives = [true_graph.without(edge) for edge in sorted(true_graph)]
-    for alt in alternatives:
-        if not true_graph.difference(alt):
-            raise InvalidCandidates("an alternative candidate misses no true edge")
     collection = CandidateCollection((true_graph, *alternatives))
     sigma_star = invert(theta_star)
     unconverged = 0

@@ -30,7 +30,7 @@ from ggmsep import (
     random_sparse_precision,
     sample,
 )
-from ggmsep.core import _check_adoptable, _symmetrize_in_place
+from ggmsep.core import _check_adoptable, _log_det, _potrf, _potrs, _symmetrize_in_place, _trtrs
 from reference import in_omega_inf, schur_complement
 
 COUNTEREXAMPLE_D2 = [[2.0, 1.0, -1.0], [1.0, 2.0, -1.0], [-1.0, -1.0, 1.0]]
@@ -253,14 +253,61 @@ class TestInvert:
             assert invert(m).matrix.tobytes() == type(invert(m))(expected).matrix.tobytes()
 
     def test_the_library_imports_only_lapack_from_scipy(self):
-        imported = set()
+        # and only core imports it: every LAPACK call goes through its boundary
+        imported, importers = set(), set()
         for path in (Path(ggmsep.__file__).parent).glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
+                names = set()
                 if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
-                    imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+                    names = {f"{node.module}.{alias.name}" for alias in node.names}
                 elif isinstance(node, ast.Import):
-                    imported.update(alias.name for alias in node.names if alias.name.startswith("scipy"))
+                    names = {alias.name for alias in node.names if alias.name.startswith("scipy")}
+                imported |= names
+                if names:
+                    importers.add(path.name)
         assert imported == {"scipy.linalg.lapack"}
+        assert importers == {"core.py"}
+
+
+class TestLapackBoundary:
+    def test_potrf_gives_none_when_indefinite_and_a_zero_upper_triangle_otherwise(self):
+        assert _potrf(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
+        theta = random_sparse_precision(6, np.random.default_rng(4))
+        lower = _potrf(theta.matrix)
+        assert np.array_equal(np.triu(lower, k=1), np.zeros((6, 6)))
+        assert np.array_equal(np.tril(lower), lower)
+        assert np.max(np.abs(lower @ lower.T - theta.matrix)) <= 1e-12 * np.max(np.abs(theta.matrix))
+
+    def test_potrf_factors_a_fortran_ordered_matrix_in_place(self):
+        buffer = np.asfortranarray(random_sparse_precision(5, np.random.default_rng(8)).matrix)
+        expected = _potrf(buffer)
+        lower = _potrf(buffer, overwrite_a=True)
+        assert np.shares_memory(lower, buffer)
+        assert np.array_equal(lower, expected)
+
+    def test_trtrs_names_dtrtrs_on_a_zero_diagonal_entry(self):
+        singular = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="dtrtrs"):
+            _trtrs(singular, np.ones(3), lower=True)
+        with pytest.raises(np.linalg.LinAlgError, match="dtrtrs"):
+            _trtrs(singular.T, np.ones(3), lower=False, trans=True)
+
+    def test_trtrs_and_potrs_solve(self):
+        theta = random_sparse_precision(7, np.random.default_rng(9))
+        lower, b = factorize(theta).factor, np.arange(7.0)
+        assert_allclose(lower @ _trtrs(lower, b, lower=True), b, rtol=1e-12, atol=1e-12)
+        assert_allclose(lower.T @ _trtrs(lower.T, b, lower=False), b, rtol=1e-12, atol=1e-12)
+        assert_allclose(lower.T @ _trtrs(lower, b, lower=True, trans=True), b, rtol=1e-12, atol=1e-12)
+        assert_allclose(theta.matrix @ _potrs(lower, b), b, rtol=1e-12, atol=1e-12)
+
+    def test_log_det_of_a_stack_has_the_bits_of_each_factor(self):
+        rng = np.random.default_rng(12)
+        for p in (2, 7, 40):
+            members = [random_sparse_precision(p, rng) for _ in range(5)]
+            stacked = _log_det(np.stack([factorize(m).factor for m in members]))
+            assert stacked.shape == (5,)
+            assert stacked.tolist() == [factorize(m).log_determinant for m in members]
+            assert [float(_log_det(factorize(m).factor)) for m in members] == stacked.tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 50))

@@ -48,6 +48,16 @@ class TestCandidateCollection:
         with pytest.raises(InvalidParameters):
             CandidateCollection([EdgeSet(3, [(0, 1), (1, 2)])], s=1)
 
+    @pytest.mark.parametrize("s", [3.7, 3.0, True, "3"])
+    def test_explicit_bound_takes_integers_only(self, s):
+        # s=3.7 was kept as 3
+        with pytest.raises(InvalidParameters, match="integer"):
+            CandidateCollection([EdgeSet(3, [(0, 1)])], s=s)
+
+    def test_explicit_bound_accepts_numpy_integers(self):
+        coll = CandidateCollection([EdgeSet(3, [(0, 1)])], s=np.int64(3))
+        assert coll.s == 3 and type(coll.s) is int
+
     def test_mixed_orders_rejected(self):
         with pytest.raises(DimensionMismatch):
             CandidateCollection([EdgeSet(3), EdgeSet(4)])
@@ -269,3 +279,13 @@ class TestSampleSizeBound:
             sample_size_bound(1.0, 1.0, 1.0, 1.0, 1, 2)
         with pytest.raises(InvalidParameters):
             sample_size_bound(1.0, 1.0, 1.0, 1.0, 4, 0)
+
+    @pytest.mark.parametrize("p, s", [(2.5, 1), (4, 1.5), (4.0, 2), (True, 1), (4, True)])
+    def test_orders_and_sparsity_take_integers_only(self, p, s):
+        # p=2.5, s=1.5 returned a number
+        with pytest.raises(InvalidParameters, match="integer"):
+            sample_size_bound(1.0, 1.0, 1.0, 1.0, p, s)
+
+    def test_orders_and_sparsity_accept_numpy_integers(self):
+        expected = sample_size_bound(1.0, 1.0, 1.0, 1.0, 4, 2)
+        assert sample_size_bound(1.0, 1.0, 1.0, 1.0, np.int64(4), np.int32(2)) == expected

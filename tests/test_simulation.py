@@ -240,6 +240,25 @@ class TestExperimentConfig:
             ExperimentConfig(base_seed=3, trials=2, dimensions=(3,), sample_sizes=(50, 60))
         ).to_json()
 
+    @pytest.mark.parametrize("bad", [
+        {"use_true_diagonal": "yes"},
+        {"include_population": 1},
+        {"gamma": "x"},
+        {"perturbation_scale": "0.25"},
+        {"chain_diagonal": True},
+        {"chain_coupling": None},
+    ])
+    def test_flags_take_bools_and_reals_take_numbers(self, bad):
+        # from_dict rejects these; direct construction accepted all but
+        # gamma and perturbation_scale, which raised TypeError
+        with pytest.raises(InvalidParameters):
+            ExperimentConfig(**bad)
+
+    def test_reals_accept_integers_and_numpy_floats(self):
+        cfg = ExperimentConfig(gamma=10, perturbation_scale=np.float64(0.5), chain_diagonal=3, chain_coupling=-1)
+        assert cfg.gamma == 10 and cfg.perturbation_scale == 0.5
+        assert ExperimentConfig(gamma=math.inf).gamma == math.inf
+
     def test_from_dict_roundtrip(self):
         cfg = ExperimentConfig(base_seed=7, trials=3, dimensions=(4,), sample_sizes=(50, 100))
         again = ExperimentConfig.from_dict(cfg.to_dict())
