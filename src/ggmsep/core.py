@@ -8,19 +8,22 @@ log-determinants, solves, inverses and samples built on it, never factor a
 precision again.
 
 It is also the library's one LAPACK boundary: only _potrf, _potrs and
-_trtrs call scipy.linalg.lapack or read an info code, and only _log_det
-reduces a Cholesky factor's log-diagonal.
+_trtrs call LAPACK (scipy's f2py wrappers, see _load_lapack) or read an
+info code, and only _log_det reduces a Cholesky factor's log-diagonal.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -87,6 +90,26 @@ def _vertex_star(p: int, v: object, others: Iterable[object]) -> tuple[int, list
 def _check_zero_tol(zero_tol: float) -> None:
     if not 0.0 <= zero_tol < math.inf:
         raise InvalidParameters(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
+
+
+def _load_lapack():
+    """scipy.linalg._flapack from scipy's directory, without importing scipy,
+    kept in sys.modules for scipy.linalg to share; else scipy.linalg.lapack."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy else ():
+        path = os.path.join(os.path.dirname(scipy.origin), "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module("scipy.linalg.lapack")
+
+
+lapack = _load_lapack()
 
 
 def _potrf(a: np.ndarray, overwrite_a: bool = False) -> Optional[np.ndarray]:

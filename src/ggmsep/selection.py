@@ -153,8 +153,8 @@ def sample_size_bound(
     c_star is caller-supplied, so either the raw separation constant or
     half its log can be probed. Callers round up to an integer n.
     """
-    if not (C > 0 and gamma > 0 and c_star > 0 and lambda_max > 0):
-        raise InvalidParameters("C, gamma, c_star, and lambda_max must all be positive")
+    if not all((_is_int(x) or isinstance(x, float)) and 0 < x < math.inf for x in (C, gamma, c_star, lambda_max)):
+        raise InvalidParameters("C, gamma, c_star, and lambda_max must all be positive finite reals")
     if not _is_int(p) or p < 2:
         raise InvalidParameters(f"p must be an integer >= 2, got {p!r}")
     if not _is_int(s) or s <= 0:

@@ -347,8 +347,8 @@ class ExperimentConfig:
     dimensions is the p-grid for the lower-bound sweep and supplies the
     (single) model order for the selection sweep; sample_sizes is the
     n-grid for selection. Unused fields are ignored by a given driver.
-    base_seed, trials and the grids take integers (numpy integers too,
-    never bools or floats), the two flags bools, the reals ints or floats.
+    base_seed, trials and the grids take integers (numpy integers too, never
+    bools or floats), the flags bools, the reals ints or floats, fit a FitOptions.
     """
 
     base_seed: int = 0
@@ -371,6 +371,8 @@ class ExperimentConfig:
         if not all(_is_int(x) or isinstance(x, float) for x in (self.gamma, self.perturbation_scale,
                                                                self.chain_diagonal, self.chain_coupling)):
             raise InvalidParameters("gamma, perturbation_scale, chain_diagonal and chain_coupling take numbers only")
+        if not isinstance(self.fit, FitOptions):
+            raise InvalidParameters(f"fit takes a FitOptions only, got {type(self.fit).__name__}")
         object.__setattr__(self, "dimensions", tuple(int(p) for p in self.dimensions))
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         if self.base_seed < 0:

@@ -2,6 +2,10 @@
 
 import ast
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+import scipy.linalg.lapack
 from scipy.linalg import cho_solve
 
 import ggmsep
@@ -30,9 +35,11 @@ from ggmsep import (
     random_sparse_precision,
     sample,
 )
+from ggmsep import core
 from ggmsep.core import _check_adoptable, _log_det, _potrf, _potrs, _symmetrize_in_place, _trtrs
 from reference import in_omega_inf, schur_complement
 
+ROOT = Path(__file__).resolve().parents[1]
 COUNTEREXAMPLE_D2 = [[2.0, 1.0, -1.0], [1.0, 2.0, -1.0], [-1.0, -1.0, 1.0]]
 
 
@@ -252,21 +259,68 @@ class TestInvert:
             expected = cho_solve((factorize(m).factor, True), np.eye(m.p))
             assert invert(m).matrix.tobytes() == type(invert(m))(expected).matrix.tobytes()
 
-    def test_the_library_imports_only_lapack_from_scipy(self):
-        # and only core imports it: every LAPACK call goes through its boundary
-        imported, importers = set(), set()
+    def test_only_core_touches_scipy(self):
+        # by an import or by naming a scipy module to load: every LAPACK
+        # call goes through core's boundary
+        touched = {}
         for path in (Path(ggmsep.__file__).parent).glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 names = set()
-                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
                     names = {f"{node.module}.{alias.name}" for alias in node.names}
                 elif isinstance(node, ast.Import):
-                    names = {alias.name for alias in node.names if alias.name.startswith("scipy")}
-                imported |= names
-                if names:
-                    importers.add(path.name)
-        assert imported == {"scipy.linalg.lapack"}
-        assert importers == {"core.py"}
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = {node.value}
+                for name in names:
+                    if re.fullmatch(r"scipy(\.\w+)*", name):
+                        touched.setdefault(path.name, set()).add(name)
+        assert touched == {"core.py": {"scipy", "scipy.linalg._flapack", "scipy.linalg.lapack"}}
+
+
+def run_python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestLapackLoader:
+    def test_the_cli_imports_no_scipy_module_but_flapack(self):
+        # import scipy.linalg was most of a cold start's import time
+        code = "import sys, ggmsep.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+        assert run_python(code) == ["scipy.linalg._flapack"]
+        assert core.lapack is sys.modules["scipy.linalg._flapack"]
+
+    @pytest.mark.parametrize("first, then", [("ggmsep", "scipy.linalg"), ("scipy.linalg", "ggmsep")])
+    def test_scipy_linalg_shares_the_one_flapack_module_in_either_import_order(self, first, then):
+        code = f"""
+import sys, {first}, {then}
+from ggmsep import core
+flapack = sys.modules["scipy.linalg._flapack"]
+print(core.lapack is flapack is scipy.linalg.lapack._flapack)
+print(*(getattr(core.lapack, f) is getattr(scipy.linalg.lapack, f) for f in ("dpotrf", "dpotrs", "dtrtrs")))
+"""
+        assert run_python(code) == ["True"] * 4
+
+    def test_a_missing_extension_file_falls_back_to_scipy_linalg_lapack_with_the_same_bytes(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.delitem(sys.modules, "scipy.linalg._flapack")
+            patch.setattr(core.os.path, "isfile", lambda path: False)
+            fallback = core._load_lapack()
+        assert fallback is scipy.linalg.lapack
+        rng = np.random.default_rng(21)
+        for p in (3, 8, 33):
+            theta, b = random_sparse_precision(p, rng).matrix, rng.standard_normal((p, 2))
+            results = []
+            for module in (core.lapack, fallback):
+                with monkeypatch.context() as patch:
+                    patch.setattr(core, "lapack", module)
+                    lower = _potrf(theta)
+                    results.append([lower.tobytes(), _potrs(lower, b).tobytes(),
+                                    _trtrs(lower, b, lower=True, trans=True).tobytes()])
+            assert results[0] == results[1]
 
 
 class TestLapackBoundary:

@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_solve, lapack
+from scipy.linalg import cho_solve
 
 from ggmsep import (
     CandidateCollection,
@@ -44,7 +44,7 @@ from ggmsep import (
     select_graph,
     trial_seed,
 )
-from ggmsep import projection
+from ggmsep import core, projection
 from reference import closed_form_fit, severed_by_validating_a_copy
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -704,12 +704,13 @@ class TestChordalClosedForm:
     def test_chain_fit_factors_at_most_three_times(self, monkeypatch):
         # counts instead of timing: the parent-count batches of a p=8 chain
         # need one Cholesky call and the barrier the other; the result keeps
-        # the barrier's factor; no cho_solve wrapper runs
+        # the barrier's factor; no cho_solve wrapper runs. dpotrf is counted
+        # on the module core calls, whose functions scipy.linalg.lapack copies
         theta = chain_precision(8)
         sigma = empirical_covariance(sample(theta, 250, trial_seed(2025, 0, 0)))
         graph = edge_set_of(theta)
         factorizations, solves = [], []
-        cholesky, dpotrf = np.linalg.cholesky, lapack.dpotrf
+        cholesky, dpotrf = np.linalg.cholesky, core.lapack.dpotrf
 
         def counting_cholesky(arr, *args, **kwargs):
             factorizations.append(np.shape(arr))
@@ -724,7 +725,7 @@ class TestChordalClosedForm:
             return cho_solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-        monkeypatch.setattr(lapack, "dpotrf", counting_dpotrf)
+        monkeypatch.setattr(core.lapack, "dpotrf", counting_dpotrf)
         monkeypatch.setattr(scipy.linalg, "cho_solve", counting_cho_solve)
         for name, module in list(sys.modules.items()):
             if module is not None and (name == "ggmsep" or name.startswith("ggmsep.")):

@@ -280,6 +280,19 @@ class TestSampleSizeBound:
         with pytest.raises(InvalidParameters):
             sample_size_bound(1.0, 1.0, 1.0, 1.0, 4, 0)
 
+    @pytest.mark.parametrize("name", ["C", "gamma", "c_star", "lambda_max"])
+    @pytest.mark.parametrize("value", ["x", True, math.inf, math.nan, None, 1j])
+    def test_constants_take_positive_finite_reals_only(self, name, value):
+        # "x" raised TypeError, c_star=True returned 33.27 and inf passed
+        constants = {"C": 1.0, "gamma": 1.0, "c_star": 1.0, "lambda_max": 1.0, name: value}
+        with pytest.raises(InvalidParameters, match="positive finite reals"):
+            sample_size_bound(**constants, p=4, s=2)
+
+    def test_constants_accept_integers_and_numpy_reals(self):
+        assert sample_size_bound(1, np.int64(2), np.float64(0.5), 1.0, 10, 5) == sample_size_bound(
+            1.0, 2.0, 0.5, 1.0, 10, 5
+        )
+
     @pytest.mark.parametrize("p, s", [(2.5, 1), (4, 1.5), (4.0, 2), (True, 1), (4, True)])
     def test_orders_and_sparsity_take_integers_only(self, p, s):
         # p=2.5, s=1.5 returned a number

@@ -254,6 +254,12 @@ class TestExperimentConfig:
         with pytest.raises(InvalidParameters):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("fit", [{"max_iterations": 5}, None, FitOptions])
+    def test_fit_takes_fit_options_only(self, fit):
+        # a dict constructed and then failed mid-run with AttributeError
+        with pytest.raises(InvalidParameters, match="fit takes a FitOptions"):
+            ExperimentConfig(fit=fit)
+
     def test_reals_accept_integers_and_numpy_floats(self):
         cfg = ExperimentConfig(gamma=10, perturbation_scale=np.float64(0.5), chain_diagonal=3, chain_coupling=-1)
         assert cfg.gamma == 10 and cfg.perturbation_scale == 0.5
