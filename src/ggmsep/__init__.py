@@ -27,7 +27,6 @@ from .divergence import (
     verify_separation,
 )
 from .errors import (
-    AllFitsFailed,
     DimensionMismatch,
     EmptySet,
     GgmError,
@@ -77,7 +76,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllFitsFailed",
     "BoundReport",
     "CandidateCollection",
     "CovarianceMatrix",

@@ -45,9 +45,5 @@ class InfeasibleStart(GgmError):
     """No valid starting point exists for the constrained fit."""
 
 
-class AllFitsFailed(GgmError):
-    """Every candidate fit raised, so no graph can be selected."""
-
-
 class InvalidDiagonal(GgmError):
     """A supplied diagonal is the wrong length or not strictly positive."""

@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -71,12 +71,7 @@ from .core import (
     factorize,
     invert,
 )
-from .errors import (
-    DimensionMismatch,
-    GgmError,
-    InfeasibleStart,
-    InvalidParameters,
-)
+from .errors import DimensionMismatch, InfeasibleStart, InvalidParameters
 from .serialization import matrix_doc
 
 __all__ = [
@@ -208,7 +203,8 @@ def nll_gradient(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> np.ndar
 @dataclass(frozen=True)
 class FitOptions:
     """Stopping rule of the constrained fit: an integer iteration cap and
-    the finite gradient-mapping tolerance at which a fit is converged."""
+    the gradient-mapping tolerance at which a fit is converged, a finite
+    positive int or float (never a bool)."""
 
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-8
@@ -216,8 +212,9 @@ class FitOptions:
     def __post_init__(self) -> None:
         if not _is_int(self.max_iterations) or self.max_iterations < 1:
             raise InvalidParameters(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        if not 0 < self.gradient_tolerance < math.inf:
-            raise InvalidParameters(f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance!r}")
+        tolerance = self.gradient_tolerance
+        if not (_is_int(tolerance) or isinstance(tolerance, float)) or not 0 < tolerance < math.inf:
+            raise InvalidParameters(f"gradient_tolerance must be a finite positive real, got {tolerance!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,10 +535,8 @@ def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: 
     rows, cols = np.divmod(support % (p * p), p)
     at = functools.partial(_iterate_at, rows, cols, scale, sig, gamma)
     hessian = functools.partial(_hessian, rows, cols, scale)
+    # _fit_graphs has checked that this start is finite and positive
     point = at(_into_ball(scale * np.diag(1.0 / np.diag(sig))[rows, cols], gamma))
-    if point is None:
-        raise InvalidParameters("initial point is not positive definite after projection")
-
     trace = [point.objective]
     iterations = 0
     nu = 0.0
@@ -593,17 +588,20 @@ def _fit_graphs(
     graphs: tuple[EdgeSet, ...],
     gamma: float,
     opts: FitOptions = FitOptions(),
-) -> list[Union[FitResult, GgmError]]:
+) -> list[FitResult]:
     """fit_graph_mle of every graph on one sigma_hat: one batched closed
     form and one stacked check for all the chordal graphs, then a Newton
     run for each graph that the closed form did not settle.
 
-    Raises what no graph's fit could escape: an order that differs from
-    sigma_hat's, a gamma that is not positive, or a nonpositive diagonal
-    entry of sigma_hat. Otherwise returns, in order, each graph's FitResult
-    or the GgmError its own fit raised. The tuple of graphs is planned
-    once (_batch_plan, graph g in slot g of every plan array) and the plan
-    is cached when every graph has at most _CACHED_PLAN_COORDINATES
+    Raises for the whole tuple, before anything is fitted, on an input
+    that no graph's fit accepts: a graph order that differs from
+    sigma_hat's, a gamma that is not positive, or an infeasible Newton
+    start (below). Otherwise returns every graph's FitResult, in order. A
+    closed form that passes its check never meets an infeasible start: its
+    norm is at most gamma and its diagonal at least 1 / sigma_hat's, so
+    the start needs no scaling. The tuple of graphs is planned once
+    (_batch_plan, graph g in slot g of every plan array) and the plan is
+    cached when every graph has at most _CACHED_PLAN_COORDINATES
     coordinates.
     """
     for graph in graphs:
@@ -612,8 +610,15 @@ def _fit_graphs(
     if not gamma > 0:
         raise InvalidParameters(f"gamma must be positive (inf allowed), got {gamma}")
     sig = sigma_hat.matrix
-    if not (np.diagonal(sig) > 0).all():
-        raise InfeasibleStart("sigma_hat has a nonpositive diagonal entry; no diagonal start exists")
+    # Newton's start on every graph, scaled into the ball as _into_ball does
+    # it. A nonpositive diagonal entry gives an entry that is not positive;
+    # an entry or a norm that overflows gives a norm of inf, with which
+    # Newton would compute 0 * inf.
+    with np.errstate(divide="ignore", over="ignore"):
+        start = 1.0 / np.diagonal(sig)
+        norm = math.sqrt(np.dot(start, start))
+    if not (norm < math.inf and start.min() * (gamma / norm if norm > gamma else 1.0) > 0):
+        raise InfeasibleStart("the start 1 / sigma_hat diagonal is not positive, overflows, or is 0 in the ball")
     graphs = tuple(graphs)
     # A tuple holding a graph with more coordinates is planned afresh on
     # every fit: that graph's O(m^3) Newton steps dwarf the build, while a
@@ -623,18 +628,15 @@ def _fit_graphs(
         plan = _batch_plan(graphs)
     else:
         plan = _batch_plan.__wrapped__(graphs)
-    outcomes: list[Union[None, FitResult, GgmError]] = [None] * len(graphs)
+    fits: list[Optional[FitResult]] = [None] * len(graphs)
     if plan.chordal:
-        outcomes[:] = _closed_form_fits(sig, plan, *_chordal_mles(sig, plan), gamma, opts)
+        fits[:] = _closed_form_fits(sig, plan, *_chordal_mles(sig, plan), gamma, opts)
     offsets = plan.offsets.tolist()
-    for slot, outcome in enumerate(outcomes):
-        if outcome is None:
+    for slot, fit in enumerate(fits):
+        if fit is None:
             run = slice(offsets[slot], offsets[slot + 1])
-            try:
-                outcomes[slot] = _newton_fit(sig, plan.support[run], plan.scale[run], gamma, opts)
-            except GgmError as exc:
-                outcomes[slot] = exc
-    return outcomes
+            fits[slot] = _newton_fit(sig, plan.support[run], plan.scale[run], gamma, opts)
+    return fits
 
 
 def fit_graph_mle(
@@ -703,10 +705,12 @@ def fit_graph_mle(
     to reduce the gradient mapping: only rounding error can do that.
 
     The Newton run starts from diag(1 / sigma_hat diagonal), rescaled into
-    the ball if needed. A non-converged run returns its last iterate with
-    converged=False rather than raising.
+    the ball if needed. That start depends on no graph, so it is checked
+    once, with the other inputs, before anything is fitted: a start that
+    is not positive, overflows, or underflows to 0 in the ball raises
+    InfeasibleStart, a gamma that is not positive InvalidParameters, and a
+    graph of another order than sigma_hat DimensionMismatch. So a fit, of one graph or of a
+    collection, raises for the whole call or not at all, and a
+    non-converged run returns its last iterate with converged=False.
     """
-    (outcome,) = _fit_graphs(sigma_hat, (graph,), gamma, opts)
-    if isinstance(outcome, GgmError):
-        raise outcome
-    return outcome
+    return _fit_graphs(sigma_hat, (graph,), gamma, opts)[0]

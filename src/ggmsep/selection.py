@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import CovarianceMatrix, EdgeSet, _is_int
-from .errors import AllFitsFailed, DimensionMismatch, GgmError, InvalidParameters
+from .errors import DimensionMismatch, InvalidParameters
 from .projection import FitOptions, FitResult, _fit_graphs, fit_graph_mle
 
 __all__ = [
@@ -64,23 +64,23 @@ class CandidateCollection:
 class SelectionResult:
     """Scores for every candidate and the index of the minimum.
 
-    Ties break toward the lowest index. A candidate whose fit raised gets
-    score +inf and a None fit result. unconverged lists, in index order,
-    the candidates whose fit returned converged=False: they are still
-    ranked by their last objective, which only bounds their score from
-    above.
+    Ties break toward the lowest index. Every candidate has a fit result
+    and a score: select_graph raises for the whole collection or for no
+    candidate. unconverged lists, in index order, the candidates whose fit
+    returned converged=False: they are still ranked by their last
+    objective, which only bounds their score from above.
     """
 
     selected_index: int
     scores: tuple[float, ...]
-    fit_results: tuple[Optional[FitResult], ...]
+    fit_results: tuple[FitResult, ...]
     unconverged: tuple[int, ...]
 
     def to_dict(self) -> dict:
         return {
             "selected_index": self.selected_index,
             "scores": list(self.scores),
-            "fit_results": [r.to_dict() if r is not None else None for r in self.fit_results],
+            "fit_results": [r.to_dict() for r in self.fit_results],
             "unconverged": list(self.unconverged),
         }
 
@@ -113,25 +113,19 @@ def select_graph(
     candidate's fit is bit for bit fit_graph_mle's, and its fitted
     precision keeps the Cholesky factor its fit computed.
     Results are in index order, so repeated calls with identical inputs
-    produce identical results. A sigma_hat whose order differs from the
-    candidates' raises DimensionMismatch before anything is fitted.
+    produce identical results.
+
+    The inputs are checked once, before anything is fitted, and the call
+    raises for the whole collection or for no candidate: DimensionMismatch
+    for a sigma_hat whose order differs from the candidates',
+    InvalidParameters for a gamma that is not positive, and InfeasibleStart
+    when the Newton start diag(1 / sigma_hat diagonal), the same for every
+    candidate, is not finite or not positive once scaled into the ball.
     """
-    if sigma_hat.p != collection.p:
-        raise DimensionMismatch(f"orders differ: candidates p={collection.p}, sigma p={sigma_hat.p}")
-    try:
-        outcomes = _fit_graphs(sigma_hat, collection.graphs, gamma, opts)
-    except GgmError as exc:
-        # an input that no candidate's fit accepts (gamma, sigma_hat's diagonal)
-        raise AllFitsFailed(f"all {len(collection)} candidate fits failed: {exc}") from exc
-    fits = tuple(None if isinstance(fit, GgmError) else fit for fit in outcomes)
-    scores = tuple(math.inf if fit is None else fit.objective for fit in fits)
-    if all(math.isinf(s) for s in scores):
-        raise AllFitsFailed(f"all {len(scores)} candidate fits failed")
-    best = 0
-    for idx, value in enumerate(scores):
-        if value < scores[best]:
-            best = idx
-    unconverged = tuple(idx for idx, fit in enumerate(fits) if fit is not None and not fit.converged)
+    fits = tuple(_fit_graphs(sigma_hat, collection.graphs, gamma, opts))
+    scores = tuple(fit.objective for fit in fits)
+    best = min(range(len(scores)), key=scores.__getitem__)
+    unconverged = tuple(idx for idx, fit in enumerate(fits) if not fit.converged)
     return SelectionResult(selected_index=best, scores=scores, fit_results=fits, unconverged=unconverged)
 
 

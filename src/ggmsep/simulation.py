@@ -364,7 +364,11 @@ class ExperimentConfig:
     fit: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self) -> None:
-        if not all(map(_is_int, (self.base_seed, self.trials, *self.dimensions, *self.sample_sizes))):
+        try:
+            dimensions, sample_sizes = tuple(self.dimensions), tuple(self.sample_sizes)
+        except TypeError:
+            raise InvalidParameters("dimensions and sample_sizes take sequences of integers only") from None
+        if not all(map(_is_int, (self.base_seed, self.trials, *dimensions, *sample_sizes))):
             raise InvalidParameters("base_seed, trials, dimensions and sample_sizes take integers only")
         if not isinstance(self.use_true_diagonal, bool) or not isinstance(self.include_population, bool):
             raise InvalidParameters("use_true_diagonal and include_population take bools only")
@@ -373,8 +377,8 @@ class ExperimentConfig:
             raise InvalidParameters("gamma, perturbation_scale, chain_diagonal and chain_coupling take numbers only")
         if not isinstance(self.fit, FitOptions):
             raise InvalidParameters(f"fit takes a FitOptions only, got {type(self.fit).__name__}")
-        object.__setattr__(self, "dimensions", tuple(int(p) for p in self.dimensions))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "dimensions", tuple(int(p) for p in dimensions))
+        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sample_sizes))
         if self.base_seed < 0:
             raise InvalidParameters("base_seed must be a nonnegative integer")
         if self.trials < 1:

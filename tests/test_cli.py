@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ class TestFitAndSelect:
         graph_path = write_json(tmp_path / "graph.json", {"p": 2, "edges": []})
         code, _, _ = run(capsys, "fit", sigma_path, graph_path, "--gamma", "-1")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("corner, gamma", [(1e-310, "10"), (1e300, "1e-30")])
+    def test_infeasible_start_exits_3_without_a_warning(self, tmp_path, capsys, command, corner, gamma):
+        # a 1e-310 diagonal entry exited 2 ("precision matrix has non-finite
+        # entries") after an overflow warning
+        sigma_path = write_json(tmp_path / "sigma.json", {"p": 3, "entries": [corner, 0, 0, 0, 1, 0, 0, 0, 1]})
+        graph = {"p": 3, "edges": [[0, 1], [1, 2]]}
+        graph_path = write_json(tmp_path / "graph.json", graph if command == "fit" else [graph, {"p": 3, "edges": []}])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, sigma_path, graph_path, "--gamma", gamma)
+        assert code == 3
+        assert out == ""
+        assert "InfeasibleStart" in err and "RuntimeWarning" not in err
+        assert caught == []
 
     def test_select_prefers_true_graph(self, tmp_path, capsys):
         theta = counterexample_precision(2)

@@ -505,10 +505,16 @@ class TestFitGraphMle:
         f_large = fit_graph_mle(sigma, large, 6.0).objective
         assert f_large <= f_small + 1e-8
 
-    def test_infeasible_start(self):
-        sigma = CovarianceMatrix([[0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(InfeasibleStart):
-            fit_graph_mle(sigma, EdgeSet(2), 10.0)
+    @pytest.mark.parametrize("corner, gamma", [(0.0, 10.0), (1e-310, 10.0), (1e-310, math.inf), (1e300, 1e-30)])
+    @pytest.mark.parametrize("graph", [EdgeSet(4), EdgeSet(4, [(0, 1), (1, 2), (2, 3), (0, 3)])])
+    def test_infeasible_start(self, corner, gamma, graph):
+        # 1 / 1e-310 overflows, and 1 / 1e300 scaled into a 1e-30 ball
+        # underflows to 0: the fit raised ValueError after an overflow
+        # warning, or InvalidParameters
+        entries = np.eye(4)
+        entries[0, 0] = corner
+        with pytest.raises(InfeasibleStart, match="start"):
+            fit_graph_mle(CovarianceMatrix(entries), graph, gamma)
 
     def test_invalid_gamma(self):
         sigma = CovarianceMatrix(np.eye(2))
@@ -968,15 +974,23 @@ class TestFitOptions:
         {"gradient_tolerance": math.inf},
         {"gradient_tolerance": math.nan},
         {"gradient_tolerance": -math.inf},
+        {"gradient_tolerance": "x"},
+        {"gradient_tolerance": None},
+        {"gradient_tolerance": True},
+        {"gradient_tolerance": 1j},
+        {"gradient_tolerance": np.float32(1e-8)},
         {"max_iterations": True},
         {"max_iterations": 10.0},
         {"max_iterations": 2.5},
     ])
     def test_non_finite_tolerance_and_non_integer_cap_are_rejected(self, kwargs):
         # an infinite tolerance would pass every Newton fit's diagonal start
-        # as converged, after 0 iterations
+        # as converged, after 0 iterations; a tolerance of "x" or None raised
+        # TypeError, and True was accepted
         with pytest.raises(InvalidParameters, match=next(iter(kwargs))):
             FitOptions(**kwargs)
 
     def test_numpy_integer_cap_is_accepted(self):
         assert FitOptions(max_iterations=np.int64(3)).max_iterations == 3
+        assert FitOptions(gradient_tolerance=1).gradient_tolerance == 1
+        assert FitOptions(gradient_tolerance=np.float64(1e-6)).gradient_tolerance == 1e-6

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ggmsep import (
-    AllFitsFailed,
     CandidateCollection,
     CovarianceMatrix,
     DimensionMismatch,
     EdgeSet,
     FitOptions,
-    GgmError,
+    InfeasibleStart,
     InvalidParameters,
-    NotPositiveDefinite,
     c_theta_star,
     chain_precision,
     conditional_mutual_info,
@@ -129,22 +127,6 @@ class TestSelectGraph:
         assert first.selected_index == second.selected_index
         assert first.scores == second.scores
 
-    def test_failed_candidate_gets_infinite_score(self, monkeypatch):
-        sigma = invert(random_sparse_precision(4, np.random.default_rng(8)))
-        bad = EdgeSet(4, [(0, 1)])
-        good = EdgeSet(4, [(2, 3)])
-        real_fits = selection_module._fit_graphs
-
-        def flaky_fits(sigma_hat, graphs, gamma, opts=FitOptions()):
-            results = real_fits(sigma_hat, graphs, gamma, opts)
-            return [NotPositiveDefinite("synthetic failure") if g == bad else r for g, r in zip(graphs, results)]
-
-        monkeypatch.setattr(selection_module, "_fit_graphs", flaky_fits)
-        result = select_graph(CandidateCollection([bad, good]), sigma, 20.0)
-        assert result.selected_index == 1
-        assert math.isinf(result.scores[0])
-        assert result.fit_results[0] is None
-
     def test_unconverged_candidate_is_flagged(self, monkeypatch):
         sigma = invert(random_sparse_precision(4, np.random.default_rng(8)))
         stalled = EdgeSet(4, [(0, 1)])
@@ -164,9 +146,10 @@ class TestSelectGraph:
         assert math.isfinite(result.scores[1])
 
     def test_all_fits_failed(self):
-        # zero diagonal makes every candidate's initialization impossible
+        # zero diagonal makes every candidate's initialization impossible,
+        # and the whole call raises
         sigma = CovarianceMatrix([[0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(AllFitsFailed):
+        with pytest.raises(InfeasibleStart):
             select_graph(CandidateCollection([EdgeSet(2), EdgeSet(2, [(0, 1)])]), sigma, 5.0)
 
     def test_sigma_of_another_order_is_a_dimension_mismatch(self):
@@ -184,25 +167,13 @@ class TestSelectGraph:
         assert doc["unconverged"] == []
 
 
-def _loop_of_single_fits(collection, sigma, gamma, opts):
-    fits = []
-    for graph in collection.graphs:
-        try:
-            fits.append(fit_graph_mle(sigma, graph, gamma, opts))
-        except GgmError:
-            fits.append(None)
-    return fits
-
-
 def _assert_same_as_single_fits(result, fits):
-    scores = tuple(math.inf if fit is None else fit.objective for fit in fits)
+    scores = tuple(fit.objective for fit in fits)
     assert result.scores == scores
     assert result.selected_index == min(range(len(scores)), key=scores.__getitem__)
-    assert result.unconverged == tuple(k for k, fit in enumerate(fits) if fit is not None and not fit.converged)
+    assert result.unconverged == tuple(k for k, fit in enumerate(fits) if not fit.converged)
+    assert len(result.fit_results) == len(fits)
     for batched, single in zip(result.fit_results, fits):
-        assert (batched is None) == (single is None)
-        if single is None:
-            continue
         assert np.array_equal(batched.theta_hat.matrix, single.theta_hat.matrix)
         assert np.array_equal(factorize(batched.theta_hat).factor, factorize(single.theta_hat).factor)
         assert batched.objective == single.objective
@@ -214,30 +185,46 @@ class TestBatchedSelection:
     """select_graph fits its collection in one batch; each candidate's fit
     must be bit for bit the fit_graph_mle of that candidate alone."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         p=st.integers(3, 8),
         seed=st.integers(0, 2**32 - 1),
         few_samples=st.booleans(),
         shrink=st.sampled_from([0.3, 3.0, math.inf]),
         picks=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+        start=st.sampled_from(["kept", "kept", "huge", "tiny"]),
+        vertex=st.integers(0, 7),
     )
-    def test_select_graph_equals_a_loop_of_fit_graph_mle(self, p, seed, few_samples, shrink, picks):
+    def test_select_graph_equals_a_loop_of_fit_graph_mle(self, p, seed, few_samples, shrink, picks, start, vertex):
         # n = p - 1 leaves sigma_hat singular, so the complete graph's closed
         # form fails (a zero residual) while sparser chordal ones succeed;
-        # shrink = 0.3 makes the ball bind; picks repeat candidates
+        # shrink = 0.3 makes the ball bind; picks repeat candidates. A
+        # diagonal entry of 1e300 with gamma = 1e-30 scales the Newton start
+        # to 0 in the ball, and one of 1e-310 makes it overflow.
         rng = np.random.default_rng(seed)
         truth = random_sparse_precision(p, rng)
         sigma = empirical_covariance(sample(truth, p - 1 if few_samples else 200, seed))
         gamma = shrink * float(np.linalg.norm(truth.matrix))
+        if start != "kept":
+            entries = sigma.matrix.copy()
+            entries[vertex % p, vertex % p] = 1e300 if start == "huge" else 1e-310
+            sigma = CovarianceMatrix(entries)
+            gamma = 1e-30 if start == "huge" else gamma
         chain = EdgeSet(p, [(k, k + 1) for k in range(p - 1)])
         square = EdgeSet(p, [(0, 1), (1, 2), (2, 3), (0, 3)]) if p >= 4 else EdgeSet(p, [(0, 1), (1, 2)])
         pool = [chain, square, EdgeSet.complete(p), EdgeSet(p), edge_set_of(truth), chain.without((0, 1))]
         collection = CandidateCollection([pool[k] for k in picks])
         opts = FitOptions(max_iterations=60)
-        fits = _loop_of_single_fits(collection, sigma, gamma, opts)
-        if all(fit is None for fit in fits):
-            with pytest.raises(AllFitsFailed):
+        fits, raised = [], 0
+        for graph in collection:
+            try:
+                fits.append(fit_graph_mle(sigma, graph, gamma, opts))
+            except InfeasibleStart:
+                raised += 1
+        # the start depends on no graph: every fit raises or none does
+        assert raised == (0 if start == "kept" else len(collection))
+        if raised:
+            with pytest.raises(InfeasibleStart):
                 select_graph(collection, sigma, gamma, opts)
             return
         _assert_same_as_single_fits(select_graph(collection, sigma, gamma, opts), fits)
@@ -251,7 +238,7 @@ class TestBatchedSelection:
         result = select_graph(collection, sigma, 5.0)
         terminations = [fit.termination for fit in result.fit_results]
         assert terminations == ["closed_form", "tolerance", "closed_form", "tolerance"]
-        _assert_same_as_single_fits(result, _loop_of_single_fits(collection, sigma, 5.0, FitOptions()))
+        _assert_same_as_single_fits(result, [fit_graph_mle(sigma, graph, 5.0) for graph in collection])
 
 
 class TestSampleSizeBound:

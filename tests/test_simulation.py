@@ -221,7 +221,8 @@ class TestExperimentConfig:
         with pytest.raises(InvalidParameters):
             ExperimentConfig(gamma=-1.0)
         # non-integers were truncated (p=3.7 ran p=3), echoed unchanged
-        # (base_seed=1.9 seeded as 1) or failed mid-run (trials=2.5)
+        # (base_seed=1.9 seeded as 1) or failed mid-run (trials=2.5); a grid
+        # that is not a sequence (dimensions=5) raised TypeError
         for bad in (
             {"dimensions": (3.7,)},
             {"base_seed": 1.9},
@@ -230,6 +231,9 @@ class TestExperimentConfig:
             {"trials": True},
             {"dimensions": (3, False)},
             {"base_seed": "1"},
+            {"dimensions": 5},
+            {"sample_sizes": None},
+            {"dimensions": np.array(5)},
         ):
             with pytest.raises(InvalidParameters):
                 ExperimentConfig(**bad)
