@@ -9,6 +9,10 @@ Exit codes: 0 success, 2 unreadable or invalid input, 3 math-domain error
 (for example a matrix that is not positive definite), 4 a fit did not
 converge (fit, or any candidate's fit in select; the result is still
 written).
+
+Each command imports its own computation when it runs, so kl and bounds
+never load projection, selection or simulation: without a bytecode cache,
+every module a call loads is compiled again on that call.
 """
 
 from __future__ import annotations
@@ -17,18 +21,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from .core import _ZERO_TOL
-from .divergence import (
-    c_theta_star,
-    kl_gaussian,
-    omega_inf_lower_bound,
-    one_edge_lower_bound,
-)
 from .errors import GgmError, InvalidParameters
-from .projection import FitOptions, fit_graph_mle, project_remove_edge, project_remove_star
-from .selection import CandidateCollection, select_graph
 from .serialization import (
     dumps,
     load_candidates,
@@ -37,7 +33,9 @@ from .serialization import (
     load_precision,
     matrix_doc,
 )
-from .simulation import EXPERIMENT_KINDS, run_experiment
+
+if TYPE_CHECKING:
+    from .projection import FitOptions
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -65,18 +63,23 @@ def _in_range(flags: str, compute: Callable[[], T]) -> T:
 
 
 def _fit_options(args: argparse.Namespace) -> FitOptions:
-    return _in_range("fit flag", lambda: FitOptions(args.max_iterations, args.gradient_tolerance))
+    from .projection import FitOptions
+
+    # a flag left out keeps FitOptions' default
+    given = {"max_iterations": args.max_iterations, "gradient_tolerance": args.gradient_tolerance}
+    return _in_range("fit flag", lambda: FitOptions(**{k: v for k, v in given.items() if v is not None}))
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = FitOptions()
     parser.add_argument("--gamma", type=float, required=True,
                         help="Frobenius-ball radius; 'inf' disables the ball")
-    parser.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
-    parser.add_argument("--gradient-tolerance", type=float, default=defaults.gradient_tolerance)
+    parser.add_argument("--max-iterations", type=int)
+    parser.add_argument("--gradient-tolerance", type=float)
 
 
 def _cmd_kl(args: argparse.Namespace) -> int:
+    from .divergence import kl_gaussian
+
     theta1 = load_precision(args.theta1)
     theta2 = load_precision(args.theta2)
     _emit(args, {"kl": kl_gaussian(theta1, theta2)})
@@ -84,6 +87,8 @@ def _cmd_kl(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .divergence import c_theta_star, omega_inf_lower_bound, one_edge_lower_bound
+
     if (args.alpha is None) != (args.h is None):
         raise ValueError("--alpha and --h must be given together")
     theta = load_precision(args.theta)
@@ -98,6 +103,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    from .projection import project_remove_edge, project_remove_star
+
     theta = load_precision(args.theta)
     if args.edge is not None:
         result = project_remove_edge(theta, tuple(args.edge))
@@ -110,6 +117,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .projection import fit_graph_mle
+
     sigma = load_covariance(args.sigma)
     graph = load_edge_set(args.graph)
     result = fit_graph_mle(sigma, graph, args.gamma, _fit_options(args))
@@ -118,6 +127,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from .selection import CandidateCollection, select_graph
+
     sigma = load_covariance(args.sigma)
     collection = CandidateCollection(load_candidates(args.candidates))
     result = select_graph(collection, sigma, args.gamma, _fit_options(args))
@@ -126,6 +137,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .simulation import run_experiment
+
     doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise ValueError("experiment config must be a JSON object")
@@ -183,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.set_defaults(handler=_cmd_select)
 
     p_exp = sub.add_parser("experiment", help="run a reproducible experiment and write reports")
-    p_exp.add_argument("kind", choices=EXPERIMENT_KINDS)
+    p_exp.add_argument("kind", help="experiment kind; an unknown one exits 2 listing the kinds")
     p_exp.add_argument("config", help="experiment configuration JSON")
     p_exp.add_argument("--out", required=True, help="directory for the report and CSV files")
     p_exp.add_argument("--seed", type=int, help="override base_seed (counterexample has none)")

@@ -127,9 +127,10 @@ def _potrs(lower: np.ndarray, b: np.ndarray, overwrite_b: bool = False) -> np.nd
     return x
 
 
-def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool, trans: bool = False) -> np.ndarray:
-    """x with a x = b (a^T x = b with trans), by dtrtrs on a's lower or upper triangle."""
-    x, info = lapack.dtrtrs(a, b, lower=lower, trans=trans)
+def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool, trans: bool = False, overwrite_b: bool = False) -> np.ndarray:
+    """x with a x = b (a^T x = b with trans), by dtrtrs on a's lower or upper
+    triangle; overwrite_b solves a Fortran-ordered b in place."""
+    x, info = lapack.dtrtrs(a, b, lower=lower, trans=trans, overwrite_b=overwrite_b)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
     return x

@@ -611,14 +611,16 @@ def _fit_graphs(
         raise InvalidParameters(f"gamma must be positive (inf allowed), got {gamma}")
     sig = sigma_hat.matrix
     # Newton's start on every graph, scaled into the ball as _into_ball does
-    # it. A nonpositive diagonal entry gives an entry that is not positive;
-    # an entry or a norm that overflows gives a norm of inf, with which
-    # Newton would compute 0 * inf.
+    # it. It is infeasible when an entry is not positive (a nonpositive
+    # diagonal entry), when its norm is inf (an entry or the norm overflows),
+    # or when an entry is too small to invert (its reciprocal overflows); in
+    # the last two cases Newton's first step would compute 0 * inf.
     with np.errstate(divide="ignore", over="ignore"):
         start = 1.0 / np.diagonal(sig)
         norm = math.sqrt(np.dot(start, start))
-    if not (norm < math.inf and start.min() * (gamma / norm if norm > gamma else 1.0) > 0):
-        raise InfeasibleStart("the start 1 / sigma_hat diagonal is not positive, overflows, or is 0 in the ball")
+        smallest = start.min() * (gamma / norm if norm > gamma else 1.0)
+        if not (norm < math.inf and smallest > 0 and 1.0 / smallest < math.inf):
+            raise InfeasibleStart("the start 1 / sigma_hat diagonal is not positive, overflows, or is too small to invert in the ball")
     graphs = tuple(graphs)
     # A tuple holding a graph with more coordinates is planned afresh on
     # every fit: that graph's O(m^3) Newton steps dwarf the build, while a
@@ -707,7 +709,7 @@ def fit_graph_mle(
     The Newton run starts from diag(1 / sigma_hat diagonal), rescaled into
     the ball if needed. That start depends on no graph, so it is checked
     once, with the other inputs, before anything is fitted: a start that
-    is not positive, overflows, or underflows to 0 in the ball raises
+    is not positive, overflows, or in the ball is too small to invert raises
     InfeasibleStart, a gamma that is not positive InvalidParameters, and a
     graph of another order than sigma_hat DimensionMismatch. So a fit, of one graph or of a
     collection, raises for the whole call or not at all, and a

@@ -120,7 +120,8 @@ def select_graph(
     for a sigma_hat whose order differs from the candidates',
     InvalidParameters for a gamma that is not positive, and InfeasibleStart
     when the Newton start diag(1 / sigma_hat diagonal), the same for every
-    candidate, is not finite or not positive once scaled into the ball.
+    candidate, is not finite, or not positive or too small to invert once
+    scaled into the ball.
     """
     fits = tuple(_fit_graphs(sigma_hat, collection.graphs, gamma, opts))
     scores = tuple(fit.objective for fit in fits)

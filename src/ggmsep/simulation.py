@@ -107,6 +107,14 @@ class SampleMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
 
+    @classmethod
+    def _validated(cls, rows: np.ndarray) -> "SampleMatrix":
+        """Sample over finite (n >= 1, p >= 2) rows, frozen but not copied."""
+        rows.flags.writeable = False
+        draws = cls.__new__(cls)
+        object.__setattr__(draws, "rows", rows)
+        return draws
+
     @property
     def n(self) -> int:
         return int(self.rows.shape[0])
@@ -143,7 +151,8 @@ def sample(theta: PrecisionMatrix, n: int, seed: int) -> SampleMatrix:
     fact = factorize(theta)
     rng = np.random.default_rng(int(seed))
     z = rng.standard_normal((n, theta.p))
-    return SampleMatrix(rows=_trtrs(fact.factor.T, z.T, lower=False).T)
+    # z.T is Fortran-ordered, so dtrtrs solves these finite draws in place
+    return SampleMatrix._validated(_trtrs(fact.factor.T, z.T, lower=False, overwrite_b=True).T)
 
 
 def empirical_covariance(x: SampleMatrix) -> CovarianceMatrix:
@@ -807,7 +816,7 @@ def run_experiment(kind: str, doc: Mapping, progress: _Progress = None) -> Exper
     chain keys or gamma rule out.
     """
     if kind not in EXPERIMENT_KINDS:
-        raise ValueError(f"unknown experiment kind {kind!r}")
+        raise ValueError(f"unknown experiment kind {kind!r}; the kinds are {', '.join(EXPERIMENT_KINDS)}")
     try:
         if kind == "counterexample":
             if set(doc) != {"d_values"} or not isinstance(doc["d_values"], list):

@@ -42,6 +42,15 @@ def test_kl_gaussian_reaches_factorize_through_its_module_global(tracing):
     assert divergence.factorize is core.factorize
 
 
+def test_a_name_read_through_the_package_under_tracing_is_the_original_after(tracing):
+    # the package fetches names from their submodules and keeps none, so
+    # restoring the submodules restores ggmsep.kl_gaussian too
+    original = divergence.kl_gaussian
+    with tracing.installed(tracing.Tracer()):
+        assert ggmsep.kl_gaussian is divergence.kl_gaussian is not original
+    assert ggmsep.kl_gaussian is original
+
+
 def test_select_graph_fits_criterion_7s_collection_without_fit_graph_mle_spans(tracing):
     # One batched closed form serves all 8 candidates: one stacked Cholesky
     # check of the conditioning blocks, and every fitted precision keeps its

@@ -204,7 +204,7 @@ class TestFitAndSelect:
         assert code == 3
 
     @pytest.mark.parametrize("command", ["fit", "select"])
-    @pytest.mark.parametrize("corner, gamma", [(1e-310, "10"), (1e300, "1e-30")])
+    @pytest.mark.parametrize("corner, gamma", [(1e-310, "10"), (1e300, "1e-30"), (1.0, "1e-310")])
     def test_infeasible_start_exits_3_without_a_warning(self, tmp_path, capsys, command, corner, gamma):
         # a 1e-310 diagonal entry exited 2 ("precision matrix has non-finite
         # entries") after an overflow warning
@@ -300,6 +300,14 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o")
         assert code == 2
         assert repr(value) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_kind_exits_2_naming_it(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", {"d_values": [1]})
+        code, out, err = run(capsys, "experiment", "bogus-kind", config, "--out", tmp_path / "o", "--quiet")
+        assert code == 2
+        assert "bogus-kind" in err and "counterexample" in err
+        assert out == ""
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):

@@ -505,12 +505,16 @@ class TestFitGraphMle:
         f_large = fit_graph_mle(sigma, large, 6.0).objective
         assert f_large <= f_small + 1e-8
 
-    @pytest.mark.parametrize("corner, gamma", [(0.0, 10.0), (1e-310, 10.0), (1e-310, math.inf), (1e300, 1e-30)])
+    @pytest.mark.parametrize("corner, gamma", [
+        (0.0, 10.0), (1e-310, 10.0), (1e-310, math.inf), (1e300, 1e-30), (1.0, 1e-310), (1.0, 1e-320),
+    ])
     @pytest.mark.parametrize("graph", [EdgeSet(4), EdgeSet(4, [(0, 1), (1, 2), (2, 3), (0, 3)])])
     def test_infeasible_start(self, corner, gamma, graph):
         # 1 / 1e-310 overflows, and 1 / 1e300 scaled into a 1e-30 ball
         # underflows to 0: the fit raised ValueError after an overflow
-        # warning, or InvalidParameters
+        # warning, or InvalidParameters. The identity scaled into a 1e-310
+        # or 1e-320 ball is positive, but its inverse overflows: the fit
+        # returned a NaN gradient norm after an invalid-value warning
         entries = np.eye(4)
         entries[0, 0] = corner
         with pytest.raises(InfeasibleStart, match="start"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ class TestSelectGraph:
         sigma = CovarianceMatrix([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InfeasibleStart):
             select_graph(CandidateCollection([EdgeSet(2), EdgeSet(2, [(0, 1)])]), sigma, 5.0)
+
+    @pytest.mark.parametrize("gamma", [1e-310, 1e-320])
+    def test_a_start_too_small_to_invert_raises_without_a_warning(self, gamma):
+        # the identity scaled into the ball is subnormal and its inverse
+        # overflows: every Newton fit stalled with a NaN gradient norm
+        collection = CandidateCollection([EdgeSet(4), EdgeSet(4, [(0, 1), (1, 2), (2, 3), (0, 3)])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleStart, match="start"):
+                select_graph(collection, CovarianceMatrix(np.eye(4)), gamma)
 
     def test_sigma_of_another_order_is_a_dimension_mismatch(self):
         sigma = invert(random_sparse_precision(4, np.random.default_rng(9)))
