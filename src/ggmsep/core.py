@@ -59,6 +59,19 @@ def _is_int(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value: object) -> bool:
+    """Whether value is a real number: an integer (_is_int) or a float."""
+    return _is_int(value) or isinstance(value, float)
+
+
+def _checked_size(name: str, value: object, minimum: int) -> int:
+    """value as an int; InvalidParameters naming it unless it is an integer
+    (_is_int: never a bool or float) of at least minimum."""
+    if not _is_int(value) or value < minimum:
+        raise InvalidParameters(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _vertex(p: int, v: object) -> int:
     """v as a vertex of {0, ..., p-1}; IndexOutOfRange unless it is an
     integer (_is_int: never a float or a bool) in that range."""

@@ -57,9 +57,10 @@ from .core import (
     EdgeSet,
     PrecisionMatrix,
     _check_adoptable,
+    _checked_size,
     _cholesky_lower,
     _factorizable,
-    _is_int,
+    _is_real,
     _log_det,
     _potrf,
     _potrs,
@@ -210,10 +211,9 @@ class FitOptions:
     gradient_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not _is_int(self.max_iterations) or self.max_iterations < 1:
-            raise InvalidParameters(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        _checked_size("max_iterations", self.max_iterations, 1)
         tolerance = self.gradient_tolerance
-        if not (_is_int(tolerance) or isinstance(tolerance, float)) or not 0 < tolerance < math.inf:
+        if not _is_real(tolerance) or not 0 < tolerance < math.inf:
             raise InvalidParameters(f"gradient_tolerance must be a finite positive real, got {tolerance!r}")
 
 
@@ -535,7 +535,8 @@ def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: 
     rows, cols = np.divmod(support % (p * p), p)
     at = functools.partial(_iterate_at, rows, cols, scale, sig, gamma)
     hessian = functools.partial(_hessian, rows, cols, scale)
-    # _fit_graphs has checked that this start is finite and positive
+    # _fit_graphs has checked that this start is positive and that its
+    # norm and the norm of its inverse are finite
     point = at(_into_ball(scale * np.diag(1.0 / np.diag(sig))[rows, cols], gamma))
     trace = [point.objective]
     iterations = 0
@@ -597,12 +598,13 @@ def _fit_graphs(
     that no graph's fit accepts: a graph order that differs from
     sigma_hat's, a gamma that is not positive, or an infeasible Newton
     start (below). Otherwise returns every graph's FitResult, in order. A
-    closed form that passes its check never meets an infeasible start: its
-    norm is at most gamma and its diagonal at least 1 / sigma_hat's, so
-    the start needs no scaling. The tuple of graphs is planned once
-    (_batch_plan, graph g in slot g of every plan array) and the plan is
-    cached when every graph has at most _CACHED_PLAN_COORDINATES
-    coordinates.
+    closed form that passes its check meets an infeasible start only when
+    the norm of sigma_hat's diagonal overflows (entries of about 1e154 and
+    more): the closed form's norm is at most gamma and its diagonal at
+    least 1 / sigma_hat's, so the start needs no scaling and its inverse is
+    sigma_hat's diagonal. The tuple of graphs is planned once (_batch_plan,
+    graph g in slot g of every plan array) and the plan is cached when
+    every graph has at most _CACHED_PLAN_COORDINATES coordinates.
     """
     for graph in graphs:
         if graph.p != sigma_hat.p:
@@ -611,15 +613,18 @@ def _fit_graphs(
         raise InvalidParameters(f"gamma must be positive (inf allowed), got {gamma}")
     sig = sigma_hat.matrix
     # Newton's start on every graph, scaled into the ball as _into_ball does
-    # it. It is infeasible when an entry is not positive (a nonpositive
-    # diagonal entry), when its norm is inf (an entry or the norm overflows),
-    # or when an entry is too small to invert (its reciprocal overflows); in
-    # the last two cases Newton's first step would compute 0 * inf.
+    # it. It is infeasible when its norm is inf (an entry or the norm
+    # overflows), when an entry is not positive (a nonpositive diagonal
+    # entry), or when the norm of its inverse overflows (an entry, or the
+    # dot product that _into_ball's norm takes): Newton's first gradient
+    # mapping and Hessian are built from that inverse and would overflow.
     with np.errstate(divide="ignore", over="ignore"):
         start = 1.0 / np.diagonal(sig)
         norm = math.sqrt(np.dot(start, start))
-        smallest = start.min() * (gamma / norm if norm > gamma else 1.0)
-        if not (norm < math.inf and smallest > 0 and 1.0 / smallest < math.inf):
+        if gamma < norm < math.inf:
+            start *= gamma / norm
+        inverse = 1.0 / start
+        if not (norm < math.inf and start.min() > 0 and math.sqrt(np.dot(inverse, inverse)) < math.inf):
             raise InfeasibleStart("the start 1 / sigma_hat diagonal is not positive, overflows, or is too small to invert in the ball")
     graphs = tuple(graphs)
     # A tuple holding a graph with more coordinates is planned afresh on

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import CovarianceMatrix, EdgeSet, _is_int
+from .core import CovarianceMatrix, EdgeSet, _checked_size, _is_real
 from .errors import DimensionMismatch, InvalidParameters
 from .projection import FitOptions, FitResult, _fit_graphs, fit_graph_mle
 
@@ -23,7 +23,8 @@ class CandidateCollection:
     """Ordered candidate graphs sharing a vertex count, with sparsity bound s.
 
     s counts edges only (the always-present diagonal is added internally
-    wherever a formula needs p + s).
+    wherever a formula needs p + s); it is an integer no smaller than the
+    largest candidate's edge count, which is its default.
     """
 
     __slots__ = ("graphs", "s")
@@ -37,14 +38,8 @@ class CandidateCollection:
             if g.p != p:
                 raise DimensionMismatch(f"candidates mix vertex counts {p} and {g.p}")
         max_edges = max(len(g) for g in graphs)
-        if s is None:
-            s = max_edges
-        elif not _is_int(s):
-            raise InvalidParameters(f"s must be an integer, got {s!r}")
-        elif s < max_edges:
-            raise InvalidParameters(f"s={s} is below the largest candidate edge count {max_edges}")
         self.graphs = graphs
-        self.s = int(s)
+        self.s = max_edges if s is None else _checked_size("s", s, max_edges)
 
     @property
     def p(self) -> int:
@@ -148,11 +143,8 @@ def sample_size_bound(
     c_star is caller-supplied, so either the raw separation constant or
     half its log can be probed. Callers round up to an integer n.
     """
-    if not all((_is_int(x) or isinstance(x, float)) and 0 < x < math.inf for x in (C, gamma, c_star, lambda_max)):
+    if not all(_is_real(x) and 0 < x < math.inf for x in (C, gamma, c_star, lambda_max)):
         raise InvalidParameters("C, gamma, c_star, and lambda_max must all be positive finite reals")
-    if not _is_int(p) or p < 2:
-        raise InvalidParameters(f"p must be an integer >= 2, got {p!r}")
-    if not _is_int(s) or s <= 0:
-        raise InvalidParameters(f"s must be a positive integer, got {s!r}")
+    p, s = _checked_size("p", p, 2), _checked_size("s", s, 1)
     factor = s if known_diagonals else p + s
     return (4.0 * C**2 * gamma**2 / c_star**2) * lambda_max**2 * factor * math.log(p)

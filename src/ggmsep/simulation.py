@@ -35,9 +35,11 @@ from .core import (
     _ZERO_TOL,
     CovarianceMatrix,
     PrecisionMatrix,
+    _checked_size,
     _cholesky_lower,
     _factorizable,
     _is_int,
+    _is_real,
     _symmetrize_in_place,
     _trtrs,
     _upper_pairs,
@@ -124,14 +126,6 @@ class SampleMatrix:
         return int(self.rows.shape[1])
 
 
-def _checked_size(name: str, value: object, minimum: int) -> int:
-    """value as an int; InvalidParameters unless it is an integer (numpy
-    integers too, never a bool or float) of at least minimum."""
-    if not _is_int(value) or value < minimum:
-        raise InvalidParameters(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def trial_seed(base_seed: int, grid_index: int, trial_index: int) -> int:
     """Fixed mixing of (base seed, grid position, trial index) into one
     64-bit seed; the single entry point for randomness in experiments."""
@@ -209,28 +203,21 @@ def random_sparse_precision(
     rng: np.random.Generator,
     *,
     edge_probability: float = 0.35,
-    coupling_range: tuple[float, float] = (0.3, 1.0),
-    margin_range: tuple[float, float] = (0.3, 1.2),
 ) -> PrecisionMatrix:
     """Random PD precision with random off-diagonal support.
 
-    Couplings get uniform magnitudes and random signs on a Bernoulli edge
-    set (at least one edge is forced); each diagonal is the absolute row
-    sum plus a uniform positive margin, so the matrix is strictly
-    diagonally dominant and therefore PD. Uniforms come as arrays: one per
-    pair in row-major order, then a magnitude and a sign per chosen pair.
+    Couplings get uniform magnitudes in [0.3, 1.0) and random signs on a
+    Bernoulli edge set (at least one edge is forced); each diagonal is the
+    absolute row sum plus a uniform margin in [0.3, 1.2), so the matrix is
+    strictly diagonally dominant and therefore PD. Uniforms come as arrays:
+    one per pair in row-major order, then a magnitude and a sign per chosen
+    pair.
     """
     p = _checked_size("p", p, 2)
-    return PrecisionMatrix(_sparse_precision_entries(p, [rng], edge_probability, coupling_range, margin_range)[0])
+    return PrecisionMatrix(_sparse_precision_entries(p, [rng], edge_probability)[0])
 
 
-def _sparse_precision_entries(
-    p: int,
-    rngs: list[np.random.Generator],
-    edge_probability: float = 0.35,
-    coupling_range: tuple[float, float] = (0.3, 1.0),
-    margin_range: tuple[float, float] = (0.3, 1.2),
-) -> np.ndarray:
+def _sparse_precision_entries(p: int, rngs: list[np.random.Generator], edge_probability: float = 0.35) -> np.ndarray:
     # random_sparse_precision's entries, unvalidated, as a (len(rngs), p, p)
     # stack: each generator makes its own draws, and the stack is built from
     # them in one pass
@@ -242,10 +229,10 @@ def _sparse_precision_entries(
             pairs = np.array([int(rng.integers(rows.size))])
         chosen.append(pairs)
         draws.append(rng.uniform(size=(pairs.size, 2)))
-        margins.append(rng.uniform(*margin_range, size=p))
+        margins.append(rng.uniform(0.3, 1.2, size=p))
     chosen_pairs, drawn = np.concatenate(chosen), np.concatenate(draws)
     owner = np.repeat(np.arange(len(rngs)), [pairs.size for pairs in chosen])
-    magnitude = coupling_range[0] + (coupling_range[1] - coupling_range[0]) * drawn[:, 0]
+    magnitude = 0.3 + 0.7 * drawn[:, 0]
     arr = np.zeros((len(rngs), p, p))
     arr[owner, rows[chosen_pairs], cols[chosen_pairs]] = np.where(drawn[:, 1] < 0.5, magnitude, -magnitude)
     arr += arr.swapaxes(-1, -2)
@@ -325,27 +312,12 @@ def _omega_inf_entries(p: int, alpha: float, h: float, rng: np.random.Generator,
     return arr
 
 
-def _checked_fields(what: str, doc: Mapping, defaults: object) -> dict:
-    # Checks JSON values against the types of the defaults' fields: bool
-    # for bool, integer for int, any number for float, and a list of
-    # integers for a tuple. Nested objects are left to the caller.
-    unknown = set(doc) - {f.name for f in dataclasses.fields(defaults)}
+def _known_keys(what: str, doc: Mapping, cls: type) -> dict:
+    """doc as keyword arguments of the dataclass cls; ValueError names any
+    key that is not one of its fields."""
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    for key, value in doc.items():
-        default = getattr(defaults, key)
-        if isinstance(default, bool):
-            ok = isinstance(value, bool)
-        elif isinstance(default, int):
-            ok = _is_int(value)
-        elif isinstance(default, float):
-            ok = _is_int(value) or isinstance(value, float)
-        elif isinstance(default, tuple):
-            ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
-        else:
-            ok = True
-        if not ok:
-            raise ValueError(f"{what} key {key!r} has a value of the wrong type: {value!r}")
     return dict(doc)
 
 
@@ -357,7 +329,9 @@ class ExperimentConfig:
     (single) model order for the selection sweep; sample_sizes is the
     n-grid for selection. Unused fields are ignored by a given driver.
     base_seed, trials and the grids take integers (numpy integers too, never
-    bools or floats), the flags bools, the reals ints or floats, fit a FitOptions.
+    bools or floats), the flags bools, the reals ints or floats, fit a
+    FitOptions. Construction is the one check of every field, its type and
+    its range: InvalidParameters names the field that fails.
     """
 
     base_seed: int = 0
@@ -373,43 +347,41 @@ class ExperimentConfig:
     fit: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self) -> None:
-        try:
-            dimensions, sample_sizes = tuple(self.dimensions), tuple(self.sample_sizes)
-        except TypeError:
-            raise InvalidParameters("dimensions and sample_sizes take sequences of integers only") from None
-        if not all(map(_is_int, (self.base_seed, self.trials, *dimensions, *sample_sizes))):
-            raise InvalidParameters("base_seed, trials, dimensions and sample_sizes take integers only")
-        if not isinstance(self.use_true_diagonal, bool) or not isinstance(self.include_population, bool):
-            raise InvalidParameters("use_true_diagonal and include_population take bools only")
-        if not all(_is_int(x) or isinstance(x, float) for x in (self.gamma, self.perturbation_scale,
-                                                               self.chain_diagonal, self.chain_coupling)):
-            raise InvalidParameters("gamma, perturbation_scale, chain_diagonal and chain_coupling take numbers only")
+        _checked_size("base_seed", self.base_seed, 0)
+        _checked_size("trials", self.trials, 1)
+        for name, minimum in (("dimensions", 2), ("sample_sizes", 1)):
+            grid = getattr(self, name)
+            try:
+                grid = tuple(_checked_size(f"{name}[{k}]", v, minimum) for k, v in enumerate(grid))
+            except TypeError:
+                raise InvalidParameters(f"{name} must be a sequence of integers, got {grid!r}") from None
+            if not grid:
+                raise InvalidParameters(f"{name} must be a nonempty grid of integers >= {minimum}")
+            object.__setattr__(self, name, grid)
+        for name in ("use_true_diagonal", "include_population"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidParameters(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in ("gamma", "perturbation_scale", "chain_diagonal", "chain_coupling"):
+            if not _is_real(getattr(self, name)):
+                raise InvalidParameters(f"{name} must be a real number, got {getattr(self, name)!r}")
+        if not self.gamma > 0:
+            raise InvalidParameters(f"gamma must be positive, got {self.gamma!r}")
+        if not 0 <= self.perturbation_scale < math.inf:
+            raise InvalidParameters(f"perturbation_scale must be finite and >= 0, got {self.perturbation_scale!r}")
         if not isinstance(self.fit, FitOptions):
             raise InvalidParameters(f"fit takes a FitOptions only, got {type(self.fit).__name__}")
-        object.__setattr__(self, "dimensions", tuple(int(p) for p in dimensions))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sample_sizes))
-        if self.base_seed < 0:
-            raise InvalidParameters("base_seed must be a nonnegative integer")
-        if self.trials < 1:
-            raise InvalidParameters("trials must be >= 1")
-        if not self.dimensions or any(p < 2 for p in self.dimensions):
-            raise InvalidParameters("dimensions must be a nonempty grid of integers >= 2")
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
-            raise InvalidParameters("sample_sizes must be a nonempty grid of integers >= 1")
-        if not self.gamma > 0:
-            raise InvalidParameters("gamma must be positive")
-        if not 0 <= self.perturbation_scale < math.inf:
-            raise InvalidParameters("perturbation_scale must be finite and >= 0")
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
-        """Parse a JSON config document; ValueError names any unknown key or
-        any value of the wrong type, InvalidParameters a value out of range."""
-        kwargs = _checked_fields("config", doc, cls())
+        """Parse a JSON config document. ValueError names any unknown key,
+        in the config or in its fit object, and a fit that is not an object;
+        construction checks every value, so InvalidParameters names a value
+        of the wrong type or out of range."""
+        kwargs = _known_keys("config", doc, cls)
         if "fit" in kwargs:
             if not isinstance(kwargs["fit"], Mapping):
                 raise ValueError("fit must be an object of fit options")
-            kwargs["fit"] = FitOptions(**_checked_fields("fit", kwargs["fit"], FitOptions()))
+            kwargs["fit"] = FitOptions(**_known_keys("fit", kwargs["fit"], FitOptions))
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -811,9 +783,9 @@ def run_experiment(kind: str, doc: Mapping, progress: _Progress = None) -> Exper
     """Run one experiment of EXPERIMENT_KINDS from its JSON config document.
 
     counterexample takes {"d_values": [...]}, the other kinds the fields of
-    ExperimentConfig. ValueError names an unknown kind or key and a value
-    of the wrong type or out of range, including a selection chain that the
-    chain keys or gamma rule out.
+    ExperimentConfig. ValueError names an unknown kind or key and an invalid
+    config value: one of the wrong type or out of range, including a
+    selection chain that the chain keys or gamma rule out.
     """
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}; the kinds are {', '.join(EXPERIMENT_KINDS)}")
@@ -826,6 +798,6 @@ def run_experiment(kind: str, doc: Mapping, progress: _Progress = None) -> Exper
         if kind == "selection":
             _selection_truth(cfg)
     except InvalidParameters as exc:
-        raise ValueError(f"{kind} config value out of range: {exc}") from None
+        raise ValueError(f"invalid {kind} config value: {exc}") from None
     driver = run_lower_bound_experiment if kind == "lower-bound" else run_selection_experiment
     return driver(cfg, progress)

@@ -204,7 +204,7 @@ class TestFitAndSelect:
         assert code == 3
 
     @pytest.mark.parametrize("command", ["fit", "select"])
-    @pytest.mark.parametrize("corner, gamma", [(1e-310, "10"), (1e300, "1e-30"), (1.0, "1e-310")])
+    @pytest.mark.parametrize("corner, gamma", [(1e-310, "10"), (1e300, "1e-30"), (1.0, "1e-310"), (1.0, "1e-200")])
     def test_infeasible_start_exits_3_without_a_warning(self, tmp_path, capsys, command, corner, gamma):
         # a 1e-310 diagonal entry exited 2 ("precision matrix has non-finite
         # entries") after an overflow warning

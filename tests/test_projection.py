@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from collections import Counter
 
 import ggmsep
@@ -507,6 +508,7 @@ class TestFitGraphMle:
 
     @pytest.mark.parametrize("corner, gamma", [
         (0.0, 10.0), (1e-310, 10.0), (1e-310, math.inf), (1e300, 1e-30), (1.0, 1e-310), (1.0, 1e-320),
+        (1.0, 1e-160), (1.0, 1e-200), (1.0, 1e-300),
     ])
     @pytest.mark.parametrize("graph", [EdgeSet(4), EdgeSet(4, [(0, 1), (1, 2), (2, 3), (0, 3)])])
     def test_infeasible_start(self, corner, gamma, graph):
@@ -514,11 +516,23 @@ class TestFitGraphMle:
         # underflows to 0: the fit raised ValueError after an overflow
         # warning, or InvalidParameters. The identity scaled into a 1e-310
         # or 1e-320 ball is positive, but its inverse overflows: the fit
-        # returned a NaN gradient norm after an invalid-value warning
+        # returned a NaN gradient norm after an invalid-value warning. In a
+        # 1e-160 to 1e-300 ball the inverse is finite but the norm of it
+        # that Newton's first gradient mapping takes overflows: the fit
+        # converged after an overflow warning
         entries = np.eye(4)
         entries[0, 0] = corner
         with pytest.raises(InfeasibleStart, match="start"):
             fit_graph_mle(CovarianceMatrix(entries), graph, gamma)
+
+    @pytest.mark.parametrize("graph", [EdgeSet(4), EdgeSet(4, [(0, 1), (1, 2), (2, 3), (0, 3)])])
+    def test_tiny_ball_with_a_finite_inverse_norm_converges_without_a_warning(self, graph):
+        # the identity scaled into a 1e-150 ball has an inverse of norm 2e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_graph_mle(CovarianceMatrix(np.eye(4)), graph, 1e-150)
+        assert fit.converged and fit.termination == "tolerance"
+        assert_allclose(fit.theta_hat.matrix, 0.5e-150 * np.eye(4), rtol=1e-12)
 
     def test_invalid_gamma(self):
         sigma = CovarianceMatrix(np.eye(2))

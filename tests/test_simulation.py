@@ -39,7 +39,7 @@ from ggmsep import (
 )
 from ggmsep import core
 from ggmsep import selection as selection_module
-from ggmsep.simulation import _weakest_edges
+from ggmsep.simulation import _weakest_edges, run_experiment
 from reference import in_omega_inf, lower_bound_trial_by_trial
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -251,12 +251,26 @@ class TestExperimentConfig:
         {"perturbation_scale": "0.25"},
         {"chain_diagonal": True},
         {"chain_coupling": None},
+        {"base_seed": 1.5},
+        {"trials": "3"},
+        {"dimensions": [3, 4.0]},
+        {"dimensions": "35"},
+        {"sample_sizes": 250},
+        {"sample_sizes": [250, True]},
     ])
     def test_flags_take_bools_and_reals_take_numbers(self, bad):
-        # from_dict rejects these; direct construction accepted all but
-        # gamma and perturbation_scale, which raised TypeError
-        with pytest.raises(InvalidParameters):
+        # every field of the wrong type, in the constructor, the JSON parser
+        # and the config entry point alike: construction is the one check,
+        # and its message names the field. Of the first six, direct
+        # construction accepted all but gamma and perturbation_scale, which
+        # raised TypeError; from_dict raised ValueError for every case
+        (name,) = bad
+        with pytest.raises(InvalidParameters, match=name):
             ExperimentConfig(**bad)
+        with pytest.raises(InvalidParameters, match=name):
+            ExperimentConfig.from_dict(bad)
+        with pytest.raises(ValueError, match=f"invalid lower-bound config value: {name}"):
+            run_experiment("lower-bound", bad)
 
     @pytest.mark.parametrize("fit", [{"max_iterations": 5}, None, FitOptions])
     def test_fit_takes_fit_options_only(self, fit):
@@ -277,6 +291,10 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"trails": 5})
+        with pytest.raises(ValueError, match="unknown fit keys"):
+            ExperimentConfig.from_dict({"fit": {"bogus": 1}})
+        with pytest.raises(ValueError, match="fit must be an object"):
+            ExperimentConfig.from_dict({"fit": 5})
 
     def test_from_dict_parses_nested_fit(self):
         cfg = ExperimentConfig.from_dict({"fit": {"max_iterations": 99}})
