@@ -121,7 +121,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
     sigma = load_covariance(args.sigma)
     graph = load_edge_set(args.graph)
-    result = fit_graph_mle(sigma, graph, args.gamma, _fit_options(args))
+    opts = _fit_options(args)
+    result = _in_range("--gamma", lambda: fit_graph_mle(sigma, graph, args.gamma, opts))
     _emit(args, result.to_dict())
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
@@ -131,7 +132,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
     sigma = load_covariance(args.sigma)
     collection = CandidateCollection(load_candidates(args.candidates))
-    result = select_graph(collection, sigma, args.gamma, _fit_options(args))
+    opts = _fit_options(args)
+    result = _in_range("--gamma", lambda: select_graph(collection, sigma, args.gamma, opts))
     _emit(args, result.to_dict())
     return EXIT_NOT_CONVERGED if result.unconverged else EXIT_OK
 

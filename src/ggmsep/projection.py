@@ -28,14 +28,13 @@ planned once per tuple of graphs fitted together on one sigma_hat (one
 graph for fit_graph_mle, a whole collection for model selection), in one
 layout with graph g in slot g: every graph's support basis as flat indices
 into a (graphs, p, p) stack, and every chordal graph's perfect-elimination
-families grouped by parent count. The plan is kept in a 16-entry cache
-keyed on the tuple, so refitting the same candidates repeats only the
-arithmetic on the data; a tuple holding a graph with more than 128
-coordinates p + |E| is planned afresh. The closed form is one batched pass
-per parent count over every chordal graph of the tuple: one gather of the
-conditioning blocks, one batched Cholesky check and solve, and one scatter
-of every family's term into the stack, which is then checked as a whole:
-only potrf, potrs, two norms and the result are per graph. A Newton fit
+families grouped by parent count. The plan of the last tuple fitted is
+kept, so refitting the same candidates repeats only the arithmetic on the
+data. The closed form is one batched pass per parent count over every
+chordal graph of the tuple: one gather of the conditioning blocks, one
+batched Cholesky check and solve, and one scatter of every family's term
+into the stack, which is then checked as a whole: only potrf, potrs, two
+norms and the result are per graph. A Newton fit
 reads its graph's run of the same support indices. Every factorization,
 solve and inverse of a fit calls LAPACK through core's boundary (_potrf,
 _potrs, _trtrs), without the checking wrappers of scipy.linalg. A fitted
@@ -257,8 +256,6 @@ _HESSIAN_BLOCK = 64
 # on the Newton steps (Cholesky factorizations) spent reaching it.
 _SECULAR_TOLERANCE = 1e-15
 _SECULAR_STEPS = 50
-# Largest p + |E| of a graph whose fit plans are kept in the cache.
-_CACHED_PLAN_COORDINATES = 128
 
 
 def _hessian(rows: np.ndarray, cols: np.ndarray, scale: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -324,15 +321,14 @@ def _iterate_at(
 
 def _newton_step(
     hess: np.ndarray, grad: np.ndarray, coords: np.ndarray, gamma: float, nu: float
-) -> tuple[np.ndarray, float, float]:
+) -> Optional[tuple[np.ndarray, float, float]]:
     """Step d minimizing <grad, d> + d^T hess d / 2 over ||coords + d|| <=
     gamma, its Newton decrement sqrt(d^T hess d), and the ball's multiplier
     nu: (hess + nu I) d = -(grad + nu coords), with nu = 0 or ||coords +
     d|| = gamma. 1 / ||coords + d(nu)|| is concave and increasing, so
     Newton's method on it (More & Sorensen, 1983), started from the
     previous step's nu, lands below the root at most once and then rises
-    to it monotonically. Raises LinAlgError when hess + nu I is not
-    positive definite."""
+    to it monotonically. None when hess + nu I is not positive definite."""
     # Fortran order lets dpotrf factor the buffer in place, without a copy
     shifted = np.empty_like(hess, order="F")
     diagonal = np.arange(hess.shape[0])
@@ -341,7 +337,7 @@ def _newton_step(
         shifted[diagonal, diagonal] += nu
         lower = _potrf(shifted, overwrite_a=True)
         if lower is None:
-            raise np.linalg.LinAlgError("dpotrf: shifted Hessian not positive definite")
+            return None
         step = -_potrs(lower, grad + nu * coords)
         target = coords + step
         norm = float(np.linalg.norm(target))
@@ -408,7 +404,7 @@ class _BatchPlan(NamedTuple):
     scatter: np.ndarray
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _batch_plan(graphs: tuple[EdgeSet, ...]) -> _BatchPlan:
     # Slots rise in graph order within each parent count, and each graph's
     # families keep their search order, so every graph's terms reach
@@ -542,10 +538,10 @@ def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: 
     iterations = 0
     nu = 0.0
     while point.gnorm > opts.gradient_tolerance and iterations < opts.max_iterations:
-        try:
-            step, decrement, nu = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)
-        except np.linalg.LinAlgError:
+        newton = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)
+        if newton is None:
             break
+        step, decrement, nu = newton
         cand = at(point.coords + step / (1.0 + decrement))
         if cand is None:
             break
@@ -557,11 +553,8 @@ def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: 
 
     converged = point.gnorm <= opts.gradient_tolerance
     if converged and nu > 0.0 and iterations < opts.max_iterations:
-        try:
-            step = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)[0]
-        except np.linalg.LinAlgError:
-            step = None
-        cand = None if step is None else at(point.coords + step)
+        newton = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)
+        cand = None if newton is None else at(point.coords + newton[0])
         if cand is not None and cand.objective < point.objective and cand.gnorm <= opts.gradient_tolerance:
             point = cand
             trace.append(point.objective)
@@ -603,8 +596,8 @@ def _fit_graphs(
     more): the closed form's norm is at most gamma and its diagonal at
     least 1 / sigma_hat's, so the start needs no scaling and its inverse is
     sigma_hat's diagonal. The tuple of graphs is planned once (_batch_plan,
-    graph g in slot g of every plan array) and the plan is cached when
-    every graph has at most _CACHED_PLAN_COORDINATES coordinates.
+    graph g in slot g of every plan array), and the plan of the last tuple
+    fitted is kept.
     """
     for graph in graphs:
         if graph.p != sigma_hat.p:
@@ -626,15 +619,7 @@ def _fit_graphs(
         inverse = 1.0 / start
         if not (norm < math.inf and start.min() > 0 and math.sqrt(np.dot(inverse, inverse)) < math.inf):
             raise InfeasibleStart("the start 1 / sigma_hat diagonal is not positive, overflows, or is too small to invert in the ball")
-    graphs = tuple(graphs)
-    # A tuple holding a graph with more coordinates is planned afresh on
-    # every fit: that graph's O(m^3) Newton steps dwarf the build, while a
-    # cached plan, and the graphs keying it, would hold memory for the life
-    # of the process.
-    if all(graph.p + len(graph) <= _CACHED_PLAN_COORDINATES for graph in graphs):
-        plan = _batch_plan(graphs)
-    else:
-        plan = _batch_plan.__wrapped__(graphs)
+    plan = _batch_plan(graphs)
     fits: list[Optional[FitResult]] = [None] * len(graphs)
     if plan.chordal:
         fits[:] = _closed_form_fits(sig, plan, *_chordal_mles(sig, plan), gamma, opts)
@@ -658,14 +643,13 @@ def fit_graph_mle(
     What depends on the graph alone (the support basis and, for a chordal
     graph, the perfect-elimination families grouped by parent count) is
     planned once per tuple of graphs, each graph in its own slot of one
-    layout, and kept in a 16-entry cache, so refitting a graph repeats only
-    the arithmetic on sigma_hat; a graph with more than 128 coordinates
-    p + |E| is planned afresh on every fit. This function fits the 1-tuple
-    (graph,). select_graph fits a whole collection through the same code,
-    with the closed forms of all its chordal candidates computed and
-    checked in one batch, and its other candidates fitted by Newton one at
-    a time; each candidate's result is bit for bit what this function
-    returns for it. Two paths, chosen from the graph itself:
+    layout, and the plan of the last tuple fitted is kept, so refitting a
+    graph repeats only the arithmetic on sigma_hat. This function fits the
+    1-tuple (graph,). select_graph fits a whole collection through the
+    same code, with the closed forms of all its chordal candidates
+    computed and checked in one batch, and its other candidates fitted by
+    Newton one at a time; each candidate's result is bit for bit what this
+    function returns for it. Two paths, chosen from the graph itself:
 
     - Closed form. When `graph` is chordal (maximum-cardinality search
       finds a perfect ordering), the unconstrained MLE is built directly

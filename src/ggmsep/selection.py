@@ -100,13 +100,12 @@ def select_graph(
 
     The closed forms of all chordal candidates are computed in one batched
     pass over sigma_hat, and checked in one stacked pass, from a plan built
-    once per tuple of candidate graphs, candidate g in slot g, and cached
-    (16 entries; a collection holding a graph with more than 128
-    coordinates p + |E| is planned afresh on every call); the other
-    candidates, and those whose closed form fails its check, take the
-    Newton path one by one on their slot of the same plan. Each
-    candidate's fit is bit for bit fit_graph_mle's, and its fitted
-    precision keeps the Cholesky factor its fit computed.
+    once per tuple of candidate graphs, candidate g in slot g (the plan
+    of the last tuple fitted is kept); the other candidates, and those
+    whose closed form fails its check, take the Newton path one by one on
+    their slot of the same plan. Each candidate's fit is bit for bit
+    fit_graph_mle's, and its fitted precision keeps the Cholesky factor
+    its fit computed.
     Results are in index order, so repeated calls with identical inputs
     produce identical results.
 

@@ -688,23 +688,6 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) 
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _selection_truth(cfg: ExperimentConfig) -> PrecisionMatrix:
-    """The selection sweep's true chain, checked against the config."""
-    p = cfg.dimensions[0]
-    try:
-        theta_star = chain_precision(p, cfg.chain_diagonal, cfg.chain_coupling)
-    except (NotPositiveDefinite, ValueError):
-        raise InvalidParameters(
-            f"chain_diagonal={cfg.chain_diagonal} and chain_coupling={cfg.chain_coupling} "
-            f"give no positive definite chain at p={p}"
-        ) from None
-    if float(np.linalg.norm(theta_star.matrix)) > cfg.gamma:
-        raise InvalidParameters(
-            f"gamma={cfg.gamma} excludes the true model (norm {np.linalg.norm(theta_star.matrix):.3f})"
-        )
-    return theta_star
-
-
 def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) -> ExperimentReport:
     """Sample-size sweep of the likelihood selector on a chain model.
 
@@ -721,7 +704,17 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
     lies outside the gamma-ball, raises InvalidParameters naming the keys.
     """
     p = cfg.dimensions[0]
-    theta_star = _selection_truth(cfg)
+    try:
+        theta_star = chain_precision(p, cfg.chain_diagonal, cfg.chain_coupling)
+    except (NotPositiveDefinite, ValueError):
+        raise InvalidParameters(
+            f"chain_diagonal={cfg.chain_diagonal} and chain_coupling={cfg.chain_coupling} "
+            f"give no positive definite chain at p={p}"
+        ) from None
+    if float(np.linalg.norm(theta_star.matrix)) > cfg.gamma:
+        raise InvalidParameters(
+            f"gamma={cfg.gamma} excludes the true model (norm {np.linalg.norm(theta_star.matrix):.3f})"
+        )
     true_graph = edge_set_of(theta_star)
     alternatives = [true_graph.without(edge) for edge in sorted(true_graph)]
     collection = CandidateCollection((true_graph, *alternatives))
@@ -776,7 +769,18 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
     )
 
 
-EXPERIMENT_KINDS = ("counterexample", "lower-bound", "selection")
+def _counterexample_from_doc(doc: Mapping, progress: _Progress) -> ExperimentReport:
+    if set(doc) != {"d_values"} or not isinstance(doc["d_values"], list):
+        raise ValueError(f"counterexample config takes only d_values (integers), got keys {sorted(doc)}")
+    return run_counterexample_experiment(doc["d_values"])
+
+
+_DRIVERS: dict[str, Callable[[Mapping, _Progress], ExperimentReport]] = {
+    "counterexample": _counterexample_from_doc,
+    "lower-bound": lambda doc, progress: run_lower_bound_experiment(ExperimentConfig.from_dict(doc), progress),
+    "selection": lambda doc, progress: run_selection_experiment(ExperimentConfig.from_dict(doc), progress),
+}
+EXPERIMENT_KINDS = tuple(_DRIVERS)
 
 
 def run_experiment(kind: str, doc: Mapping, progress: _Progress = None) -> ExperimentReport:
@@ -785,19 +789,13 @@ def run_experiment(kind: str, doc: Mapping, progress: _Progress = None) -> Exper
     counterexample takes {"d_values": [...]}, the other kinds the fields of
     ExperimentConfig. ValueError names an unknown kind or key and an invalid
     config value: one of the wrong type or out of range, including a
-    selection chain that the chain keys or gamma rule out.
+    selection chain that the chain keys or gamma rule out. Each value is
+    checked once, where the config or the driver first uses it, and every
+    InvalidParameters that the run raises becomes that ValueError.
     """
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _DRIVERS:
         raise ValueError(f"unknown experiment kind {kind!r}; the kinds are {', '.join(EXPERIMENT_KINDS)}")
     try:
-        if kind == "counterexample":
-            if set(doc) != {"d_values"} or not isinstance(doc["d_values"], list):
-                raise ValueError(f"counterexample config takes only d_values (integers), got keys {sorted(doc)}")
-            return run_counterexample_experiment(doc["d_values"])
-        cfg = ExperimentConfig.from_dict(doc)
-        if kind == "selection":
-            _selection_truth(cfg)
+        return _DRIVERS[kind](doc, progress)
     except InvalidParameters as exc:
         raise ValueError(f"invalid {kind} config value: {exc}") from None
-    driver = run_lower_bound_experiment if kind == "lower-bound" else run_selection_experiment
-    return driver(cfg, progress)

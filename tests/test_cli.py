@@ -197,11 +197,16 @@ class TestFitAndSelect:
         assert out == ""
         assert named in err
 
-    def test_fit_invalid_gamma_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("gamma", ["-1", "0", "nan"])
+    def test_gamma_out_of_range_exits_2_naming_it(self, tmp_path, capsys, command, gamma):
         sigma_path = write_json(tmp_path / "sigma.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
-        graph_path = write_json(tmp_path / "graph.json", {"p": 2, "edges": []})
-        code, _, _ = run(capsys, "fit", sigma_path, graph_path, "--gamma", "-1")
-        assert code == 3
+        graph = {"p": 2, "edges": []}
+        graph_path = write_json(tmp_path / "graph.json", graph if command == "fit" else [graph])
+        code, out, err = run(capsys, command, sigma_path, graph_path, "--gamma", gamma)
+        assert code == 2
+        assert out == ""
+        assert "--gamma" in err
 
     @pytest.mark.parametrize("command", ["fit", "select"])
     @pytest.mark.parametrize("corner, gamma", [(1e-310, "10"), (1e300, "1e-30"), (1.0, "1e-310"), (1.0, "1e-200")])
@@ -307,6 +312,15 @@ class TestExperiment:
         code, out, err = run(capsys, "experiment", "bogus-kind", config, "--out", tmp_path / "o", "--quiet")
         assert code == 2
         assert "bogus-kind" in err and "counterexample" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc", [[1, 2], "d_values", 3, None])
+    def test_config_that_is_not_a_json_object_exits_2(self, tmp_path, capsys, doc):
+        config = write_json(tmp_path / "config.json", doc)
+        code, out, err = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o")
+        assert code == 2
+        assert "JSON object" in err
         assert out == ""
         assert not (tmp_path / "o").exists()
 

@@ -437,6 +437,8 @@ class TestEdgeSet:
         assert b.is_subset_of(a)
         with pytest.raises(DimensionMismatch):
             a.difference(EdgeSet(4, [(0, 1)]))
+        with pytest.raises(DimensionMismatch):
+            b.is_subset_of(EdgeSet(4, [(1, 2)]))
 
     @pytest.mark.parametrize("p", [4.7, 4.0, True, "4", None])
     def test_rejects_an_order_that_is_not_an_integer(self, p):

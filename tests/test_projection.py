@@ -17,6 +17,7 @@ from scipy.linalg import cho_solve
 from ggmsep import (
     CandidateCollection,
     CovarianceMatrix,
+    DimensionMismatch,
     EdgeSet,
     EmptySet,
     FitOptions,
@@ -385,6 +386,12 @@ class TestNllGradient:
                 numeric = (plus - minus) / (2 * step)
                 analytic = grad[i, j] if i == j else grad[i, j] + grad[j, i]
                 assert abs(numeric - analytic) < 1e-5
+
+
+@pytest.mark.parametrize("function", [nll, nll_gradient])
+def test_nll_and_its_gradient_reject_a_sigma_of_another_order(function):
+    with pytest.raises(DimensionMismatch, match="orders differ"):
+        function(PrecisionMatrix(np.eye(3)), CovarianceMatrix(np.eye(2)))
 
 
 class TestFitGraphMle:
@@ -855,34 +862,23 @@ class TestChordalClosedForm:
                 kept, expected_factor = (ggmsep.factorize(f.theta_hat).factor for f in (fit, ref))
                 assert kept.tobytes() == expected_factor.tobytes()
 
-    # A chain on p vertices has p + (p - 1) coordinates: 119 at p = 60, 139
-    # at p = 70, either side of the 128 up to which plans are cached.
-    @staticmethod
-    def _plans_cached_by(fit):
+    def test_the_plan_of_the_last_tuple_fitted_is_kept_whatever_its_size(self):
+        # a chain on 70 vertices has 70 + 69 = 139 coordinates p + |E|
+        theta = chain_precision(70)
+        sigma, graph = invert(theta), edge_set_of(theta)
         projection._batch_plan.cache_clear()
         try:
-            fit()
-            return projection._batch_plan.cache_info().currsize
+            for _ in range(2):
+                assert fit_graph_mle(sigma, graph, math.inf).termination == "closed_form"
+            info = projection._batch_plan.cache_info()
+            assert (info.maxsize, info.misses, info.hits, info.currsize) == (1, 1, 1, 1)
+            select_graph(CandidateCollection([EdgeSet(70), graph]), sigma, math.inf)
+            info = projection._batch_plan.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
+            fit_graph_mle(sigma, graph, math.inf)
+            assert projection._batch_plan.cache_info().misses == 3
         finally:
             projection._batch_plan.cache_clear()
-
-    @staticmethod
-    def _closed_form_chain_fit(p):
-        theta = chain_precision(p)
-        result = fit_graph_mle(invert(theta), edge_set_of(theta), math.inf)
-        assert result.termination == "closed_form"
-
-    def test_plan_of_a_graph_of_119_coordinates_is_cached(self):
-        assert projection._CACHED_PLAN_COORDINATES == 128
-        assert self._plans_cached_by(lambda: self._closed_form_chain_fit(60)) == 1
-
-    def test_plan_of_a_graph_of_139_coordinates_is_not_cached(self):
-        assert self._plans_cached_by(lambda: self._closed_form_chain_fit(70)) == 0
-
-    def test_selection_holding_one_graph_above_the_limit_is_not_cached(self):
-        theta = chain_precision(70)
-        collection = CandidateCollection([EdgeSet(70), edge_set_of(theta)])
-        assert self._plans_cached_by(lambda: select_graph(collection, invert(theta), math.inf)) == 0
 
     def test_slot_without_a_factorizable_block_is_flagged_alone(self):
         # a triangle whose family of two parents conditions on an indefinite

@@ -111,6 +111,14 @@ class TestEdgeSetDocuments:
         with pytest.raises(ValueError):
             edge_set_from_doc({"p": 3, "edges": "nope"})
 
+    @pytest.mark.parametrize("doc, message", [
+        ([3, [[0, 1]]], "JSON object"), ("edges", "JSON object"), (None, "JSON object"),
+        ({"p": 3, "edges": [], "weights": []}, "weights"),
+    ])
+    def test_rejects_a_non_object_and_unknown_keys(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            edge_set_from_doc(doc)
+
     def test_candidates_file(self, tmp_path):
         docs = [edge_set_doc(EdgeSet(3, [(0, 1)])), edge_set_doc(EdgeSet(3))]
         path = tmp_path / "candidates.json"

@@ -98,6 +98,13 @@ class TestSample:
         assert (x.n, x.p) == (17, 4)
         assert x.rows.shape == (17, 4)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((3,), "2-D"), ((2, 3, 3), "2-D"), ((0, 3), "n >= 1"), ((3, 1), "p >= 2"),
+    ])
+    def test_sample_matrix_rejects_rows_of_another_shape(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            SampleMatrix(np.ones(shape))
+
 
 class TestEmpiricalCovariance:
     def test_single_observation_outer_product(self):
@@ -196,6 +203,18 @@ class TestGenerators:
             for _ in range(10):
                 theta = random_omega_inf_member(6, alpha, h, rng)
                 assert in_omega_inf(theta, alpha, h)
+
+    @pytest.mark.parametrize("alpha, h", [(1.0, 1.0), (1.5, 1.0)])
+    def test_omega_inf_member_rejects_alpha_not_below_h(self, alpha, h):
+        with pytest.raises(InvalidParameters, match="alpha < h"):
+            random_omega_inf_member(4, alpha, h, np.random.default_rng(0))
+
+    def test_omega_inf_member_with_no_room_keeps_one_edge(self):
+        # a coupling of 0.99 against h = 1 fails the row-sum guard, so the
+        # member falls back to one edge of magnitude alpha
+        theta = random_omega_inf_member(2, 0.99, 1.0, np.random.default_rng(0))
+        assert in_omega_inf(theta, 0.99, 1.0) and abs(theta.matrix[0, 1]) == 0.99
+        assert np.all(np.linalg.eigvalsh(theta.matrix) > 0)
 
     def test_extremal_member_attains_class_bound(self):
         rng = np.random.default_rng(13)
