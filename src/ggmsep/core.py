@@ -5,11 +5,12 @@ read-only), so instances are safe to share across threads; every operation
 here is a pure function of its arguments. A PrecisionMatrix also keeps the
 read-only lower Cholesky factor that validated it, so factorize, and the
 log-determinants, solves, inverses and samples built on it, never factor a
-precision again.
+precision again, and the covariance that a KL from it first asks for.
 
-It is also the library's one LAPACK boundary: only _potrf, _potrs and
-_trtrs call LAPACK (scipy's f2py wrappers, see _load_lapack) or read an
-info code, and only _log_det reduces a Cholesky factor's log-diagonal.
+It is also the library's one LAPACK boundary: only _potrf, _potrs, _trtrs
+and _spd_inverse call LAPACK (scipy's f2py wrappers, see _load_lapack) or
+read an info code, and only _log_det reduces a Cholesky factor's
+log-diagonal.
 """
 
 from __future__ import annotations
@@ -149,6 +150,20 @@ def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool, trans: bool = False, overw
     return x
 
 
+def _spd_inverse(lower: np.ndarray) -> np.ndarray:
+    """Read-only inv(L L^T) from a lower Cholesky factor L (upper triangle
+    zero): dtrtri inverts U = L^T, then one numpy matmul forms U^-1 U^-T,
+    exactly symmetric (numpy forms a product with its own transpose by
+    dsyrk). O(p^3). Its bits are the same at one and two OpenBLAS threads
+    up to p = 64, not at p = 200."""
+    upper_inverse, info = lapack.dtrtri(lower.T, lower=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtri failed (info={info})")
+    inverse = upper_inverse @ upper_inverse.T
+    inverse.flags.writeable = False
+    return inverse
+
+
 def _log_det(lower: np.ndarray) -> Union[np.floating, np.ndarray]:
     """log det(L L^T) = 2 sum(log diag(L)) of a Cholesky factor L, or of
     each factor of a stack; every member has the bits of its factor alone."""
@@ -251,6 +266,12 @@ class PrecisionMatrix:
     Cholesky-factorizable, and keeps that Cholesky factor, read-only, for
     factorize.
 
+    It also has one slot for its covariance inv(matrix), empty until a KL
+    from this precision (or nll_gradient at it) first asks for it, then
+    filled once by _spd_inverse and kept, read-only: p^2 more floats (320
+    KB at p=200) for as long as the precision lives. Two threads that ask
+    at once may both compute it; they keep the same bits.
+
     A fitted precision (fit_graph_mle, select_graph) instead keeps the
     factor its fit computed to check that exact array, with this module's
     _potrf (scipy's dpotrf). numpy and scipy link separate LAPACK builds,
@@ -258,11 +279,12 @@ class PrecisionMatrix:
     the same matrix (28 of 120 sampled factors did).
     """
 
-    __slots__ = ("matrix", "_factor")
+    __slots__ = ("matrix", "_factor", "_covariance")
 
     def __init__(self, entries: object) -> None:
         self.matrix = _frozen_symmetric(entries, "precision matrix")
         self._factor = _cholesky_lower(self.matrix)
+        self._covariance = None
 
     @classmethod
     def _validated(cls, arr: np.ndarray, lower: np.ndarray) -> "PrecisionMatrix":
@@ -273,8 +295,16 @@ class PrecisionMatrix:
         factor that the fit's own potrf computed from it."""
         arr.flags.writeable = lower.flags.writeable = False
         theta = cls.__new__(cls)
-        theta.matrix, theta._factor = arr, lower
+        theta.matrix, theta._factor, theta._covariance = arr, lower, None
         return theta
+
+    @property
+    def _sigma(self) -> np.ndarray:
+        """inv(matrix), read-only: _spd_inverse of the kept factor, computed
+        on first use and kept."""
+        if self._covariance is None:
+            self._covariance = _spd_inverse(self._factor)
+        return self._covariance
 
     @property
     def p(self) -> int:

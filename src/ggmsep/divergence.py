@@ -1,9 +1,12 @@
 """Exact divergences, conditional mutual information, and separation bounds.
 
 Natural logarithms throughout, so every divergence and mutual information
-is in nats. All functions are pure and safe to call concurrently. Triangular
-solves, the KL trace's by column blocks, call LAPACK's dtrtrs through
-core's boundary (_trtrs), and log-determinants come from core's _log_det.
+is in nats. All functions are pure and safe to call concurrently; a KL
+may fill the covariance its first argument keeps, which changes no result.
+The KL trace is sum((theta2 - theta1) * inv(theta1)) with that covariance
+(core's _spd_inverse, O(p^3) once per first argument, then O(p^2) per
+KL); the block CMI's triangular solve calls LAPACK's dtrtrs through core's
+boundary (_trtrs), and log-determinants come from core's _log_det.
 """
 
 from __future__ import annotations
@@ -45,11 +48,6 @@ __all__ = [
     "verify_separation",
 ]
 
-# Magnitudes below this are floating-point residue of identical inputs and
-# round to exactly zero.
-_KL_ZERO_TOL = 1e-12
-_KL_BLOCK = 32  # kl_gaussian's column block width, a multiple of OpenBLAS's row unrolls
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -72,38 +70,40 @@ class BoundReport:
 def kl_gaussian(theta1: PrecisionMatrix, theta2: PrecisionMatrix) -> float:
     """KL(N(0, inv(theta1)) || N(0, inv(theta2))) in nats.
 
-    Closed form for zero-mean Gaussians:
-        0.5 * (tr(theta2 @ inv(theta1)) - p + log det theta1 - log det theta2).
-    With Cholesky factors theta_k = L_k L_k^T the trace is
-    ||inv(L1) L2||_F^2 on the kept factors, so inv(theta1) is never formed;
-    that product is lower triangular, so each block of its columns is solved
-    (dtrtrs) from the trailing rows only. Asymmetric; zero iff equal inputs.
+    Closed form for zero-mean Gaussians, with Sigma1 = inv(theta1):
+        0.5 * (sum_ij (theta2 - theta1)_ij (Sigma1)_ij
+               + log det theta1 - log det theta2).
+    The sum is tr(theta2 Sigma1) - p with the p subtracted before any
+    rounding, so equal inputs give exactly 0. Sigma1 is the covariance
+    theta1 keeps: the first KL from theta1 computes it from the kept
+    factor in O(p^3), and every KL from theta1 then costs O(p^2). The
+    log-determinants come from the kept factors (factorize). Asymmetric;
+    zero iff equal inputs.
     """
     if theta1.p != theta2.p:
         raise DimensionMismatch(f"orders differ: {theta1.p} vs {theta2.p}")
-    return _kl_divergences(factorize(theta1).factor[None], factorize(theta2).factor[None])[0]
+    return _kl_divergences(
+        theta1.matrix[None], theta1._sigma[None], factorize(theta1).factor[None],
+        theta2.matrix[None], factorize(theta2).factor[None],
+    )[0]
 
 
-def _kl_divergences(lower1: np.ndarray, lower2: np.ndarray) -> list[float]:
-    """kl_gaussian for each pair of lower Cholesky factors of two (k, p, p)
-    stacks: the log-determinants in one pass each, and each trace by its
-    own blocked solve."""
-    p = lower1.shape[-1]
+def _kl_divergences(
+    theta1: np.ndarray, sigma1: np.ndarray, lower1: np.ndarray, theta2: np.ndarray, lower2: np.ndarray
+) -> list[float]:
+    """kl_gaussian for each pair of (k, p, p) stacks: precisions theta1 with
+    their covariances sigma1 and lower Cholesky factors lower1, against
+    precisions theta2 with factors lower2. Each value has the bits of
+    kl_gaussian on its pair alone: the products are elementwise, and each
+    trace is its own np.sum (never a BLAS dot, which may split a long sum
+    across threads)."""
     log_dets1, log_dets2 = _log_det(lower1).tolist(), _log_det(lower2).tolist()
-    values = []
-    for l1, l2, log_det1, log_det2 in zip(lower1, lower2, log_dets1, log_dets2):
-        half = np.zeros((p, p), order="F")
-        # Blocks start at multiples of _KL_BLOCK; the last takes the rest, so
-        # none is one column wide (a dtrsv path): every entry rounds as in one
-        # solve.
-        for j in range(0, p - 1, _KL_BLOCK):
-            stop = j + _KL_BLOCK if j + _KL_BLOCK < p - 1 else p
-            # L1 is C-ordered, so LAPACK sees it as the upper factor L1^T
-            half[j:, j:stop] = _trtrs(l1[j:, j:].T, l2[j:, j:stop], lower=False, trans=True)
-        trace = float(np.sum(np.square(half, out=half)))
-        value = 0.5 * (trace - p + log_det1 - log_det2)
-        values.append(0.0 if abs(value) < _KL_ZERO_TOL else value)
-    return values
+    weighted = np.subtract(theta2, theta1)
+    weighted *= sigma1
+    return [
+        0.5 * (float(np.sum(terms)) + log_det1 - log_det2)
+        for terms, log_det1, log_det2 in zip(weighted, log_dets1, log_dets2)
+    ]
 
 
 def conditional_mutual_info(theta: PrecisionMatrix, i: int, j: int) -> float:

@@ -69,7 +69,6 @@ from .core import (
     _vertex_pair,
     _vertex_star,
     factorize,
-    invert,
 )
 from .errors import DimensionMismatch, InfeasibleStart, InvalidParameters
 from .serialization import matrix_doc
@@ -191,13 +190,14 @@ def nll(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> float:
 
 
 def nll_gradient(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> np.ndarray:
-    """Gradient of nll in theta: sigma_hat - inv(theta).
+    """Gradient of nll in theta: sigma_hat - inv(theta), with the
+    covariance theta keeps (computed on first use, as for kl_gaussian).
 
-    Symmetric, and exactly zero at theta = inv(sigma_hat).
+    Symmetric, and zero up to roundoff at theta = inv(sigma_hat).
     """
     if theta.p != sigma_hat.p:
         raise DimensionMismatch(f"orders differ: {theta.p} vs {sigma_hat.p}")
-    return sigma_hat.matrix - invert(theta).matrix
+    return sigma_hat.matrix - theta._sigma
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .core import (
     _factorizable,
     _is_int,
     _is_real,
+    _spd_inverse,
     _symmetrize_in_place,
     _trtrs,
     _upper_pairs,
@@ -603,7 +604,7 @@ def _lower_bound_trials(cfg: ExperimentConfig, p: int, seeds: list[int]) -> list
     # verify_separation's check, bound and divergence, for every matrix
     if not (edge & (np.abs(theta[:, rows, cols]) <= _ZERO_TOL)).any(axis=1).all():
         raise NoMissingEdge("every edge of theta_star is present in theta")
-    kls = _kl_divergences(star_lower, lower)
+    kls = _kl_divergences(star, np.stack([_spd_inverse(l) for l in star_lower]), star_lower, theta, lower)
     bounds = [0.5 * math.log(c) for c in _separation_constants(star, edge).tolist()]
     alphas = np.min(np.where(edge, np.abs(off), np.inf), axis=1).tolist()
     heights = np.max(np.diagonal(star, axis1=-2, axis2=-1), axis=1).tolist()

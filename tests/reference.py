@@ -2,7 +2,7 @@
 
 Each one takes a route independent of the library code under test, so
 agreement is evidence and not a restatement. The exceptions are the last
-five, which pin bits: each is a library route as it was before it was
+three, which pin bits: each is a library route as it was before it was
 made cheaper, and the library must still return exactly its bits.
 """
 
@@ -50,20 +50,14 @@ def in_omega_inf(theta, alpha, h, zero_tol=1e-12):
     return bool(np.all(np.diag(arr) <= h) and np.all(off[off > zero_tol] >= alpha))
 
 
-def whitened_by_one_triangular_solve(theta1, theta2):
-    """inv(L1) L2 for the kept Cholesky factors, by one dtrtrs solve of the
-    whole p x p system (Fortran-ordered, as LAPACK returns it)."""
+def kl_by_one_triangular_solve(theta1, theta2):
+    """kl_gaussian with the trace ||inv(L1) L2||_F^2 of the kept Cholesky
+    factors, from one dtrtrs solve of the whole p x p system, so the
+    covariance inv(theta1) is never formed."""
     half, info = lapack.dtrtrs(factorize(theta1).factor.T, factorize(theta2).factor, lower=0, trans=1)
     assert info == 0
-    return half
-
-
-def kl_by_one_triangular_solve(theta1, theta2):
-    """kl_gaussian with the trace ||inv(L1) L2||_F^2 summed from one full
-    triangular solve, as numpy sums the squared array."""
-    trace = float(np.sum(np.square(whitened_by_one_triangular_solve(theta1, theta2))))
-    value = 0.5 * (trace - theta1.p + factorize(theta1).log_determinant - factorize(theta2).log_determinant)
-    return 0.0 if abs(value) < 1e-12 else value
+    trace = float(np.sum(np.square(half)))
+    return 0.5 * (trace - theta1.p + factorize(theta1).log_determinant - factorize(theta2).log_determinant)
 
 
 def severed_by_validating_a_copy(theta, v, s):

@@ -1,6 +1,8 @@
 """KL divergence, conditional mutual information, and separation bounds."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from ggmsep import (
     conditional_mutual_info,
     counterexample_precision,
     edge_set_of,
+    fit_graph_mle,
     invert,
     kl_gaussian,
     nll,
@@ -35,10 +38,9 @@ from ggmsep import (
     random_sparse_precision,
     verify_separation,
 )
-from ggmsep import divergence
+from ggmsep import core, divergence
 from ggmsep.core import _upper_pairs
-from ggmsep.divergence import _KL_BLOCK
-from reference import kl_by_one_triangular_solve, schur_complement, whitened_by_one_triangular_solve
+from reference import kl_by_one_triangular_solve, schur_complement
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 HALF_LOG_4_3 = 0.5 * math.log(4.0 / 3.0)
@@ -49,19 +51,14 @@ class TestKlGaussian:
         theta = random_sparse_precision(5, np.random.default_rng(0))
         assert kl_gaussian(theta, theta) == 0.0
 
-    @pytest.mark.parametrize("p", [_KL_BLOCK - 1, _KL_BLOCK, _KL_BLOCK + 1, 2 * _KL_BLOCK + 1, 200])
-    def test_blocked_solve_keeps_the_bits_of_one_full_solve(self, p, monkeypatch):
-        # the rows a block skips are exact zeros of inv(L1) L2, so every
-        # entry the trace squares, and the value, has the bits of one solve
-        blocks = []
-        trtrs = divergence._trtrs
-
-        def recording_trtrs(a, b, *args, **kwargs):
-            out = trtrs(a, b, *args, **kwargs)
-            blocks.append((p - b.shape[0], out))
-            return out
-
-        monkeypatch.setattr(divergence, "_trtrs", recording_trtrs)
+    @pytest.mark.parametrize("p", [31, 32, 33, 65, 200])
+    def test_agrees_with_one_triangular_solve_and_is_zero_on_equal_inputs(self, p):
+        # The trace sum((theta2 - theta1) * inv(theta1)) and the reference's
+        # ||inv(L1) L2||_F^2 - p round differently: by at most 1.3e-13
+        # relative on these cases and 4e-14 over 320 edge projections at
+        # p = 10-200, so 1e-11 leaves room for other BLAS builds. Equal
+        # inputs must still give exactly 0: their difference is exactly
+        # zero.
         rng = np.random.default_rng(p)
         theta = random_sparse_precision(p, rng, edge_probability=min(1.0, 4.0 / p))
         v, u = min(edge_set_of(theta))
@@ -73,16 +70,91 @@ class TestKlGaussian:
         ]
         for other in others:
             for first, second in ((theta, other), (other, theta)):
-                blocks.clear()
                 value = kl_gaussian(first, second)
                 assert value > 0.0
-                assert value == kl_by_one_triangular_solve(first, second)
-                half = np.zeros((p, p))
-                for j, block in blocks:
-                    half[j:, j:j + block.shape[1]] = block
-                assert np.array_equal(half, whitened_by_one_triangular_solve(first, second))
+                assert_allclose(value, kl_by_one_triangular_solve(first, second), rtol=1e-11, atol=0.0)
         assert kl_gaussian(theta, theta) == 0.0
         assert kl_gaussian(theta, PrecisionMatrix(theta.matrix)) == 0.0
+
+    @pytest.mark.parametrize("p", [5, 6, 7, 8, 9, 10, 64, 200])
+    def test_stacked_divergences_keep_the_bits_of_one_pair_at_a_time(self, p):
+        rng = np.random.default_rng(p)
+        firsts = [random_sparse_precision(p, rng, edge_probability=min(1.0, 4.0 / p)) for _ in range(3)]
+        seconds = [project_remove_edge(theta, min(edge_set_of(theta))) for theta in firsts]
+        seconds += [random_sparse_precision(p, rng) for _ in range(3)]
+        pairs = [(a, b) for a in firsts for b in seconds]
+        one_at_a_time = [kl_gaussian(a, b) for a, b in pairs]
+        stacked = divergence._kl_divergences(
+            *(np.stack([getattr(a, name) for a, _ in pairs]) for name in ("matrix", "_sigma", "_factor")),
+            *(np.stack([getattr(b, name) for _, b in pairs]) for name in ("matrix", "_factor")),
+        )
+        assert stacked == one_at_a_time
+
+    def test_a_truths_covariance_is_computed_once(self, monkeypatch):
+        inverses = []
+        spd_inverse = core._spd_inverse
+
+        def counting(lower):
+            inverses.append(lower.shape)
+            return spd_inverse(lower)
+
+        monkeypatch.setattr(core, "_spd_inverse", counting)
+        theta = random_sparse_precision(20, np.random.default_rng(3))
+        edges = sorted(edge_set_of(theta))[:4]
+        values = [kl_gaussian(theta, project_remove_edge(theta, e)) for e in edges]
+        values.append(verify_separation(theta, project_remove_edge(theta, edges[0])).kl_value)
+        assert inverses == [(20, 20)]
+        assert values[-1] == values[0] > 0.0
+
+    def test_threads_that_fill_the_covariance_at_once_agree(self):
+        # the slot is filled without a lock: racing threads may each compute
+        # it, but every one computes the same bits, so every KL agrees
+        rng = np.random.default_rng(6)
+        others = [random_sparse_precision(30, rng) for _ in range(2)]
+        expected = [kl_gaussian(random_sparse_precision(30, np.random.default_rng(7)), o) for o in others]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                theta = random_sparse_precision(30, np.random.default_rng(7))
+                barrier = threading.Barrier(8, timeout=10)
+                values = [None] * 8
+
+                def work(k):
+                    barrier.wait()
+                    values[k] = kl_gaussian(theta, others[k % 2])
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert values == [expected[k % 2] for k in range(8)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_kept_covariance_is_read_only_and_inverts_the_precision(self):
+        theta = random_sparse_precision(12, np.random.default_rng(4))
+        sigma = theta._sigma
+        assert sigma is theta._sigma
+        assert not sigma.flags.writeable
+        with pytest.raises(ValueError):
+            sigma[0, 0] = 1.0
+        assert np.array_equal(sigma, sigma.T)
+        assert_allclose(sigma, invert(theta).matrix, rtol=1e-12, atol=1e-14)
+
+    def test_projections_and_fits_keep_no_covariance_until_asked(self):
+        theta = random_sparse_precision(8, np.random.default_rng(5))
+        v, u = min(edge_set_of(theta))
+        fit = fit_graph_mle(invert(theta), edge_set_of(theta).without((v, u)), math.inf)
+        results = [project_remove_edge(theta, (v, u)), project_remove_star(theta, v, [u]), fit.theta_hat]
+        assert all(result._covariance is None for result in results)
+        for result in results:
+            kl_gaussian(theta, result)
+            assert result._covariance is None
+            kl_gaussian(result, theta)
+            assert result._covariance is result._sigma
 
     def test_closed_form_against_monte_carlo(self):
         # oracle: sample 1e6 points from q1 = N(0, I), average log q1/q2

@@ -16,15 +16,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # Prints one line per case: what must not change, then the evidence that
-# the case exercises what it is meant to (Newton fits, several KL blocks,
-# stacked lower-bound trials).
+# the case exercises what it is meant to (Newton fits, a second KL from the
+# same truth on the covariance the first kept, stacked lower-bound trials).
 SCRIPT = r"""
 import hashlib, math
 import numpy as np
 from ggmsep import (EdgeSet, edge_set_of, empirical_covariance, fit_graph_mle, kl_gaussian,
                     project_remove_edge, project_remove_star, random_sparse_precision, sample)
 from ggmsep import projection
-from ggmsep.divergence import _KL_BLOCK
 from ggmsep.simulation import ExperimentConfig, run_lower_bound_experiment, run_selection_experiment
 
 def digest(*parts):
@@ -54,8 +53,10 @@ p = 64
 theta = random_sparse_precision(p, np.random.default_rng(64), edge_probability=0.1)
 v, u = min(edge_set_of(theta))
 star = [w for w in range(p) if w != v and theta.matrix[v, w] != 0.0]
-values = [kl_gaussian(theta, project_remove_edge(theta, (v, u))), kl_gaussian(theta, project_remove_star(theta, v, star))]
-print("kl", digest(repr(values).encode()), "blocks", len(range(0, p - 1, _KL_BLOCK)))
+values = [kl_gaussian(theta, project_remove_edge(theta, (v, u)))]
+kept = theta._covariance
+values.append(kl_gaussian(theta, project_remove_star(theta, v, star)))
+print("kl", digest(repr(values).encode()), "reused", int(kept is not None and theta._covariance is kept))
 
 report = run_lower_bound_experiment(ExperimentConfig(base_seed=777, trials=40, dimensions=(*range(3, 11), 40)))
 print("lower-bound", digest(report.to_json().encode(), report.to_csv().encode()), "records", len(report.records))
@@ -81,6 +82,6 @@ def runs():
 def test_same_bits_at_one_and_two_blas_threads(runs, case):
     one, two = ({line[0]: line for line in run}[case] for run in runs)
     assert one == two
-    # the case reaches the code it guards: Newton fits, two KL blocks, or
-    # every record of the stacked lower-bound trials
-    assert int(one[-1]) >= {"kl": 2, "lower-bound": 360}.get(case, 1)
+    # the case reaches the code it guards: Newton fits, a kept covariance
+    # that the second KL reused, or every record of the stacked trials
+    assert int(one[-1]) >= {"lower-bound": 360}.get(case, 1)
