@@ -5,12 +5,12 @@ read-only), so instances are safe to share across threads; every operation
 here is a pure function of its arguments. A PrecisionMatrix also keeps the
 read-only lower Cholesky factor that validated it, so factorize, and the
 log-determinants, solves, inverses and samples built on it, never factor a
-precision again, and the covariance that a KL from it first asks for.
+precision again, and the covariance that a KL or invert first asks for.
 
 It is also the library's one LAPACK boundary: only _potrf, _potrs, _trtrs
 and _spd_inverse call LAPACK (scipy's f2py wrappers, see _load_lapack) or
-read an info code, and only _log_det reduces a Cholesky factor's
-log-diagonal.
+read an info code, only _spd_inverse inverts an SPD matrix, and only
+_log_det reduces a Cholesky factor's log-diagonal.
 """
 
 from __future__ import annotations
@@ -152,10 +152,11 @@ def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool, trans: bool = False, overw
 
 def _spd_inverse(lower: np.ndarray) -> np.ndarray:
     """Read-only inv(L L^T) from a lower Cholesky factor L (upper triangle
-    zero): dtrtri inverts U = L^T, then one numpy matmul forms U^-1 U^-T,
-    exactly symmetric (numpy forms a product with its own transpose by
-    dsyrk). O(p^3). Its bits are the same at one and two OpenBLAS threads
-    up to p = 64, not at p = 200."""
+    zero), the library's one SPD inverse (a precision's kept covariance,
+    invert, and every fit's): dtrtri inverts U = L^T, then one numpy matmul
+    forms U^-1 U^-T, exactly symmetric (numpy forms a product with its own
+    transpose by dsyrk). O(p^3). Its bits are the same at one and two
+    OpenBLAS threads up to p = 64, not at p = 200."""
     upper_inverse, info = lapack.dtrtri(lower.T, lower=0)
     if info:
         raise np.linalg.LinAlgError(f"dtrtri failed (info={info})")
@@ -267,10 +268,10 @@ class PrecisionMatrix:
     factorize.
 
     It also has one slot for its covariance inv(matrix), empty until a KL
-    from this precision (or nll_gradient at it) first asks for it, then
-    filled once by _spd_inverse and kept, read-only: p^2 more floats (320
-    KB at p=200) for as long as the precision lives. Two threads that ask
-    at once may both compute it; they keep the same bits.
+    from this precision, nll_gradient at it or invert of it first asks for
+    it, then filled once by _spd_inverse and kept, read-only: p^2 more
+    floats (320 KB at p=200) for as long as the precision lives. Two
+    threads that ask at once may both compute it; they keep the same bits.
 
     A fitted precision (fit_graph_mle, select_graph) instead keeps the
     factor its fit computed to check that exact array, with this module's
@@ -362,14 +363,13 @@ def factorize(m: MatrixLike) -> SpdFactorization:
 def invert(m: MatrixLike) -> MatrixLike:
     """Invert a PD matrix; precision and covariance swap roles.
 
-    Solves against the identity through the Cholesky factor (one _potrs
-    call), so M @ invert(M) == I to ~1e-10 relative error for well
-    conditioned input.
+    A precision returns the covariance it keeps; a covariance is inverted
+    by _spd_inverse from its factor. M @ invert(M) == I to ~1e-10
+    relative error for well conditioned input.
     """
-    inverse = _potrs(factorize(m).factor, np.eye(m.p))
     if isinstance(m, PrecisionMatrix):
-        return CovarianceMatrix(inverse)
-    return PrecisionMatrix(inverse)
+        return CovarianceMatrix(m._sigma)
+    return PrecisionMatrix(_spd_inverse(factorize(m).factor))
 
 
 def _normalized_edge(edge: object) -> tuple[int, int]:

@@ -33,13 +33,14 @@ kept, so refitting the same candidates repeats only the arithmetic on the
 data. The closed form is one batched pass per parent count over every
 chordal graph of the tuple: one gather of the conditioning blocks, one
 batched Cholesky check and solve, and one scatter of every family's term
-into the stack, which is then checked as a whole: only potrf, potrs, two
-norms and the result are per graph. A Newton fit
-reads its graph's run of the same support indices. Every factorization,
-solve and inverse of a fit calls LAPACK through core's boundary (_potrf,
-_potrs, _trtrs), without the checking wrappers of scipy.linalg. A fitted
-precision keeps the Cholesky factor that its fit's own check computed, so
-it is factored once.
+into the stack, which is then checked as a whole: only potrf, the inverse,
+the gradient mapping and the result are per graph. A Newton fit reads its
+graph's run of the same support indices. Every factorization, solve and
+inverse of a fit calls LAPACK through core's boundary (_potrf, _potrs,
+_trtrs, and _spd_inverse's dtrtri), without the checking wrappers of
+scipy.linalg. A fitted precision keeps the Cholesky factor that its fit's
+own check computed, so it is factored once, and nll_gradient at it
+rebuilds the gradient its fit stopped on.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from .core import (
     _log_det,
     _potrf,
     _potrs,
+    _spd_inverse,
     _symmetrize_in_place,
     _trtrs,
-    _upper_pairs,
     _vertex_pair,
     _vertex_star,
     factorize,
@@ -280,9 +281,21 @@ def _hessian(rows: np.ndarray, cols: np.ndarray, scale: np.ndarray, cov: np.ndar
     return hess
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector: np.linalg.norm's bits (the square root
+    of one dot product) without its per-call overhead."""
+    return math.sqrt(np.dot(x, x))
+
+
 def _into_ball(coords: np.ndarray, gamma: float) -> np.ndarray:
-    norm = float(np.linalg.norm(coords))
+    norm = _norm(coords)
     return coords * (gamma / norm) if norm > gamma else coords
+
+
+def _mapping_norm(coords: np.ndarray, grad: np.ndarray, gamma: float) -> float:
+    """Norm of the unit-step gradient mapping coords - project(coords -
+    grad) onto the ball of radius gamma: the statistic every fit stops on."""
+    return _norm(coords - _into_ball(coords - grad, gamma))
 
 
 class _Iterate(NamedTuple):
@@ -309,14 +322,9 @@ def _iterate_at(
     if lower is None:
         return None
     objective = -float(_log_det(lower)) + float(np.sum(sig * theta))
-    # _potrs against the identity, unlike dpotri, gives the same bits at
-    # every BLAS thread count; the lower triangle is mirrored onto the upper
-    cov = _potrs(lower, np.eye(sig.shape[0]))
-    upper = _upper_pairs(sig.shape[0])
-    cov[upper] = cov.T[upper]
+    cov = _spd_inverse(lower)
     grad = scale * (sig - cov)[rows, cols]
-    gnorm = float(np.linalg.norm(coords - _into_ball(coords - grad, gamma)))
-    return _Iterate(coords, theta, lower, objective, cov, grad, gnorm)
+    return _Iterate(coords, theta, lower, objective, cov, grad, _mapping_norm(coords, grad, gamma))
 
 
 def _newton_step(
@@ -340,11 +348,11 @@ def _newton_step(
             return None
         step = -_potrs(lower, grad + nu * coords)
         target = coords + step
-        norm = float(np.linalg.norm(target))
+        norm = _norm(target)
         if (nu == 0.0 and norm <= gamma) or abs(norm - gamma) <= _SECULAR_TOLERANCE * gamma:
             break
         slope = _trtrs(lower, target, lower=True)
-        nu = max(nu + (norm / float(np.linalg.norm(slope))) ** 2 * (norm - gamma) / gamma, 0.0)
+        nu = max(nu + (norm / _norm(slope)) ** 2 * (norm - gamma) / gamma, 0.0)
     if norm > gamma:
         step = target * (gamma / norm) - coords
     return step, math.sqrt(max(float(step @ (hess @ step)), 0.0)), nu
@@ -485,33 +493,27 @@ def _closed_form_fits(
 ) -> list[Optional[FitResult]]:
     """Each slot's closed form as its fit, or None unless it is valid, lies
     in the ball, is positive definite and passes the gradient check (the
-    problem is convex). Only potrf, potrs, the gradient mapping's two norms
-    and the FitResult are per slot. A norm is a dot product, as
-    np.linalg.norm takes it, so each slot has the bits of its fit alone."""
+    problem is convex). Only potrf, the inverse, the gradient mapping and
+    the FitResult are per slot. A norm is a dot product, as _norm takes
+    it, so each slot has the bits of its fit alone."""
     slots, p = stack.shape[:2]
     flat = stack.reshape(slots, 1, p * p)
     candidate = valid & ~(np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0]) > gamma)
-    # slot s is factored and inverted in the Fortran-ordered lower[s].T and
-    # cov[s].T, so cov[s, i, j], i <= j, is the inverse's lower entry (j, i)
+    # slot s is factored in the Fortran-ordered lower[s].T
     lower = stack.transpose(0, 2, 1).copy()
     cov = np.zeros_like(stack)
-    cov.reshape(slots, p * p)[:, :: p + 1] = 1.0
     for slot in np.flatnonzero(candidate).tolist():
         factor = _potrf(lower[slot].T, overwrite_a=True)
         candidate[slot] = factor is not None
         if factor is not None:
-            _potrs(factor, cov[slot].T, overwrite_b=True)
+            cov[slot] = _spd_inverse(factor)
     coords = plan.scale * stack.reshape(-1)[plan.support]
-    moved = coords - plan.scale * (sig - cov).reshape(-1)[plan.support]
+    grad = plan.scale * (sig - cov).reshape(-1)[plan.support]
     offsets = plan.offsets.tolist()
     gnorm = np.full(slots, math.inf)
     for slot in np.flatnonzero(candidate).tolist():
         run = slice(offsets[slot], offsets[slot + 1])
-        norm = math.sqrt(np.dot(moved[run], moved[run]))
-        if norm > gamma:
-            moved[run] *= gamma / norm
-        gap = coords[run] - moved[run]
-        gnorm[slot] = math.sqrt(np.dot(gap, gap))
+        gnorm[slot] = _mapping_norm(coords[run], grad[run], gamma)
     accepted = candidate & (gnorm <= opts.gradient_tolerance)
     kept = stack[accepted]
     _check_adoptable(kept)
@@ -613,11 +615,11 @@ def _fit_graphs(
     # mapping and Hessian are built from that inverse and would overflow.
     with np.errstate(divide="ignore", over="ignore"):
         start = 1.0 / np.diagonal(sig)
-        norm = math.sqrt(np.dot(start, start))
+        norm = _norm(start)
         if gamma < norm < math.inf:
             start *= gamma / norm
         inverse = 1.0 / start
-        if not (norm < math.inf and start.min() > 0 and math.sqrt(np.dot(inverse, inverse)) < math.inf):
+        if not (norm < math.inf and start.min() > 0 and _norm(inverse) < math.inf):
             raise InfeasibleStart("the start 1 / sigma_hat diagonal is not positive, overflows, or is too small to invert in the ball")
     plan = _batch_plan(graphs)
     fits: list[Optional[FitResult]] = [None] * len(graphs)
@@ -677,20 +679,20 @@ def fit_graph_mle(
       combination of two points in the ball it stays in the ball.
 
     Outside the batched regressions, every factorization, solve and
-    inverse calls LAPACK (potrf, potrs, trtrs) through core's boundary,
-    without the checking wrappers of scipy.linalg. The fitted precision
-    keeps the lower Cholesky factor that the fit's own check computed for
-    that exact array (potrf of the closed form, or of the last Newton
-    iterate), so it is not factored again; its entries are still checked
-    to be finite and exactly symmetric. Convergence is declared when the
-    unit-step gradient mapping ``x - project(x - grad)`` has Frobenius
-    norm at most gradient_tolerance (termination="tolerance"). When the
-    ball binds there (multiplier nu > 0), the damped steps have approached
-    the sphere from inside, and the mapping does not weigh the radial gap
-    they leave by nu, as the objective does. So one undamped step onto the
-    sphere follows; it is kept, and counted as an iteration, only if it
-    lowers nll and still meets the tolerance. The Newton run also stops,
-    with converged=False, at max_iterations
+    inverse calls LAPACK (potrf, potrs, trtrs, trtri) through core's
+    boundary, without the checking wrappers of scipy.linalg. The fitted
+    precision keeps the lower Cholesky factor that the fit's own check
+    computed for that exact array (potrf of the closed form, or of the last
+    Newton iterate), so it is not factored again; its entries are still
+    checked to be finite and exactly symmetric. Convergence is declared
+    when the unit-step gradient mapping ``x - project(x - grad)`` has
+    Frobenius norm at most gradient_tolerance (termination="tolerance").
+    When the ball binds there (multiplier nu > 0), the damped steps have
+    approached the sphere from inside, and the mapping does not weigh the
+    radial gap they leave by nu, as the objective does. So one undamped
+    step onto the sphere follows; it is kept, and counted as an iteration,
+    only if it lowers nll and still meets the tolerance. The Newton run
+    also stops, with converged=False, at max_iterations
     (termination="max_iterations"), or with termination="stalled" when a
     step taken with lam < 1/4, where Newton converges quadratically, fails
     to reduce the gradient mapping: only rounding error can do that.

@@ -38,7 +38,6 @@ from .core import (
     _checked_size,
     _cholesky_lower,
     _factorizable,
-    _is_int,
     _is_real,
     _spd_inverse,
     _symmetrize_in_place,
@@ -462,15 +461,12 @@ def run_counterexample_experiment(d_values: Iterable[int]) -> ExperimentReport:
     The divergence sits at 0.5 * log 2 for every d while the bound does
     not grow, evidence that KL separation does not scale with the number
     of discrepant edges. Failures are recorded in the report, never
-    raised. A d that is not an integer (a float, bool or string) raises
-    ValueError naming it.
+    raised. An empty d_values, or a d that is not an integer >= 1 (a
+    float, bool or string too), raises InvalidParameters naming it.
     """
-    ds = list(d_values)
-    if not all(map(_is_int, ds)):
-        raise ValueError(f"d_values must be integers, got {ds!r}")
-    ds = [int(d) for d in ds]
-    if not ds or any(d < 1 for d in ds):
-        raise InvalidParameters(f"d_values must be a nonempty list of integers >= 1, got {ds}")
+    ds = [_checked_size(f"d_values[{k}]", d, 1) for k, d in enumerate(d_values)]
+    if not ds:
+        raise InvalidParameters("d_values must be a nonempty list of integers >= 1")
     records = []
     for d in ds:
         theta1 = counterexample_precision(d)

@@ -4,6 +4,9 @@ Each one takes a route independent of the library code under test, so
 agreement is evidence and not a restatement. The exceptions are the last
 three, which pin bits: each is a library route as it was before it was
 made cheaper, and the library must still return exactly its bits.
+closed_form_fit takes its inverse as the library's one SPD inverse does
+(dtrtri on L^T, then U^-1 U^-T), so it pins the stacked check, not the
+inverse route.
 """
 
 import numpy as np
@@ -176,10 +179,9 @@ def closed_form_fit(sig, rows, cols, scale, theta, gamma, opts):
         return None
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
     f = -log_det + float(np.sum(sig * theta))
-    cov, info = lapack.dpotrs(lower, np.eye(theta.shape[0]), lower=1)
+    upper_inverse, info = lapack.dtrtri(lower.T, lower=0)
     assert info == 0
-    upper, lower_of_upper = np.triu_indices(theta.shape[0], k=1)
-    cov[upper, lower_of_upper] = cov[lower_of_upper, upper]
+    cov = upper_inverse @ upper_inverse.T
     grad = scale * (sig - cov)[rows, cols]
     coords = scale * theta[rows, cols]
     moved = coords - grad

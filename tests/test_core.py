@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 import scipy.linalg.lapack
-from scipy.linalg import cho_solve
 
 import ggmsep
 from ggmsep import (
@@ -32,6 +31,7 @@ from ggmsep import (
     invert,
     kl_gaussian,
     nll,
+    project_remove_edge,
     random_sparse_precision,
     sample,
 )
@@ -250,14 +250,31 @@ class TestInvert:
         cov = invert(theta)
         assert np.max(np.abs(theta.matrix @ cov.matrix - np.eye(50))) < 1e-10
 
-    def test_bits_match_the_checked_cho_solve(self):
-        # invert calls dpotrs itself; scipy's checking wrapper gave the same bits
+    def test_a_precision_returns_the_covariance_it_keeps(self):
         theta = random_sparse_precision(8, np.random.default_rng(5))
-        sigma = empirical_covariance(sample(theta, 4000, 6))
-        fitted = fit_graph_mle(sigma, edge_set_of(theta), math.inf).theta_hat
-        for m in (theta, sigma, fitted):
-            expected = cho_solve((factorize(m).factor, True), np.eye(m.p))
-            assert invert(m).matrix.tobytes() == type(invert(m))(expected).matrix.tobytes()
+        fitted = fit_graph_mle(empirical_covariance(sample(theta, 4000, 6)), edge_set_of(theta), math.inf).theta_hat
+        for m in (theta, fitted):
+            assert invert(m).matrix.tobytes() == m._sigma.tobytes()
+
+    def test_a_kl_after_invert_computes_no_second_inverse(self, monkeypatch):
+        inverses = []
+        spd_inverse = core._spd_inverse
+
+        def counting(lower):
+            inverses.append(lower.shape)
+            return spd_inverse(lower)
+
+        monkeypatch.setattr(core, "_spd_inverse", counting)
+        theta = random_sparse_precision(8, np.random.default_rng(5))
+        invert(theta)
+        assert inverses == [(8, 8)]
+        assert kl_gaussian(theta, project_remove_edge(theta, min(edge_set_of(theta)))) > 0.0
+        assert inverses == [(8, 8)]
+
+    def test_a_covariances_inverse_has_the_bits_of_spd_inverse_of_its_factor(self):
+        sigma = empirical_covariance(sample(random_sparse_precision(8, np.random.default_rng(5)), 4000, 6))
+        expected = core._spd_inverse(factorize(sigma).factor)
+        assert invert(sigma).matrix.tobytes() == expected.tobytes()
 
     def test_only_core_touches_scipy(self):
         # by an import or by naming a scipy module to load: every LAPACK
@@ -276,6 +293,35 @@ class TestInvert:
                     if re.fullmatch(r"scipy(\.\w+)*", name):
                         touched.setdefault(path.name, set()).add(name)
         assert touched == {"core.py": {"scipy", "scipy.linalg._flapack", "scipy.linalg.lapack"}}
+
+    def test_only_spd_inverse_inverts(self):
+        # no _potrs against an identity, and dtrtri, dpotri and
+        # np.linalg.inv named nowhere but inside core._spd_inverse
+        found = []
+        for path in sorted(Path(ggmsep.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            exempt = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("core.py", "_spd_inverse"):
+                    exempt = {id(n) for n in ast.walk(node)}
+            for node in ast.walk(tree):
+                if id(node) in exempt:
+                    continue
+                names = set()
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_potrs"):
+                    args = [*node.args, *(k.value for k in node.keywords)]
+                    if any(isinstance(a, ast.Call) and ast.unparse(a.func) in ("np.eye", "numpy.eye") for a in args):
+                        names = {"_potrs(..., eye)"}
+                elif isinstance(node, (ast.Attribute, ast.Name)):
+                    names = {ast.unparse(node)}
+                elif isinstance(node, ast.ImportFrom):
+                    names = {f"{node.module}.{alias.name}" for alias in node.names}
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = {node.value}
+                for name in names:
+                    if re.fullmatch(r"_potrs\(\.\.\., eye\)|(\w+\.)*(dtrtri|dpotri)|(np|numpy)\.linalg\.inv", name):
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+        assert found == []
 
 
 def run_python(code):

@@ -977,6 +977,35 @@ class TestNewtonPath:
         assert abs(scaled.objective - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
+class TestStoppingStatistic:
+    def test_the_public_gradient_rebuilds_every_fits_gradient_mapping(self):
+        # nll_gradient at the fit, on the support basis, projected with a
+        # unit step: bit for bit the closed form's statistic, and within
+        # the coords -> theta -> coords round trip of a Newton iterate's
+        kinds = Counter()
+        for p in range(4, 9):
+            truth = random_sparse_precision(p, np.random.default_rng(p))
+            graphs = (edge_set_of(truth), EdgeSet(p, CYCLES[0].edges))
+            for seed in range(12):
+                sigma = empirical_covariance(sample(truth, 3 * p, seed))
+                for graph in graphs:
+                    rows, cols, scale = _support_basis(graph)
+                    for gamma in (math.inf, 0.9 * float(np.linalg.norm(truth.matrix))):
+                        fit = fit_graph_mle(sigma, graph, gamma)
+                        coords = scale * fit.theta_hat.matrix[rows, cols]
+                        moved = coords - scale * nll_gradient(fit.theta_hat, sigma)[rows, cols]
+                        norm = float(np.linalg.norm(moved))
+                        if norm > gamma:
+                            moved = moved * (gamma / norm)
+                        rebuilt = float(np.linalg.norm(coords - moved))
+                        kinds[fit.termination] += 1
+                        if fit.termination == "closed_form":
+                            assert rebuilt.hex() == fit.projected_gradient_norm.hex()
+                        else:
+                            assert abs(rebuilt - fit.projected_gradient_norm) <= 1e-15
+        assert kinds["closed_form"] and kinds["tolerance"]
+
+
 class TestFitOptions:
     def test_validation(self):
         with pytest.raises(InvalidParameters):

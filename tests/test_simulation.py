@@ -346,7 +346,7 @@ class TestCounterexampleExperiment:
         with pytest.raises(InvalidParameters):
             run_counterexample_experiment([0])
         for value in (1.5, True, "2"):
-            with pytest.raises(ValueError, match="d_values"):
+            with pytest.raises(InvalidParameters, match=r"d_values\[1\]"):
                 run_counterexample_experiment([1, value])
         assert run_counterexample_experiment(np.arange(1, 3)).config == {"d_values": [1, 2]}
 
