@@ -5,12 +5,15 @@ read-only), so instances are safe to share across threads; every operation
 here is a pure function of its arguments. A PrecisionMatrix also keeps the
 read-only lower Cholesky factor that validated it, so factorize, and the
 log-determinants, solves, inverses and samples built on it, never factor a
-precision again, and the covariance that a KL or invert first asks for.
+precision again, and the covariance that a KL or invert first asks for (or
+that its fit already computed).
 
 It is also the library's one LAPACK boundary: only _potrf, _potrs, _trtrs
 and _spd_inverse call LAPACK (scipy's f2py wrappers, see _load_lapack) or
 read an info code, only _spd_inverse inverts an SPD matrix, and only
-_log_det reduces a Cholesky factor's log-diagonal.
+_log_det reduces a Cholesky factor's log-diagonal. Every factor the library
+keeps is _potrf's (scipy's dpotrf), through _cholesky_lower or a fit's own
+check; numpy's Cholesky only answers _factorizable's yes-or-no question.
 """
 
 from __future__ import annotations
@@ -107,8 +110,14 @@ def _check_zero_tol(zero_tol: float) -> None:
 
 
 def _load_lapack():
-    """scipy.linalg._flapack from scipy's directory, without importing scipy,
-    kept in sys.modules for scipy.linalg to share; else scipy.linalg.lapack."""
+    """scipy.linalg._flapack from scipy's directory, without importing scipy;
+    else scipy.linalg.lapack.
+
+    Loading the extension module enters it in sys.modules before its
+    package scipy.linalg exists, and a later import of scipy.linalg would
+    take it from there without setting the package's _flapack attribute. So
+    it is taken out again: that import then builds its module from the same
+    loaded extension, whose routines are the very objects used here."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
@@ -117,8 +126,9 @@ def _load_lapack():
         path = os.path.join(os.path.dirname(scipy.origin), "linalg", "_flapack" + suffix)
         if os.path.isfile(path):
             spec = importlib.util.spec_from_file_location(name, path)
-            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
             return module
     return importlib.import_module("scipy.linalg.lapack")
 
@@ -172,15 +182,18 @@ def _log_det(lower: np.ndarray) -> Union[np.floating, np.ndarray]:
 
 
 def _cholesky_lower(arr: np.ndarray) -> np.ndarray:
-    """Read-only lower Cholesky factor of a matrix or of a stack of them (one
-    stacked call, whose factors have the bits of factoring each alone),
-    raising NotPositiveDefinite if any fails. A factor that succeeds has
-    strictly positive pivots."""
-    try:
-        lower = np.linalg.cholesky(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from None
-    if not np.all(np.isfinite(lower)):
+    """Read-only lower Cholesky factor, upper triangle zero, of a symmetric
+    matrix or of each matrix of a stack: _potrf on a C-ordered copy, each
+    slot factored in place as its Fortran-ordered transpose (the same
+    matrix), so every factor has the bits of _potrf of that matrix alone.
+    Raises NotPositiveDefinite if any fails or has a non-finite entry; a
+    factor that succeeds has strictly positive pivots."""
+    work = np.array(arr, dtype=float, order="C")
+    for slot in work.reshape(-1, *work.shape[-2:]):
+        if _potrf(slot.T, overwrite_a=True) is None:
+            raise NotPositiveDefinite("Cholesky factorization failed: the matrix is not positive definite")
+    lower = work.swapaxes(-1, -2)
+    if not np.isfinite(lower).all():
         raise NotPositiveDefinite("Cholesky factor has non-finite pivots")
     lower.flags.writeable = False
     return lower
@@ -233,12 +246,12 @@ def _symmetrize_in_place(arr: np.ndarray, what: str) -> np.ndarray:
 
 def _factorizable(stack: np.ndarray) -> np.ndarray:
     """Whether each matrix of a (k, p, p) stack has a Cholesky factor with
-    finite pivots. One stacked call; only when some matrix fails is each
-    factored on its own, to find which."""
+    finite entries: a yes or no that keeps no factor, so numpy's one stacked
+    call answers it; only when some matrix fails to factor is each factored
+    on its own, to find which."""
     try:
-        _cholesky_lower(stack)
-        return np.ones(len(stack), dtype=bool)
-    except NotPositiveDefinite:
+        return np.isfinite(np.linalg.cholesky(stack)).all(axis=(-2, -1))
+    except np.linalg.LinAlgError:
         pass
     ok = np.zeros(len(stack), dtype=bool)
     for k, matrix in enumerate(stack):
@@ -273,11 +286,11 @@ class PrecisionMatrix:
     floats (320 KB at p=200) for as long as the precision lives. Two
     threads that ask at once may both compute it; they keep the same bits.
 
-    A fitted precision (fit_graph_mle, select_graph) instead keeps the
-    factor its fit computed to check that exact array, with this module's
-    _potrf (scipy's dpotrf). numpy and scipy link separate LAPACK builds,
-    so that factor can differ in the last bit from np.linalg.cholesky of
-    the same matrix (28 of 120 sampled factors did).
+    A fitted precision (fit_graph_mle, select_graph) keeps the factor its
+    fit computed to check that exact array, and the covariance the fit
+    computed from that factor, so neither is computed again. Every factor
+    comes from _potrf (scipy's dpotrf), so a fitted precision keeps the
+    bits that constructing a precision from its matrix would give.
     """
 
     __slots__ = ("matrix", "_factor", "_covariance")
@@ -288,15 +301,18 @@ class PrecisionMatrix:
         self._covariance = None
 
     @classmethod
-    def _validated(cls, arr: np.ndarray, lower: np.ndarray) -> "PrecisionMatrix":
+    def _validated(
+        cls, arr: np.ndarray, lower: np.ndarray, covariance: Optional[np.ndarray] = None
+    ) -> "PrecisionMatrix":
         """Precision over a checked array and its lower Cholesky factor
         (upper triangle zero), both kept as they are and frozen, not copied:
-        an array that _symmetrize_in_place froze and _cholesky_lower
-        factored, or a fit's array that passed _check_adoptable with the
-        factor that the fit's own potrf computed from it."""
+        an exactly symmetric array that _cholesky_lower factored, or a fit's
+        array that passed _check_adoptable with the factor that the fit's
+        own potrf computed from it. A fit also passes the covariance it
+        computed, _spd_inverse of that factor (read-only), to keep."""
         arr.flags.writeable = lower.flags.writeable = False
         theta = cls.__new__(cls)
-        theta.matrix, theta._factor, theta._covariance = arr, lower, None
+        theta.matrix, theta._factor, theta._covariance = arr, lower, covariance
         return theta
 
     @property

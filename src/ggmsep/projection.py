@@ -11,11 +11,13 @@ coordinates R and the regression of the severed block A on them are kept,
 and Cov(X_A | X_R) is replaced by its block-diagonal part. That is a
 rank-2 update of the precision after one |A| x |A| Cholesky factor and one
 LAPACK solve against it (dpotrs, through core's boundary like every solve
-of a fit), so the covariance is never formed. The result is built,
-checked and symmetrized in one buffer, which it keeps with the factor that
-checked it; it is checked once. The surgery runs on a stack of precisions, each with
-its own edges to sever; a projection is a stack of one, and the
-lower-bound driver severs all the trials of one p at once.
+of a fit), so the covariance is never formed. The update is q q^T - r r^T
+for two vectors that vanish outside A and its neighbours, so the result
+is a copy of the precision with that block changed elementwise: exactly
+symmetric by construction, never symmetrized, and checked once, by the
+one order-p dpotrf whose factor it keeps. The surgery runs on a stack of
+precisions, each with its own edges to sever; a projection is a stack of
+one, and the lower-bound driver severs all the trials of one p at once.
 
 ``fit_graph_mle`` minimizes the Gaussian negative log likelihood over
 precision matrices supported on a given graph (diagonal always free)
@@ -65,7 +67,6 @@ from .core import (
     _potrf,
     _potrs,
     _spd_inverse,
-    _symmetrize_in_place,
     _trtrs,
     _vertex_pair,
     _vertex_star,
@@ -88,17 +89,21 @@ __all__ = [
 def _sever(arr: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Surgery on a (k, p, p) stack of validated precisions: matrix t loses
     its edges between vertex v[t] and the m vertices s[t] (shape (k, m)).
-    Returns the results, symmetrized and frozen, and their read-only lower
-    Cholesky factors, both (k, p, p)."""
+    Returns the results, exactly symmetric and frozen, and their read-only
+    lower Cholesky factors, both (k, p, p)."""
     # Precision-side surgery over A = s + [v] (v last) against the rest R.
     # Theta2 = Theta + N^T (K - Theta_AA) N with N = inv(Theta_AA) Theta[A, :],
     # whose A columns are the identity. K - Theta_AA = -[[b b^T / t_vv, b],
-    # [b^T, beta]] for b = Theta_Sv and beta = b^T inv(Theta_SS) b, so the
-    # update is U H U^T with U = N^T [b~, e_v] and a 2x2 H. The last row of
-    # Theta_AA's Cholesky factor is [inv(L_SS) b, sqrt(t_vv - beta)]. Every
-    # stacked step has the bits of the same step on one matrix; the
-    # regression on the rest is one _potrs call per matrix, each written
-    # into a Fortran-ordered slice as dpotrs returns it.
+    # [b^T, beta]] for b = Theta_Sv and beta = b^T inv(Theta_SS) b, so with
+    # [u0, u1] = N^T [b~, e_v] the update is q q^T - r r^T for q = sqrt(t_vv
+    # - beta) u1 (the last pivot of Theta_AA's factor) and r = (u0 + t_vv u1)
+    # / sqrt(t_vv). The regression on the rest is one _potrs call per matrix,
+    # each written into a Fortran-ordered slice as dpotrs returns it; its
+    # column of a vertex outside A's neighbourhood is exactly zero, and so
+    # are u0 and u1 there. So q_i q_j - r_i r_j, exactly symmetric, is added
+    # on the rows and columns where some u0 or u1 of the stack is nonzero,
+    # and every other entry keeps Theta's bits. Every stacked step has the
+    # bits of the same step on one matrix.
     count, p = arr.shape[0], arr.shape[-1]
     t = np.arange(count)[:, None]
     a = np.concatenate([s, v[:, None]], axis=1)
@@ -107,25 +112,25 @@ def _sever(arr: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, n
     rest = np.nonzero(outside)[1].reshape(count, -1)
     lower = _cholesky_lower(arr[t[:, :, None], a[:, :, None], a[:, None, :]])
     coupling = arr[t, s, v[:, None]]
-    beta = np.matmul(lower[:, -1:, :-1], lower[:, -1, :-1, None])[:, 0, 0]
-    basis = np.zeros((count, p, 2))
-    basis[t, s, 0] = coupling
-    basis[t[:, 0], v, 1] = 1.0
+    basis = np.zeros((count, 2, p))
+    basis[t, 0, s] = coupling
+    basis[t[:, 0], 1, v] = 1.0
     if rest.shape[1]:
         block = arr[t[:, :, None], a[:, :, None], rest[:, None, :]]
         regression = np.empty((count, rest.shape[1], a.shape[1])).transpose(0, 2, 1)
         for k in range(count):
             regression[k] = _potrs(lower[k], block[k])
-        basis[t, rest, 0] = np.matmul(coupling[:, None, :], regression[:, :-1])[:, 0]
-        basis[t, rest, 1] = regression[:, -1]
-    gap = np.ones((count, 2, 2))
-    gap[:, 0, 0] = 1.0 / arr[t[:, 0], v, v]
-    gap[:, 1, 1] = beta
-    np.negative(gap, out=gap)
-    theta2 = basis @ gap @ basis.swapaxes(-1, -2)
-    theta2 += arr
+        basis[t, 0, rest] = np.matmul(coupling[:, None, :], regression[:, :-1])[:, 0]
+        basis[t, 1, rest] = regression[:, -1]
+    touched = np.flatnonzero(basis.any(axis=(0, 1)))
+    u0, u1 = basis[:, 0, touched], basis[:, 1, touched]
+    t_vv = arr[t[:, 0], v, v][:, None]
+    q = lower[:, -1, -1, None] * u1
+    r = (u0 + t_vv * u1) / np.sqrt(t_vv)
+    theta2 = arr.copy()
+    theta2[:, touched[:, None], touched] += q[:, :, None] * q[:, None, :] - r[:, :, None] * r[:, None, :]
     theta2[t, v[:, None], s] = theta2[t, s, v[:, None]] = 0.0
-    _symmetrize_in_place(theta2, "precision matrix")
+    theta2.flags.writeable = False
     return theta2, _cholesky_lower(theta2)
 
 
@@ -147,9 +152,11 @@ def project_remove_edge(theta1: PrecisionMatrix, edge: Iterable[int]) -> Precisi
     Computed on the precision side without forming Sigma: with A = {i, j},
     R the rest and C = inv(theta1[A, A]) = Cov(X_A | X_R), the result has
     Theta2_AA = K = diag(1/C_ii, 1/C_jj), Theta2_AR = K C Theta_AR and
-    Theta2_RR = Theta_RR + Theta_RA (C K C - C) Theta_AR, a rank-2 update.
-    One 2x2 Cholesky factor, O(p^2) in all, plus the validation of the
-    result, whose p x p Cholesky factor the result keeps for factorize.
+    Theta2_RR = Theta_RR + Theta_RA (C K C - C) Theta_AR, a rank-2 update
+    that changes only the rows and columns of i, j and their neighbours.
+    One 2x2 Cholesky factor and O(p^2) copying, with no symmetrization,
+    plus one order-p dpotrf of the result, whose factor the result keeps
+    for factorize.
     """
     i, j = _vertex_pair(theta1.p, *edge)
     return _severed(theta1, i, [j])
@@ -170,9 +177,10 @@ def project_remove_star(theta1: PrecisionMatrix, vertex: int, neighbors: Iterabl
     replaced by its block-diagonal part, so K = blockdiag(1/C_vv,
     inv(C_SS)), Theta2_AA = K, Theta2_AR = K C Theta_AR and Theta2_RR =
     Theta_RR + Theta_RA (C K C - C) Theta_AR with C K C - C of rank at most
-    2. When nothing remains, the result is K. One Cholesky factor of order
-    |A|, O(|A|^2 p + p^2) in all, plus the validation of the result, whose
-    p x p Cholesky factor the result keeps for factorize.
+    2, which changes only the rows and columns of A and its neighbours.
+    When nothing remains, the result is K. One Cholesky factor of order
+    |A|, O(|A|^2 p + p^2) in all, with no symmetrization, plus one order-p
+    dpotrf of the result, whose factor the result keeps for factorize.
     """
     return _severed(theta1, *_vertex_star(theta1.p, vertex, neighbors))
 
@@ -502,11 +510,12 @@ def _closed_form_fits(
     # slot s is factored in the Fortran-ordered lower[s].T
     lower = stack.transpose(0, 2, 1).copy()
     cov = np.zeros_like(stack)
+    inverses = {}
     for slot in np.flatnonzero(candidate).tolist():
         factor = _potrf(lower[slot].T, overwrite_a=True)
         candidate[slot] = factor is not None
         if factor is not None:
-            cov[slot] = _spd_inverse(factor)
+            cov[slot] = inverses[slot] = _spd_inverse(factor)
     coords = plan.scale * stack.reshape(-1)[plan.support]
     grad = plan.scale * (sig - cov).reshape(-1)[plan.support]
     offsets = plan.offsets.tolist()
@@ -521,7 +530,7 @@ def _closed_form_fits(
     stack.flags.writeable = lower.flags.writeable = False
     fits: list[Optional[FitResult]] = [None] * slots
     for slot, f, g in zip(np.flatnonzero(accepted).tolist(), objective.tolist(), gnorm[accepted].tolist()):
-        theta = PrecisionMatrix._validated(stack[slot], lower[slot].T)
+        theta = PrecisionMatrix._validated(stack[slot], lower[slot].T, inverses[slot])
         fits[slot] = FitResult(theta, objective=f, iterations=0, converged=True, projected_gradient_norm=g,
                                termination="closed_form", objective_trace=(f,))
     return fits
@@ -569,7 +578,7 @@ def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: 
         termination = "stalled"
     _check_adoptable(point.theta)
     return FitResult(
-        theta_hat=PrecisionMatrix._validated(point.theta, point.lower),
+        theta_hat=PrecisionMatrix._validated(point.theta, point.lower, point.cov),
         objective=point.objective,
         iterations=iterations,
         converged=converged,

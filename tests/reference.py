@@ -2,11 +2,13 @@
 
 Each one takes a route independent of the library code under test, so
 agreement is evidence and not a restatement. The exceptions are the last
-three, which pin bits: each is a library route as it was before it was
-made cheaper, and the library must still return exactly its bits.
+three, each a library route as it was before it was made cheaper. The
+last two pin bits: the library must still return exactly theirs.
 closed_form_fit takes its inverse as the library's one SPD inverse does
 (dtrtri on L^T, then U^-1 U^-T), so it pins the stacked check, not the
-inverse route.
+inverse route. severed_by_validating_a_copy adds the whole rank-2 update
+as a matrix product and symmetrizes the result, where the library adds
+q q^T - r r^T on the touched block alone, so the two agree to rounding.
 """
 
 import numpy as np

@@ -31,6 +31,7 @@ from ggmsep import (
     invert,
     kl_gaussian,
     nll,
+    nll_gradient,
     project_remove_edge,
     random_sparse_precision,
     sample,
@@ -155,37 +156,55 @@ class TestFactorize:
 
 
 @pytest.fixture
-def cholesky_shapes(monkeypatch):
-    """Shapes of the matrices passed to np.linalg.cholesky while the test runs."""
+def potrf_shapes(monkeypatch):
+    """Shapes of the matrices that core._potrf factors while the test runs:
+    every factor a precision keeps, unless its fit computed it."""
     shapes = []
-    original = np.linalg.cholesky
+    original = core._potrf
 
     def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(core, "_potrf", counted)
     return shapes
 
 
-class TestKeptFactor:
-    def test_construction_factors_once(self, cholesky_shapes):
-        entries = random_sparse_precision(6, np.random.default_rng(1)).matrix
-        cholesky_shapes.clear()
-        PrecisionMatrix(entries)
-        assert cholesky_shapes == [(6, 6)]
+def chain_fit_problem(graph):
+    """The p=8 chain, a sample covariance of it, and the support to fit: the
+    chain, fitted in closed form, or the 8-cycle, fitted by Newton steps."""
+    theta = chain_precision(8)
+    sigma_hat = empirical_covariance(sample(theta, 250, 7))
+    support = edge_set_of(theta)
+    if graph == "cycle":
+        support = EdgeSet(8, [*support.edges, (0, 7)])
+    return theta, sigma_hat, support
 
-    def test_operations_on_a_precision_reuse_its_factor(self, cholesky_shapes):
+
+def chain_fit(graph, sigma_hat, support):
+    fit = fit_graph_mle(sigma_hat, support, 10.0)
+    assert fit.termination == ("closed_form" if graph == "chain" else "tolerance")
+    return fit
+
+
+class TestKeptFactor:
+    def test_construction_factors_once(self, potrf_shapes):
+        entries = random_sparse_precision(6, np.random.default_rng(1)).matrix
+        potrf_shapes.clear()
+        PrecisionMatrix(entries)
+        assert potrf_shapes == [(6, 6)]
+
+    def test_operations_on_a_precision_reuse_its_factor(self, potrf_shapes):
         rng = np.random.default_rng(2)
         theta1, theta2 = random_sparse_precision(5, rng), random_sparse_precision(5, rng)
         sigma_hat = empirical_covariance(sample(theta1, 50, 3))
-        cholesky_shapes.clear()
+        potrf_shapes.clear()
         kl_gaussian(theta1, theta2)
         factorize(theta1)
         invert(theta1)
         nll(theta2, sigma_hat)
         sample(theta2, 10, 4)
-        assert cholesky_shapes == []
+        assert potrf_shapes == []
 
     def test_kept_factor_is_read_only_and_shared(self):
         theta = random_sparse_precision(4, np.random.default_rng(5))
@@ -194,29 +213,66 @@ class TestKeptFactor:
         assert not fact.factor.flags.writeable
         with pytest.raises(ValueError):
             fact.factor[0, 0] = 1.0
-        assert np.array_equal(fact.factor, np.linalg.cholesky(theta.matrix))
+        assert fact.factor.tobytes() == _potrf(np.array(theta.matrix)).tobytes()
+
+    def test_every_layout_gets_the_factor_of_potrf_on_a_copy(self):
+        # the factor is built in place in a C-ordered copy, whatever the
+        # layout of the matrix or stack it is given
+        stack = np.stack([random_sparse_precision(5, np.random.default_rng(k)).matrix for k in range(3)])
+        expected = [_potrf(matrix).tobytes() for matrix in stack]
+        assert PrecisionMatrix(np.asfortranarray(stack[0]))._factor.tobytes() == expected[0]
+        for layout in (stack, np.asfortranarray(stack), stack.transpose(0, 2, 1)):
+            assert [lower.tobytes() for lower in core._cholesky_lower(layout)] == expected
 
     @pytest.mark.parametrize("graph", ["chain", "cycle"])
-    def test_fitted_precision_keeps_its_fits_factor(self, cholesky_shapes, graph):
-        # the chain is fitted in closed form, the 8-cycle by Newton steps;
+    def test_fitted_precision_keeps_its_fits_factor(self, potrf_shapes, graph):
         # either way the factor kept is the one the fit's check computed
-        theta = chain_precision(8)
-        sigma_hat = empirical_covariance(sample(theta, 250, 7))
-        support = edge_set_of(theta)
-        if graph == "cycle":
-            support = EdgeSet(8, [*support.edges, (0, 7)])
-        cholesky_shapes.clear()
-        fit = fit_graph_mle(sigma_hat, support, 10.0)
-        assert fit.termination == ("closed_form" if graph == "chain" else "tolerance")
-        assert all(shape[-2:] != (8, 8) for shape in cholesky_shapes)
+        theta, sigma_hat, support = chain_fit_problem(graph)
+        potrf_shapes.clear()
+        fit = chain_fit(graph, sigma_hat, support)
+        assert all(shape[-2:] != (8, 8) for shape in potrf_shapes)
         lower = factorize(fit.theta_hat).factor
         assert not lower.flags.writeable
         assert np.array_equal(lower, np.tril(lower))
         recon = lower @ lower.T
         assert np.max(np.abs(recon - fit.theta_hat.matrix)) <= 1e-12 * np.max(np.abs(fit.theta_hat.matrix))
-        cholesky_shapes.clear()
+        potrf_shapes.clear()
         kl_gaussian(theta, fit.theta_hat)
-        assert cholesky_shapes == []
+        assert potrf_shapes == []
+
+    @pytest.mark.parametrize("p, seed, graph, termination", [
+        (12, 1, "complete", "closed_form"),
+        (40, 2, "truth", "tolerance"),
+    ])
+    def test_a_fitted_precision_keeps_the_factor_its_matrix_would_get(self, p, seed, graph, termination):
+        # one factor per precision: a fit's own potrf and the constructor's
+        # give the same bytes, in two fits where np.linalg.cholesky of the
+        # fitted matrix differs from dpotrf's in the last bit
+        truth = random_sparse_precision(p, np.random.default_rng(p))
+        sigma_hat = empirical_covariance(sample(truth, 3 * p, seed))
+        fit = fit_graph_mle(sigma_hat, EdgeSet.complete(p) if graph == "complete" else edge_set_of(truth), math.inf)
+        assert fit.termination == termination
+        assert PrecisionMatrix(fit.theta_hat.matrix)._factor.tobytes() == fit.theta_hat._factor.tobytes()
+
+    @pytest.mark.parametrize("graph", ["chain", "cycle"])
+    def test_a_fitted_precision_keeps_its_fits_covariance(self, monkeypatch, graph):
+        inverses = []
+        spd_inverse = core._spd_inverse
+
+        def counting(lower):
+            inverses.append(lower.shape)
+            return spd_inverse(lower)
+
+        theta, sigma_hat, support = chain_fit_problem(graph)
+        fit = chain_fit(graph, sigma_hat, support)
+        monkeypatch.setattr(core, "_spd_inverse", counting)
+        gradient = nll_gradient(fit.theta_hat, sigma_hat)
+        assert kl_gaussian(fit.theta_hat, theta) > 0.0
+        assert inverses == []
+        assert not fit.theta_hat._sigma.flags.writeable
+        expected = spd_inverse(factorize(fit.theta_hat).factor)
+        assert fit.theta_hat._sigma.tobytes() == expected.tobytes()
+        assert gradient.tobytes() == (sigma_hat.matrix - expected).tobytes()
 
     @pytest.mark.parametrize(
         "entries, match",
@@ -297,31 +353,44 @@ class TestInvert:
     def test_only_spd_inverse_inverts(self):
         # no _potrs against an identity, and dtrtri, dpotri and
         # np.linalg.inv named nowhere but inside core._spd_inverse
-        found = []
-        for path in sorted(Path(ggmsep.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            exempt = set()
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("core.py", "_spd_inverse"):
-                    exempt = {id(n) for n in ast.walk(node)}
-            for node in ast.walk(tree):
-                if id(node) in exempt:
-                    continue
-                names = set()
-                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_potrs"):
-                    args = [*node.args, *(k.value for k in node.keywords)]
-                    if any(isinstance(a, ast.Call) and ast.unparse(a.func) in ("np.eye", "numpy.eye") for a in args):
-                        names = {"_potrs(..., eye)"}
-                elif isinstance(node, (ast.Attribute, ast.Name)):
-                    names = {ast.unparse(node)}
-                elif isinstance(node, ast.ImportFrom):
-                    names = {f"{node.module}.{alias.name}" for alias in node.names}
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names = {node.value}
-                for name in names:
-                    if re.fullmatch(r"_potrs\(\.\.\., eye\)|(\w+\.)*(dtrtri|dpotri)|(np|numpy)\.linalg\.inv", name):
-                        found.append(f"{path.name}:{node.lineno}: {name}")
-        assert found == []
+        pattern = r"_potrs\(\.\.\., eye\)|(\w+\.)*(dtrtri|dpotri)|(np|numpy)\.linalg\.inv"
+        assert names_outside("_spd_inverse", pattern) == []
+
+    def test_only_factorizable_calls_numpys_cholesky(self):
+        # every factor the library keeps is core._potrf's; numpy's Cholesky
+        # only answers whether a stack factors
+        assert names_outside("_factorizable", r"(np|numpy)\.linalg\.cholesky") == []
+
+
+def names_outside(function, pattern):
+    """file:line: name for each name in src/ggmsep matching pattern outside
+    core.<function>: dotted names, imports, string constants, and
+    _potrs(..., eye) for a _potrs call against an identity."""
+    found = []
+    for path in sorted(Path(ggmsep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("core.py", function):
+                exempt = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            names = set()
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_potrs"):
+                args = [*node.args, *(k.value for k in node.keywords)]
+                if any(isinstance(a, ast.Call) and ast.unparse(a.func) in ("np.eye", "numpy.eye") for a in args):
+                    names = {"_potrs(..., eye)"}
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                names = {ast.unparse(node)}
+            elif isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = {node.value}
+            for name in names:
+                if re.fullmatch(pattern, name):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
 
 
 def run_python(code):
@@ -333,22 +402,13 @@ def run_python(code):
 
 
 class TestLapackLoader:
-    def test_the_cli_imports_no_scipy_module_but_flapack(self):
-        # import scipy.linalg was most of a cold start's import time
+    def test_the_cli_imports_no_scipy_module(self):
+        # import scipy.linalg was most of a cold start's import time; the
+        # extension core loads is not left in sys.modules (see
+        # tests/test_imports.py for what a later scipy.linalg then finds)
         code = "import sys, ggmsep.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy')))"
-        assert run_python(code) == ["scipy.linalg._flapack"]
-        assert core.lapack is sys.modules["scipy.linalg._flapack"]
-
-    @pytest.mark.parametrize("first, then", [("ggmsep", "scipy.linalg"), ("scipy.linalg", "ggmsep")])
-    def test_scipy_linalg_shares_the_one_flapack_module_in_either_import_order(self, first, then):
-        code = f"""
-import sys, {first}, {then}
-from ggmsep import core
-flapack = sys.modules["scipy.linalg._flapack"]
-print(core.lapack is flapack is scipy.linalg.lapack._flapack)
-print(*(getattr(core.lapack, f) is getattr(scipy.linalg.lapack, f) for f in ("dpotrf", "dpotrs", "dtrtrs")))
-"""
-        assert run_python(code) == ["True"] * 4
+        assert run_python(code) == []
+        assert core.lapack.dpotrf is sys.modules["scipy.linalg._flapack"].dpotrf
 
     def test_a_missing_extension_file_falls_back_to_scipy_linalg_lapack_with_the_same_bytes(self, monkeypatch):
         with monkeypatch.context() as patch:

@@ -144,17 +144,21 @@ class TestKlGaussian:
         assert np.array_equal(sigma, sigma.T)
         assert_allclose(sigma, invert(theta).matrix, rtol=1e-12, atol=1e-14)
 
-    def test_projections_and_fits_keep_no_covariance_until_asked(self):
+    def test_projections_keep_no_covariance_until_asked_and_fits_keep_their_fits(self):
         theta = random_sparse_precision(8, np.random.default_rng(5))
         v, u = min(edge_set_of(theta))
-        fit = fit_graph_mle(invert(theta), edge_set_of(theta).without((v, u)), math.inf)
-        results = [project_remove_edge(theta, (v, u)), project_remove_star(theta, v, [u]), fit.theta_hat]
+        fitted = fit_graph_mle(invert(theta), edge_set_of(theta).without((v, u)), math.inf).theta_hat
+        kept = fitted._covariance
+        assert kept is not None and not kept.flags.writeable
+        results = [project_remove_edge(theta, (v, u)), project_remove_star(theta, v, [u])]
         assert all(result._covariance is None for result in results)
         for result in results:
             kl_gaussian(theta, result)
             assert result._covariance is None
             kl_gaussian(result, theta)
             assert result._covariance is result._sigma
+        kl_gaussian(fitted, theta)
+        assert fitted._sigma is kept
 
     def test_closed_form_against_monte_carlo(self):
         # oracle: sample 1e6 points from q1 = N(0, I), average log q1/q2

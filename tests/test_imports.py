@@ -18,15 +18,18 @@ from ggmsep.serialization import edge_set_doc, matrix_doc, write_json
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def loaded_after(code):
-    """The ggmsep modules loaded by running code in a fresh interpreter
-    at one BLAS thread."""
+def printed_by(code):
+    """The words code prints, run in a fresh interpreter at one BLAS thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'ggmsep'))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    return set(done.stdout.split())
+    return done.stdout.split()
+
+
+def loaded_after(code):
+    """The ggmsep modules loaded by running code in a fresh interpreter."""
+    return set(printed_by(code + "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'ggmsep'))"))
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +110,18 @@ class TestLazyNamespace:
     def test_an_unknown_name_raises_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             ggmsep.no_such_name
+
+
+@pytest.mark.parametrize("first, then", [("ggmsep.core", "scipy.linalg"), ("scipy.linalg", "ggmsep.core")])
+def test_scipy_linalg_keeps_its_flapack_and_shares_its_routines_in_either_import_order(first, then):
+    # ggmsep.core loads scipy's LAPACK extension without scipy.linalg; a
+    # later import of scipy.linalg must still bind the package attribute,
+    # and both must call the same routine objects
+    code = f"""
+import {first}, {then}
+import scipy.linalg.lapack
+from ggmsep import core
+print(hasattr(scipy.linalg, "_flapack"), scipy.linalg.lapack._flapack is scipy.linalg._flapack)
+print(*(getattr(core.lapack, f) is getattr(scipy.linalg.lapack, f) for f in ("dpotrf", "dpotrs", "dtrtrs", "dtrtri")))
+"""
+    assert printed_by(code) == ["True"] * 6

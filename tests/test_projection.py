@@ -278,19 +278,27 @@ class TestPrecisionSideSurgery:
             assert np.all(np.isfinite(out.matrix))
 
     @pytest.mark.parametrize("p", [8, 50, 200])
-    def test_result_keeps_the_bits_of_validating_a_copy(self, p):
-        # the result is summed, checked and symmetrized in its own buffer
+    def test_result_changes_only_the_neighbourhood_and_keeps_potrfs_factor(self, p):
+        # the update is added elementwise on the rows and columns of A + N(A)
+        # alone, exactly symmetric, and the result is factored once
         theta = random_sparse_precision(p, np.random.default_rng(p), edge_probability=min(1.0, 4.0 / p))
         v, u = min(edge_set_of(theta))
         star = [w for w in range(p) if w != v and theta.matrix[v, w] != 0.0]
         cases = [
-            (project_remove_edge(theta, (v, u)), severed_by_validating_a_copy(theta, v, [u])),
-            (project_remove_edge(theta, (u, v)), severed_by_validating_a_copy(theta, u, [v])),
-            (project_remove_star(theta, v, star), severed_by_validating_a_copy(theta, v, star)),
+            (project_remove_edge(theta, (v, u)), v, [u]),
+            (project_remove_edge(theta, (u, v)), u, [v]),
+            (project_remove_star(theta, v, star), v, star),
         ]
-        for out, expected in cases:
-            assert out.matrix.tobytes() == expected.matrix.tobytes()
-            assert out._factor.tobytes() == np.linalg.cholesky(out.matrix).tobytes()
+        for out, w, s in cases:
+            assert np.array_equal(out.matrix, out.matrix.T)
+            near = (theta.matrix[[w, *s]] != 0.0).any(axis=0)
+            near[[w, *s]] = True
+            apart = ~(near[:, None] & near[None, :])
+            assert apart.any() or p == 8  # at p=8, A + N(A) is every vertex
+            assert out.matrix[apart].tobytes() == theta.matrix[apart].tobytes()
+            expected = severed_by_validating_a_copy(theta, w, s).matrix
+            assert np.max(np.abs(out.matrix - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert out._factor.tobytes() == core._potrf(np.array(out.matrix)).tobytes()
             assert not out.matrix.flags.writeable and not out._factor.flags.writeable
 
     def test_large_p_factors_no_more_than_the_severed_block(self, monkeypatch):
@@ -302,18 +310,17 @@ class TestPrecisionSideSurgery:
         neighbors = np.flatnonzero(theta.matrix[7])
         star = [int(u) for u in neighbors if u != 7]
         orders, inverts = [], []
-        cholesky = np.linalg.cholesky
+        potrf = core._potrf
 
-        def counting_cholesky(arr, *args, **kwargs):
-            # the order is the trailing axis: projections factor stacks of one
+        def counting_potrf(arr, *args, **kwargs):
             orders.append(np.shape(arr)[-1])
-            return cholesky(arr, *args, **kwargs)
+            return potrf(arr, *args, **kwargs)
 
         def counting_invert(m):
             inverts.append(m.p)
             return invert(m)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(core, "_potrf", counting_potrf)
         for name, module in list(sys.modules.items()):
             if module is not None and (name == "ggmsep" or name.startswith("ggmsep.")):
                 for key, value in list(vars(module).items()):
