@@ -66,7 +66,6 @@ _EXPORTS = {
         "CandidateCollection",
         "SelectionResult",
         "sample_size_bound",
-        "score",
         "select_graph",
     ),
     "simulation": (

@@ -32,6 +32,7 @@ from .serialization import (
     load_edge_set,
     load_precision,
     matrix_doc,
+    write_json,
 )
 
 if TYPE_CHECKING:
@@ -46,12 +47,11 @@ T = TypeVar("T")
 
 
 def _emit(args: argparse.Namespace, doc: object) -> None:
-    text = dumps(doc) + "\n"
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text)
+        write_json(out, doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(doc) + "\n")
 
 
 def _in_range(flags: str, compute: Callable[[], T]) -> T:

@@ -527,10 +527,10 @@ def _closed_form_fits(
     kept = stack[accepted]
     _check_adoptable(kept)
     objective = -_log_det(lower[accepted]) + (sig * kept).reshape(-1, p * p).sum(axis=1)
-    stack.flags.writeable = lower.flags.writeable = False
     fits: list[Optional[FitResult]] = [None] * slots
     for slot, f, g in zip(np.flatnonzero(accepted).tolist(), objective.tolist(), gnorm[accepted].tolist()):
-        theta = PrecisionMatrix._validated(stack[slot], lower[slot].T, inverses[slot])
+        # copies, so a kept fit does not hold the whole batch's stacks
+        theta = PrecisionMatrix._validated(stack[slot].copy(), lower[slot].copy().T, inverses[slot])
         fits[slot] = FitResult(theta, objective=f, iterations=0, converged=True, projected_gradient_norm=g,
                                termination="closed_form", objective_trace=(f,))
     return fits

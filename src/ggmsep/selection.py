@@ -8,12 +8,11 @@ from typing import Iterable, Optional
 
 from .core import CovarianceMatrix, EdgeSet, _checked_size, _is_real
 from .errors import DimensionMismatch, InvalidParameters
-from .projection import FitOptions, FitResult, _fit_graphs, fit_graph_mle
+from .projection import FitOptions, FitResult, _fit_graphs
 
 __all__ = [
     "CandidateCollection",
     "SelectionResult",
-    "score",
     "select_graph",
     "sample_size_bound",
 ]
@@ -78,16 +77,6 @@ class SelectionResult:
             "fit_results": [r.to_dict() for r in self.fit_results],
             "unconverged": list(self.unconverged),
         }
-
-
-def score(
-    graph: EdgeSet,
-    sigma_hat: CovarianceMatrix,
-    gamma: float,
-    opts: FitOptions = FitOptions(),
-) -> float:
-    """Minimum nll over precisions supported on `graph` inside the gamma ball."""
-    return fit_graph_mle(sigma_hat, graph, gamma, opts).objective
 
 
 def select_graph(

@@ -4,16 +4,15 @@ Matrix documents: ``{"p": <int>, "entries": [<p*p reals, row-major>]}``.
 Edge-set documents: ``{"p": <int>, "edges": [[i, j], ...]}`` with i < j.
 Candidate collections are a JSON array of edge-set documents.
 
-Floats are written with 17 significant digits, enough to reproduce the
-exact IEEE-754 double on re-parse, and object keys are sorted, so equal
-values always serialize to identical bytes.
+Every document is written by ``dumps``, the standard library's encoder:
+each float is the shortest repr that re-parses to the identical IEEE-754
+double, and object keys are sorted, so equal values always serialize to
+identical bytes.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-from collections.abc import Mapping
 from pathlib import Path
 from typing import Union
 
@@ -22,7 +21,6 @@ import numpy as np
 from .core import CovarianceMatrix, EdgeSet, PrecisionMatrix
 
 __all__ = [
-    "format_float",
     "dumps",
     "write_json",
     "matrix_doc",
@@ -37,58 +35,19 @@ __all__ = [
 ]
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def format_float(value: float) -> str:
-    """17-significant-digit decimal that re-parses to the identical double."""
-    text = format(value, ".17g")
-    if "." in text or "e" in text:
-        return text
-    return _NON_FINITE.get(text, text + ".0")
-
-
-@functools.lru_cache(maxsize=1024)
-def _key_text(key: str) -> str:
-    # an object key as JSON text; reports repeat a few keys many times
-    return json.dumps(key)
-
-
-def _encode(value: object, depth: int) -> str:
-    # float first: most of a report's values are floats (np.float64 too)
-    if isinstance(value, float):
-        return format_float(float(value))
-    if isinstance(value, (np.bool_, bool)):
-        return "true" if value else "false"
-    if isinstance(value, np.floating):
-        return format_float(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    pad = "  " * (depth + 1)
-    close_pad = "  " * depth
-    if isinstance(value, Mapping):
-        if not value:
-            return "{}"
-        items = [
-            f"{pad}{_key_text(str(key))}: {_encode(value[key], depth + 1)}"
-            for key in sorted(value)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        items = [f"{pad}{_encode(item, depth + 1)}" for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
+def _scalar(value: object) -> object:
+    # json.dumps' fallback: a numpy scalar as its Python value
+    if isinstance(value, np.generic):
+        return value.item()
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps(value: object) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats, indent 2."""
-    return _encode(value, 0)
+    """Deterministic JSON text: sorted keys, indent 2, each float the
+    shortest repr that re-parses to the same double, numpy scalars as
+    their Python values, and Infinity, -Infinity and NaN for non-finite
+    floats."""
+    return json.dumps(value, sort_keys=True, indent=2, default=_scalar)
 
 
 def write_json(path: Union[str, Path], value: object) -> Path:

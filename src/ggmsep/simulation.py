@@ -690,6 +690,9 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
 
     The true model is a chain on p = dimensions[0] vertices; the rivals
     are its single-edge deletions, each missing exactly one true edge.
+    They are nested in the truth, so the truth never scores worse than a
+    rival and success is 1.0 at every n: the sweep checks score margins
+    and the population gaps, not a sample-size transition.
     Per (n, trial): draw a sample, estimate the covariance (optionally
     with the exact diagonal patched in), select the minimum-score graph,
     and record whether the truth won. Aggregates carry success rates with

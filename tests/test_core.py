@@ -361,17 +361,22 @@ class TestInvert:
         # only answers whether a stack factors
         assert names_outside("_factorizable", r"(np|numpy)\.linalg\.cholesky") == []
 
+    def test_only_serialization_dumps_calls_the_json_encoder(self):
+        # every emitted document has one writer: its key order, indent and
+        # float text
+        assert names_outside("dumps", r"json\.dumps", module="serialization.py") == []
 
-def names_outside(function, pattern):
+
+def names_outside(function, pattern, module="core.py"):
     """file:line: name for each name in src/ggmsep matching pattern outside
-    core.<function>: dotted names, imports, string constants, and
+    <module>.<function>: dotted names, imports, string constants, and
     _potrs(..., eye) for a _potrs call against an identity."""
     found = []
     for path in sorted(Path(ggmsep.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         exempt = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("core.py", function):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == (module, function):
                 exempt = {id(n) for n in ast.walk(node)}
         for node in ast.walk(tree):
             if id(node) in exempt:

@@ -30,7 +30,6 @@ from ggmsep import (
     random_sparse_precision,
     sample,
     sample_size_bound,
-    score,
     select_graph,
 )
 from ggmsep import selection as selection_module
@@ -70,18 +69,18 @@ class TestScore:
     def test_complete_graph(self):
         sigma = invert(random_sparse_precision(5, np.random.default_rng(1)))
         expected = float(np.linalg.slogdet(sigma.matrix)[1]) + 5.0
-        assert_allclose(score(EdgeSet.complete(5), sigma, 100.0), expected, atol=1e-8)
+        assert_allclose(fit_graph_mle(sigma, EdgeSet.complete(5), 100.0).objective, expected, atol=1e-8)
 
     def test_empty_graph(self):
         sigma = invert(random_sparse_precision(5, np.random.default_rng(2)))
         expected = float(np.sum(np.log(np.diag(sigma.matrix)))) + 5.0
-        assert_allclose(score(EdgeSet(5), sigma, 100.0), expected, atol=1e-8)
+        assert_allclose(fit_graph_mle(sigma, EdgeSet(5), 100.0).objective, expected, atol=1e-8)
 
     def test_monotone_in_support(self):
         sigma = invert(random_sparse_precision(6, np.random.default_rng(3)))
         small = EdgeSet(6, [(0, 1)])
         large = EdgeSet(6, [(0, 1), (2, 3), (4, 5)])
-        assert score(large, sigma, 50.0) <= score(small, sigma, 50.0) + 1e-8
+        assert fit_graph_mle(sigma, large, 50.0).objective <= fit_graph_mle(sigma, small, 50.0).objective + 1e-8
 
     def test_gap_identity_against_closed_form(self):
         # dropping one edge from the complete support costs exactly twice
@@ -89,8 +88,8 @@ class TestScore:
         theta_star = random_sparse_precision(5, np.random.default_rng(4))
         sigma = invert(theta_star)
         edge = (0, 3)
-        full = score(EdgeSet.complete(5), sigma, math.inf)
-        dropped = score(EdgeSet.complete(5).without(edge), sigma, math.inf)
+        full = fit_graph_mle(sigma, EdgeSet.complete(5), math.inf).objective
+        dropped = fit_graph_mle(sigma, EdgeSet.complete(5).without(edge), math.inf).objective
         assert abs((dropped - full) - 2.0 * conditional_mutual_info(theta_star, *edge)) < 1e-5
 
 
@@ -250,6 +249,19 @@ class TestBatchedSelection:
         terminations = [fit.termination for fit in result.fit_results]
         assert terminations == ["closed_form", "tolerance", "closed_form", "tolerance"]
         _assert_same_as_single_fits(result, [fit_graph_mle(sigma, graph, 5.0) for graph in collection])
+
+    def test_a_kept_closed_form_fit_holds_only_its_own_buffers(self):
+        # each closed form's matrix and factor are copied out of the
+        # (slots, p, p) stacks, so one kept fit does not keep the batch alive
+        theta_star = chain_precision(8)
+        truth = edge_set_of(theta_star)
+        collection = CandidateCollection([truth, *(truth.without(e) for e in sorted(truth))])
+        sigma = empirical_covariance(sample(theta_star, 250, 0))
+        fits = [f for f in select_graph(collection, sigma, 10.0).fit_results if f.termination == "closed_form"]
+        assert len(fits) == len(collection)
+        for fit in fits:
+            for array in (fit.theta_hat.matrix, fit.theta_hat._factor, fit.theta_hat._sigma):
+                assert array.base is None or array.base.shape == (8, 8)
 
 
 class TestSampleSizeBound:

@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggmsep import CovarianceMatrix, EdgeSet, PrecisionMatrix, random_sparse_precision
 from ggmsep.serialization import (
     dumps,
     edge_set_doc,
     edge_set_from_doc,
-    format_float,
     load_candidates,
     load_precision,
     matrix_doc,
@@ -21,25 +22,79 @@ from ggmsep.serialization import (
 
 
 class TestFormatFloat:
+    """dumps of one float: the shortest repr that re-parses to the same double."""
+
     @pytest.mark.parametrize(
         "value",
-        [0.0, -0.0, 1.0, 2.0, 0.5, 1 / 3, math.pi, 1e-300, 6.02e23, -1.7976931348623157e308],
+        [0.0, -0.0, 1.0, 2.0, 0.5, 1 / 3, math.pi, 1e-300, 6.02e23, -1.7976931348623157e308, 5e-324, 1e16],
     )
     def test_roundtrip_exact(self, value):
-        text = format_float(value)
-        assert float(text) == value or (value == 0.0 and float(text) == 0.0)
+        text = dumps(value)
+        assert text == repr(value)
         # bit-exact, including signed zero
-        assert math.copysign(1.0, float(text)) == math.copysign(1.0, value)
+        assert json.loads(text).hex() == value.hex()
 
     def test_integral_values_stay_floats(self):
-        assert format_float(2.0) == "2.0"
-        assert json.loads(format_float(2.0)) == 2.0
+        assert dumps(2.0) == "2.0"
+        assert dumps(1e16) == "1e+16"
+        assert type(json.loads(dumps(1e16))) is float
 
     def test_non_finite_tokens(self):
-        assert format_float(math.inf) == "Infinity"
-        assert format_float(-math.inf) == "-Infinity"
-        assert format_float(math.nan) == "NaN"
-        assert math.isinf(json.loads(format_float(math.inf)))
+        assert dumps({"a": math.inf, "b": -math.inf, "c": math.nan}) == (
+            '{\n  "a": Infinity,\n  "b": -Infinity,\n  "c": NaN\n}'
+        )
+        assert math.isinf(json.loads(dumps(math.inf)))
+
+
+def _plain(value):
+    # the Python value a document parses back to
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _same_bits(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, float):
+        return math.isnan(a) and math.isnan(b) or a.hex() == b.hex()
+    return a == b
+
+
+_doubles = st.floats(allow_subnormal=True)
+_leaves = st.one_of(
+    _doubles,
+    _doubles.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+)
+_documents = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_documents_parse_back_bit_for_bit_and_re_encode_identically(doc):
+    text = dumps(doc)
+    assert _same_bits(json.loads(text), _plain(doc))
+    assert dumps(json.loads(text)) == text
 
 
 class TestDumps:
@@ -50,12 +105,16 @@ class TestDumps:
         assert first == second
         assert first.index('"a"') < first.index('"b"')
 
+    def test_layout(self):
+        doc = {"b": [1, True, None, "x"], "a": {}, "c": ()}
+        assert dumps(doc) == '{\n  "a": {},\n  "b": [\n    1,\n    true,\n    null,\n    "x"\n  ],\n  "c": []\n}'
+
     def test_numpy_scalars(self):
         doc = {"i": np.int64(3), "f": np.float64(0.25), "b": np.bool_(True)}
         assert json.loads(dumps(doc)) == {"i": 3, "f": 0.25, "b": True}
 
     def test_rejects_unknown_types(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="cannot serialize object"):
             dumps({"x": object()})
 
     def test_parses_back(self):
