@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
-from .core import _ZERO_TOL
 from .errors import GgmError, InvalidParameters
 from .serialization import (
     dumps,
@@ -93,8 +92,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         raise ValueError("--alpha and --h must be given together")
     theta = load_precision(args.theta)
     doc = {
-        "c_star": _in_range("--zero-tol", lambda: c_theta_star(theta, args.zero_tol)),
-        "bound": one_edge_lower_bound(theta, args.zero_tol),
+        "c_star": c_theta_star(theta),
+        "bound": one_edge_lower_bound(theta),
     }
     if args.alpha is not None:
         doc["omega_inf_bound"] = _in_range("--alpha/--h", lambda: omega_inf_lower_bound(args.alpha, args.h))
@@ -167,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="separation constant and one-edge lower bound")
     p_bounds.add_argument("theta", help="precision matrix JSON")
-    p_bounds.add_argument("--zero-tol", type=float, default=_ZERO_TOL)
     p_bounds.add_argument("--alpha", type=float, help="entrywise-class minimum coupling")
     p_bounds.add_argument("--h", type=float, help="entrywise-class diagonal bound")
     p_bounds.add_argument("--out")

@@ -54,7 +54,7 @@ __all__ = [
 _ASYMMETRY_RTOL = 1e-8
 # Largest magnitude whose doubling cannot overflow.
 _HALF_MAX = 0.5 * float(np.finfo(float).max)
-# Default zero_tol of every support test: magnitudes up to it are no edge.
+# The edge rule (_edge_mask): an entry of magnitude up to this is no edge.
 _ZERO_TOL = 1e-12
 
 
@@ -102,11 +102,6 @@ def _vertex_star(p: int, v: object, others: Iterable[object]) -> tuple[int, list
     if v in s:
         raise IndexOverlap(f"vertex {v} appears among the other vertices")
     return v, s
-
-
-def _check_zero_tol(zero_tol: float) -> None:
-    if not 0.0 <= zero_tol < math.inf:
-        raise InvalidParameters(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
 
 
 def _load_lapack():
@@ -248,7 +243,7 @@ def _factorizable(stack: np.ndarray) -> np.ndarray:
     """Whether each matrix of a (k, p, p) stack has a Cholesky factor with
     finite entries: a yes or no that keeps no factor, so numpy's one stacked
     call answers it; only when some matrix fails to factor is each factored
-    on its own, to find which."""
+    on its own, to find which. Only projection._chordal_mles asks it."""
     try:
         return np.isfinite(np.linalg.cholesky(stack)).all(axis=(-2, -1))
     except np.linalg.LinAlgError:
@@ -472,10 +467,16 @@ def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def edge_set_of(theta: MatrixLike, zero_tol: float = _ZERO_TOL) -> EdgeSet:
-    """Off-diagonal support: edge (i, j), i < j, iff |theta[i, j]| > zero_tol."""
-    _check_zero_tol(zero_tol)
-    arr = theta.matrix
+def _edge_mask(arr: np.ndarray) -> np.ndarray:
+    """The library's one edge rule: which pairs of _upper_pairs(p) are edges
+    of a (p, p) matrix, shape (pairs,), or of each matrix of a (k, p, p)
+    stack, shape (k, pairs). (i, j) is an edge iff |arr[i, j]| > 1e-12."""
+    rows, cols = _upper_pairs(arr.shape[-1])
+    return np.abs(arr[..., rows, cols]) > _ZERO_TOL
+
+
+def edge_set_of(theta: MatrixLike) -> EdgeSet:
+    """Off-diagonal support: edge (i, j), i < j, iff |theta[i, j]| > 1e-12."""
     rows, cols = _upper_pairs(theta.p)
-    mask = np.abs(arr[rows, cols]) > zero_tol
+    mask = _edge_mask(theta.matrix)
     return EdgeSet(theta.p, zip(rows[mask].tolist(), cols[mask].tolist()))

@@ -18,10 +18,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import (
-    _ZERO_TOL,
     PrecisionMatrix,
-    _check_zero_tol,
     _cholesky_lower,
+    _edge_mask,
     _log_det,
     _trtrs,
     _upper_pairs,
@@ -148,16 +147,15 @@ def block_conditional_mutual_info(theta: PrecisionMatrix, i: int, subset: Iterab
     return -0.5 * math.log1p(-ratio)
 
 
-def c_theta_star(theta: PrecisionMatrix, zero_tol: float = _ZERO_TOL) -> float:
+def c_theta_star(theta: PrecisionMatrix) -> float:
     """Smallest edgewise ratio t_ii t_jj / (t_ii t_jj - t_ij^2) over the support.
 
-    The minimum runs over strictly off-diagonal entries with magnitude
-    above zero_tol; it is always > 1 for a PD matrix and equals
-    exp(2 * min edgewise conditional mutual information).
+    The minimum runs over the edges of edge_set_of (off-diagonal entries
+    with magnitude above 1e-12); it is > 1 for a PD matrix, up to rounding
+    (an edge with t_ij^2 / (t_ii t_jj) below about 1e-16 gives exactly 1),
+    and equals exp(2 * min edgewise conditional mutual information).
     """
-    _check_zero_tol(zero_tol)
-    rows, cols = _upper_pairs(theta.p)
-    mask = np.abs(theta.matrix[rows, cols]) > zero_tol
+    mask = _edge_mask(theta.matrix)
     if not np.any(mask):
         raise NoEdges("matrix has no off-diagonal support")
     return float(_separation_constants(theta.matrix[None], mask[None])[0])
@@ -172,13 +170,14 @@ def _separation_constants(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
     return np.min(np.where(edge, a / (a - arr[:, rows, cols] ** 2), np.inf), axis=-1)
 
 
-def one_edge_lower_bound(theta_star: PrecisionMatrix, zero_tol: float = _ZERO_TOL) -> float:
+def one_edge_lower_bound(theta_star: PrecisionMatrix) -> float:
     """Guaranteed KL gap (nats) when any single true edge is missing.
 
-    Equal to 0.5 * log of the separation constant of theta_star; strictly
-    positive whenever theta_star has at least one edge.
+    Equal to 0.5 * log of the separation constant of theta_star; positive
+    whenever theta_star has at least one edge, up to the rounding that
+    c_theta_star describes.
     """
-    return 0.5 * math.log(c_theta_star(theta_star, zero_tol))
+    return 0.5 * math.log(c_theta_star(theta_star))
 
 
 def omega_inf_lower_bound(alpha: float, h: float) -> float:
@@ -192,28 +191,22 @@ def omega_inf_lower_bound(alpha: float, h: float) -> float:
     return -0.5 * math.log1p(-((alpha / h) ** 2))
 
 
-def verify_separation(
-    theta_star: PrecisionMatrix,
-    theta: PrecisionMatrix,
-    zero_tol: float = _ZERO_TOL,
-) -> BoundReport:
+def verify_separation(theta_star: PrecisionMatrix, theta: PrecisionMatrix) -> BoundReport:
     """Check KL(theta_star's Gaussian || theta's) against the one-edge bound.
 
-    Requires that theta misses at least one edge of theta_star (otherwise
-    theta could equal theta_star and the divergence would be zero). The
-    returned slack is kl - bound and is nonnegative up to roundoff; the
-    witness is the smallest missing pair, found in one scan of both matrices.
+    Requires that theta misses at least one edge of theta_star, by
+    edge_set_of's rule (otherwise theta could equal theta_star and the
+    divergence would be zero). The returned slack is kl - bound and is
+    nonnegative up to roundoff; the witness is the smallest missing pair,
+    found in one scan of both matrices.
     """
     if theta_star.p != theta.p:
         raise DimensionMismatch(f"orders differ: {theta_star.p} vs {theta.p}")
-    _check_zero_tol(zero_tol)
-    rows, cols = _upper_pairs(theta.p)
-    missing = np.flatnonzero(
-        (np.abs(theta_star.matrix[rows, cols]) > zero_tol) & (np.abs(theta.matrix[rows, cols]) <= zero_tol)
-    )
+    missing = np.flatnonzero(_edge_mask(theta_star.matrix) & ~_edge_mask(theta.matrix))
     if not missing.size:
         raise NoMissingEdge("every edge of theta_star is present in theta")
     kl = kl_gaussian(theta_star, theta)
-    bound = one_edge_lower_bound(theta_star, zero_tol)
+    bound = one_edge_lower_bound(theta_star)
+    rows, cols = _upper_pairs(theta.p)
     witness = (int(rows[missing[0]]), int(cols[missing[0]]))
     return BoundReport(kl_value=kl, lower_bound=bound, slack=kl - bound, witness_edge=witness)

@@ -32,13 +32,13 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from .core import (
-    _ZERO_TOL,
     CovarianceMatrix,
     PrecisionMatrix,
     _checked_size,
     _cholesky_lower,
-    _factorizable,
+    _edge_mask,
     _is_real,
+    _potrf,
     _spd_inverse,
     _symmetrize_in_place,
     _trtrs,
@@ -525,30 +525,35 @@ def _weakest_edges(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
     return weakest
 
 
-def _perturbed_candidates(base: np.ndarray, noise: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Random feasible perturbations of a stack of edge-deleted projections.
+def _perturbed_candidates(base: np.ndarray, noise: np.ndarray, scale: float) -> tuple[np.ndarray, ...]:
+    """Random feasible points near a stack of edge-deleted projections that
+    miss the deleted edge, with their lower Cholesky factors.
 
-    Matrix t is moved by step * noise[t] (noise symmetric and zero at the
-    deleted edge) with step = scale * mean |base[t]|. A candidate is checked
-    as PrecisionMatrix checks one; one that does not factor halves its step
-    and tries again, at most _PERTURBATION_HALVINGS times, in a stack that
-    shrinks as candidates pass. Returns the indices of the matrices whose
-    candidate passed, and those candidates; the others get none.
+    Matrix t is moved by step * noise[t] (noise symmetric and exactly zero
+    at the deleted edge, so the candidate is too) with step = scale * mean
+    |base[t]|. A candidate is checked as PrecisionMatrix checks one:
+    symmetrized, then factored once by _potrf, and kept with that factor
+    if it has finite entries. One that fails halves its step and tries
+    again, at most _PERTURBATION_HALVINGS times, in a stack that shrinks as
+    candidates pass. Returns the indices of the matrices whose candidate
+    passed, those candidates and their factors; the others get none.
     """
     step = scale * np.mean(np.abs(base), axis=(-2, -1))
     pending = np.arange(len(base))
-    passed, candidates = [], []
+    passed, candidates, factors = [], [], []
     for _ in range(_PERTURBATION_HALVINGS):
         trial = base[pending] + step[pending, None, None] * noise[pending]
         _symmetrize_in_place(trial, "precision matrix")
-        ok = _factorizable(trial)
+        lower = [_potrf(matrix) for matrix in trial]
+        ok = np.array([factor is not None and np.isfinite(factor).all() for factor in lower])
         passed.append(pending[ok])
         candidates.append(trial[ok])
+        factors += [factor for factor, good in zip(lower, ok) if good]
         pending = pending[~ok]
         if not pending.size:
             break
         step[pending] *= 0.5
-    return np.concatenate(passed), np.concatenate(candidates)
+    return np.concatenate(passed), np.concatenate(candidates), np.array(factors).reshape(-1, *base.shape[1:])
 
 
 def _lower_bound_trials(cfg: ExperimentConfig, p: int, seeds: list[int]) -> list[dict]:
@@ -574,8 +579,7 @@ def _lower_bound_trials(cfg: ExperimentConfig, p: int, seeds: list[int]) -> list
     star_lower = _cholesky_lower(star)
 
     rows, cols = _upper_pairs(p)
-    off = star[:, rows, cols]
-    edge = np.abs(off) > _ZERO_TOL
+    edge = _edge_mask(star)
     weakest = _weakest_edges(star, edge)
     removed = weakest.copy()
     for t, (method, rng) in enumerate(zip(methods, rngs)):
@@ -591,18 +595,16 @@ def _lower_bound_trials(cfg: ExperimentConfig, p: int, seeds: list[int]) -> list
         noise = 0.5 * (noise + noise.swapaxes(-1, -2))
         index = np.arange(perturbed.size)
         noise[index, v[perturbed], u[perturbed]] = noise[index, u[perturbed], v[perturbed]] = 0.0
-        done, candidates = _perturbed_candidates(theta[perturbed], noise, cfg.perturbation_scale)
-        if done.size:
-            kept = perturbed[done]
-            theta, lower = theta.copy(), lower.copy()
-            theta[kept], lower[kept] = _sever(candidates, v[kept], u[kept, None])
+        done, candidates, factors = _perturbed_candidates(theta[perturbed], noise, cfg.perturbation_scale)
+        theta, lower = theta.copy(), lower.copy()
+        theta[perturbed[done]], lower[perturbed[done]] = candidates, factors
 
     # verify_separation's check, bound and divergence, for every matrix
-    if not (edge & (np.abs(theta[:, rows, cols]) <= _ZERO_TOL)).any(axis=1).all():
+    if not (edge & ~_edge_mask(theta)).any(axis=1).all():
         raise NoMissingEdge("every edge of theta_star is present in theta")
     kls = _kl_divergences(star, np.stack([_spd_inverse(l) for l in star_lower]), star_lower, theta, lower)
     bounds = [0.5 * math.log(c) for c in _separation_constants(star, edge).tolist()]
-    alphas = np.min(np.where(edge, np.abs(off), np.inf), axis=1).tolist()
+    alphas = np.min(np.where(edge, np.abs(star[:, rows, cols]), np.inf), axis=1).tolist()
     heights = np.max(np.diagonal(star, axis1=-2, axis2=-1), axis=1).tolist()
     fields = []
     for t, method in enumerate(methods):
@@ -653,11 +655,12 @@ def run_lower_bound_experiment(cfg: ExperimentConfig, progress: _Progress = None
 
     Four generation methods cycle per trial: delete a random true edge by
     projection, delete the edge attaining the separation constant (the
-    slack is then ~0), perturb-and-reproject, and a high-signal member
-    whose coupling sits close to its diagonal bound (the class bound grows
-    without cap there). Each record carries the one-edge slack and, since
-    every instance lies in an entrywise class measured from its own
-    entries, the class-bound slack too.
+    slack is then ~0), a random feasible point near the random edge's
+    projection that misses the same edge (method perturbed_reprojection),
+    and a high-signal member whose coupling sits close to its diagonal
+    bound (the class bound grows without cap there). Each record carries
+    the one-edge slack and, since every instance lies in an entrywise class
+    measured from its own entries, the class-bound slack too.
 
     The trials of one p run as one (trials, p, p) stack: each still draws
     from its own generator, so a record depends only on its seed, and the
@@ -665,8 +668,9 @@ def run_lower_bound_experiment(cfg: ExperimentConfig, progress: _Progress = None
     random_sparse_precision / random_omega_inf_member, project_remove_edge
     and verify_separation. Every theta_star, perturbed candidate and
     projection is checked as PrecisionMatrix checks one (finite, symmetric
-    to 1e-8, factorizable with finite pivots), and NoMissingEdge is raised
-    if a projection kept every true edge.
+    to 1e-8, factorizable with finite pivots) and factored once, and
+    NoMissingEdge is raised if a projection or candidate kept every true
+    edge.
     """
     return _run_grid(
         "lower-bound", cfg, "p", cfg.dimensions,
@@ -700,8 +704,9 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
     with include_population=True the sweep is repeated once against the
     exact covariance, where selection must succeed outright. Extras count
     the candidate fits that returned converged=False (unconverged_fits),
-    population pass included. A chain that is not positive definite, or
-    lies outside the gamma-ball, raises InvalidParameters naming the keys.
+    population pass included. A chain that is not positive definite, has
+    no edge (|chain_coupling| <= 1e-12) or lies outside the gamma-ball
+    raises InvalidParameters naming the keys.
     """
     p = cfg.dimensions[0]
     try:
@@ -716,6 +721,8 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
             f"gamma={cfg.gamma} excludes the true model (norm {np.linalg.norm(theta_star.matrix):.3f})"
         )
     true_graph = edge_set_of(theta_star)
+    if not len(true_graph):
+        raise InvalidParameters(f"chain_coupling={cfg.chain_coupling} gives a chain with no edge at p={p}")
     alternatives = [true_graph.without(edge) for edge in sorted(true_graph)]
     collection = CandidateCollection((true_graph, *alternatives))
     sigma_star = invert(theta_star)

@@ -47,12 +47,13 @@ def schur_complement(m, keep):
     return 0.5 * (s + s.T)
 
 
-def in_omega_inf(theta, alpha, h, zero_tol=1e-12):
+def in_omega_inf(theta, alpha, h):
     """Whether theta lies in the entrywise class: every diagonal <= h and
-    every off-diagonal entry above zero_tol has magnitude >= alpha."""
+    every edge (off-diagonal entry of magnitude above 1e-12) has magnitude
+    >= alpha."""
     arr = theta.matrix
     off = np.abs(arr[np.triu_indices(theta.p, k=1)])
-    return bool(np.all(np.diag(arr) <= h) and np.all(off[off > zero_tol] >= alpha))
+    return bool(np.all(np.diag(arr) <= h) and np.all(off[off > 1e-12] >= alpha))
 
 
 def kl_by_one_triangular_solve(theta1, theta2):
@@ -92,10 +93,12 @@ def severed_by_validating_a_copy(theta, v, s):
 
 def lower_bound_trial_by_trial(cfg):
     """run_lower_bound_experiment as it ran before the trials of one p were
-    stacked: each trial alone, through the public one-matrix API. Returns
-    the report, built by the library's grid skeleton, aggregate and extras,
-    and the number of times a perturbed candidate failed to factor and
-    halved its step."""
+    stacked: each trial alone, through the public one-matrix API. A
+    perturbed trial keeps its first candidate that PrecisionMatrix accepts,
+    which already misses the removed edge, without projecting it again.
+    Returns the report, built by the library's grid skeleton, aggregate and
+    extras, and the number of times a perturbed candidate failed to factor
+    and halved its step."""
     halvings = 0
 
     def perturbed_missing_edge(theta_star, removed, rng, scale):
@@ -113,7 +116,7 @@ def lower_bound_trial_by_trial(cfg):
                 halvings += 1
                 step *= 0.5
                 continue
-            return project_remove_edge(perturbed, removed)
+            return perturbed
         return base
 
     def weakest_edge(theta, edges):

@@ -91,9 +91,6 @@ class TestBounds:
         assert code == 2
 
     @pytest.mark.parametrize("flags, named", [
-        (["--zero-tol", "nan"], "--zero-tol"),
-        (["--zero-tol", "inf"], "--zero-tol"),
-        (["--zero-tol", "-1"], "--zero-tol"),
         (["--alpha", "5", "--h", "1"], "--alpha/--h"),
         (["--alpha", "nan", "--h", "1"], "--alpha/--h"),
     ])
@@ -102,6 +99,15 @@ class TestBounds:
         assert code == 2
         assert out == ""
         assert named in err
+
+    def test_zero_tol_is_an_unknown_flag(self, capsys, theta_d2_path):
+        # the edge rule is fixed at |entry| > 1e-12
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", str(theta_d2_path), "--zero-tol", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --zero-tol 0" in captured.err
 
     def test_diagonal_matrix_exits_3(self, tmp_path, capsys):
         path = write_json(tmp_path / "diag.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 2.0]})
@@ -343,6 +349,8 @@ class TestExperiment:
         ("counterexample", {"d_values": []}, "d_values"),
         ("selection", {"gamma": 1.0, "dimensions": [4]}, "gamma"),
         ("selection", {"chain_coupling": 1.5, "dimensions": [4]}, "chain_coupling"),
+        ("selection", {"chain_coupling": 0, "dimensions": [4]}, "chain_coupling"),
+        ("selection", {"chain_coupling": -1e-12, "dimensions": [4]}, "chain_coupling"),
         ("selection", {"chain_diagonal": math.nan}, "chain_diagonal"),
         ("lower-bound", {"trials": 4, "dimensions": [4], "perturbation_scale": math.nan}, "perturbation_scale"),
         ("lower-bound", {"trials": 4, "dimensions": [4], "perturbation_scale": math.inf}, "perturbation_scale"),

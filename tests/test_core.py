@@ -95,7 +95,8 @@ class TestMatrixTypes:
         entries = [[1.0, 5e-324], [5e-324, 1.0]]
         m = cls(entries)
         assert np.array_equal(m.matrix, entries)
-        assert edge_set_of(m, zero_tol=0.0) == EdgeSet(2, [(0, 1)])
+        # kept, but below the edge rule's 1e-12
+        assert edge_set_of(m) == EdgeSet(2)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8))
@@ -361,6 +362,20 @@ class TestInvert:
         # only answers whether a stack factors
         assert names_outside("_factorizable", r"(np|numpy)\.linalg\.cholesky") == []
 
+    def test_only_edge_mask_reads_the_zero_tolerance(self):
+        # one edge rule, |entry| > _ZERO_TOL; besides the mask, only the
+        # constant's own definition names it
+        definition = next(
+            node.lineno for node in ast.parse(Path(core.__file__).read_text()).body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_ZERO_TOL"
+        )
+        assert names_outside("_edge_mask", r"(\w+\.)*_ZERO_TOL") == [f"core.py:{definition}: _ZERO_TOL"]
+
+    def test_only_chordal_mles_calls_factorizable(self):
+        # every other factor check keeps its factor (core._potrf); modules
+        # take core's helpers by name, so a call names _factorizable bare
+        assert names_outside("_chordal_mles", r"_factorizable", module="projection.py") == []
+
     def test_only_serialization_dumps_calls_the_json_encoder(self):
         # every emitted document has one writer: its key order, indent and
         # float text
@@ -583,20 +598,30 @@ class TestEdgeSetOf:
 
     def test_sub_tolerance_entry_dropped(self):
         theta = PrecisionMatrix([[2.0, 1e-15, 0.0], [1e-15, 2.0, 1.0], [0.0, 1.0, 2.0]])
-        assert sorted(edge_set_of(theta, zero_tol=1e-12)) == [(1, 2)]
+        assert sorted(edge_set_of(theta)) == [(1, 2)]
+
+    def test_the_edge_mask_of_a_stack_is_each_matrix_own(self):
+        stack = np.stack([random_sparse_precision(6, np.random.default_rng(seed)).matrix for seed in range(4)])
+        stack[1, 2, 4] = stack[1, 4, 2] = 1e-12
+        masks = core._edge_mask(stack)
+        assert masks.shape == (4, 15)
+        rows, cols = core._upper_pairs(6)
+        for arr, mask in zip(stack, masks):
+            assert np.array_equal(core._edge_mask(arr), mask)
+            assert EdgeSet(6, zip(rows[mask].tolist(), cols[mask].tolist())) == edge_set_of(PrecisionMatrix(arr))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 12))
     def test_roundtrip_from_edge_set(self, seed, p):
         rng = np.random.default_rng(seed)
         theta = random_sparse_precision(p, rng)
-        edges = edge_set_of(theta, zero_tol=0.0)
+        edges = edge_set_of(theta)
         # rebuild a matrix supported on exactly these edges
         arr = np.zeros((p, p))
         for i, j in edges:
             arr[i, j] = arr[j, i] = 0.5
         arr[np.diag_indices(p)] = np.sum(np.abs(arr), axis=1) + 1.0
-        assert edge_set_of(PrecisionMatrix(arr), zero_tol=0.0) == edges
+        assert edge_set_of(PrecisionMatrix(arr)) == edges
 
 
 class TestClassMembership:

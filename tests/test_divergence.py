@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from ggmsep import (
     BoundReport,
     DimensionMismatch,
+    EdgeSet,
     IndexOutOfRange,
     IndexOverlap,
     InvalidParameters,
@@ -454,19 +455,23 @@ class TestVerifySeparation:
         assert report.to_dict() == {"kl": 0.5, "bound": 0.2, "slack": 0.3, "witness_edge": [0, 2]}
 
 
-def support(theta, zero_tol):
+# the edge rule's boundary: |entry| > 1e-12 is an edge
+AT_TOLERANCE = 1e-12
+ABOVE_TOLERANCE = 1e-12 * (1.0 + 2.0**-52)
+
+
+def support(theta):
     # plain double-loop definition of the off-diagonal support
     p = theta.p
-    return {(i, j) for i in range(p) for j in range(i + 1, p) if abs(theta.matrix[i, j]) > zero_tol}
+    return {(i, j) for i in range(p) for j in range(i + 1, p) if abs(theta.matrix[i, j]) > AT_TOLERANCE}
 
 
 @st.composite
-def tolerance_and_two_precisions(draw):
-    """A zero_tol and two diagonally dominant precisions whose couplings
-    sit at, below, just above and well above it."""
+def two_precisions(draw):
+    """Two diagonally dominant precisions whose couplings sit at, below,
+    just above and well above the edge rule's 1e-12."""
     p = draw(st.integers(2, 7))
-    zero_tol = draw(st.sampled_from([0.0, 1e-12, 0.25]))
-    values = [0.0, zero_tol, -zero_tol, 0.5 * zero_tol, zero_tol * (1.0 + 2.0**-52), 0.4, -0.9]
+    values = [0.0, AT_TOLERANCE, -AT_TOLERANCE, 0.5 * AT_TOLERANCE, ABOVE_TOLERANCE, -ABOVE_TOLERANCE, 0.4, -0.9]
 
     def precision():
         arr = np.zeros((p, p))
@@ -476,53 +481,58 @@ def tolerance_and_two_precisions(draw):
         arr[np.diag_indices(p)] = np.sum(np.abs(arr), axis=1) + 1.0
         return PrecisionMatrix(arr)
 
-    return zero_tol, precision(), precision()
-
-
-@pytest.mark.parametrize("zero_tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
-@pytest.mark.parametrize("check", [
-    lambda theta, tol: edge_set_of(theta, tol),
-    lambda theta, tol: c_theta_star(theta, tol),
-    lambda theta, tol: one_edge_lower_bound(theta, tol),
-    lambda theta, tol: verify_separation(theta, project_remove_edge(theta, (0, 1)), tol),
-], ids=["edge_set_of", "c_theta_star", "one_edge_lower_bound", "verify_separation"])
-def test_zero_tol_must_be_finite_and_nonnegative(check, zero_tol):
-    with pytest.raises(InvalidParameters, match="zero_tol must be finite and >= 0"):
-        check(counterexample_precision(2), zero_tol)
+    return precision(), precision()
 
 
 class TestMissingEdgeScan:
     @settings(max_examples=300, deadline=None)
-    @given(case=tolerance_and_two_precisions())
+    @given(case=two_precisions())
     def test_matches_a_double_loop(self, case):
-        zero_tol, theta_star, theta = case
-        assert set(edge_set_of(theta_star, zero_tol)) == support(theta_star, zero_tol)
-        missing = support(theta_star, zero_tol) - support(theta, zero_tol)
+        theta_star, theta = case
+        assert set(edge_set_of(theta_star)) == support(theta_star)
+        missing = support(theta_star) - support(theta)
         if not missing:
             with pytest.raises(NoMissingEdge):
-                verify_separation(theta_star, theta, zero_tol)
+                verify_separation(theta_star, theta)
         else:
-            report = verify_separation(theta_star, theta, zero_tol)
+            report = verify_separation(theta_star, theta)
             assert report.witness_edge == min(missing)
             assert report.kl_value == kl_gaussian(theta_star, theta)
-            assert report.lower_bound == one_edge_lower_bound(theta_star, zero_tol)
+            assert report.lower_bound == one_edge_lower_bound(theta_star)
         for index in _upper_pairs(theta.p):
             assert not index.flags.writeable
 
-    def test_entry_exactly_at_zero_tol_is_no_edge(self):
-        theta_star = PrecisionMatrix([[2.0, 0.5, 0.1], [0.5, 2.0, 0.3], [0.1, 0.3, 2.0]])
-        theta = PrecisionMatrix([[2.0, 0.1, 0.0], [0.1, 2.0, 0.3], [0.0, 0.3, 2.0]])
-        # at zero_tol 0.1, (0, 2) leaves theta_star and (0, 1) leaves theta;
-        # at 0.5 theta_star has no edge left
-        assert verify_separation(theta_star, theta, zero_tol=0.0).witness_edge == (0, 2)
-        assert verify_separation(theta_star, theta, zero_tol=0.1).witness_edge == (0, 1)
-        with pytest.raises(NoMissingEdge):
-            verify_separation(theta_star, theta, zero_tol=0.5)
+    def test_entry_exactly_at_the_tolerance_is_no_edge(self):
+        def precision(c01, c02):
+            return PrecisionMatrix([[2.0, c01, c02], [c01, 2.0, 0.3], [c02, 0.3, 2.0]])
 
-    def test_negative_zero_tol_rejected(self):
-        theta = counterexample_precision(2)
-        with pytest.raises(InvalidParameters):
-            verify_separation(theta, theta, zero_tol=-1.0)
+        # 1e-12 at (0, 1) leaves theta_star, and at (0, 2) leaves theta
+        theta_star = precision(AT_TOLERANCE, ABOVE_TOLERANCE)
+        assert edge_set_of(theta_star) == EdgeSet(3, [(0, 2), (1, 2)])
+        # the ratio of (0, 1) would be the minimum if it counted
+        assert c_theta_star(theta_star) == c_theta_star(precision(0.0, ABOVE_TOLERANCE))
+        with pytest.raises(NoEdges):
+            c_theta_star(PrecisionMatrix([[1.0, -AT_TOLERANCE], [-AT_TOLERANCE, 1.0]]))
+        assert verify_separation(theta_star, precision(0.0, AT_TOLERANCE)).witness_edge == (0, 2)
+        # just above 1e-12 at (0, 2) keeps it in theta
+        with pytest.raises(NoMissingEdge):
+            verify_separation(theta_star, precision(0.0, -ABOVE_TOLERANCE))
+
+    @pytest.mark.parametrize("coupling", [
+        0.0, 0.5 * AT_TOLERANCE, AT_TOLERANCE, -AT_TOLERANCE, ABOVE_TOLERANCE, -ABOVE_TOLERANCE,
+    ])
+    def test_every_entry_point_applies_the_same_rule(self, coupling):
+        theta = PrecisionMatrix([[1.0, coupling], [coupling, 1.0]])
+        is_edge = abs(coupling) > AT_TOLERANCE
+        assert len(edge_set_of(theta)) == is_edge
+        if is_edge:
+            assert c_theta_star(theta) == 1.0 / (1.0 - coupling**2)
+            with pytest.raises(NoMissingEdge):
+                verify_separation(counterexample_precision(1), theta)
+        else:
+            with pytest.raises(NoEdges):
+                c_theta_star(theta)
+            assert verify_separation(counterexample_precision(1), theta).witness_edge == (0, 1)
 
     def test_cached_pairs_are_shared_and_read_only(self):
         rows, cols = _upper_pairs(5)

@@ -29,6 +29,7 @@ from ggmsep import (
     invert,
     omega_inf_lower_bound,
     one_edge_lower_bound,
+    project_remove_edge,
     random_omega_inf_member,
     random_sparse_precision,
     run_counterexample_experiment,
@@ -37,7 +38,7 @@ from ggmsep import (
     sample,
     trial_seed,
 )
-from ggmsep import core
+from ggmsep import core, simulation
 from ggmsep import selection as selection_module
 from ggmsep.simulation import _weakest_edges, run_experiment
 from reference import in_omega_inf, lower_bound_trial_by_trial
@@ -444,6 +445,35 @@ class TestLowerBoundExperiment:
         else:
             assert (halvings > 0) == (scale > 1.0)
 
+    def test_each_perturbed_candidate_is_factored_once_and_never_projected(self, monkeypatch):
+        cfg = ExperimentConfig(base_seed=4242, trials=13, dimensions=(3, 6), perturbation_scale=20.0)
+        _, halvings = lower_bound_trial_by_trial(cfg)
+        calls = {"_potrf": 0, "_sever": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(simulation, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(simulation, name, counted)
+        report = run_lower_bound_experiment(cfg)
+        perturbed = sum(r["method"] == "perturbed_reprojection" for r in report.records)
+        assert halvings > 0
+        # one stacked projection per p; one factor per candidate tried
+        assert calls == {"_potrf": perturbed + halvings, "_sever": 2}
+
+    def test_perturbed_candidates_keep_the_factor_precision_matrix_computes(self):
+        rng = np.random.default_rng(8)
+        base = np.stack([project_remove_edge(random_sparse_precision(6, rng), (0, 1)).matrix for _ in range(5)])
+        noise = rng.standard_normal((5, 6, 6))
+        noise = 0.5 * (noise + noise.swapaxes(-1, -2))
+        noise[:, 0, 1] = noise[:, 1, 0] = 0.0
+        done, candidates, factors = simulation._perturbed_candidates(base, noise, 20.0)
+        assert done.size == 5
+        for candidate, factor in zip(candidates, factors, strict=True):
+            assert candidate[0, 1] == 0.0
+            theta = PrecisionMatrix(candidate)
+            assert np.array_equal(theta.matrix, candidate)
+            assert np.array_equal(theta._factor, factor)
+
     def test_byte_identical_reruns(self):
         cfg = ExperimentConfig(base_seed=9, trials=8, dimensions=(4,))
         first = run_lower_bound_experiment(cfg)
@@ -513,6 +543,12 @@ class TestSelectionExperiment:
         # raised NotPositiveDefinite, naming no key
         with pytest.raises(InvalidParameters, match="chain_coupling"):
             run_selection_experiment(self._config(chain_coupling=1.5))
+
+    @pytest.mark.parametrize("coupling", [0.0, 1e-12, -1e-12])
+    def test_chain_must_have_an_edge(self, coupling):
+        # raised ValueError: min() arg is an empty sequence, naming no key
+        with pytest.raises(InvalidParameters, match="chain_coupling"):
+            run_selection_experiment(self._config(chain_coupling=coupling))
 
 
 class TestGridSkeleton:
