@@ -13,7 +13,7 @@ and _spd_inverse call LAPACK (scipy's f2py wrappers, see _load_lapack) or
 read an info code, only _spd_inverse inverts an SPD matrix, and only
 _log_det reduces a Cholesky factor's log-diagonal. Every factor the library
 keeps is _potrf's (scipy's dpotrf), through _cholesky_lower or a fit's own
-check; numpy's Cholesky only answers _factorizable's yes-or-no question.
+check; numpy's LAPACK serves only _solve_each's closed-form solves.
 """
 
 from __future__ import annotations
@@ -239,22 +239,22 @@ def _symmetrize_in_place(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _factorizable(stack: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a (k, p, p) stack has a Cholesky factor with
-    finite entries: a yes or no that keeps no factor, so numpy's one stacked
-    call answers it; only when some matrix fails to factor is each factored
-    on its own, to find which. Only projection._chordal_mles asks it."""
+def _solve_each(blocks: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x with blocks[t] x[t] = rhs[t], shapes (n, k, k) and (n, k), by
+    numpy's one stacked LU solve (dgesv), and which blocks solved: only when
+    that call meets an exactly singular block is each solved alone, to find
+    it, and its x left zero. Every x has the bits of its block solved alone."""
     try:
-        return np.isfinite(np.linalg.cholesky(stack)).all(axis=(-2, -1))
+        return np.linalg.solve(blocks, rhs[:, :, None])[:, :, 0], np.ones(len(blocks), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    ok = np.zeros(len(stack), dtype=bool)
-    for k, matrix in enumerate(stack):
+    x, solved = np.zeros(rhs.shape), np.ones(len(blocks), dtype=bool)
+    for t in range(len(blocks)):
         try:
-            ok[k] = np.isfinite(np.linalg.cholesky(matrix)).all()
+            x[t] = np.linalg.solve(blocks[t], rhs[t, :, None])[:, 0]
         except np.linalg.LinAlgError:
-            pass
-    return ok
+            solved[t] = False
+    return x, solved
 
 
 def _check_adoptable(arr: np.ndarray) -> None:

@@ -34,7 +34,7 @@ families grouped by parent count. The plan of the last tuple fitted is
 kept, so refitting the same candidates repeats only the arithmetic on the
 data. The closed form is one batched pass per parent count over every
 chordal graph of the tuple: one gather of the conditioning blocks, one
-batched Cholesky check and solve, and one scatter of every family's term
+stacked solve (core._solve_each), and one scatter of every family's term
 into the stack, which is then checked as a whole: only potrf, the inverse,
 the gradient mapping and the result are per graph. A Newton fit reads its
 graph's run of the same support indices. Every factorization, solve and
@@ -61,11 +61,11 @@ from .core import (
     _check_adoptable,
     _checked_size,
     _cholesky_lower,
-    _factorizable,
     _is_real,
     _log_det,
     _potrf,
     _potrs,
+    _solve_each,
     _spd_inverse,
     _trtrs,
     _vertex_pair,
@@ -457,9 +457,9 @@ def _chordal_mles(sig: np.ndarray, plan: _BatchPlan) -> tuple[np.ndarray, np.nda
     """The closed form of every slot's graph, stacked (slots, p, p), and
     which slots have one: False, with the slot's entries all zero, where
     the graph is not chordal; False, with meaningless entries, where a
-    conditioning block has no Cholesky factor with finite pivots
-    (core._factorizable, stricter than positive definiteness alone) or a
-    residual variance is not positive.
+    conditioning block is exactly singular (core._solve_each) or a
+    residual variance is not positive. _closed_form_fits' check decides
+    the rest.
 
     The chordal MLE factors along the perfect ordering as (I-B)^T D^-1
     (I-B): each vertex's regression on its earlier neighbours contributes
@@ -476,14 +476,9 @@ def _chordal_mles(sig: np.ndarray, plan: _BatchPlan) -> tuple[np.ndarray, np.nda
         resid = sig[vertices, vertices]
         w = np.ones((count, k + 1))
         if k:
-            blocks = sig[parents[:, :, None], parents[:, None, :]]
-            factorizable = _factorizable(blocks)
-            if not factorizable.all():
-                # solve the identity in place of the failing blocks
-                valid[owner[~factorizable]] = False
-                blocks[~factorizable] = np.eye(k)
             cross = sig[parents, vertices[:, None]]
-            coef = np.linalg.solve(blocks, cross[:, :, None])[:, :, 0]
+            coef, solved = _solve_each(sig[parents[:, :, None], parents[:, None, :]], cross)
+            valid[owner[~solved]] = False
             resid = resid - (cross * coef).sum(axis=1)
             w[:, 1:] = -coef
         if not (resid > 0).all():
@@ -601,12 +596,12 @@ def _fit_graphs(
     Raises for the whole tuple, before anything is fitted, on an input
     that no graph's fit accepts: a graph order that differs from
     sigma_hat's, a gamma that is not positive, or an infeasible Newton
-    start (below). Otherwise returns every graph's FitResult, in order. A
-    closed form that passes its check meets an infeasible start only when
-    the norm of sigma_hat's diagonal overflows (entries of about 1e154 and
-    more): the closed form's norm is at most gamma and its diagonal at
-    least 1 / sigma_hat's, so the start needs no scaling and its inverse is
-    sigma_hat's diagonal. The tuple of graphs is planned once (_batch_plan,
+    start (below). Otherwise returns every graph's FitResult, in order,
+    also on a singular sigma_hat. A closed form that passes its check
+    meets an infeasible start only when the norm of sigma_hat's diagonal
+    overflows (entries of about 1e154 and more): the closed form's norm is
+    at most gamma and its diagonal at least 1 / sigma_hat's, so the start
+    needs no scaling and its inverse is sigma_hat's diagonal. The tuple of graphs is planned once (_batch_plan,
     graph g in slot g of every plan array), and the plan of the last tuple
     fitted is kept.
     """
@@ -667,16 +662,17 @@ def fit_graph_mle(
       from sigma_hat as (I-B)^T D^-1 (I-B), where row v of B regresses v on
       its earlier-numbered neighbours and D holds the residual variances
       (Dempster 1972; Lauritzen 1996, ch. 5). Vertices with the same
-      number of such neighbours are regressed together in one batched
-      Cholesky check and solve, and every family's term is added into
-      place by one scatter. The result is returned, with iterations=0,
+      number of such neighbours are regressed together in one stacked
+      solve, and every family's term is added into place by one
+      scatter. The result is returned, with iterations=0,
       termination="closed_form" and a one-entry objective_trace, only if
       it lies in the ball, is positive definite and its gradient mapping
       is at most gradient_tolerance, all checked in one stacked pass over
       a tuple's closed forms. The problem is convex, so an unconstrained
       optimum inside the ball is the constrained optimum.
     - Damped Newton otherwise: the graph is not chordal, a conditioning
-      block of sigma_hat is singular, the ball binds, or the check fails.
+      block of sigma_hat is exactly singular or a residual variance is not
+      positive, the ball binds, or the check fails.
       It works in the p + |E| coordinates of an orthonormal basis of the
       support, with a dense Hessian, so a step costs O((p + |E|)^3). Step
       d minimizes the quadratic model of nll over the ball and the
@@ -711,8 +707,9 @@ def fit_graph_mle(
     once, with the other inputs, before anything is fitted: a start that
     is not positive, overflows, or in the ball is too small to invert raises
     InfeasibleStart, a gamma that is not positive InvalidParameters, and a
-    graph of another order than sigma_hat DimensionMismatch. So a fit, of one graph or of a
-    collection, raises for the whole call or not at all, and a
-    non-converged run returns its last iterate with converged=False.
+    graph of another order than sigma_hat DimensionMismatch. So a fit, of
+    one graph or of a collection, raises for the whole call or not at all
+    (a singular sigma_hat raises nothing), and a non-converged run returns
+    its last iterate with converged=False.
     """
     return _fit_graphs(sigma_hat, (graph,), gamma, opts)[0]

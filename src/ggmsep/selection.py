@@ -104,7 +104,8 @@ def select_graph(
     InvalidParameters for a gamma that is not positive, and InfeasibleStart
     when the Newton start diag(1 / sigma_hat diagonal), the same for every
     candidate, is not finite, or not positive or too small to invert once
-    scaled into the ball.
+    scaled into the ball. Nothing else raises, also on a singular
+    sigma_hat: a candidate whose closed form fails takes Newton alone.
     """
     fits = tuple(_fit_graphs(sigma_hat, collection.graphs, gamma, opts))
     scores = tuple(fit.objective for fit in fits)

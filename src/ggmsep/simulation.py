@@ -258,8 +258,8 @@ def random_omega_inf_member(
     class's worst-case one-edge bound exactly.
     """
     p = _checked_size("p", p, 2)
-    if not (0.0 < alpha < h):
-        raise InvalidParameters(f"requires 0 < alpha < h, got alpha={alpha}, h={h}")
+    if not (0.0 < alpha < h < math.inf):
+        raise InvalidParameters(f"requires 0 < alpha < h and a finite h, got alpha={alpha}, h={h}")
     return PrecisionMatrix(_omega_inf_entries(p, alpha, h, rng, extremal))
 
 
@@ -392,8 +392,8 @@ class ExperimentConfig:
 class ExperimentReport:
     """Per-trial records plus per-grid-point aggregates for one experiment.
 
-    Serialization is deterministic (sorted keys, fixed float format), so a
-    rerun with the same configuration reproduces the files byte for byte.
+    Serialization is deterministic (sorted keys, shortest-repr floats), so
+    a rerun with the same configuration reproduces the files byte for byte.
     The CSV has one row per aggregate, with the aggregate's keys as columns.
     """
 

@@ -9,11 +9,14 @@ import pytest
 
 from ggmsep import (
     EdgeSet,
+    chain_precision,
     counterexample_precision,
     edge_set_of,
+    empirical_covariance,
     invert,
     project_remove_star,
     random_sparse_precision,
+    sample,
 )
 from ggmsep.cli import main
 from ggmsep.simulation import (
@@ -229,6 +232,22 @@ class TestFitAndSelect:
         assert out == ""
         assert "InfeasibleStart" in err and "RuntimeWarning" not in err
         assert caught == []
+
+    @pytest.mark.parametrize("command, gamma, expected", [("fit", "10", 0), ("select", "10", 0), ("fit", "inf", 4)])
+    def test_singular_conditioning_block_fits_instead_of_exiting_2(self, tmp_path, capsys, command, gamma, expected):
+        # one draw at p=3: K3's closed form meets an exactly singular block
+        # ("error: Singular matrix", exit 2, before); Newton fits it inside
+        # the ball, and without one the likelihood is unbounded, so the fit
+        # does not converge (exit 4)
+        sigma = empirical_covariance(sample(chain_precision(3), 1, 3))
+        sigma_path = write_json(tmp_path / "sigma.json", matrix_doc(sigma))
+        complete = edge_set_doc(EdgeSet.complete(3))
+        graphs = complete if command == "fit" else [edge_set_doc(EdgeSet(3, [(0, 1), (1, 2)])), complete]
+        graph_path = write_json(tmp_path / "graphs.json", graphs)
+        code, out, err = run(capsys, command, sigma_path, graph_path, "--gamma", gamma)
+        assert code == expected
+        assert "error" not in err
+        assert json.loads(out)
 
     def test_select_prefers_true_graph(self, tmp_path, capsys):
         theta = counterexample_precision(2)

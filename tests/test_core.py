@@ -357,10 +357,11 @@ class TestInvert:
         pattern = r"_potrs\(\.\.\., eye\)|(\w+\.)*(dtrtri|dpotri)|(np|numpy)\.linalg\.inv"
         assert names_outside("_spd_inverse", pattern) == []
 
-    def test_only_factorizable_calls_numpys_cholesky(self):
-        # every factor the library keeps is core._potrf's; numpy's Cholesky
-        # only answers whether a stack factors
-        assert names_outside("_factorizable", r"(np|numpy)\.linalg\.cholesky") == []
+    def test_numpys_cholesky_is_named_nowhere_and_its_solve_only_in_solve_each(self):
+        # every factor the library keeps is core._potrf's; numpy's LU solve
+        # serves the closed form's regressions alone, through one helper
+        assert names_outside("_solve_each", r"(np|numpy)\.linalg\.(cholesky|solve)") == []
+        assert names_outside("", r"(np|numpy)\.linalg\.cholesky") == []
 
     def test_only_edge_mask_reads_the_zero_tolerance(self):
         # one edge rule, |entry| > _ZERO_TOL; besides the mask, only the
@@ -370,11 +371,6 @@ class TestInvert:
             if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_ZERO_TOL"
         )
         assert names_outside("_edge_mask", r"(\w+\.)*_ZERO_TOL") == [f"core.py:{definition}: _ZERO_TOL"]
-
-    def test_only_chordal_mles_calls_factorizable(self):
-        # every other factor check keeps its factor (core._potrf); modules
-        # take core's helpers by name, so a call names _factorizable bare
-        assert names_outside("_chordal_mles", r"_factorizable", module="projection.py") == []
 
     def test_only_serialization_dumps_calls_the_json_encoder(self):
         # every emitted document has one writer: its key order, indent and

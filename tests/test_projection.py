@@ -589,6 +589,14 @@ class TestFitGraphMle:
         assert np.linalg.norm(result.theta_hat.matrix) <= 8.0 * (1 + 1e-10)
         assert math.isfinite(result.objective)
 
+    def test_exactly_singular_block_sends_the_fit_to_newton(self):
+        # one draw at p=3: a conditioning block passed numpy's Cholesky with
+        # a tiny pivot while the LU solve after it raised LinAlgError
+        sigma = empirical_covariance(sample(chain_precision(3), 1, 3))
+        result = fit_graph_mle(sigma, EdgeSet.complete(3), 10.0)
+        assert result.termination == "tolerance" and result.iterations > 0
+        assert np.linalg.norm(result.theta_hat.matrix) <= 10.0 * (1 + 1e-12)
+
     def test_result_serialization_fields(self):
         sigma = invert(random_sparse_precision(3, np.random.default_rng(28)))
         result = fit_graph_mle(sigma, EdgeSet.complete(3), math.inf)
@@ -766,9 +774,9 @@ class TestChordalClosedForm:
 
     def test_chain_fit_factors_at_most_three_times(self, monkeypatch):
         # counts instead of timing: the parent-count batches of a p=8 chain
-        # need one Cholesky call and the barrier the other; the result keeps
-        # the barrier's factor; no cho_solve wrapper runs. dpotrf is counted
-        # on the module core calls, whose functions scipy.linalg.lapack copies
+        # solve without a Cholesky call, and the result keeps the factor of
+        # its check; no cho_solve wrapper runs. dpotrf is counted on the
+        # module core calls, whose functions scipy.linalg.lapack copies
         theta = chain_precision(8)
         sigma = empirical_covariance(sample(theta, 250, trial_seed(2025, 0, 0)))
         graph = edge_set_of(theta)
@@ -912,25 +920,42 @@ class TestChordalClosedForm:
         finally:
             projection._batch_plan.cache_clear()
 
-    def test_slot_without_a_factorizable_block_is_flagged_alone(self):
-        # a triangle whose family of two parents conditions on an indefinite
-        # block, batched with a graph on other vertices whose blocks are fine
-        p = 5
-        triangle = EdgeSet(p, [(0, 1), (1, 2), (0, 2)])
-        other = EdgeSet(p, [(3, 4)])
-        (group,) = [g for g in projection._batch_plan.__wrapped__((triangle,)).groups if g[1].shape[1] == 2]
-        a, b = group[1][0]
-        sig = _sample_covariance(p, 11).matrix.copy()
-        sig[a, b] = sig[b, a] = 2.0 * math.sqrt(sig[a, a] * sig[b, b])
-        assert not projection._factorizable(sig[np.ix_([a, b], [a, b])][None]).any()
-        batch = projection._batch_plan.__wrapped__((triangle, other))
-        stack, valid = projection._chordal_mles(sig, batch)
+    @staticmethod
+    def _flagged_alone(sig, triangle, other):
+        # the triangle's slot fails, and its batch-mate keeps its solo bits
+        stack, valid = projection._chordal_mles(sig, projection._batch_plan.__wrapped__((triangle, other)))
         assert valid.tolist() == [False, True]
-        alone = projection._batch_plan.__wrapped__((other,))
-        solo, solo_valid = projection._chordal_mles(sig, alone)
+        solo, solo_valid = projection._chordal_mles(sig, projection._batch_plan.__wrapped__((other,)))
         assert solo_valid.tolist() == [True]
         assert np.array_equal(stack[1], solo[0])
         assert np.all(stack[1][~_support(other)] == 0.0)
+
+    @staticmethod
+    def _parents_of_the_triangles_last_vertex(p):
+        triangle = EdgeSet(p, [(0, 1), (1, 2), (0, 2)])
+        (group,) = [g for g in projection._batch_plan.__wrapped__((triangle,)).groups if g[1].shape[1] == 2]
+        return triangle, group[1][0]
+
+    def test_slot_with_an_indefinite_block_is_flagged_alone(self):
+        # a triangle whose family of two parents conditions on an indefinite
+        # block, batched with a graph on other vertices whose blocks are
+        # fine: the block solves, and a residual variance is not positive
+        triangle, (a, b) = self._parents_of_the_triangles_last_vertex(5)
+        sig = _sample_covariance(5, 11).matrix.copy()
+        sig[a, b] = sig[b, a] = 2.0 * math.sqrt(sig[a, a] * sig[b, b])
+        assert np.linalg.eigvalsh(sig[np.ix_([a, b], [a, b])])[0] < 0
+        self._flagged_alone(sig, triangle, EdgeSet(5, [(3, 4)]))
+
+    def test_slot_with_an_exactly_singular_block_is_flagged_alone(self):
+        # the same family conditions on a block of four equal entries, whose
+        # LU pivot is exactly zero, batched with a triangle on the other
+        # vertices whose block is solved in the same stack
+        triangle, (a, b) = self._parents_of_the_triangles_last_vertex(6)
+        sig = _sample_covariance(6, 11).matrix.copy()
+        sig[np.ix_([a, b], [a, b])] = sig[a, a]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(sig[np.ix_([a, b], [a, b])], np.ones(2))
+        self._flagged_alone(sig, triangle, EdgeSet(6, [(3, 4), (4, 5), (3, 5)]))
 
     def test_termination_reports_the_iteration_cap(self):
         result = fit_graph_mle(_sample_covariance(5, 3), CYCLES[1], math.inf, FitOptions(max_iterations=1))

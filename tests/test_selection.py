@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -238,6 +238,32 @@ class TestBatchedSelection:
                 select_graph(collection, sigma, gamma, opts)
             return
         _assert_same_as_single_fits(select_graph(collection, sigma, gamma, opts), fits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.integers(3, 7),
+        draws=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+        shrink=st.sampled_from([0.3, 3.0, math.inf]),
+        masks=st.lists(st.integers(0, 2**21 - 1), max_size=4),
+    )
+    @example(p=3, draws=0, seed=16, shrink=math.inf, masks=[])
+    @example(p=7, draws=3, seed=31, shrink=0.3, masks=[0b101])
+    def test_rank_deficient_sigma_hat_fits_every_candidate(self, p, draws, seed, shrink, masks):
+        # n = 1..p+1 draws: a conditioning block can be exactly singular to
+        # the stacked solve, which raised LinAlgError for the whole selection
+        # (as in both examples); such a block sends only its own candidate to
+        # Newton. Bit k of a mask keeps the k-th vertex pair as an edge.
+        n = 1 + draws % (p + 1)
+        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        graphs = [EdgeSet(p, [e for k, e in enumerate(pairs) if mask >> k & 1]) for mask in masks]
+        collection = CandidateCollection([EdgeSet.complete(p), *graphs])
+        truth = random_sparse_precision(p, np.random.default_rng(seed))
+        sigma = empirical_covariance(sample(truth, n, seed))
+        gamma = shrink * float(np.linalg.norm(truth.matrix))
+        opts = FitOptions(max_iterations=60)
+        result = select_graph(collection, sigma, gamma, opts)
+        _assert_same_as_single_fits(result, [fit_graph_mle(sigma, graph, gamma, opts) for graph in collection])
 
     def test_a_singular_conditioning_block_sends_only_its_candidate_to_newton(self):
         # vertices 0 and 1 are perfectly correlated: the triangle regresses 2

@@ -210,6 +210,12 @@ class TestGenerators:
         with pytest.raises(InvalidParameters, match="alpha < h"):
             random_omega_inf_member(4, alpha, h, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_omega_inf_member_rejects_an_h_that_is_not_finite(self, h):
+        # an infinite h raised OverflowError from the degree cap's int()
+        with pytest.raises(InvalidParameters, match="finite h"):
+            random_omega_inf_member(5, 0.5, h, np.random.default_rng(0))
+
     def test_omega_inf_member_with_no_room_keeps_one_edge(self):
         # a coupling of 0.99 against h = 1 fails the row-sum guard, so the
         # member falls back to one edge of magnitude alpha
