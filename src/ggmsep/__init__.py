@@ -82,6 +82,7 @@ _EXPORTS = {
         "run_lower_bound_experiment",
         "run_selection_experiment",
         "sample",
+        "sample_covariance",
         "trial_seed",
     ),
 }

@@ -1,5 +1,8 @@
 """Gaussian sampling, model generators, and reproducible experiment drivers.
 
+``sample`` draws n rows from N(0, inv(theta)); ``sample_covariance``, which
+the selection driver uses, draws their sample covariance from its Wishart law.
+
 The three ``run_*_experiment`` functions numerically exercise the package's
 guarantees: the flat-KL family (deleting a whole star costs 0.5*log 2 no
 matter how many edges go), the randomized one-edge separation bound, and
@@ -72,6 +75,7 @@ __all__ = [
     "ExperimentReport",
     "trial_seed",
     "sample",
+    "sample_covariance",
     "empirical_covariance",
     "corrected_covariance",
     "counterexample_precision",
@@ -128,25 +132,52 @@ class SampleMatrix:
 
 def trial_seed(base_seed: int, grid_index: int, trial_index: int) -> int:
     """Fixed mixing of (base seed, grid position, trial index) into one
-    64-bit seed; the single entry point for randomness in experiments."""
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(grid_index), int(trial_index)))
+    64-bit seed; the single entry point for randomness in experiments.
+    Each argument must be an integer >= 0 (InvalidParameters names it)."""
+    key = (_checked_size("grid_index", grid_index, 0), _checked_size("trial_index", trial_index, 0))
+    ss = np.random.SeedSequence(entropy=_checked_size("base_seed", base_seed, 0), spawn_key=key)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def sample(theta: PrecisionMatrix, n: int, seed: int) -> SampleMatrix:
     """n i.i.d. draws from N(0, inv(theta)); identical arguments give
-    identical bits.
+    identical bits. n must be an integer >= 1 and seed one >= 0.
 
     Standard normals from a seeded generator are pushed through the
     inverse transpose of theta's Cholesky factor: solving L^T x = z gives
-    Cov(x) = inv(L L^T) = inv(theta).
+    Cov(x) = inv(L L^T) = inv(theta). A caller that needs only the sample
+    covariance of the draws can take sample_covariance, whose cost does
+    not grow with n.
     """
     n = _checked_size("n", n, 1)
     fact = factorize(theta)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_checked_size("seed", seed, 0))
     z = rng.standard_normal((n, theta.p))
     # z.T is Fortran-ordered, so dtrtrs solves these finite draws in place
     return SampleMatrix._validated(_trtrs(fact.factor.T, z.T, lower=False, overwrite_b=True).T)
+
+
+def sample_covariance(theta: PrecisionMatrix, n: int, seed: int) -> CovarianceMatrix:
+    """The known-zero-mean sample covariance of n i.i.d. draws from
+    N(0, inv(theta)), drawn from its law in O(p^3) at every n; identical
+    arguments give identical bits. n must be an integer >= 1 and seed one >= 0.
+
+    n times it is Wishart_p(n, inv(theta)) = L^-T R^T R L^-1 (Bartlett's
+    decomposition; Muirhead 1982, Thm 3.2.14), where theta = L L^T and R,
+    the min(n, p) x p R of the QR factorization of n x p standard normals,
+    has N(0, 1) above its diagonal and R_ii = sqrt(chi2(n - i)) on it. The
+    generator draws R's rows as a full normal block, then the chi-squares.
+    The law is that of empirical_covariance(sample(...)), not the bits;
+    for n < p the estimate is singular with rank n.
+    """
+    n = _checked_size("n", n, 1)
+    rng = np.random.default_rng(_checked_size("seed", seed, 0))
+    m = min(n, theta.p)
+    r = np.triu(rng.standard_normal((m, theta.p)))
+    r[np.diag_indices(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
+    # solve L^T v = R^T, as sample solves L^T x = z, so that V V^T = n * estimate
+    v = _trtrs(factorize(theta).factor.T, r.T, lower=False, overwrite_b=True)
+    return CovarianceMatrix(v @ v.T / n)
 
 
 def empirical_covariance(x: SampleMatrix) -> CovarianceMatrix:
@@ -697,14 +728,15 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
     They are nested in the truth, so the truth never scores worse than a
     rival and success is 1.0 at every n: the sweep checks score margins
     and the population gaps, not a sample-size transition.
-    Per (n, trial): draw a sample, estimate the covariance (optionally
-    with the exact diagonal patched in), select the minimum-score graph,
-    and record whether the truth won. Aggregates carry success rates with
-    95% Wilson intervals and the mean score margin over the best rival;
-    with include_population=True the sweep is repeated once against the
-    exact covariance, where selection must succeed outright. Extras count
-    the candidate fits that returned converged=False (unconverged_fits),
-    population pass included. A chain that is not positive definite, has
+    Per (n, trial): draw the sample covariance of n draws from its Wishart
+    law, sample_covariance(theta_star, n, seed) with the record's seed
+    (optionally with the exact diagonal patched in), select the
+    minimum-score graph, and record whether the truth won. Aggregates
+    carry success rates with 95% Wilson intervals and the mean score
+    margin over the best rival; with include_population=True the sweep is
+    repeated once against the exact covariance, where selection must
+    succeed outright. Extras count the candidate fits that returned
+    converged=False (unconverged_fits), population pass included. A chain that is not positive definite, has
     no edge (|chain_coupling| <= 1e-12) or lies outside the gamma-ball
     raises InvalidParameters naming the keys.
     """
@@ -730,7 +762,7 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
 
     def trial(n: int, seed: int) -> dict:
         nonlocal unconverged
-        sigma_hat = empirical_covariance(sample(theta_star, n, seed))
+        sigma_hat = sample_covariance(theta_star, n, seed)
         if cfg.use_true_diagonal:
             sigma_hat = corrected_covariance(sigma_hat, np.diag(sigma_star.matrix))
         result = select_graph(collection, sigma_hat, cfg.gamma, cfg.fit)

@@ -1,6 +1,8 @@
 """Sampling, model generators, and the three experiment drivers."""
 
+import ast
 import dataclasses
+import inspect
 import math
 import sys
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ggmsep import (
+    CandidateCollection,
     CovarianceMatrix,
     ExperimentConfig,
     FitOptions,
@@ -36,6 +39,8 @@ from ggmsep import (
     run_lower_bound_experiment,
     run_selection_experiment,
     sample,
+    sample_covariance,
+    select_graph,
     trial_seed,
 )
 from ggmsep import core, simulation
@@ -107,6 +112,34 @@ class TestSample:
             SampleMatrix(np.ones(shape))
 
 
+class TestSampleCovariance:
+    """sample_covariance draws n * estimate from Wishart_p(n, inv(theta))."""
+
+    THETA = random_sparse_precision(6, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("n", [3, 6, 40])
+    def test_moments_match_the_wishart_law(self, n):
+        draws, p = 4000, self.THETA.p
+        theta, sigma = self.THETA.matrix, invert(self.THETA).matrix
+        hats = np.stack([sample_covariance(self.THETA, n, seed).matrix for seed in range(draws)])
+        # n tr(theta sigma_hat) = tr(R^T R) is exactly chi-square with n p degrees of freedom
+        k = n * p
+        stat = n * np.einsum("ij,tji->t", theta, hats)
+        assert abs(stat.mean() - k) < 4 * math.sqrt(2 * k / draws)
+        # the sample variance of a chi2_k has variance about (8 k^2 + 48 k) / draws
+        assert abs(stat.var(ddof=1) - 2 * k) < 4 * math.sqrt((8 * k * k + 48 * k) / draws)
+        # each entry has mean sigma_ij and variance (sigma_ij^2 + sigma_ii sigma_jj) / n
+        spread = np.sqrt((sigma ** 2 + np.outer(np.diag(sigma), np.diag(sigma))) / (n * draws))
+        assert np.all(np.abs(hats.mean(axis=0) - sigma) < 4 * spread)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_fewer_draws_than_dimensions_give_a_psd_estimate_of_rank_n(self, n):
+        hat = sample_covariance(self.THETA, n, seed=7).matrix
+        eigenvalues = np.linalg.eigvalsh(hat)
+        assert eigenvalues.min() > -1e-12 * eigenvalues.max()
+        assert np.linalg.matrix_rank(hat) == n
+
+
 class TestEmpiricalCovariance:
     def test_single_observation_outer_product(self):
         row = np.array([[1.0, -2.0, 0.5]])
@@ -169,6 +202,8 @@ class TestCounterexamplePrecision:
 # truncated by int() before (p=3.7 built p=3, n=True drew one row).
 SIZED_CALLS = {
     "sample_n": lambda v: sample(PrecisionMatrix(np.eye(3)), v, 1).n,
+    # the estimate of n < p draws has rank n
+    "sample_covariance_n": lambda v: int(np.linalg.matrix_rank(sample_covariance(PrecisionMatrix(np.eye(5)), v, 1).matrix)),
     "chain_precision_p": lambda v: chain_precision(v).p,
     "counterexample_precision_d": lambda v: counterexample_precision(v).p - 1,
     "random_sparse_precision_p": lambda v: random_sparse_precision(v, np.random.default_rng(0)).p,
@@ -185,6 +220,29 @@ def test_sizes_take_integers_only(name):
     assert call(3) == 3
     assert call(np.int64(3)) == 3
     assert call(np.int32(4)) == 4
+
+
+# Each seed and index argument, called with a given value; the result is
+# the bytes it drew, the same for the same seed and other for another. Non-integers were truncated by int() before (seed 1.5
+# drew seed 1's bits, and True and "7" were taken), and a negative value
+# raised numpy's ValueError.
+SEEDED_CALLS = {
+    "sample_seed": lambda v: sample(PrecisionMatrix(np.eye(3)), 4, v).rows.tobytes(),
+    "sample_covariance_seed": lambda v: sample_covariance(PrecisionMatrix(np.eye(3)), 4, v).matrix.tobytes(),
+    "trial_seed_base_seed": lambda v: trial_seed(v, 0, 0),
+    "trial_seed_grid_index": lambda v: trial_seed(0, v, 0),
+    "trial_seed_trial_index": lambda v: trial_seed(0, 0, v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CALLS))
+def test_seeds_take_integers_at_least_zero_only(name):
+    call = SEEDED_CALLS[name]
+    for bad in (1.5, 1.0, True, np.float64(1.0), "7", -1, np.int64(-1)):
+        with pytest.raises(InvalidParameters):
+            call(bad)
+    assert call(np.int64(7)) == call(7) != call(0)
+    call(2**64 - 1)
 
 
 class TestGenerators:
@@ -555,6 +613,32 @@ class TestSelectionExperiment:
         # raised ValueError: min() arg is an empty sequence, naming no key
         with pytest.raises(InvalidParameters, match="chain_coupling"):
             run_selection_experiment(self._config(chain_coupling=coupling))
+
+    def test_a_records_estimate_is_rebuilt_from_its_seed(self):
+        # criterion 8's config: every record is select_graph on
+        # sample_covariance(truth, n, record["seed"]), bit for bit
+        cfg = ExperimentConfig(
+            base_seed=17, trials=4, dimensions=(4,), sample_sizes=(80, 160), gamma=8.0,
+            fit=FitOptions(gradient_tolerance=1e-7),
+        )
+        truth = chain_precision(4)
+        graph = edge_set_of(truth)
+        collection = CandidateCollection((graph, *(graph.without(edge) for edge in sorted(graph))))
+        report = run_selection_experiment(cfg)
+        assert len(report.records) == 8
+        for record in report.records:
+            result = select_graph(collection, sample_covariance(truth, record["n"], record["seed"]), cfg.gamma, cfg.fit)
+            assert result.selected_index == record["selected_index"]
+            assert (min(result.scores[1:]) - result.scores[0]).hex() == record["score_margin"].hex()
+
+    def test_the_driver_draws_no_sample_rows(self):
+        # the O(n p) route of sample rows and their empirical covariance
+        # must not come back into the selection driver
+        tree = ast.parse(inspect.getsource(simulation.run_selection_experiment))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "sample_covariance" in names
+        assert not {"sample", "empirical_covariance"} & names
 
 
 class TestGridSkeleton:
