@@ -140,6 +140,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .simulation import run_experiment
 
+    if args.seed is not None and args.kind == "counterexample":
+        raise ValueError("--seed does not apply to counterexample, which draws nothing at random")
     doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise ValueError("experiment config must be a JSON object")

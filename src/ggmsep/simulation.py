@@ -47,7 +47,6 @@ from .core import (
     _trtrs,
     _upper_pairs,
     edge_set_of,
-    factorize,
     invert,
 )
 from .divergence import (
@@ -67,7 +66,7 @@ from .errors import (
 )
 from .projection import FitOptions, _sever, project_remove_star
 from .selection import CandidateCollection, select_graph
-from .serialization import dumps
+from .serialization import dumps, write_text
 
 __all__ = [
     "SampleMatrix",
@@ -139,9 +138,17 @@ def trial_seed(base_seed: int, grid_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _draw_args(theta: object, n: object, seed: object) -> tuple[int, np.random.Generator]:
+    # a covariance here would be drawn from as if it were a precision
+    if not isinstance(theta, PrecisionMatrix):
+        raise InvalidParameters(f"theta must be a PrecisionMatrix, got {type(theta).__name__}")
+    return _checked_size("n", n, 1), np.random.default_rng(_checked_size("seed", seed, 0))
+
+
 def sample(theta: PrecisionMatrix, n: int, seed: int) -> SampleMatrix:
     """n i.i.d. draws from N(0, inv(theta)); identical arguments give
-    identical bits. n must be an integer >= 1 and seed one >= 0.
+    identical bits. theta must be a PrecisionMatrix, n an integer >= 1 and
+    seed one >= 0; InvalidParameters names the argument that is not.
 
     Standard normals from a seeded generator are pushed through the
     inverse transpose of theta's Cholesky factor: solving L^T x = z gives
@@ -149,18 +156,17 @@ def sample(theta: PrecisionMatrix, n: int, seed: int) -> SampleMatrix:
     covariance of the draws can take sample_covariance, whose cost does
     not grow with n.
     """
-    n = _checked_size("n", n, 1)
-    fact = factorize(theta)
-    rng = np.random.default_rng(_checked_size("seed", seed, 0))
+    n, rng = _draw_args(theta, n, seed)
     z = rng.standard_normal((n, theta.p))
     # z.T is Fortran-ordered, so dtrtrs solves these finite draws in place
-    return SampleMatrix._validated(_trtrs(fact.factor.T, z.T, lower=False, overwrite_b=True).T)
+    return SampleMatrix._validated(_trtrs(theta._factor.T, z.T, lower=False, overwrite_b=True).T)
 
 
 def sample_covariance(theta: PrecisionMatrix, n: int, seed: int) -> CovarianceMatrix:
     """The known-zero-mean sample covariance of n i.i.d. draws from
     N(0, inv(theta)), drawn from its law in O(p^3) at every n; identical
-    arguments give identical bits. n must be an integer >= 1 and seed one >= 0.
+    arguments give identical bits. theta, n and seed are checked as sample
+    checks them.
 
     n times it is Wishart_p(n, inv(theta)) = L^-T R^T R L^-1 (Bartlett's
     decomposition; Muirhead 1982, Thm 3.2.14), where theta = L L^T and R,
@@ -170,13 +176,12 @@ def sample_covariance(theta: PrecisionMatrix, n: int, seed: int) -> CovarianceMa
     The law is that of empirical_covariance(sample(...)), not the bits;
     for n < p the estimate is singular with rank n.
     """
-    n = _checked_size("n", n, 1)
-    rng = np.random.default_rng(_checked_size("seed", seed, 0))
+    n, rng = _draw_args(theta, n, seed)
     m = min(n, theta.p)
     r = np.triu(rng.standard_normal((m, theta.p)))
     r[np.diag_indices(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
     # solve L^T v = R^T, as sample solves L^T x = z, so that V V^T = n * estimate
-    v = _trtrs(factorize(theta).factor.T, r.T, lower=False, overwrite_b=True)
+    v = _trtrs(theta._factor.T, r.T, lower=False, overwrite_b=True)
     return CovarianceMatrix(v @ v.T / n)
 
 
@@ -416,7 +421,8 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # dataclasses.asdict's dict, without its recursive deep copy
+        return {**vars(self), "fit": dict(vars(self.fit))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,7 +431,9 @@ class ExperimentReport:
 
     Serialization is deterministic (sorted keys, shortest-repr floats), so
     a rerun with the same configuration reproduces the files byte for byte.
-    The CSV has one row per aggregate, with the aggregate's keys as columns.
+    The CSV has one row per aggregate, the aggregate's keys as columns and
+    a JSON scalar in every cell (a container raises TypeError naming its
+    column). write emits both files through serialization.write_text.
     """
 
     kind: str
@@ -439,19 +447,26 @@ class ExperimentReport:
         return dumps(vars(self)) + "\n"
 
     def to_csv(self) -> str:
+        cells = []
+        for row in self.aggregates:
+            for column, value in row.items():
+                if isinstance(value, (dict, list, tuple)):
+                    raise TypeError(f"CSV column {column!r} holds a {type(value).__name__}, not a scalar")
+                cells.append(value)
+        # one encode of every cell: a scalar's JSON text holds no raw
+        # newline, so the list's item separator splits it exactly
+        texts = iter(dumps(cells)[len("[\n  "):-len("\n]")].split(",\n  "))
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(self.aggregates[0])
-        writer.writerows([dumps(value) for value in row.values()] for row in self.aggregates)
+        writer.writerows([next(texts) for _ in row] for row in self.aggregates)
         return buffer.getvalue()
 
     def write(self, directory: Union[str, Path]) -> tuple[Path, Path]:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        json_path = directory / f"{self.kind}_report.json"
-        csv_path = directory / f"{self.kind}_aggregates.csv"
-        json_path.write_text(self.to_json())
-        csv_path.write_text(self.to_csv())
+        json_path = write_text(directory / f"{self.kind}_report.json", self.to_json())
+        csv_path = write_text(directory / f"{self.kind}_aggregates.csv", self.to_csv())
         return json_path, csv_path
 
 

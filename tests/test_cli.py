@@ -386,7 +386,9 @@ class TestExperiment:
         config = write_json(tmp_path / "config.json", {"d_values": [1, 2]})
         code, out, err = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o", "--seed", "7")
         assert code == 2
-        assert "seed" in err
+        # the message blames the flag, not a config key the user never wrote
+        assert "--seed" in err
+        assert "base_seed" not in err
         assert out == ""
         assert not (tmp_path / "o").exists()
 

@@ -1,8 +1,10 @@
 """Sampling, model generators, and the three experiment drivers."""
 
 import ast
+import csv
 import dataclasses
 import inspect
+import io
 import math
 import sys
 
@@ -45,7 +47,8 @@ from ggmsep import (
 )
 from ggmsep import core, simulation
 from ggmsep import selection as selection_module
-from ggmsep.simulation import _weakest_edges, run_experiment
+from ggmsep.serialization import dumps
+from ggmsep.simulation import ExperimentReport, _weakest_edges, run_experiment
 from reference import in_omega_inf, lower_bound_trial_by_trial
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -98,6 +101,14 @@ class TestSample:
     def test_invalid_n(self):
         with pytest.raises(InvalidParameters):
             sample(PrecisionMatrix(np.eye(2)), 0, seed=1)
+
+    @pytest.mark.parametrize("draw", [sample, sample_covariance])
+    @pytest.mark.parametrize("theta", [invert(chain_precision(3)), chain_precision(3).matrix, None])
+    def test_theta_must_be_a_precision(self, draw, theta):
+        # a covariance was drawn from as a precision: sample(invert(chain), ...)
+        # had the chain's precision as its covariance
+        with pytest.raises(InvalidParameters, match="theta must be a PrecisionMatrix"):
+            draw(theta, 10, 1)
 
     def test_shape(self):
         x = sample(PrecisionMatrix(np.eye(4)), 17, seed=3)
@@ -366,6 +377,25 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(gamma=10, perturbation_scale=np.float64(0.5), chain_diagonal=3, chain_coupling=-1)
         assert cfg.gamma == 10 and cfg.perturbation_scale == 0.5
         assert ExperimentConfig(gamma=math.inf).gamma == math.inf
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        base_seed=st.integers(0, 2**64), trials=st.integers(1, 10**6),
+        dimensions=st.lists(st.integers(2, 50), min_size=1, max_size=4),
+        sample_sizes=st.lists(st.integers(1, 10**5), min_size=1, max_size=4).map(np.array),
+        gamma=st.floats(1e-3, math.inf), use_true_diagonal=st.booleans(),
+        max_iterations=st.integers(1, 10**4), gradient_tolerance=st.floats(1e-12, 1.0),
+    )
+    def test_to_dict_is_dataclasses_asdict(self, dimensions, max_iterations, gradient_tolerance, **kwargs):
+        fit = FitOptions(max_iterations=max_iterations, gradient_tolerance=gradient_tolerance)
+        cfg = ExperimentConfig(dimensions=dimensions, fit=fit, **kwargs)
+        doc = cfg.to_dict()
+        assert doc == dataclasses.asdict(cfg)
+        assert list(doc) == list(dataclasses.asdict(cfg))
+        assert type(doc["dimensions"]) is tuple and type(doc["sample_sizes"]) is tuple
+        # a fresh dict at both levels: editing the echo leaves the config alone
+        doc["fit"]["max_iterations"] = -1
+        assert cfg.fit.max_iterations == max_iterations and cfg.to_dict()["fit"] is not doc["fit"]
 
     def test_from_dict_roundtrip(self):
         cfg = ExperimentConfig(base_seed=7, trials=3, dimensions=(4,), sample_sizes=(50, 100))
@@ -683,7 +713,42 @@ class TestGridSkeleton:
             assert len(lines) == 1 + len(report.aggregates)
 
 
+def _per_cell_csv(aggregates):
+    # the CSV as it was written before: one dumps call per cell
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(aggregates[0])
+    writer.writerows([dumps(value) for value in row.values()] for row in aggregates)
+    return buffer.getvalue()
+
+
+_floats = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan]),
+)
+_cells = st.one_of(
+    st.integers(), st.booleans(), st.none(), _floats,
+    st.floats(allow_subnormal=True).map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.text(), st.text(st.sampled_from([",", '"', "\n", "\r", "\\", " ", "a", "é", "λ", "\u2028", "🙂"])),
+)
+
+
 class TestReportFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.lists(_cells, min_size=width, max_size=width), min_size=1, max_size=4)))
+    def test_csv_is_the_per_cell_encoding(self, rows):
+        aggregates = tuple({f"c{k}": value for k, value in enumerate(row)} for row in rows)
+        report = ExperimentReport("k", {}, (), aggregates, {})
+        assert report.to_csv() == _per_cell_csv(aggregates)
+
+    @pytest.mark.parametrize("container", [[], [1.0, 2.0], {}, {"a": 1}, (3,)])
+    def test_a_container_cell_names_its_column(self, container):
+        report = ExperimentReport("k", {}, (), ({"n": 1, "gaps": container},), {})
+        with pytest.raises(TypeError, match="'gaps'"):
+            report.to_csv()
+
     def test_write_and_reparse(self, tmp_path):
         import json
 
@@ -702,3 +767,11 @@ class TestReportFiles:
         second = run_lower_bound_experiment(cfg).write(tmp_path / "b")
         assert first[0].read_bytes() == second[0].read_bytes()
         assert first[1].read_bytes() == second[1].read_bytes()
+
+    def test_rewriting_a_longer_report_leaves_exactly_the_new_bytes(self, tmp_path):
+        longer = run_lower_bound_experiment(ExperimentConfig(base_seed=11, trials=8, dimensions=(3, 4)))
+        shorter = run_lower_bound_experiment(ExperimentConfig(base_seed=11, trials=4, dimensions=(3,)))
+        longer.write(tmp_path)
+        json_path, csv_path = shorter.write(tmp_path)
+        assert json_path.read_text() == shorter.to_json()
+        assert csv_path.read_text() == shorter.to_csv()
