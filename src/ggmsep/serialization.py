@@ -4,17 +4,15 @@ Matrix documents: ``{"p": <int>, "entries": [<p*p reals, row-major>]}``.
 Edge-set documents: ``{"p": <int>, "edges": [[i, j], ...]}`` with i < j.
 Candidate collections are a JSON array of edge-set documents.
 
-Every document is encoded by ``dumps``, the standard library's encoder:
+Every document is written by ``dumps``, the standard library's encoder:
 each float is the shortest repr that re-parses to the identical IEEE-754
 double, and object keys are sorted, so equal values always serialize to
-identical bytes. Every file the library emits is written by ``write_text``,
-which rewrites an existing file in place.
+identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Union
 
@@ -24,7 +22,6 @@ from .core import CovarianceMatrix, EdgeSet, PrecisionMatrix
 
 __all__ = [
     "dumps",
-    "write_text",
     "write_json",
     "matrix_doc",
     "precision_from_doc",
@@ -53,20 +50,10 @@ def dumps(value: object) -> str:
     return json.dumps(value, sort_keys=True, indent=2, default=_scalar)
 
 
-def write_text(path: Union[str, Path], text: str) -> Path:
-    """Write text (ASCII, as dumps emits it) to a new file, or rewrite an
-    existing one (a symlink's target) in place, keeping its inode and mode:
-    it is cut to length after the write, not emptied before it, which costs
-    far more on some file systems. A write that fails partway can leave the
-    old tail, as one that empties first leaves a partial file."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as file:
-        file.write(text.encode())
-        file.truncate()
-    return Path(path)
-
-
 def write_json(path: Union[str, Path], value: object) -> Path:
-    return write_text(path, dumps(value) + "\n")
+    path = Path(path)
+    path.write_text(dumps(value) + "\n")
+    return path
 
 
 def _read_json(path: Union[str, Path]) -> object:

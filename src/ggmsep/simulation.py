@@ -66,7 +66,7 @@ from .errors import (
 )
 from .projection import FitOptions, _sever, project_remove_star
 from .selection import CandidateCollection, select_graph
-from .serialization import dumps, write_text
+from .serialization import dumps
 
 __all__ = [
     "SampleMatrix",
@@ -433,7 +433,7 @@ class ExperimentReport:
     a rerun with the same configuration reproduces the files byte for byte.
     The CSV has one row per aggregate, the aggregate's keys as columns and
     a JSON scalar in every cell (a container raises TypeError naming its
-    column). write emits both files through serialization.write_text.
+    column).
     """
 
     kind: str
@@ -465,8 +465,10 @@ class ExperimentReport:
     def write(self, directory: Union[str, Path]) -> tuple[Path, Path]:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        json_path = write_text(directory / f"{self.kind}_report.json", self.to_json())
-        csv_path = write_text(directory / f"{self.kind}_aggregates.csv", self.to_csv())
+        json_path = directory / f"{self.kind}_report.json"
+        csv_path = directory / f"{self.kind}_aggregates.csv"
+        json_path.write_text(self.to_json())
+        csv_path.write_text(self.to_csv())
         return json_path, csv_path
 
 

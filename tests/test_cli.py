@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -130,6 +131,11 @@ class TestProject:
         assert arr[0, 1] == 0.0
         # written text re-parses and re-serializes to identical bytes
         assert dumps(doc) + "\n" == out_path.read_text()
+
+    def test_out_may_be_a_device(self, capsys, theta_d2_path):
+        # a path that is not a regular file takes the write as a file does
+        code, out, err = run(capsys, "project", theta_d2_path, "--edge", 0, 1, "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
 
     def test_star_to_stdout(self, capsys, theta_d2_path):
         code, out, _ = run(capsys, "project", theta_d2_path, "--star", 0, "1,2")

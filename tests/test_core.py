@@ -377,18 +377,11 @@ class TestInvert:
         # float text
         assert names_outside("dumps", r"json\.dumps", module="serialization.py") == []
 
-    def test_only_serialization_write_text_writes_files(self):
-        # every emitted file is created or rewritten in place by one writer:
-        # no pathlib writer, no raw os.open and no open in a write mode
-        pattern = r"(?!serialization\.write_text$).+\.write_(text|bytes)|os\.open|open\(\.\.\., write mode\)"
-        assert names_outside("write_text", pattern, module="serialization.py") == []
-
 
 def names_outside(function, pattern, module="core.py"):
     """file:line: name for each name in src/ggmsep matching pattern outside
-    <module>.<function>: dotted names, imports, string constants,
-    _potrs(..., eye) for a _potrs call against an identity, and
-    open(..., write mode) for an open call given a mode that writes."""
+    <module>.<function>: dotted names, imports, string constants, and
+    _potrs(..., eye) for a _potrs call against an identity."""
     found = []
     for path in sorted(Path(ggmsep.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -404,10 +397,6 @@ def names_outside(function, pattern, module="core.py"):
                 args = [*node.args, *(k.value for k in node.keywords)]
                 if any(isinstance(a, ast.Call) and ast.unparse(a.func) in ("np.eye", "numpy.eye") for a in args):
                     names = {"_potrs(..., eye)"}
-            elif isinstance(node, ast.Call) and re.fullmatch(r"(.+\.)?(open|fdopen)", ast.unparse(node.func)):
-                args = [*node.args, *(k.value for k in node.keywords)]
-                if any(isinstance(a, ast.Constant) and re.fullmatch(r"[rbt]*[wax+][rwaxbt+]*", str(a.value)) for a in args):
-                    names = {"open(..., write mode)"}
             elif isinstance(node, (ast.Attribute, ast.Name)):
                 names = {ast.unparse(node)}
             elif isinstance(node, ast.ImportFrom):

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from ggmsep.serialization import (
     matrix_doc,
     precision_from_doc,
     write_json,
-    write_text,
 )
 
 
@@ -122,42 +120,6 @@ class TestDumps:
     def test_parses_back(self):
         doc = {"values": [1.0, -2.5, 1e-12], "empty": [], "none": None}
         assert json.loads(dumps(doc)) == doc
-
-
-class TestWriteText:
-    """The one writer: a fresh file, or the old one rewritten in place."""
-
-    def test_creates_a_fresh_path(self, tmp_path):
-        path = tmp_path / "new.json"
-        assert write_text(path, "{}\n") == path
-        assert path.read_bytes() == b"{}\n"
-
-    def test_over_a_longer_file_leaves_exactly_the_new_bytes(self, tmp_path):
-        path = tmp_path / "doc.json"
-        path.write_bytes(b"x" * 5000)
-        write_text(str(path), '{\n  "a": 1\n}\n')
-        assert path.read_bytes() == b'{\n  "a": 1\n}\n'
-        write_text(path, "")
-        assert path.read_bytes() == b""
-
-    def test_keeps_the_inode_and_mode_of_an_existing_file(self, tmp_path):
-        path = tmp_path / "doc.json"
-        path.write_text("old text that is longer\n")
-        path.chmod(0o640)
-        before = path.stat()
-        write_json(path, [1.5])
-        after = path.stat()
-        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
-        assert path.read_text() == "[\n  1.5\n]\n"
-
-    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
-    def test_through_a_symlink_updates_the_target_and_keeps_the_link(self, tmp_path):
-        target, link = tmp_path / "target.json", tmp_path / "link.json"
-        target.write_text("a much longer old document\n")
-        link.symlink_to(target)
-        write_text(link, "[]\n")
-        assert link.is_symlink() and link.resolve() == target.resolve()
-        assert target.read_bytes() == b"[]\n"
 
 
 class TestMatrixDocuments:
