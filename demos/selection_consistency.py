@@ -24,7 +24,6 @@ from ggmsep import (
     CandidateCollection,
     EdgeSet,
     ExperimentConfig,
-    FitOptions,
     c_theta_star,
     chain_precision,
     edge_set_of,
@@ -53,7 +52,6 @@ def main() -> None:
     print("Nested deletions (p=8 chain, couplings 1.0): driver sweep")
     cfg = ExperimentConfig(
         base_seed=42, trials=60, dimensions=(8,), sample_sizes=(50, 200, 800), gamma=10.0,
-        fit=FitOptions(gradient_tolerance=1e-7),
     )
     report = run_selection_experiment(cfg)
     for row in report.aggregates:
@@ -68,13 +66,12 @@ def main() -> None:
     print("Swap rivals (p=6 chain, couplings 0.6): errors at small n")
     theta, collection = swap_candidates(6, 0.6)
     gamma = 8.0
-    opts = FitOptions(gradient_tolerance=1e-7)
     trials = 50
     for grid_index, n in enumerate((20, 80, 320, 1280)):
         wins = 0
         for trial in range(trials):
             draws = sample(theta, n, trial_seed(7, grid_index, trial))
-            result = select_graph(collection, empirical_covariance(draws), gamma, opts)
+            result = select_graph(collection, empirical_covariance(draws), gamma)
             wins += result.selected_index == 0
         print(f"  n={n:>5}: success {wins / trials:.2f}")
 

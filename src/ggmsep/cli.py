@@ -5,10 +5,11 @@ outputs are the JSON documents defined in the serialization module;
 randomness enters experiments only through the configured (or --seed
 overridden) base seed.
 
-Exit codes: 0 success, 2 unreadable or invalid input, 3 math-domain error
-(for example a matrix that is not positive definite), 4 a fit did not
-converge (fit, or any candidate's fit in select; the result is still
-written).
+Exit codes: 0 success, 2 unreadable or invalid input (an unknown flag or
+config key too), 3 math-domain error (for example a matrix that is not
+positive definite), 4 a fit's duality gap was not certified within
+rounding (fit, or any candidate's fit in select; the result is still
+written, its duality_gap "Infinity" when no bound was found).
 
 Each command imports its own computation when it runs, so kl and bounds
 never load projection, selection or simulation: without a bytecode cache,
@@ -65,15 +66,14 @@ def _fit_options(args: argparse.Namespace) -> FitOptions:
     from .projection import FitOptions
 
     # a flag left out keeps FitOptions' default
-    given = {"max_iterations": args.max_iterations, "gradient_tolerance": args.gradient_tolerance}
-    return _in_range("fit flag", lambda: FitOptions(**{k: v for k, v in given.items() if v is not None}))
+    given = {} if args.max_iterations is None else {"max_iterations": args.max_iterations}
+    return _in_range("--max-iterations", lambda: FitOptions(**given))
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", type=float, required=True,
                         help="Frobenius-ball radius; 'inf' disables the ball")
-    parser.add_argument("--max-iterations", type=int)
-    parser.add_argument("--gradient-tolerance", type=float)
+    parser.add_argument("--max-iterations", type=int, help="cap on Newton steps (a fit stops on its duality gap)")
 
 
 def _cmd_kl(args: argparse.Namespace) -> int:

@@ -11,9 +11,10 @@ that its fit already computed).
 It is also the library's one LAPACK boundary: only _potrf, _potrs, _trtrs
 and _spd_inverse call LAPACK (scipy's f2py wrappers, see _load_lapack) or
 read an info code, only _spd_inverse inverts an SPD matrix, and only
-_log_det reduces a Cholesky factor's log-diagonal. Every factor the library
-keeps is _potrf's (scipy's dpotrf), through _cholesky_lower or a fit's own
-check; numpy's LAPACK serves only _solve_each's closed-form solves.
+_log_det reduces a Cholesky factor's log-diagonal (or its magnitudes).
+Every factor the library keeps is _potrf's (scipy's dpotrf), through
+_cholesky_lower or a fit's own check; numpy's LAPACK serves only
+_solve_each's closed-form solves.
 """
 
 from __future__ import annotations
@@ -170,10 +171,12 @@ def _spd_inverse(lower: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _log_det(lower: np.ndarray) -> Union[np.floating, np.ndarray]:
+def _log_det(lower: np.ndarray, magnitude: bool = False) -> Union[np.floating, np.ndarray]:
     """log det(L L^T) = 2 sum(log diag(L)) of a Cholesky factor L, or of
-    each factor of a stack; every member has the bits of its factor alone."""
-    return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
+    each factor of a stack, or with magnitude=True 2 sum |log diag(L)|, the
+    size of its terms; every member has the bits of its factor alone."""
+    logs = np.log(np.diagonal(lower, axis1=-2, axis2=-1))
+    return 2.0 * np.sum(np.abs(logs) if magnitude else logs, axis=-1)
 
 
 def _cholesky_lower(arr: np.ndarray) -> np.ndarray:

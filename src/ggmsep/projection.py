@@ -20,29 +20,18 @@ precisions, each with its own edges to sever; a projection is a stack of
 one, and the lower-bound driver severs all the trials of one p at once.
 
 ``fit_graph_mle`` minimizes the Gaussian negative log likelihood over
-precision matrices supported on a given graph (diagonal always free)
-inside a Frobenius ball, the inner optimization behind graph scores. On a
-chordal graph whose unconstrained optimum lies inside the ball it returns
-that optimum in closed form; otherwise it runs damped Newton steps in the
-p + |E| coordinates of the support, each minimizing the quadratic model of
-the objective over the ball. What a fit needs of its graph alone is
-planned once per tuple of graphs fitted together on one sigma_hat (one
-graph for fit_graph_mle, a whole collection for model selection), in one
-layout with graph g in slot g: every graph's support basis as flat indices
-into a (graphs, p, p) stack, and every chordal graph's perfect-elimination
-families grouped by parent count. The plan of the last tuple fitted is
-kept, so refitting the same candidates repeats only the arithmetic on the
-data. The closed form is one batched pass per parent count over every
-chordal graph of the tuple: one gather of the conditioning blocks, one
-stacked solve (core._solve_each), and one scatter of every family's term
-into the stack, which is then checked as a whole: only potrf, the inverse,
-the gradient mapping and the result are per graph. A Newton fit reads its
-graph's run of the same support indices. Every factorization, solve and
-inverse of a fit calls LAPACK through core's boundary (_potrf, _potrs,
-_trtrs, and _spd_inverse's dtrtri), without the checking wrappers of
-scipy.linalg. A fitted precision keeps the Cholesky factor that its fit's
-own check computed, so it is factored once, and nll_gradient at it
-rebuilds the gradient its fit stopped on.
+precision matrices supported on a graph (diagonal always free) inside a
+Frobenius ball, the inner optimization behind graph scores, and stops
+when its duality gap is within rounding. What a fit needs of its graphs
+alone is planned once per tuple of graphs fitted on one sigma_hat (one
+for fit_graph_mle, a collection for selection), graph g in slot g, and
+the plan of the last tuple is kept. The chordal closed forms of a tuple
+are one batched pass per parent count: one gather of the conditioning
+blocks, one stacked solve (core._solve_each), one scatter of every
+family's term into a stack, checked as a whole; only potrf, the inverse
+and the result are per graph. Every factorization, solve and inverse of
+a fit calls LAPACK through core's boundary, and a fitted precision keeps
+the Cholesky factor its fit's own check computed, so it is factored once.
 """
 
 from __future__ import annotations
@@ -61,7 +50,6 @@ from .core import (
     _check_adoptable,
     _checked_size,
     _cholesky_lower,
-    _is_real,
     _log_det,
     _potrf,
     _potrs,
@@ -211,30 +199,25 @@ def nll_gradient(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> np.ndar
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Stopping rule of the constrained fit: an integer iteration cap and
-    the gradient-mapping tolerance at which a fit is converged, a finite
-    positive int or float (never a bool)."""
+    """The iteration cap of the constrained fit, an integer (never a bool).
+    A fit stops on its duality gap, which needs no setting (fit_graph_mle)."""
 
     max_iterations: int = 5000
-    gradient_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
         _checked_size("max_iterations", self.max_iterations, 1)
-        tolerance = self.gradient_tolerance
-        if not _is_real(tolerance) or not 0 < tolerance < math.inf:
-            raise InvalidParameters(f"gradient_tolerance must be a finite positive real, got {tolerance!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Constrained-MLE output: fitted precision plus convergence diagnostics.
 
-    termination says why the fit stopped: "closed_form" (the chordal
-    closed form passed its optimality check; iterations is 0),
-    "tolerance" (the gradient mapping reached gradient_tolerance),
-    "max_iterations" (the iteration cap was hit first) or "stalled" (a
-    Newton step with decrement below 1/4 did not reduce the gradient
-    mapping, so rounding error dominates it).
+    duality_gap is the fit's certificate in nats: its objective minus a
+    lower bound on every feasible objective (fit_graph_mle), +inf when no
+    bound was found. termination says why the fit stopped: its gap was
+    certified, in "closed_form" (iterations is 0) or after Newton steps in
+    "tolerance"; "max_iterations" came first; or "stalled" (a Newton step
+    with decrement below 1/4 did not reduce the gap).
 
     objective_trace holds the objective at the start and after every
     Newton step, non-increasing up to rounding. It is diagnostic only and
@@ -245,7 +228,7 @@ class FitResult:
     objective: float
     iterations: int
     converged: bool
-    projected_gradient_norm: float
+    duality_gap: float
     termination: str
     objective_trace: tuple[float, ...] = ()
 
@@ -256,11 +239,12 @@ class FitResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "termination": self.termination,
-            "projected_gradient_norm": self.projected_gradient_norm,
+            "duality_gap": self.duality_gap,
         }
 
 
 _HESSIAN_BLOCK = 64
+_EPSILON = float(np.finfo(float).eps)
 # Relative accuracy of ||coords + d|| = gamma when the ball binds, and a cap
 # on the Newton steps (Cholesky factorizations) spent reaching it.
 _SECULAR_TOLERANCE = 1e-15
@@ -289,6 +273,11 @@ def _hessian(rows: np.ndarray, cols: np.ndarray, scale: np.ndarray, cov: np.ndar
     return hess
 
 
+def _rounding(p: int, size):
+    # (ceil(log2 N) + 1) eps size for N = (p + 1)^2 terms (fit_graph_mle)
+    return ((p * (p + 2)).bit_length() + 1) * _EPSILON * size
+
+
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a vector: np.linalg.norm's bits (the square root
     of one dot product) without its per-call overhead."""
@@ -298,12 +287,6 @@ def _norm(x: np.ndarray) -> float:
 def _into_ball(coords: np.ndarray, gamma: float) -> np.ndarray:
     norm = _norm(coords)
     return coords * (gamma / norm) if norm > gamma else coords
-
-
-def _mapping_norm(coords: np.ndarray, grad: np.ndarray, gamma: float) -> float:
-    """Norm of the unit-step gradient mapping coords - project(coords -
-    grad) onto the ball of radius gamma: the statistic every fit stops on."""
-    return _norm(coords - _into_ball(coords - grad, gamma))
 
 
 class _Iterate(NamedTuple):
@@ -316,23 +299,44 @@ class _Iterate(NamedTuple):
     objective: float
     cov: np.ndarray
     grad: np.ndarray
-    gnorm: float
+    gap: float
+    certified: bool
 
 
 def _iterate_at(
     rows: np.ndarray, cols: np.ndarray, scale: np.ndarray, sig: np.ndarray, gamma: float, coords: np.ndarray
 ) -> Optional[_Iterate]:
     # None outside the PD cone, where -log det is +inf; grad is the gradient
-    # sig - inv(theta) projected onto the support, in coordinates.
+    # sig - inv(theta) projected onto the support, in coordinates. The gap
+    # is the smaller of the two in fit_graph_mle, each +inf where it fails.
+    p = sig.shape[0]
     theta = np.zeros(sig.shape)
     theta[rows, cols] = theta[cols, rows] = coords / scale
     lower = _potrf(theta)
     if lower is None:
         return None
-    objective = -float(_log_det(lower)) + float(np.sum(sig * theta))
+    products = sig * theta
+    objective = -float(_log_det(lower)) + float(np.sum(products))
     cov = _spd_inverse(lower)
-    grad = scale * (sig - cov)[rows, cols]
-    return _Iterate(coords, theta, lower, objective, cov, grad, _mapping_norm(coords, grad, gamma))
+    on_support, cov_on_support = sig[rows, cols], cov[rows, cols]
+    grad = scale * (on_support - cov_on_support)
+    size = p + float(np.sum(np.abs(products))) + float(_log_det(lower, magnitude=True))
+    gap, nu, ball = math.inf, 0.0, 0.0
+    if gamma < math.inf:
+        inner, norm = float(grad @ coords), _norm(coords)
+        gap = inner + gamma * _norm(grad)
+        magnitude = scale * (np.abs(on_support) + np.abs(cov_on_support))
+        size += float(magnitude @ np.abs(coords)) + gamma * _norm(magnitude)
+        nu = max(-inner, 0.0) / norm / norm
+        ball = gamma * nu * norm
+    dual = cov.copy()
+    dual[rows, cols] = dual[cols, rows] = on_support + nu * theta[rows, cols]
+    # dual is symmetric, so its transpose is a Fortran-ordered copy to factor in place
+    dual_lower = _potrf(dual.T, overwrite_a=True)
+    if dual_lower is not None:
+        gap = min(gap, objective - float(_log_det(dual_lower)) - p + ball)
+        size += float(_log_det(dual_lower, magnitude=True)) + ball
+    return _Iterate(coords, theta, lower, objective, cov, grad, gap, gap <= _rounding(p, size))
 
 
 def _newton_step(
@@ -359,8 +363,10 @@ def _newton_step(
         norm = _norm(target)
         if (nu == 0.0 and norm <= gamma) or abs(norm - gamma) <= _SECULAR_TOLERANCE * gamma:
             break
-        slope = _trtrs(lower, target, lower=True)
-        nu = max(nu + (norm / _norm(slope)) ** 2 * (norm - gamma) / gamma, 0.0)
+        slope = _norm(_trtrs(lower, target, lower=True))
+        if slope == 0.0:  # its square underflows, in a ball of radius about 1e-150
+            return None
+        nu = max(nu + (norm / slope) ** 2 * (norm - gamma) / gamma, 0.0)
     if norm > gamma:
         step = target * (gamma / norm) - coords
     return step, math.sqrt(max(float(step @ (hess @ step)), 0.0)), nu
@@ -453,81 +459,79 @@ def _batch_plan(graphs: tuple[EdgeSet, ...]) -> _BatchPlan:
     return plan
 
 
-def _chordal_mles(sig: np.ndarray, plan: _BatchPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The closed form of every slot's graph, stacked (slots, p, p), and
-    which slots have one: False, with the slot's entries all zero, where
-    the graph is not chordal; False, with meaningless entries, where a
-    conditioning block is exactly singular (core._solve_each) or a
-    residual variance is not positive. _closed_form_fits' check decides
-    the rest.
+def _chordal_mles(sig: np.ndarray, plan: _BatchPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed form of every slot's graph, stacked (slots, p, p), which
+    slots have one (not where the graph is not chordal, a conditioning
+    block is exactly singular, or a residual variance is not positive
+    beyond its rounding), and each slot's sum of log residual variances
+    and of their magnitudes, shape (2, slots).
 
     The chordal MLE factors along the perfect ordering as (I-B)^T D^-1
     (I-B): each vertex's regression on its earlier neighbours contributes
     w w^T / r with w = e_v - B_v and r its residual variance. Families with
     k parents, of every slot, are solved together, and one bincount adds
-    every term into place. Every term lives on a clique, so off-support
-    entries stay exactly zero."""
+    every term into place, another every log r into its slot. Every term
+    lives on a clique, so off-support entries stay exactly zero."""
     slots = plan.offsets.size - 1
     valid = np.zeros(slots, dtype=bool)
     valid[list(plan.chordal)] = True
-    terms = []
+    terms, logs = [], []
     for vertices, parents, owner in plan.groups:
         count, k = parents.shape
-        resid = sig[vertices, vertices]
+        resid = size = sig[vertices, vertices]
         w = np.ones((count, k + 1))
         if k:
             cross = sig[parents, vertices[:, None]]
             coef, solved = _solve_each(sig[parents[:, :, None], parents[:, None, :]], cross)
             valid[owner[~solved]] = False
-            resid = resid - (cross * coef).sum(axis=1)
+            explained = cross * coef
+            resid, size = resid - explained.sum(axis=1), size + np.abs(explained).sum(axis=1)
             w[:, 1:] = -coef
-        if not (resid > 0).all():
-            failed = ~(resid > 0)
+        # positive only beyond the rounding of its k + 1 terms (fit_graph_mle)
+        failed = ~(resid > (k + 1) * _EPSILON * size)
+        if failed.any():
             valid[owner[failed]] = False
             resid[failed] = 1.0
         terms.append((w[:, :, None] * w[:, None, :] / resid[:, None, None]).ravel())
+        logs.append(np.log(resid))
     p = sig.shape[0]
     stack = np.bincount(plan.scatter, np.concatenate(terms), minlength=slots * p * p)
-    return stack.reshape(slots, p, p), valid
+    owners = np.concatenate([group[2] for group in plan.groups])
+    logs = np.concatenate(logs)
+    log_dets = np.bincount(np.concatenate([owners, owners + slots]), np.concatenate([logs, np.abs(logs)]),
+                           minlength=2 * slots)
+    return stack.reshape(slots, p, p), valid, log_dets.reshape(2, slots)
 
 
 def _closed_form_fits(
-    sig: np.ndarray, plan: _BatchPlan, stack: np.ndarray, valid: np.ndarray, gamma: float, opts: FitOptions
+    sig: np.ndarray, stack: np.ndarray, valid: np.ndarray, log_dets: np.ndarray, gamma: float
 ) -> list[Optional[FitResult]]:
     """Each slot's closed form as its fit, or None unless it is valid, lies
-    in the ball, is positive definite and passes the gradient check (the
-    problem is convex). Only potrf, the inverse, the gradient mapping and
-    the FitResult are per slot. A norm is a dot product, as _norm takes
-    it, so each slot has the bits of its fit alone."""
+    in the ball, is positive definite and its gap is certified. Only potrf,
+    the inverse the fit keeps and the FitResult are per slot; every sum is
+    along one slot's row, so each slot has the bits of its fit alone."""
     slots, p = stack.shape[:2]
     flat = stack.reshape(slots, 1, p * p)
     candidate = valid & ~(np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0]) > gamma)
     # slot s is factored in the Fortran-ordered lower[s].T
-    lower = stack.transpose(0, 2, 1).copy()
-    cov = np.zeros_like(stack)
-    inverses = {}
+    lower, inverses = stack.transpose(0, 2, 1).copy(), {}
     for slot in np.flatnonzero(candidate).tolist():
         factor = _potrf(lower[slot].T, overwrite_a=True)
         candidate[slot] = factor is not None
         if factor is not None:
-            cov[slot] = inverses[slot] = _spd_inverse(factor)
-    coords = plan.scale * stack.reshape(-1)[plan.support]
-    grad = plan.scale * (sig - cov).reshape(-1)[plan.support]
-    offsets = plan.offsets.tolist()
-    gnorm = np.full(slots, math.inf)
-    for slot in np.flatnonzero(candidate).tolist():
-        run = slice(offsets[slot], offsets[slot + 1])
-        gnorm[slot] = _mapping_norm(coords[run], grad[run], gamma)
-    accepted = candidate & (gnorm <= opts.gradient_tolerance)
-    kept = stack[accepted]
-    _check_adoptable(kept)
-    objective = -_log_det(lower[accepted]) + (sig * kept).reshape(-1, p * p).sum(axis=1)
+            inverses[slot] = _spd_inverse(factor)
+    factors, products = lower[candidate], (sig * stack[candidate]).reshape(-1, p * p)
+    objective = -_log_det(factors) + products.sum(axis=1)
+    gap = objective - log_dets[0, candidate] - p
+    size = p + np.abs(products).sum(axis=1) + _log_det(factors, magnitude=True) + log_dets[1, candidate]
+    passed = gap <= _rounding(p, size)
+    accepted = np.flatnonzero(candidate)[passed]
+    _check_adoptable(stack[accepted])
     fits: list[Optional[FitResult]] = [None] * slots
-    for slot, f, g in zip(np.flatnonzero(accepted).tolist(), objective.tolist(), gnorm[accepted].tolist()):
+    for slot, f, g in zip(accepted.tolist(), objective[passed].tolist(), gap[passed].tolist()):
         # copies, so a kept fit does not hold the whole batch's stacks
         theta = PrecisionMatrix._validated(stack[slot].copy(), lower[slot].copy().T, inverses[slot])
-        fits[slot] = FitResult(theta, objective=f, iterations=0, converged=True, projected_gradient_norm=g,
-                               termination="closed_form", objective_trace=(f,))
+        fits[slot] = FitResult(theta, f, 0, True, g, "closed_form", (f,))
     return fits
 
 
@@ -540,10 +544,8 @@ def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: 
     # _fit_graphs has checked that this start is positive and that its
     # norm and the norm of its inverse are finite
     point = at(_into_ball(scale * np.diag(1.0 / np.diag(sig))[rows, cols], gamma))
-    trace = [point.objective]
-    iterations = 0
-    nu = 0.0
-    while point.gnorm > opts.gradient_tolerance and iterations < opts.max_iterations:
+    trace, iterations, nu = [point.objective], 0, 0.0
+    while not point.certified and iterations < opts.max_iterations:
         newton = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)
         if newton is None:
             break
@@ -554,33 +556,20 @@ def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: 
         previous, point = point, cand
         trace.append(point.objective)
         iterations += 1
-        if decrement < 0.25 and previous.gnorm <= point.gnorm:
+        if decrement < 0.25 and previous.gap <= point.gap:
             break
-
-    converged = point.gnorm <= opts.gradient_tolerance
-    if converged and nu > 0.0 and iterations < opts.max_iterations:
+    converged = point.certified
+    if converged and iterations < opts.max_iterations:
         newton = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)
         cand = None if newton is None else at(point.coords + newton[0])
-        if cand is not None and cand.objective < point.objective and cand.gnorm <= opts.gradient_tolerance:
+        if cand is not None and cand.certified:
             point = cand
             trace.append(point.objective)
             iterations += 1
-    if converged:
-        termination = "tolerance"
-    elif iterations >= opts.max_iterations:
-        termination = "max_iterations"
-    else:
-        termination = "stalled"
+    stopped = "tolerance" if converged else "max_iterations" if iterations >= opts.max_iterations else "stalled"
     _check_adoptable(point.theta)
-    return FitResult(
-        theta_hat=PrecisionMatrix._validated(point.theta, point.lower, point.cov),
-        objective=point.objective,
-        iterations=iterations,
-        converged=converged,
-        projected_gradient_norm=point.gnorm,
-        termination=termination,
-        objective_trace=tuple(trace),
-    )
+    return FitResult(PrecisionMatrix._validated(point.theta, point.lower, point.cov), point.objective, iterations,
+                     converged, point.gap, stopped, tuple(trace))
 
 
 def _fit_graphs(
@@ -601,9 +590,9 @@ def _fit_graphs(
     meets an infeasible start only when the norm of sigma_hat's diagonal
     overflows (entries of about 1e154 and more): the closed form's norm is
     at most gamma and its diagonal at least 1 / sigma_hat's, so the start
-    needs no scaling and its inverse is sigma_hat's diagonal. The tuple of graphs is planned once (_batch_plan,
-    graph g in slot g of every plan array), and the plan of the last tuple
-    fitted is kept.
+    needs no scaling and its inverse is sigma_hat's diagonal. The tuple of
+    graphs is planned once (_batch_plan, graph g in slot g of every plan
+    array), and the plan of the last tuple fitted is kept.
     """
     for graph in graphs:
         if graph.p != sigma_hat.p:
@@ -615,8 +604,8 @@ def _fit_graphs(
     # it. It is infeasible when its norm is inf (an entry or the norm
     # overflows), when an entry is not positive (a nonpositive diagonal
     # entry), or when the norm of its inverse overflows (an entry, or the
-    # dot product that _into_ball's norm takes): Newton's first gradient
-    # mapping and Hessian are built from that inverse and would overflow.
+    # dot product that _into_ball's norm takes): Newton's first gradient,
+    # gap and Hessian are built from that inverse and would overflow.
     with np.errstate(divide="ignore", over="ignore"):
         start = 1.0 / np.diagonal(sig)
         norm = _norm(start)
@@ -628,7 +617,7 @@ def _fit_graphs(
     plan = _batch_plan(graphs)
     fits: list[Optional[FitResult]] = [None] * len(graphs)
     if plan.chordal:
-        fits[:] = _closed_form_fits(sig, plan, *_chordal_mles(sig, plan), gamma, opts)
+        fits[:] = _closed_form_fits(sig, *_chordal_mles(sig, plan), gamma)
     offsets = plan.offsets.tolist()
     for slot, fit in enumerate(fits):
         if fit is None:
@@ -646,70 +635,67 @@ def fit_graph_mle(
     """Minimize nll over PD matrices supported on `graph` (plus diagonal)
     with Frobenius norm at most gamma. gamma=inf disables the ball.
 
-    What depends on the graph alone (the support basis and, for a chordal
-    graph, the perfect-elimination families grouped by parent count) is
-    planned once per tuple of graphs, each graph in its own slot of one
-    layout, and the plan of the last tuple fitted is kept, so refitting a
-    graph repeats only the arithmetic on sigma_hat. This function fits the
-    1-tuple (graph,). select_graph fits a whole collection through the
-    same code, with the closed forms of all its chordal candidates
-    computed and checked in one batch, and its other candidates fitted by
-    Newton one at a time; each candidate's result is bit for bit what this
-    function returns for it. Two paths, chosen from the graph itself:
+    This fits the 1-tuple (graph,) of the plan that select_graph uses for
+    a collection (module docstring), so each candidate's result there is
+    bit for bit what this returns. Two paths, chosen from the graph:
 
     - Closed form. When `graph` is chordal (maximum-cardinality search
       finds a perfect ordering), the unconstrained MLE is built directly
       from sigma_hat as (I-B)^T D^-1 (I-B), where row v of B regresses v on
       its earlier-numbered neighbours and D holds the residual variances
-      (Dempster 1972; Lauritzen 1996, ch. 5). Vertices with the same
-      number of such neighbours are regressed together in one stacked
-      solve, and every family's term is added into place by one
-      scatter. The result is returned, with iterations=0,
-      termination="closed_form" and a one-entry objective_trace, only if
-      it lies in the ball, is positive definite and its gradient mapping
-      is at most gradient_tolerance, all checked in one stacked pass over
-      a tuple's closed forms. The problem is convex, so an unconstrained
-      optimum inside the ball is the constrained optimum.
+      r_v (Dempster 1972; Lauritzen 1996, ch. 5). It is returned, with
+      iterations=0, termination="closed_form" and a one-entry
+      objective_trace, only if it lies in the ball, is positive definite
+      and its gap (below) is certified: the problem is convex, so an
+      unconstrained optimum inside the ball is the constrained optimum.
     - Damped Newton otherwise: the graph is not chordal, a conditioning
-      block of sigma_hat is exactly singular or a residual variance is not
-      positive, the ball binds, or the check fails.
-      It works in the p + |E| coordinates of an orthonormal basis of the
-      support, with a dense Hessian, so a step costs O((p + |E|)^3). Step
-      d minimizes the quadratic model of nll over the ball and the
-      iterate moves to theta + d / (1 + lam), lam = sqrt(d^T H d) the
-      Newton decrement. nll is self-concordant, so that move stays
+      block of sigma_hat is exactly singular or an r_v is not positive
+      beyond the rounding of its terms, the ball binds, or the check
+      fails. It works in the p + |E| coordinates of an orthonormal basis
+      of the support, with a dense Hessian, so a step costs O((p +
+      |E|)^3). Step d minimizes the quadratic model of nll over the ball
+      and the iterate moves to theta + d / (1 + lam), lam = sqrt(d^T H d)
+      the Newton decrement. nll is self-concordant, so that move stays
       positive definite and lowers nll by at least lam - log(1 + lam)
       without a line search (Nesterov & Nemirovski 1994; Tran-Dinh,
       Kyrillidis & Cevher 2015 for the constrained step), and as a convex
       combination of two points in the ball it stays in the ball.
 
-    Outside the batched regressions, every factorization, solve and
-    inverse calls LAPACK (potrf, potrs, trtrs, trtri) through core's
-    boundary, without the checking wrappers of scipy.linalg. The fitted
-    precision keeps the lower Cholesky factor that the fit's own check
-    computed for that exact array (potrf of the closed form, or of the last
-    Newton iterate), so it is not factored again; its entries are still
-    checked to be finite and exactly symmetric. Convergence is declared
-    when the unit-step gradient mapping ``x - project(x - grad)`` has
-    Frobenius norm at most gradient_tolerance (termination="tolerance").
-    When the ball binds there (multiplier nu > 0), the damped steps have
-    approached the sphere from inside, and the mapping does not weigh the
-    radial gap they leave by nu, as the objective does. So one undamped
-    step onto the sphere follows; it is kept, and counted as an iteration,
-    only if it lowers nll and still meets the tolerance. The Newton run
-    also stops, with converged=False, at max_iterations
-    (termination="max_iterations"), or with termination="stalled" when a
-    step taken with lam < 1/4, where Newton converges quadratically, fails
-    to reduce the gradient mapping: only rounding error can do that.
+    Every fit stops on one rule: its duality gap in nats is certified. For
+    any positive definite W and feasible theta', nll(theta') >= log det W
+    + p - gamma ||P_E(W - sigma_hat)||_F, P_E keeping the support (weak
+    duality: Dempster 1972; Dahl, Vandenberghe & Roychowdhury 2008).
+    duality_gap is nll(theta) minus the larger such bound of two W, +inf
+    when neither gives one. W = inv(theta) gives <g, theta> + gamma ||g||
+    for the projected gradient g in coordinates (none at gamma = inf).
+    inv(theta) with sigma_hat + nu theta on the support, nu = max(0, -<g,
+    theta>) / ||theta||^2 (0 at gamma = inf), gives nll - log det W - p +
+    gamma nu ||theta|| by one potrf, if W is positive definite; at the
+    optimum this W is inv(theta), whether the ball binds or not. A closed
+    form's W is sigma_hat's positive-definite completion, of log det sum
+    log r_v, so its gap nll - sum log r_v - p needs no factorization. A
+    gap is certified when at most (ceil(log2 N) + 1) eps S, S the sum of
+    the magnitudes of the N = (p+1)^2 terms added into it (the products
+    sigma_ij theta_ij, the log pivots of theta and W, p, and the first
+    gap's terms): pairwise summation of N terms rounded once each errs by
+    at most (ceil(log2 N) + 1) u S, u = eps / 2 (Higham 2002, sec. 4.2),
+    and a gap is a difference of two such sums; the rule has no units. A
+    gap pins the objective, but the point only to about sqrt(eps): so one
+    undamped Newton step follows a certified Newton iterate, kept, and
+    counted as an iteration, if certified too (so it raises nll by
+    rounding at most). A Newton run also stops, converged=False, at
+    max_iterations, or "stalled" when a step taken with lam < 1/4, where
+    Newton converges quadratically, does not reduce the gap: rounding, or
+    a likelihood with no maximizer, whose gap stays +inf.
 
     The Newton run starts from diag(1 / sigma_hat diagonal), rescaled into
     the ball if needed. That start depends on no graph, so it is checked
     once, with the other inputs, before anything is fitted: a start that
-    is not positive, overflows, or in the ball is too small to invert raises
-    InfeasibleStart, a gamma that is not positive InvalidParameters, and a
-    graph of another order than sigma_hat DimensionMismatch. So a fit, of
-    one graph or of a collection, raises for the whole call or not at all
-    (a singular sigma_hat raises nothing), and a non-converged run returns
-    its last iterate with converged=False.
+    is not positive, overflows, or in the ball is too small to invert
+    raises InfeasibleStart, a gamma that is not positive
+    InvalidParameters, and a graph of another order than sigma_hat
+    DimensionMismatch. So a fit, of one graph or of a collection, raises
+    for the whole call or not at all (a singular sigma_hat raises
+    nothing), and a non-converged run returns its last iterate.
     """
     return _fit_graphs(sigma_hat, (graph,), gamma, opts)[0]

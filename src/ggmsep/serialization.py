@@ -7,7 +7,8 @@ Candidate collections are a JSON array of edge-set documents.
 Every document is written by ``dumps``, the standard library's encoder:
 each float is the shortest repr that re-parses to the identical IEEE-754
 double, and object keys are sorted, so equal values always serialize to
-identical bytes.
+identical bytes. Every document is strict JSON: a non-finite float is the
+string "Infinity", "-Infinity" or "NaN", which number_from_doc reads back.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import CovarianceMatrix, EdgeSet, PrecisionMatrix
 
 __all__ = [
     "dumps",
+    "number_from_doc",
     "write_json",
     "matrix_doc",
     "precision_from_doc",
@@ -43,11 +45,20 @@ def _scalar(value: object) -> object:
 
 
 def dumps(value: object) -> str:
-    """Deterministic JSON text: sorted keys, indent 2, each float the
-    shortest repr that re-parses to the same double, numpy scalars as
-    their Python values, and Infinity, -Infinity and NaN for non-finite
-    floats."""
-    return json.dumps(value, sort_keys=True, indent=2, default=_scalar)
+    """Deterministic strict JSON text: sorted keys, indent 2, each float
+    the shortest repr that re-parses to the same double, numpy scalars as
+    their Python values, a non-finite float as its string in the module
+    docstring. A value whose floats are all finite takes one json.dumps."""
+    try:
+        return json.dumps(value, sort_keys=True, indent=2, default=_scalar, allow_nan=False)
+    except ValueError:
+        # non-finite floats, written as bare constants, parse back as their names
+        return json.dumps(json.loads(json.dumps(value, sort_keys=True, default=_scalar), parse_constant=str), indent=2)
+
+
+def number_from_doc(value: object) -> object:
+    """The float whose string dumps wrote, or any other value as it is."""
+    return float(value) if isinstance(value, str) and value in ("Infinity", "-Infinity", "NaN") else value
 
 
 def write_json(path: Union[str, Path], value: object) -> Path:

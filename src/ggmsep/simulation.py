@@ -66,7 +66,7 @@ from .errors import (
 )
 from .projection import FitOptions, _sever, project_remove_star
 from .selection import CandidateCollection, select_graph
-from .serialization import dumps
+from .serialization import dumps, number_from_doc
 
 __all__ = [
     "SampleMatrix",
@@ -409,11 +409,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
-        """Parse a JSON config document. ValueError names any unknown key,
-        in the config or in its fit object, and a fit that is not an object;
-        construction checks every value, so InvalidParameters names a value
-        of the wrong type or out of range."""
-        kwargs = _known_keys("config", doc, cls)
+        """Parse a JSON config document (dumps' strings for non-finite
+        floats read back). ValueError names an unknown key, in the config or
+        its fit object, and a fit that is not an object; construction checks
+        every value, so InvalidParameters names a bad type or range."""
+        kwargs = {key: number_from_doc(value) for key, value in _known_keys("config", doc, cls).items()}
         if "fit" in kwargs:
             if not isinstance(kwargs["fit"], Mapping):
                 raise ValueError("fit must be an object of fit options")

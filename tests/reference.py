@@ -1,15 +1,19 @@
 """Reference computations the tests check the library against.
 
 Each one takes a route independent of the library code under test, so
-agreement is evidence and not a restatement. The exceptions are the last
-three, each a library route as it was before it was made cheaper. The
-last two pin bits: the library must still return exactly theirs.
-closed_form_fit takes its inverse as the library's one SPD inverse does
-(dtrtri on L^T, then U^-1 U^-T), so it pins the stacked check, not the
-inverse route. severed_by_validating_a_copy adds the whole rank-2 update
-as a matrix product and symmetrizes the result, where the library adds
-q q^T - r r^T on the touched block alone, so the two agree to rounding.
+agreement is evidence and not a restatement. The exceptions are
+severed_by_validating_a_copy and lower_bound_trial_by_trial, each a
+library route as it was before it was made cheaper; the library must
+still return exactly the second one's bits. severed_by_validating_a_copy
+adds the whole rank-2 update as a matrix product and symmetrizes the
+result, where the library adds q q^T - r r^T on the touched block alone,
+so the two agree to rounding. closed_form_fit certifies a closed form's
+duality gap with an explicit Cholesky factor of W, where the library sums
+the log residual variances, so the two gaps agree to rounding; its
+objective and kept factor pin bits.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack
@@ -170,31 +174,30 @@ def lower_bound_trial_by_trial(cfg):
     return report, halvings
 
 
-def closed_form_fit(sig, rows, cols, scale, theta, gamma, opts):
+def closed_form_fit(sig, rows, cols, theta, gamma):
     """The chordal closed form theta checked as a fit of the graph whose
-    support basis has coordinates at rows, cols with scales scale, one
-    graph at a time, as fit_graph_mle checked it before the checks of a
-    collection were stacked: None unless theta lies in the ball, is
-    positive definite and its gradient mapping is at most
-    opts.gradient_tolerance."""
+    support has entries at rows, cols, one graph at a time and by another
+    route than the stacked check: None unless theta lies in the ball, is
+    positive definite and its duality gap against W = inv(theta) with sig
+    written on the support, factored explicitly, is within fit_graph_mle's
+    rounding bound (ceil(log2 (p+1)^2) + 1) eps S."""
     if float(np.linalg.norm(theta)) > gamma:
         return None
     lower, info = lapack.dpotrf(theta, lower=1)
     if info:
         return None
-    log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    f = -log_det + float(np.sum(sig * theta))
-    upper_inverse, info = lapack.dtrtri(lower.T, lower=0)
-    assert info == 0
-    cov = upper_inverse @ upper_inverse.T
-    grad = scale * (sig - cov)[rows, cols]
-    coords = scale * theta[rows, cols]
-    moved = coords - grad
-    norm = float(np.linalg.norm(moved))
-    if norm > gamma:
-        moved = moved * (gamma / norm)
-    gnorm = float(np.linalg.norm(coords - moved))
-    if not gnorm <= opts.gradient_tolerance:
+    p = theta.shape[0]
+    log_pivots = np.log(np.diag(lower))
+    f = -2.0 * float(np.sum(log_pivots)) + float(np.sum(sig * theta))
+    w = np.linalg.inv(theta)
+    w[rows, cols] = w[cols, rows] = sig[rows, cols]
+    try:
+        w_log_pivots = np.log(np.diag(np.linalg.cholesky(w)))
+    except np.linalg.LinAlgError:
+        return None
+    gap = f - 2.0 * float(np.sum(w_log_pivots)) - p
+    size = p + np.sum(np.abs(sig * theta)) + 2.0 * np.sum(np.abs(log_pivots)) + 2.0 * np.sum(np.abs(w_log_pivots))
+    if not gap <= (math.ceil(math.log2((p + 1) ** 2)) + 1) * np.finfo(float).eps * size:
         return None
     _check_adoptable(theta)
     return FitResult(
@@ -202,7 +205,7 @@ def closed_form_fit(sig, rows, cols, scale, theta, gamma, opts):
         objective=f,
         iterations=0,
         converged=True,
-        projected_gradient_norm=gnorm,
+        duality_gap=gap,
         termination="closed_form",
         objective_trace=(f,),
     )

@@ -13,7 +13,6 @@ import pytest
 from ggmsep import (
     EdgeSet,
     ExperimentConfig,
-    FitOptions,
     block_conditional_mutual_info,
     conditional_mutual_info,
     fit_graph_mle,
@@ -298,7 +297,6 @@ def test_criterion_8_experiment_determinism():
 
     sel_cfg = ExperimentConfig(
         base_seed=17, trials=4, dimensions=(4,), sample_sizes=(80, 160), gamma=8.0,
-        fit=FitOptions(gradient_tolerance=1e-7),
     )
     sel_a = run_selection_experiment(sel_cfg)
     sel_b = run_selection_experiment(sel_cfg)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from ggmsep import (
+    CovarianceMatrix,
     EdgeSet,
     chain_precision,
     counterexample_precision,
@@ -30,6 +32,10 @@ from ggmsep.serialization import dumps, edge_set_doc, matrix_doc, write_json
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 HALF_LOG_4_3 = 0.5 * math.log(4.0 / 3.0)
+
+
+def _no_constant(token):
+    raise AssertionError(f"non-strict JSON constant {token}")
 
 
 @pytest.fixture
@@ -197,20 +203,40 @@ class TestFitAndSelect:
         assert "DimensionMismatch" in err and "orders differ" in err
 
     @pytest.mark.parametrize("command", ["fit", "select"])
-    @pytest.mark.parametrize("flag, value, named", [
-        ("--gradient-tolerance", "inf", "gradient_tolerance"),
-        ("--gradient-tolerance", "nan", "gradient_tolerance"),
-        ("--gradient-tolerance", "0", "gradient_tolerance"),
-        ("--max-iterations", "0", "max_iterations"),
-    ])
-    def test_fit_flag_out_of_range_exits_2_naming_it(self, tmp_path, capsys, command, flag, value, named):
+    def test_fit_flag_out_of_range_exits_2_naming_it(self, tmp_path, capsys, command):
         sigma_path = write_json(tmp_path / "sigma.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
         graph = {"p": 2, "edges": []}
         graph_path = write_json(tmp_path / "graph.json", graph if command == "fit" else [graph])
-        code, out, err = run(capsys, command, sigma_path, graph_path, "--gamma", "inf", flag, value)
+        code, out, err = run(capsys, command, sigma_path, graph_path, "--gamma", "inf", "--max-iterations", "0")
         assert code == 2
         assert out == ""
-        assert named in err
+        assert "max_iterations" in err
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "1e-8"])
+    def test_gradient_tolerance_is_an_unknown_flag(self, tmp_path, capsys, command, value):
+        # every fit stops on its duality gap, which takes no tolerance
+        sigma_path = write_json(tmp_path / "sigma.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
+        graph = {"p": 2, "edges": []}
+        graph_path = write_json(tmp_path / "graph.json", graph if command == "fit" else [graph])
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(sigma_path), str(graph_path), "--gamma", "inf", "--gradient-tolerance", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --gradient-tolerance {value}" in captured.err
+
+    @pytest.mark.parametrize("scale", [1e9, 1e10, 1e11])
+    def test_fit_in_large_units_converges(self, tmp_path, capsys, scale):
+        # exited 4: an absolute gradient tolerance could not be met in
+        # these units, though the fit was exact
+        sigma_path = write_json(tmp_path / "sigma.json", matrix_doc(CovarianceMatrix(scale * np.eye(3))))
+        graph_path = write_json(tmp_path / "graph.json", edge_set_doc(EdgeSet(3)))
+        code, out, _ = run(capsys, "fit", sigma_path, graph_path, "--gamma", "inf")
+        assert code == 0
+        doc = json.loads(out, parse_constant=_no_constant)
+        assert doc["converged"] is True and doc["termination"] == "closed_form"
+        assert doc["theta_hat"]["entries"][0] == 1.0 / scale
 
     @pytest.mark.parametrize("command", ["fit", "select"])
     @pytest.mark.parametrize("gamma", ["-1", "0", "nan"])
@@ -300,7 +326,7 @@ class TestExperiment:
         config = write_json(
             tmp_path / "config.json",
             {"trials": 3, "dimensions": [4], "sample_sizes": [60], "gamma": 8.0,
-             "fit": {"gradient_tolerance": 1e-6}},
+             "fit": {"max_iterations": 5000}},
         )
         out_dir = tmp_path / "results"
         code, _, _ = run(capsys, "experiment", "selection", config, "--out", out_dir, "--quiet")
@@ -360,6 +386,16 @@ class TestExperiment:
         code, _, _ = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["selection", "lower-bound"])
+    @pytest.mark.parametrize("value", [1e-8, math.inf, math.nan])
+    def test_gradient_tolerance_is_an_unknown_fit_key(self, tmp_path, capsys, kind, value):
+        config = write_json(tmp_path / "config.json", {"fit": {"gradient_tolerance": value}})
+        code, out, err = run(capsys, "experiment", kind, config, "--out", tmp_path / "o", "--quiet")
+        assert code == 2
+        assert out == ""
+        assert "unknown fit keys: ['gradient_tolerance']" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind, doc, named", [
         ("lower-bound", {"trials": 0}, "trials"),
         ("lower-bound", {"base_seed": -1}, "base_seed"),
@@ -368,8 +404,6 @@ class TestExperiment:
         ("selection", {"gamma": 0}, "gamma"),
         ("lower-bound", {"perturbation_scale": -1}, "perturbation_scale"),
         ("selection", {"fit": {"max_iterations": 0}}, "max_iterations"),
-        ("selection", {"fit": {"gradient_tolerance": math.inf}}, "gradient_tolerance"),
-        ("lower-bound", {"fit": {"gradient_tolerance": math.nan}}, "gradient_tolerance"),
         ("counterexample", {"d_values": [0]}, "d_values"),
         ("counterexample", {"d_values": []}, "d_values"),
         ("selection", {"gamma": 1.0, "dimensions": [4]}, "gamma"),
@@ -428,3 +462,53 @@ class TestRoundTrip:
         first = out_path.read_text()
         reparsed = json.loads(first)
         assert dumps(reparsed) + "\n" == first
+
+
+class TestStrictJson:
+    def test_every_emitted_file_is_strict_json(self, tmp_path, capsys, theta_d2_path):
+        # a fit with no likelihood maximizer has an infinite duality gap, and
+        # a gamma of inf is echoed in the report's config: both were written
+        # as the bare tokens Infinity, which a strict parser rejects
+        out = tmp_path / "out"
+        sigma = empirical_covariance(sample(chain_precision(3), 1, 3))
+        sigma_path = write_json(tmp_path / "sigma.json", matrix_doc(sigma))
+        graph_path = write_json(tmp_path / "graph.json", edge_set_doc(EdgeSet.complete(3)))
+        cand_path = write_json(tmp_path / "candidates.json", [edge_set_doc(g) for g in (EdgeSet(3), EdgeSet.complete(3))])
+        selection = write_json(tmp_path / "selection.json",
+                               {"trials": 2, "dimensions": [4], "sample_sizes": [60], "gamma": math.inf})
+        lower = write_json(tmp_path / "lower.json", {"trials": 2, "dimensions": [3, 4]})
+        counter = write_json(tmp_path / "counter.json", {"d_values": [1, 2]})
+        calls = [
+            (0, "kl", theta_d2_path, theta_d2_path),
+            (0, "bounds", theta_d2_path, "--alpha", "0.5", "--h", "2.0"),
+            (0, "project", theta_d2_path, "--edge", "0", "1"),
+            (0, "project", theta_d2_path, "--star", "0", "1,2"),
+            (4, "fit", sigma_path, graph_path, "--gamma", "inf"),
+            (4, "select", sigma_path, cand_path, "--gamma", "inf"),
+            (0, "experiment", "selection", selection, "--quiet"),
+            (0, "experiment", "lower-bound", lower, "--quiet"),
+            (0, "experiment", "counterexample", counter),
+        ]
+        out.mkdir()
+        for index, (expected, *argv) in enumerate(calls):
+            # every document goes to stdout and to a file (experiments write
+            # their reports, and only their paths to stdout)
+            target = out / (argv[0] if argv[0] == "experiment" else f"{index}.json")
+            for extra in ([], ["--out", target]) if argv[0] != "experiment" else (["--out", target],):
+                code, stdout, _ = run(capsys, *argv, *extra)
+                assert code == expected
+                if stdout:
+                    json.loads(stdout, parse_constant=_no_constant)
+        files = sorted(out.rglob("*.*"))
+        assert len(files) == 6 + 6
+        for path in files:
+            if path.suffix == ".csv":
+                for row in csv.reader(path.read_text().splitlines()[1:]):
+                    [json.loads(cell, parse_constant=_no_constant) for cell in row]
+            else:
+                json.loads(path.read_text(), parse_constant=_no_constant)
+        fit = json.loads((out / "4.json").read_text())
+        assert fit["converged"] is False and fit["duality_gap"] == "Infinity"
+        report = json.loads((out / "experiment" / "selection_report.json").read_text())
+        assert report["config"]["gamma"] == "Infinity"
+        assert ExperimentConfig.from_dict(report["config"]).gamma == math.inf

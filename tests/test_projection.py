@@ -1,5 +1,6 @@
 """Edge/star deletion projections and the constrained maximum-likelihood fit."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -480,16 +481,16 @@ class TestFitGraphMle:
         assert result.converged
         assert all(later <= earlier + 1e-12 for earlier, later in zip(trace, trace[1:]))
 
-    def test_unreachable_tolerance_stops_before_max_iterations(self):
-        # below what double precision can certify the fit cannot converge;
-        # it must stop on its own instead of running to the cap
-        sigma = invert(random_sparse_precision(6, np.random.default_rng(13)))
-        result = fit_graph_mle(
-            sigma, EdgeSet.complete(6).without((1, 3)), math.inf, FitOptions(gradient_tolerance=1e-16)
-        )
+    def test_a_likelihood_without_maximizer_stalls_before_max_iterations(self):
+        # one draw at p=3: on K3 at gamma = inf the likelihood is unbounded,
+        # so no positive definite W certifies a gap and the iterates run
+        # away; the fit must stop on its own instead of running to the cap
+        sigma = empirical_covariance(sample(chain_precision(3), 1, 3))
+        result = fit_graph_mle(sigma, EdgeSet.complete(3), math.inf)
         assert not result.converged
         assert result.termination == "stalled"
         assert result.iterations < 1000
+        assert result.duality_gap == math.inf
 
     def test_iterates_stay_feasible(self):
         sigma = invert(random_sparse_precision(6, np.random.default_rng(16)))
@@ -531,7 +532,7 @@ class TestFitGraphMle:
         sigma = empirical_covariance(sample(theta, 200, seed))
         gamma = shrink * float(np.linalg.norm(fit_graph_mle(sigma, graph, math.inf).theta_hat.matrix))
         result = fit_graph_mle(sigma, graph, gamma)
-        tight = fit_graph_mle(sigma, graph, gamma, FitOptions(gradient_tolerance=1e-14))
+        tight = fit_graph_mle(sigma, graph, gamma)
         assert result.converged
         assert np.linalg.norm(result.theta_hat.matrix) >= gamma * (1 - 1e-13)
         assert abs(result.objective - tight.objective) <= 1e-12 * abs(tight.objective)
@@ -602,7 +603,7 @@ class TestFitGraphMle:
         result = fit_graph_mle(sigma, EdgeSet.complete(3), math.inf)
         doc = result.to_dict()
         assert set(doc) == {
-            "theta_hat", "objective", "iterations", "converged", "termination", "projected_gradient_norm"
+            "theta_hat", "objective", "iterations", "converged", "termination", "duality_gap"
         }
         assert doc["theta_hat"]["p"] == 3
         assert len(doc["theta_hat"]["entries"]) == 9
@@ -761,16 +762,22 @@ class TestChordalClosedForm:
         graphs = (EdgeSet(p, [(0, 1), (1, 2), (2, 3), (0, 3)]), *members) if p >= 4 else members
         first = len(graphs) - len(members)
         batch = projection._batch_plan(graphs)
-        stack, valid = projection._chordal_mles(sig, batch)
+        stack, valid, log_dets = projection._chordal_mles(sig, batch)
         assert batch.chordal == tuple(range(first, len(graphs)))
         assert valid.tolist() == [False] * first + [True] * len(members)
         assert stack.shape == (len(graphs), p, p) and not stack[:first].any()
-        for batched, member in zip(stack[first:], members):
+        assert log_dets.shape == (2, len(graphs)) and not log_dets[:, :first].any()
+        for batched, log_det, member in zip(stack[first:], log_dets.T[first:], members):
             expected = reference_chordal_mle(sig, projection._perfect_families(member))
             assert expected is not None
             assert np.all(batched[~_support(member)] == 0.0)
             assert np.max(np.abs(batched - expected)) <= 1e-12 * np.max(np.abs(expected))
+            # the sum of the log residual variances is -log det of the MLE,
+            # the log det of sigma_hat's positive-definite completion
+            assert abs(log_det[0] + np.linalg.slogdet(expected)[1]) <= 1e-12 * (p + log_det[1])
+            assert log_det[1] >= abs(log_det[0])
         assert np.array_equal(stack[first], stack[first + 2])
+        assert np.array_equal(log_dets[:, first], log_dets[:, first + 2])
 
     def test_chain_fit_factors_at_most_three_times(self, monkeypatch):
         # counts instead of timing: the parent-count batches of a p=8 chain
@@ -853,7 +860,7 @@ class TestChordalClosedForm:
         # the families are slotted by graph index too
         assert sorted(set((plan.scatter // (p * p)).tolist())) == [0, 2, 3]
         assert sorted({slot for group in plan.groups for slot in group[2].tolist()}) == [0, 2, 3]
-        stack, valid = projection._chordal_mles(_sample_covariance(p, 5).matrix, plan)
+        stack, valid, _ = projection._chordal_mles(_sample_covariance(p, 5).matrix, plan)
         assert valid.tolist() == [True, False, True, True]
         assert stack.shape == (4, p, p) and not stack[1].any()
         for array in (plan.support, plan.scale, plan.offsets, plan.scatter, *(a for g in plan.groups for a in g)):
@@ -862,12 +869,12 @@ class TestChordalClosedForm:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1), few_samples=st.booleans())
     def test_stacked_check_matches_the_per_graph_reference(self, data, seed, few_samples):
-        # One collection whose slots pass, fail the ball, fail the gradient
-        # check, or have no closed form (n = p - 1 samples, with K_p among
-        # the graphs; from p = 4 a 4-cycle, which is not chordal, too).
-        # gamma and the tolerance are drawn from the slots' own norms and
-        # gradient mappings, at and just below each, so slots fall on both
-        # sides of both checks.
+        # One collection whose slots pass, fail the ball, or have no closed
+        # form (n = p - 1 samples, with K_p among the graphs; from p = 4 a
+        # 4-cycle, which is not chordal, too). gamma is drawn from the
+        # slots' own norms, at and just below each, so slots fall on both
+        # sides of the ball; every gap is checked against a reference that
+        # factors W itself.
         p = data.draw(st.integers(3, 8))
         graphs = (*data.draw(st.lists(chordal_supports(max_p=p, min_p=p), min_size=1, max_size=5)), EdgeSet.complete(p))
         if p >= 4:
@@ -875,28 +882,25 @@ class TestChordalClosedForm:
         truth = random_sparse_precision(p, np.random.default_rng(seed))
         sig = empirical_covariance(sample(truth, p - 1 if few_samples else 2 * p + 5, seed)).matrix
         batch = projection._batch_plan.__wrapped__(graphs)
-        stack, valid = projection._chordal_mles(sig, batch)
+        stack, valid, log_dets = projection._chordal_mles(sig, batch)
 
-        def reference_fits(gamma, opts):
+        def reference_fits(gamma):
             return [
-                closed_form_fit(sig, *_support_basis(graph), stack[slot].copy(), gamma, opts) if valid[slot] else None
+                closed_form_fit(sig, *_support_basis(graph)[:2], stack[slot].copy(), gamma) if valid[slot] else None
                 for slot, graph in enumerate(graphs)
             ]
 
-        loose = [fit for fit in reference_fits(math.inf, FitOptions(gradient_tolerance=1e300)) if fit]
-        norms = [float(np.linalg.norm(fit.theta_hat.matrix)) for fit in loose]
-        gnorms = [fit.projected_gradient_norm for fit in loose]
-        at_and_below = lambda values: [v for x in values for v in (x, float(np.nextafter(x, 0.0))) if v > 0]
-        gamma = data.draw(st.sampled_from([math.inf, *at_and_below(norms)]))
-        opts = FitOptions(gradient_tolerance=data.draw(st.sampled_from([1e-8, *at_and_below(gnorms)])))
-        expected = reference_fits(gamma, opts)
-        fits = projection._closed_form_fits(sig, batch, stack.copy(), valid, gamma, opts)
+        norms = [float(np.linalg.norm(fit.theta_hat.matrix)) for fit in reference_fits(math.inf) if fit]
+        at_and_below = [v for x in norms for v in (x, float(np.nextafter(x, 0.0)))]
+        gamma = data.draw(st.sampled_from([math.inf, *at_and_below]))
+        expected = reference_fits(gamma)
+        fits = projection._closed_form_fits(sig, stack.copy(), valid, log_dets, gamma)
         assert [fit is None for fit in fits] == [fit is None for fit in expected]
         for fit, ref in zip(fits, expected):
             if ref is not None:
                 assert fit.termination == ref.termination == "closed_form"
                 assert fit.objective.hex() == ref.objective.hex()
-                assert fit.projected_gradient_norm.hex() == ref.projected_gradient_norm.hex()
+                assert abs(fit.duality_gap - ref.duality_gap) <= 1e-13 * (p + np.sum(np.abs(sig * ref.theta_hat.matrix)))
                 assert (fit.iterations, fit.converged, fit.objective_trace) == (0, True, (fit.objective,))
                 assert fit.theta_hat.matrix.tobytes() == ref.theta_hat.matrix.tobytes()
                 kept, expected_factor = (ggmsep.factorize(f.theta_hat).factor for f in (fit, ref))
@@ -923,11 +927,12 @@ class TestChordalClosedForm:
     @staticmethod
     def _flagged_alone(sig, triangle, other):
         # the triangle's slot fails, and its batch-mate keeps its solo bits
-        stack, valid = projection._chordal_mles(sig, projection._batch_plan.__wrapped__((triangle, other)))
+        stack, valid, log_dets = projection._chordal_mles(sig, projection._batch_plan.__wrapped__((triangle, other)))
         assert valid.tolist() == [False, True]
-        solo, solo_valid = projection._chordal_mles(sig, projection._batch_plan.__wrapped__((other,)))
+        solo, solo_valid, solo_log_dets = projection._chordal_mles(sig, projection._batch_plan.__wrapped__((other,)))
         assert solo_valid.tolist() == [True]
         assert np.array_equal(stack[1], solo[0])
+        assert np.array_equal(log_dets[:, 1], solo_log_dets[:, 0])
         assert np.all(stack[1][~_support(other)] == 0.0)
 
     @staticmethod
@@ -972,12 +977,11 @@ class TestNewtonPath:
     )
     def test_fit_satisfies_kkt_on_non_chordal_supports(self, graph, seed, shrink):
         sigma = _sample_covariance(graph.p, seed)
-        opts = FitOptions(gradient_tolerance=1e-10)
         gamma = math.inf
         if shrink is not None:
-            free = fit_graph_mle(sigma, graph, math.inf, opts)
+            free = fit_graph_mle(sigma, graph, math.inf)
             gamma = shrink * float(np.linalg.norm(free.theta_hat.matrix))
-        result = fit_graph_mle(sigma, graph, gamma, opts)
+        result = fit_graph_mle(sigma, graph, gamma)
         assert result.termination == "tolerance" and result.iterations > 0
         theta = result.theta_hat.matrix
         support = _support(graph)
@@ -1001,17 +1005,15 @@ class TestNewtonPath:
         perm = data.draw(st.permutations(range(graph.p)))
         where = np.argsort(perm)  # vertex u moves to where[u]
         sigma = _sample_covariance(graph.p, seed)
-        opts = FitOptions(gradient_tolerance=1e-10)
         gamma = math.inf
         if shrink is not None:
-            free = fit_graph_mle(sigma, graph, math.inf, opts)
+            free = fit_graph_mle(sigma, graph, math.inf)
             gamma = shrink * float(np.linalg.norm(free.theta_hat.matrix))
-        fit = fit_graph_mle(sigma, graph, gamma, opts)
+        fit = fit_graph_mle(sigma, graph, gamma)
         moved = fit_graph_mle(
             CovarianceMatrix(sigma.matrix[np.ix_(perm, perm)]),
             EdgeSet(graph.p, [(where[i], where[j]) for i, j in graph.edges]),
             gamma,
-            opts,
         )
         assert fit.converged and moved.converged
         assert relative_gap(moved.theta_hat.matrix, fit.theta_hat.matrix[np.ix_(perm, perm)]) < 1e-8
@@ -1025,20 +1027,56 @@ class TestNewtonPath:
         scale = np.exp(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=graph.p, max_size=graph.p)))
         outer = np.outer(scale, scale)
         sigma = _sample_covariance(graph.p, seed)
-        opts = FitOptions(gradient_tolerance=1e-10)
-        fit = fit_graph_mle(sigma, graph, math.inf, opts)
-        scaled = fit_graph_mle(CovarianceMatrix(sigma.matrix * outer), graph, math.inf, opts)
+        fit = fit_graph_mle(sigma, graph, math.inf)
+        scaled = fit_graph_mle(CovarianceMatrix(sigma.matrix * outer), graph, math.inf)
         assert fit.converged and scaled.converged
         assert relative_gap(scaled.theta_hat.matrix * outer, fit.theta_hat.matrix) < 1e-8
         expected = fit.objective + 2.0 * float(np.sum(np.log(scale)))
         assert abs(scaled.objective - expected) <= 1e-12 * max(1.0, abs(expected))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=st.one_of(non_chordal_supports(max_p=10), chordal_supports(max_p=10, min_p=4)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_fit_converges_in_any_units(self, graph, seed, data):
+        # log-scales in [-10, 10], so sigma's entries span up to 17 orders of
+        # magnitude: the duality gap is in nats, and its rounding bound is
+        # relative, so every fit is certified. Under an absolute gradient
+        # tolerance, fits like these ended "stalled" when the scales were wide
+        log_scale = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=graph.p, max_size=graph.p))
+        scale = np.exp(log_scale)
+        sigma = _sample_covariance(graph.p, seed)
+        fit = fit_graph_mle(sigma, graph, math.inf)
+        scaled = fit_graph_mle(CovarianceMatrix(sigma.matrix * np.outer(scale, scale)), graph, math.inf)
+        assert fit.converged and scaled.converged
+        expected = fit.objective + 2.0 * float(np.sum(np.log(scale)))
+        assert abs(scaled.objective - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("scale", [1e9, 1e11])
+    def test_fits_in_large_units_converge(self, scale):
+        # sigma_hat = c I on the empty graph, and c sigma_hat on a 4-cycle:
+        # exact fits that ended "stalled" under an absolute gradient tolerance
+        empty = fit_graph_mle(CovarianceMatrix(scale * np.eye(4)), EdgeSet(4), math.inf)
+        assert empty.converged and empty.termination == "closed_form"
+        assert_allclose(empty.theta_hat.matrix, np.eye(4) / scale, rtol=1e-15)
+        assert abs(empty.objective - 4.0 * (math.log(scale) + 1.0)) <= 1e-14 * empty.objective
+        sigma = _sample_covariance(4, 0)
+        fit = fit_graph_mle(sigma, CYCLES[0], math.inf)
+        scaled = fit_graph_mle(CovarianceMatrix(scale * sigma.matrix), CYCLES[0], math.inf)
+        assert scaled.converged and scaled.termination == "tolerance"
+        assert relative_gap(scaled.theta_hat.matrix * scale, fit.theta_hat.matrix) < 1e-8
+        expected = fit.objective + 4.0 * math.log(scale)
+        assert abs(scaled.objective - expected) <= 1e-12 * abs(expected)
+
 
 class TestStoppingStatistic:
-    def test_the_public_gradient_rebuilds_every_fits_gradient_mapping(self):
-        # nll_gradient at the fit, on the support basis, projected with a
-        # unit step: bit for bit the closed form's statistic, and within
-        # the coords -> theta -> coords round trip of a Newton iterate's
+    def test_the_public_api_rebuilds_every_fits_duality_gap(self):
+        # nll at the fit minus the larger of the two weak-duality bounds of
+        # fit_graph_mle's docstring, rebuilt with nll_gradient and numpy's
+        # inverse and Cholesky factor: within rounding of the gap each fit
+        # reports, and a converged fit's gap is at rounding level
         kinds = Counter()
         for p in range(4, 9):
             truth = random_sparse_precision(p, np.random.default_rng(p))
@@ -1046,20 +1084,23 @@ class TestStoppingStatistic:
             for seed in range(12):
                 sigma = empirical_covariance(sample(truth, 3 * p, seed))
                 for graph in graphs:
-                    rows, cols, scale = _support_basis(graph)
+                    support = _support(graph)
                     for gamma in (math.inf, 0.9 * float(np.linalg.norm(truth.matrix))):
                         fit = fit_graph_mle(sigma, graph, gamma)
-                        coords = scale * fit.theta_hat.matrix[rows, cols]
-                        moved = coords - scale * nll_gradient(fit.theta_hat, sigma)[rows, cols]
-                        norm = float(np.linalg.norm(moved))
-                        if norm > gamma:
-                            moved = moved * (gamma / norm)
-                        rebuilt = float(np.linalg.norm(coords - moved))
+                        theta = fit.theta_hat.matrix
+                        grad = np.where(support, nll_gradient(fit.theta_hat, sigma), 0.0)
+                        inner, norm = float(np.sum(grad * theta)), float(np.linalg.norm(theta))
+                        first = inner + gamma * float(np.linalg.norm(grad)) if gamma < math.inf else math.inf
+                        nu = max(-inner, 0.0) / norm**2 if gamma < math.inf else 0.0
+                        w = np.where(support, sigma.matrix + nu * theta, np.linalg.inv(theta))
+                        log_det_w = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(w)))))
+                        ball = gamma * nu * norm if nu else 0.0
+                        rebuilt = min(first, nll(fit.theta_hat, sigma) - log_det_w - p + ball)
+                        size = p + float(np.sum(np.abs(sigma.matrix * theta)))
                         kinds[fit.termination] += 1
-                        if fit.termination == "closed_form":
-                            assert rebuilt.hex() == fit.projected_gradient_norm.hex()
-                        else:
-                            assert abs(rebuilt - fit.projected_gradient_norm) <= 1e-15
+                        assert fit.converged
+                        assert abs(fit.duality_gap - rebuilt) <= 1e-12 * size
+                        assert fit.duality_gap <= 1e-13 * size
         assert kinds["closed_form"] and kinds["tolerance"]
 
 
@@ -1067,30 +1108,21 @@ class TestFitOptions:
     def test_validation(self):
         with pytest.raises(InvalidParameters):
             FitOptions(max_iterations=0)
-        with pytest.raises(InvalidParameters):
-            FitOptions(gradient_tolerance=0.0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"gradient_tolerance": math.inf},
-        {"gradient_tolerance": math.nan},
-        {"gradient_tolerance": -math.inf},
-        {"gradient_tolerance": "x"},
-        {"gradient_tolerance": None},
-        {"gradient_tolerance": True},
-        {"gradient_tolerance": 1j},
-        {"gradient_tolerance": np.float32(1e-8)},
         {"max_iterations": True},
         {"max_iterations": 10.0},
         {"max_iterations": 2.5},
     ])
-    def test_non_finite_tolerance_and_non_integer_cap_are_rejected(self, kwargs):
-        # an infinite tolerance would pass every Newton fit's diagonal start
-        # as converged, after 0 iterations; a tolerance of "x" or None raised
-        # TypeError, and True was accepted
-        with pytest.raises(InvalidParameters, match=next(iter(kwargs))):
+    def test_non_integer_cap_is_rejected(self, kwargs):
+        with pytest.raises(InvalidParameters, match="max_iterations"):
             FitOptions(**kwargs)
+
+    def test_the_cap_is_the_only_option(self):
+        # every fit stops on its duality gap, which takes no tolerance
+        assert [field.name for field in dataclasses.fields(FitOptions)] == ["max_iterations"]
+        with pytest.raises(TypeError, match="gradient_tolerance"):
+            FitOptions(gradient_tolerance=1e-8)
 
     def test_numpy_integer_cap_is_accepted(self):
         assert FitOptions(max_iterations=np.int64(3)).max_iterations == 3
-        assert FitOptions(gradient_tolerance=1).gradient_tolerance == 1
-        assert FitOptions(gradient_tolerance=np.float64(1e-6)).gradient_tolerance == 1e-6

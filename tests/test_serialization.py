@@ -10,15 +10,21 @@ from hypothesis import strategies as st
 
 from ggmsep import CovarianceMatrix, EdgeSet, PrecisionMatrix, random_sparse_precision
 from ggmsep.serialization import (
+    _scalar,
     dumps,
     edge_set_doc,
     edge_set_from_doc,
     load_candidates,
     load_precision,
     matrix_doc,
+    number_from_doc,
     precision_from_doc,
     write_json,
 )
+
+
+def _no_constant(token):
+    raise AssertionError(f"non-strict JSON constant {token}")
 
 
 class TestFormatFloat:
@@ -39,11 +45,18 @@ class TestFormatFloat:
         assert dumps(1e16) == "1e+16"
         assert type(json.loads(dumps(1e16))) is float
 
-    def test_non_finite_tokens(self):
-        assert dumps({"a": math.inf, "b": -math.inf, "c": math.nan}) == (
-            '{\n  "a": Infinity,\n  "b": -Infinity,\n  "c": NaN\n}'
+    def test_non_finite_floats_are_strings_that_read_back(self):
+        # they were the tokens Infinity, -Infinity and NaN, which strict
+        # JSON parsers reject
+        assert dumps({"a": math.inf, "b": -math.inf, "c": np.float32("nan")}) == (
+            '{\n  "a": "Infinity",\n  "b": "-Infinity",\n  "c": "NaN"\n}'
         )
-        assert math.isinf(json.loads(dumps(math.inf)))
+        assert number_from_doc(json.loads(dumps(math.inf), parse_constant=_no_constant)) == math.inf
+        assert number_from_doc(json.loads(dumps(-math.inf), parse_constant=_no_constant)) == -math.inf
+        assert math.isnan(number_from_doc(json.loads(dumps(math.nan), parse_constant=_no_constant)))
+        assert [number_from_doc(v) for v in ("inf", "Inf", 1.5, None, [1])] == ["inf", "Inf", 1.5, None, [1]]
+        # keys keep the order of a document whose floats are all finite
+        assert dumps({10: math.inf, 2: 1.0}) == dumps({10: 0.5, 2: 1.0}).replace("0.5", '"Infinity"')
 
 
 def _plain(value):
@@ -53,6 +66,23 @@ def _plain(value):
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
     return value.item() if isinstance(value, np.generic) else value
+
+
+def _decoded(value):
+    # the document with each non-finite float read back from its string
+    if isinstance(value, dict):
+        return {key: _decoded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_decoded(item) for item in value]
+    return number_from_doc(value)
+
+
+def _all_finite(value):
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _same_bits(a, b):
@@ -93,8 +123,12 @@ _documents = st.recursive(
 @given(_documents)
 def test_documents_parse_back_bit_for_bit_and_re_encode_identically(doc):
     text = dumps(doc)
-    assert _same_bits(json.loads(text), _plain(doc))
-    assert dumps(json.loads(text)) == text
+    parsed = json.loads(text, parse_constant=_no_constant)
+    assert _same_bits(_decoded(parsed), _plain(doc))
+    assert dumps(parsed) == text
+    if _all_finite(_plain(doc)):
+        # the single encoder call, and bytes, of a document with finite floats
+        assert text == json.dumps(doc, sort_keys=True, indent=2, default=_scalar)
 
 
 class TestDumps:

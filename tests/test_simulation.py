@@ -384,10 +384,10 @@ class TestExperimentConfig:
         dimensions=st.lists(st.integers(2, 50), min_size=1, max_size=4),
         sample_sizes=st.lists(st.integers(1, 10**5), min_size=1, max_size=4).map(np.array),
         gamma=st.floats(1e-3, math.inf), use_true_diagonal=st.booleans(),
-        max_iterations=st.integers(1, 10**4), gradient_tolerance=st.floats(1e-12, 1.0),
+        max_iterations=st.integers(1, 10**4),
     )
-    def test_to_dict_is_dataclasses_asdict(self, dimensions, max_iterations, gradient_tolerance, **kwargs):
-        fit = FitOptions(max_iterations=max_iterations, gradient_tolerance=gradient_tolerance)
+    def test_to_dict_is_dataclasses_asdict(self, dimensions, max_iterations, **kwargs):
+        fit = FitOptions(max_iterations=max_iterations)
         cfg = ExperimentConfig(dimensions=dimensions, fit=fit, **kwargs)
         doc = cfg.to_dict()
         assert doc == dataclasses.asdict(cfg)
@@ -584,7 +584,7 @@ class TestSelectionExperiment:
             dimensions=(4,),
             sample_sizes=(60, 240),
             gamma=8.0,
-            fit=FitOptions(gradient_tolerance=1e-7, max_iterations=2000),
+            fit=FitOptions(max_iterations=2000),
         )
         settings.update(overrides)
         return ExperimentConfig(**settings)
@@ -649,7 +649,6 @@ class TestSelectionExperiment:
         # sample_covariance(truth, n, record["seed"]), bit for bit
         cfg = ExperimentConfig(
             base_seed=17, trials=4, dimensions=(4,), sample_sizes=(80, 160), gamma=8.0,
-            fit=FitOptions(gradient_tolerance=1e-7),
         )
         truth = chain_precision(4)
         graph = edge_set_of(truth)
