@@ -11,10 +11,9 @@ that its fit already computed).
 It is also the library's one LAPACK boundary: only _potrf, _potrs, _trtrs
 and _spd_inverse call LAPACK (scipy's f2py wrappers, see _load_lapack) or
 read an info code, only _spd_inverse inverts an SPD matrix, and only
-_log_det reduces a Cholesky factor's log-diagonal (or its magnitudes).
-Every factor the library keeps is _potrf's (scipy's dpotrf), through
-_cholesky_lower or a fit's own check; numpy's LAPACK serves only
-_solve_each's closed-form solves.
+_log_det reduces a Cholesky factor's log-diagonal. Every factor the library
+keeps is _potrf's (scipy's dpotrf), through _cholesky_lower or a fit's own
+check; numpy's LAPACK serves only _solve_each's closed-form solves.
 """
 
 from __future__ import annotations

@@ -481,13 +481,14 @@ def _chordal_mles(sig: np.ndarray, plan: _BatchPlan) -> tuple[np.ndarray, np.nda
         resid = size = sig[vertices, vertices]
         w = np.ones((count, k + 1))
         if k:
-            cross = sig[parents, vertices[:, None]]
-            coef, solved = _solve_each(sig[parents[:, :, None], parents[:, None, :]], cross)
+            cross, block = sig[parents, vertices[:, None]], sig[parents[:, :, None], parents[:, None, :]]
+            coef, solved = _solve_each(block, cross)
             valid[owner[~solved]] = False
-            explained = cross * coef
-            resid, size = resid - explained.sum(axis=1), size + np.abs(explained).sum(axis=1)
+            explained, solve = cross * coef, np.einsum("ti,tij,tj->t", np.abs(coef), np.abs(block), np.abs(coef))
+            resid, size = resid - explained.sum(axis=1), size + np.abs(explained).sum(axis=1) + solve
             w[:, 1:] = -coef
-        # positive only beyond the rounding of its k + 1 terms (fit_graph_mle)
+        # positive only beyond (k + 1) eps times the size of its terms and of
+        # coef^T block coef, which carries the solve's backward error
         failed = ~(resid > (k + 1) * _EPSILON * size)
         if failed.any():
             valid[owner[failed]] = False
@@ -650,7 +651,7 @@ def fit_graph_mle(
       unconstrained optimum inside the ball is the constrained optimum.
     - Damped Newton otherwise: the graph is not chordal, a conditioning
       block of sigma_hat is exactly singular or an r_v is not positive
-      beyond the rounding of its terms, the ball binds, or the check
+      beyond its rounding (_chordal_mles), the ball binds, or the check
       fails. It works in the p + |E| coordinates of an orthonormal basis
       of the support, with a dense Hessian, so a step costs O((p +
       |E|)^3). Step d minimizes the quadratic model of nll over the ball

@@ -492,6 +492,20 @@ class TestFitGraphMle:
         assert result.iterations < 1000
         assert result.duality_gap == math.inf
 
+    def test_a_triangle_on_two_draws_is_never_certified(self):
+        # a clique of 3 on n = 2 draws has a singular block, so at gamma =
+        # inf the likelihood has no maximizer; rounding leaves its residual
+        # variance a little above zero, and the closed form passed its old
+        # gradient check on 23 of 300 such draws, Newton on 116 more
+        kinds = Counter()
+        for seed in range(40):
+            p = 3 + seed % 4
+            sigma = empirical_covariance(sample(random_sparse_precision(p, np.random.default_rng(seed)), 2, seed))
+            fit = fit_graph_mle(sigma, EdgeSet(p, [(0, 1), (1, 2), (0, 2)]), math.inf, FitOptions(max_iterations=200))
+            kinds[fit.termination] += 1
+            assert not fit.converged
+        assert kinds == {"stalled": 40}
+
     def test_iterates_stay_feasible(self):
         sigma = invert(random_sparse_precision(6, np.random.default_rng(16)))
         graph = EdgeSet(6, [(0, 1), (1, 2), (3, 5)])
