@@ -6,7 +6,12 @@ here is a pure function of its arguments. A PrecisionMatrix also keeps the
 read-only lower Cholesky factor that validated it, so factorize, and the
 log-determinants, solves, inverses and samples built on it, never factor a
 precision again, and the covariance that a KL or invert first asks for (or
-that its fit already computed).
+that its Newton fit already computed).
+
+Matrices are validated once, at the API boundary. The public constructors
+copy, check against a tolerance and symmetrize what they are given; what
+the library builds itself, exactly symmetric by construction, the classes'
+_validated adopt after _check_adoptable, without a copy.
 
 It is also the library's one LAPACK boundary: only _potrf, _potrs, _trtrs
 and _spd_inverse call LAPACK (scipy's f2py wrappers, see _load_lapack) or
@@ -259,14 +264,15 @@ def _solve_each(blocks: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
     return x, solved
 
 
-def _check_adoptable(arr: np.ndarray) -> None:
-    """ValueError unless the matrix, or every matrix of a stack, is finite
-    and exactly symmetric: the checks a fitted precision passes before
-    PrecisionMatrix._validated keeps it."""
+def _check_adoptable(arr: np.ndarray, what: str = "precision matrix") -> None:
+    """ValueError naming `what` unless the matrix, or every matrix of a
+    stack, is finite and exactly symmetric: the checks a matrix the library
+    built passes before a class's _validated adopts it. On such a matrix
+    the public constructor's symmetrization changes no bit."""
     if not np.isfinite(arr).all():
-        raise ValueError("precision matrix has non-finite entries")
+        raise ValueError(f"{what} has non-finite entries")
     if not (arr == arr.swapaxes(-1, -2)).all():
-        raise ValueError("precision matrix is not exactly symmetric")
+        raise ValueError(f"{what} is not exactly symmetric")
 
 
 class PrecisionMatrix:
@@ -284,10 +290,11 @@ class PrecisionMatrix:
     threads that ask at once may both compute it; they keep the same bits.
 
     A fitted precision (fit_graph_mle, select_graph) keeps the factor its
-    fit computed to check that exact array, and the covariance the fit
-    computed from that factor, so neither is computed again. Every factor
-    comes from _potrf (scipy's dpotrf), so a fitted precision keeps the
-    bits that constructing a precision from its matrix would give.
+    fit computed to check that exact array, so it is not factored again; a
+    Newton fit also keeps the covariance it computed from that factor, and
+    a closed form fills its slot on first use, as any precision does. Every
+    factor comes from _potrf (scipy's dpotrf), so a fitted precision keeps
+    the bits that constructing a precision from its matrix would give.
     """
 
     __slots__ = ("matrix", "_factor", "_covariance")
@@ -299,14 +306,20 @@ class PrecisionMatrix:
 
     @classmethod
     def _validated(
-        cls, arr: np.ndarray, lower: np.ndarray, covariance: Optional[np.ndarray] = None
+        cls, arr: np.ndarray, lower: Optional[np.ndarray] = None, covariance: Optional[np.ndarray] = None
     ) -> "PrecisionMatrix":
-        """Precision over a checked array and its lower Cholesky factor
-        (upper triangle zero), both kept as they are and frozen, not copied:
-        an exactly symmetric array that _cholesky_lower factored, or a fit's
-        array that passed _check_adoptable with the factor that the fit's
-        own potrf computed from it. A fit also passes the covariance it
-        computed, _spd_inverse of that factor (read-only), to keep."""
+        """The internal adopt path: a precision over an array the library
+        built and its lower Cholesky factor (upper triangle zero), both kept
+        as they are and frozen, not copied, with the bits the public
+        constructor gives arr. Without a factor, arr passes _check_adoptable
+        and _cholesky_lower factors it. A caller that passes the factor has
+        checked arr: built exactly symmetric and factored by _cholesky_lower
+        (_sever), or passed by _check_adoptable with its fit's own potrf. A
+        Newton fit also passes the covariance it computed, _spd_inverse of
+        that factor (read-only)."""
+        if lower is None:
+            _check_adoptable(arr)
+            lower = _cholesky_lower(arr)
         arr.flags.writeable = lower.flags.writeable = False
         theta = cls.__new__(cls)
         theta.matrix, theta._factor, theta._covariance = arr, lower, covariance
@@ -343,6 +356,18 @@ class CovarianceMatrix:
     def __init__(self, entries: object) -> None:
         self.matrix = _frozen_symmetric(entries, "covariance matrix")
 
+    @classmethod
+    def _validated(cls, arr: np.ndarray) -> "CovarianceMatrix":
+        """The internal adopt path, as PrecisionMatrix._validated: a
+        covariance over an array of order >= 2 that the library built,
+        checked by _check_adoptable and frozen, not copied, with the bits
+        the public constructor gives arr."""
+        _check_adoptable(arr, "covariance matrix")
+        arr.flags.writeable = False
+        sigma = cls.__new__(cls)
+        sigma.matrix = arr
+        return sigma
+
     @property
     def p(self) -> int:
         return int(self.matrix.shape[0])
@@ -377,12 +402,13 @@ def invert(m: MatrixLike) -> MatrixLike:
     """Invert a PD matrix; precision and covariance swap roles.
 
     A precision returns the covariance it keeps; a covariance is inverted
-    by _spd_inverse from its factor. M @ invert(M) == I to ~1e-10
-    relative error for well conditioned input.
+    by _spd_inverse from its factor. Either result is adopted, not copied
+    (_validated). M @ invert(M) == I to ~1e-10 relative error for well
+    conditioned input.
     """
     if isinstance(m, PrecisionMatrix):
-        return CovarianceMatrix(m._sigma)
-    return PrecisionMatrix(_spd_inverse(factorize(m).factor))
+        return CovarianceMatrix._validated(m._sigma)
+    return PrecisionMatrix._validated(_spd_inverse(factorize(m).factor))
 
 
 def _normalized_edge(edge: object) -> tuple[int, int]:
@@ -423,8 +449,10 @@ class EdgeSet:
         return cls(p, [(i, j) for i in range(p) for j in range(i + 1, p)])
 
     def without(self, *edges: object) -> "EdgeSet":
-        dropped = {_normalized_edge(e) for e in edges}
-        return EdgeSet(self.p, self.edges - dropped)
+        # the kept edges are normalized already; only the dropped ones are
+        graph = EdgeSet.__new__(EdgeSet)
+        graph.p, graph.edges = self.p, self.edges - {_normalized_edge(e) for e in edges}
+        return graph
 
     def difference(self, other: "EdgeSet") -> frozenset:
         """Edges present here but absent from `other` (orders must match)."""

@@ -28,10 +28,11 @@ for fit_graph_mle, a collection for selection), graph g in slot g, and
 the plan of the last tuple is kept. The chordal closed forms of a tuple
 are one batched pass per parent count: one gather of the conditioning
 blocks, one stacked solve (core._solve_each), one scatter of every
-family's term into a stack, checked as a whole; only potrf, the inverse
-and the result are per graph. Every factorization, solve and inverse of
-a fit calls LAPACK through core's boundary, and a fitted precision keeps
-the Cholesky factor its fit's own check computed, so it is factored once.
+family's term into a stack, checked as a whole; only potrf and the result
+are per graph, and no inverse is computed. Every factorization, solve and
+inverse of a fit calls LAPACK through core's boundary, and a fitted
+precision keeps the Cholesky factor its fit's own check computed, so it is
+factored once (and a Newton fit the covariance its last iterate computed).
 """
 
 from __future__ import annotations
@@ -508,19 +509,16 @@ def _closed_form_fits(
     sig: np.ndarray, stack: np.ndarray, valid: np.ndarray, log_dets: np.ndarray, gamma: float
 ) -> list[Optional[FitResult]]:
     """Each slot's closed form as its fit, or None unless it is valid, lies
-    in the ball, is positive definite and its gap is certified. Only potrf,
-    the inverse the fit keeps and the FitResult are per slot; every sum is
+    in the ball, is positive definite and its gap (no inverse needed) is
+    certified. Only potrf and the FitResult are per slot; every sum is
     along one slot's row, so each slot has the bits of its fit alone."""
     slots, p = stack.shape[:2]
     flat = stack.reshape(slots, 1, p * p)
     candidate = valid & ~(np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0]) > gamma)
     # slot s is factored in the Fortran-ordered lower[s].T
-    lower, inverses = stack.transpose(0, 2, 1).copy(), {}
+    lower = stack.transpose(0, 2, 1).copy()
     for slot in np.flatnonzero(candidate).tolist():
-        factor = _potrf(lower[slot].T, overwrite_a=True)
-        candidate[slot] = factor is not None
-        if factor is not None:
-            inverses[slot] = _spd_inverse(factor)
+        candidate[slot] = _potrf(lower[slot].T, overwrite_a=True) is not None
     factors, products = lower[candidate], (sig * stack[candidate]).reshape(-1, p * p)
     objective = -_log_det(factors) + products.sum(axis=1)
     gap = objective - log_dets[0, candidate] - p
@@ -531,7 +529,7 @@ def _closed_form_fits(
     fits: list[Optional[FitResult]] = [None] * slots
     for slot, f, g in zip(accepted.tolist(), objective[passed].tolist(), gap[passed].tolist()):
         # copies, so a kept fit does not hold the whole batch's stacks
-        theta = PrecisionMatrix._validated(stack[slot].copy(), lower[slot].copy().T, inverses[slot])
+        theta = PrecisionMatrix._validated(stack[slot].copy(), lower[slot].copy().T)
         fits[slot] = FitResult(theta, f, 0, True, g, "closed_form", (f,))
     return fits
 

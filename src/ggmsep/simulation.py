@@ -37,13 +37,13 @@ import numpy as np
 from .core import (
     CovarianceMatrix,
     PrecisionMatrix,
+    _check_adoptable,
     _checked_size,
     _cholesky_lower,
     _edge_mask,
     _is_real,
     _potrf,
     _spd_inverse,
-    _symmetrize_in_place,
     _trtrs,
     _upper_pairs,
     edge_set_of,
@@ -182,13 +182,13 @@ def sample_covariance(theta: PrecisionMatrix, n: int, seed: int) -> CovarianceMa
     r[np.diag_indices(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
     # solve L^T v = R^T, as sample solves L^T x = z, so that V V^T = n * estimate
     v = _trtrs(theta._factor.T, r.T, lower=False, overwrite_b=True)
-    return CovarianceMatrix(v @ v.T / n)
+    return CovarianceMatrix._validated(v @ v.T / n)
 
 
 def empirical_covariance(x: SampleMatrix) -> CovarianceMatrix:
     """Known-zero-mean estimate (1/n) * sum of outer products, no mean
     subtraction. PSD always; singular whenever n < p."""
-    return CovarianceMatrix(x.rows.T @ x.rows / x.n)
+    return CovarianceMatrix._validated(x.rows.T @ x.rows / x.n)
 
 
 def corrected_covariance(sigma_hat: CovarianceMatrix, true_diag: Iterable[float]) -> CovarianceMatrix:
@@ -201,7 +201,7 @@ def corrected_covariance(sigma_hat: CovarianceMatrix, true_diag: Iterable[float]
         raise InvalidDiagonal("diagonal values must be finite and strictly positive")
     out = np.array(sigma_hat.matrix)
     out[np.diag_indices_from(out)] = diag
-    return CovarianceMatrix(out)
+    return CovarianceMatrix._validated(out)
 
 
 def counterexample_precision(d: int) -> PrecisionMatrix:
@@ -219,7 +219,7 @@ def counterexample_precision(d: int) -> PrecisionMatrix:
     arr[-1, :] = -1.0
     arr[:, -1] = -1.0
     arr[-1, -1] = 1.0
-    return PrecisionMatrix(arr)
+    return PrecisionMatrix._validated(arr)
 
 
 def chain_precision(p: int, diagonal: float = 2.0, coupling: float = 1.0) -> PrecisionMatrix:
@@ -231,7 +231,7 @@ def chain_precision(p: int, diagonal: float = 2.0, coupling: float = 1.0) -> Pre
     idx = np.arange(p - 1)
     arr[idx, idx + 1] = float(coupling)
     arr[idx + 1, idx] = float(coupling)
-    return PrecisionMatrix(arr)
+    return PrecisionMatrix._validated(arr)
 
 
 def random_sparse_precision(
@@ -250,7 +250,7 @@ def random_sparse_precision(
     pair.
     """
     p = _checked_size("p", p, 2)
-    return PrecisionMatrix(_sparse_precision_entries(p, [rng], edge_probability)[0])
+    return PrecisionMatrix._validated(_sparse_precision_entries(p, [rng], edge_probability)[0])
 
 
 def _sparse_precision_entries(p: int, rngs: list[np.random.Generator], edge_probability: float = 0.35) -> np.ndarray:
@@ -296,7 +296,7 @@ def random_omega_inf_member(
     p = _checked_size("p", p, 2)
     if not (0.0 < alpha < h < math.inf):
         raise InvalidParameters(f"requires 0 < alpha < h and a finite h, got alpha={alpha}, h={h}")
-    return PrecisionMatrix(_omega_inf_entries(p, alpha, h, rng, extremal))
+    return PrecisionMatrix._validated(_omega_inf_entries(p, alpha, h, rng, extremal))
 
 
 def _omega_inf_entries(p: int, alpha: float, h: float, rng: np.random.Generator, extremal: bool) -> np.ndarray:
@@ -579,19 +579,20 @@ def _perturbed_candidates(base: np.ndarray, noise: np.ndarray, scale: float) -> 
 
     Matrix t is moved by step * noise[t] (noise symmetric and exactly zero
     at the deleted edge, so the candidate is too) with step = scale * mean
-    |base[t]|. A candidate is checked as PrecisionMatrix checks one:
-    symmetrized, then factored once by _potrf, and kept with that factor
-    if it has finite entries. One that fails halves its step and tries
-    again, at most _PERTURBATION_HALVINGS times, in a stack that shrinks as
-    candidates pass. Returns the indices of the matrices whose candidate
-    passed, those candidates and their factors; the others get none.
+    |base[t]|. A candidate is checked as PrecisionMatrix._validated adopts
+    one: finite and exactly symmetric (_check_adoptable), then factored
+    once by _potrf, and kept with that factor if it has finite entries.
+    One that fails halves its step and tries again, at most
+    _PERTURBATION_HALVINGS times, in a stack that shrinks as candidates
+    pass. Returns the indices of the matrices whose candidate passed,
+    those candidates and their factors; the others get none.
     """
     step = scale * np.mean(np.abs(base), axis=(-2, -1))
     pending = np.arange(len(base))
     passed, candidates, factors = [], [], []
     for _ in range(_PERTURBATION_HALVINGS):
         trial = base[pending] + step[pending, None, None] * noise[pending]
-        _symmetrize_in_place(trial, "precision matrix")
+        _check_adoptable(trial)
         lower = [_potrf(matrix) for matrix in trial]
         ok = np.array([factor is not None and np.isfinite(factor).all() for factor in lower])
         passed.append(pending[ok])
@@ -623,7 +624,7 @@ def _lower_bound_trials(cfg: ExperimentConfig, p: int, seeds: list[int]) -> list
         ratio = _EXTREMAL_SIGNAL_RATIOS[(t // len(_LOWER_BOUND_METHODS)) % len(_EXTREMAL_SIGNAL_RATIOS)]
         h = float(rngs[t].uniform(1.0, 3.0))
         star[t] = _omega_inf_entries(p, ratio * h, h, rngs[t], extremal=True)
-    _symmetrize_in_place(star, "precision matrix")
+    _check_adoptable(star)
     star_lower = _cholesky_lower(star)
 
     rows, cols = _upper_pairs(p)
@@ -715,10 +716,10 @@ def run_lower_bound_experiment(cfg: ExperimentConfig, progress: _Progress = None
     report has the bytes of running the trials one at a time through
     random_sparse_precision / random_omega_inf_member, project_remove_edge
     and verify_separation. Every theta_star, perturbed candidate and
-    projection is checked as PrecisionMatrix checks one (finite, symmetric
-    to 1e-8, factorizable with finite pivots) and factored once, and
-    NoMissingEdge is raised if a projection or candidate kept every true
-    edge.
+    projection is checked as PrecisionMatrix._validated adopts one (finite,
+    exactly symmetric, factorizable with finite pivots) and factored once,
+    and NoMissingEdge is raised if a projection or candidate kept every
+    true edge.
     """
     return _run_grid(
         "lower-bound", cfg, "p", cfg.dimensions,

@@ -252,6 +252,19 @@ def test_criterion_6_optimizer_correctness():
 
 
 def test_criterion_7_selection_sample_complexity():
+    """The selection driver on the p=8 chain, 200 trials at each of n =
+    250, 1000 and 4000.
+
+    Its rivals are the chain's single-edge deletions, nested in the truth:
+    each rival's feasible set lies inside the truth's, so the truth never
+    scores worse than a rival, and success is 1.0 at every n by
+    construction. The rate trend and the 0.95 threshold cannot fail, and
+    this is no test of a sample-size transition. What it checks is the
+    margins of the truth over its rivals (the population pass selects the
+    truth, and each of its score gaps is at least log c), that every fit
+    converged, and the run time. That the driver's report, per-trial
+    margins included, is reproducible byte for byte is criterion 8's check.
+    """
     start = time.perf_counter()
     cfg = ExperimentConfig(
         base_seed=2025,

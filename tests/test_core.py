@@ -256,20 +256,24 @@ class TestKeptFactor:
         assert PrecisionMatrix(fit.theta_hat.matrix)._factor.tobytes() == fit.theta_hat._factor.tobytes()
 
     @pytest.mark.parametrize("graph", ["chain", "cycle"])
-    def test_a_fitted_precision_keeps_its_fits_covariance(self, monkeypatch, graph):
+    def test_a_fitted_precision_computes_its_covariance_at_most_once(self, monkeypatch, graph):
+        # a closed form (the chain) keeps no covariance until asked, then
+        # gets one inverse of its kept factor; a Newton fit (the cycle)
+        # keeps the covariance its fit computed
         inverses = []
         spd_inverse = core._spd_inverse
 
         def counting(lower):
-            inverses.append(lower.shape)
+            inverses.append(lower)
             return spd_inverse(lower)
 
         theta, sigma_hat, support = chain_fit_problem(graph)
         fit = chain_fit(graph, sigma_hat, support)
+        assert (fit.theta_hat._covariance is None) == (graph == "chain")
         monkeypatch.setattr(core, "_spd_inverse", counting)
         gradient = nll_gradient(fit.theta_hat, sigma_hat)
         assert kl_gaussian(fit.theta_hat, theta) > 0.0
-        assert inverses == []
+        assert [lower is fit.theta_hat._factor for lower in inverses] == ([True] if graph == "chain" else [])
         assert not fit.theta_hat._sigma.flags.writeable
         expected = spd_inverse(factorize(fit.theta_hat).factor)
         assert fit.theta_hat._sigma.tobytes() == expected.tobytes()

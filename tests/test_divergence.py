@@ -145,21 +145,36 @@ class TestKlGaussian:
         assert np.array_equal(sigma, sigma.T)
         assert_allclose(sigma, invert(theta).matrix, rtol=1e-12, atol=1e-14)
 
-    def test_projections_keep_no_covariance_until_asked_and_fits_keep_their_fits(self):
+    def test_projections_and_closed_forms_keep_no_covariance_until_asked_and_newton_fits_keep_theirs(
+        self, monkeypatch
+    ):
         theta = random_sparse_precision(8, np.random.default_rng(5))
         v, u = min(edge_set_of(theta))
-        fitted = fit_graph_mle(invert(theta), edge_set_of(theta).without((v, u)), math.inf).theta_hat
-        kept = fitted._covariance
+        closed = fit_graph_mle(invert(theta), edge_set_of(theta).without((v, u)), math.inf)
+        newton = fit_graph_mle(invert(theta), EdgeSet(8, [(k, (k + 1) % 8) for k in range(8)]), math.inf)
+        assert (closed.termination, newton.termination) == ("closed_form", "tolerance")
+        kept = newton.theta_hat._covariance
         assert kept is not None and not kept.flags.writeable
-        results = [project_remove_edge(theta, (v, u)), project_remove_star(theta, v, [u])]
+        inverses = []
+        spd_inverse = core._spd_inverse
+
+        def counting(lower):
+            inverses.append(lower)
+            return spd_inverse(lower)
+
+        monkeypatch.setattr(core, "_spd_inverse", counting)
+        results = [project_remove_edge(theta, (v, u)), project_remove_star(theta, v, [u]), closed.theta_hat]
         assert all(result._covariance is None for result in results)
         for result in results:
             kl_gaussian(theta, result)
             assert result._covariance is None
             kl_gaussian(result, theta)
             assert result._covariance is result._sigma
-        kl_gaussian(fitted, theta)
-        assert fitted._sigma is kept
+        # one inverse each, of the factor each keeps, and none for the Newton fit
+        kl_gaussian(newton.theta_hat, theta)
+        assert newton.theta_hat._sigma is kept
+        assert len(inverses) == len(results)
+        assert all(lower is result._factor for lower, result in zip(inverses, results))
 
     def test_closed_form_against_monte_carlo(self):
         # oracle: sample 1e6 points from q1 = N(0, I), average log q1/q2

@@ -29,9 +29,12 @@ from ggmsep import (
     one_edge_lower_bound,
     random_sparse_precision,
     sample,
+    sample_covariance,
     sample_size_bound,
     select_graph,
+    trial_seed,
 )
+from ggmsep import core, projection
 from ggmsep import selection as selection_module
 
 
@@ -288,6 +291,25 @@ class TestBatchedSelection:
         for fit in fits:
             for array in (fit.theta_hat.matrix, fit.theta_hat._factor, fit.theta_hat._sigma):
                 assert array.base is None or array.base.shape == (8, 8)
+
+    def test_criterion_7s_selection_computes_no_covariance(self, monkeypatch):
+        # scores and gaps need no inverse, so selecting among the chain and
+        # its single-edge deletions, every fit a closed form, inverts nothing
+        theta_star = chain_precision(8)
+        truth = edge_set_of(theta_star)
+        collection = CandidateCollection([truth, *(truth.without(e) for e in sorted(truth))])
+        sigmas = [sample_covariance(theta_star, n, trial_seed(2025, g, 0)) for g, n in enumerate((250, 1000, 4000))]
+        sigmas.append(invert(theta_star))
+        inverses = []
+        for module in (core, projection):
+            def counting(lower, _original=module._spd_inverse):
+                inverses.append(lower.shape)
+                return _original(lower)
+            monkeypatch.setattr(module, "_spd_inverse", counting)
+        for sigma in sigmas:
+            result = select_graph(collection, sigma, 10.0)
+            assert [fit.termination for fit in result.fit_results] == ["closed_form"] * len(collection)
+        assert inverses == []
 
 
 class TestSampleSizeBound:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggmsep import CovarianceMatrix, EdgeSet, PrecisionMatrix, random_sparse_precision
+from ggmsep import EdgeSet, PrecisionMatrix, random_sparse_precision
 from ggmsep.serialization import (
     _scalar,
     dumps,

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -185,6 +185,67 @@ class TestCorrectedCovariance:
             corrected_covariance(sigma, [1.0])
         with pytest.raises(InvalidDiagonal):
             corrected_covariance(sigma, [1.0, -1.0])
+
+
+def assert_adopted(built, cls):
+    """built is a cls over read-only entries with the bits that the public
+    constructor gives them (so exactly symmetric), and a precision keeps the
+    factor that the constructor computes."""
+    public = cls(built.matrix)
+    assert type(built) is cls and not built.matrix.flags.writeable
+    assert built.matrix.tobytes() == public.matrix.tobytes()
+    if cls is PrecisionMatrix:
+        assert not built._factor.flags.writeable
+        assert built._factor.tobytes() == public._factor.tobytes()
+
+
+class TestAdoptedMatrices:
+    """Every matrix the library builds is adopted as it is (_validated)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.one_of(st.integers(2, 10), st.just(100)),
+        n=st.integers(1, 150),
+        log_scale=st.floats(-20.0, 20.0),
+        coupling=st.floats(-1.0, 1.0),
+        ratio=st.floats(0.05, 0.95),
+        extremal=st.booleans(),
+    )
+    @example(seed=1, p=100, n=30, log_scale=0.0, coupling=1.0, ratio=0.5, extremal=False)
+    def test_every_builder_gives_the_public_constructors_bits(self, seed, p, n, log_scale, coupling, ratio, extremal):
+        rng = np.random.default_rng(seed)
+        h = float(rng.uniform(1.0, 3.0))
+        precisions = [
+            random_sparse_precision(p, rng),
+            random_omega_inf_member(p, ratio * h, h, rng, extremal=extremal),
+            chain_precision(p, 2.0 + rng.uniform(), coupling),
+            counterexample_precision(p - 1),
+        ]
+        theta = PrecisionMatrix(precisions[0].matrix * 10.0**log_scale)
+        sigma_hat = sample_covariance(theta, n, seed)
+        covariances = [
+            sigma_hat,
+            empirical_covariance(sample(theta, n, seed)),
+            corrected_covariance(sigma_hat, np.diag(invert(theta).matrix)),
+            invert(theta),
+        ]
+        precisions.append(invert(covariances[-1]))
+        for built in precisions:
+            assert_adopted(built, PrecisionMatrix)
+        for built in covariances:
+            assert_adopted(built, CovarianceMatrix)
+
+    @pytest.mark.parametrize("build", [
+        lambda theta: sample_covariance(theta, 1000, 1),
+        lambda theta: empirical_covariance(sample(theta, 1000, 1)),
+        invert,
+    ], ids=["sample_covariance", "empirical_covariance", "invert"])
+    def test_an_overflowing_result_is_still_rejected(self, build):
+        # the covariance of a precision with 1e-310 on its diagonal is ~1e310
+        theta = PrecisionMatrix(1e-310 * np.eye(3))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="covariance matrix has non-finite"):
+            build(theta)
 
 
 class TestCounterexamplePrecision:
