@@ -54,7 +54,6 @@ _EXPORTS = {
         "SameVertex",
     ),
     "projection": (
-        "FitOptions",
         "FitResult",
         "fit_graph_mle",
         "nll",

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .errors import GgmError, InvalidParameters
 from .serialization import (
@@ -34,9 +34,6 @@ from .serialization import (
     matrix_doc,
     write_json,
 )
-
-if TYPE_CHECKING:
-    from .projection import FitOptions
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,18 +59,9 @@ def _in_range(flags: str, compute: Callable[[], T]) -> T:
         raise ValueError(f"{flags} out of range: {exc}") from None
 
 
-def _fit_options(args: argparse.Namespace) -> FitOptions:
-    from .projection import FitOptions
-
-    # a flag left out keeps FitOptions' default
-    given = {} if args.max_iterations is None else {"max_iterations": args.max_iterations}
-    return _in_range("--max-iterations", lambda: FitOptions(**given))
-
-
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", type=float, required=True,
                         help="Frobenius-ball radius; 'inf' disables the ball")
-    parser.add_argument("--max-iterations", type=int, help="cap on Newton steps (a fit stops on its duality gap)")
 
 
 def _cmd_kl(args: argparse.Namespace) -> int:
@@ -120,8 +108,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
     sigma = load_covariance(args.sigma)
     graph = load_edge_set(args.graph)
-    opts = _fit_options(args)
-    result = _in_range("--gamma", lambda: fit_graph_mle(sigma, graph, args.gamma, opts))
+    result = _in_range("--gamma", lambda: fit_graph_mle(sigma, graph, args.gamma))
     _emit(args, result.to_dict())
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
@@ -131,8 +118,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
     sigma = load_covariance(args.sigma)
     collection = CandidateCollection(load_candidates(args.candidates))
-    opts = _fit_options(args)
-    result = _in_range("--gamma", lambda: select_graph(collection, sigma, args.gamma, opts))
+    result = _in_range("--gamma", lambda: select_graph(collection, sigma, args.gamma))
     _emit(args, result.to_dict())
     return EXIT_NOT_CONVERGED if result.unconverged else EXIT_OK
 

@@ -202,45 +202,30 @@ def _cholesky_lower(arr: np.ndarray) -> np.ndarray:
 
 
 def _frozen_symmetric(entries: object, what: str) -> np.ndarray:
-    """_symmetrize_in_place on a float copy of square `entries`, order >= 2."""
+    """A read-only float copy of square `entries`, order >= 2, holding the
+    mean of its two triangles; ValueError unless it is finite and symmetric
+    to a relative 1e-8 of its largest entry."""
     arr = np.array(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} must be square, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError(f"{what} must have order >= 2, got {arr.shape[0]}")
-    return _symmetrize_in_place(arr, what)
-
-
-def _symmetrize_in_place(arr: np.ndarray, what: str) -> np.ndarray:
-    """Overwrite the float array `arr` the caller owns, one square matrix or
-    a stack of them over its last two axes, with the mean of each matrix's
-    two triangles and freeze it; ValueError unless every matrix is finite
-    and symmetric to a relative 1e-8 of its own largest entry. Returns
-    `arr`."""
-    # Two temporaries of arr's size. The sum is halved after it is formed,
-    # so subnormal entries survive; only in a matrix where it could overflow
-    # are the entries halved first, which keeps finite input finite. Both
-    # orders give the same bits on normal-range input.
-    scratch = np.abs(arr)
-    scale = scratch.max(axis=(-2, -1))
-    largest = float(scale.max())
-    if not math.isfinite(largest):
+    # The sum is halved after it is formed, so subnormal entries survive;
+    # only where it could overflow are the entries halved first, which keeps
+    # finite input finite. Both orders give the same bits on normal-range
+    # input.
+    scale = float(np.abs(arr).max())
+    if not math.isfinite(scale):
         raise ValueError(f"{what} has non-finite entries")
     halve_first = scale > _HALF_MAX
-    mixed = largest > _HALF_MAX
-    if mixed:
-        arr *= np.where(halve_first, 0.5, 1.0)[..., None, None]
-    mirror = arr.swapaxes(-1, -2).copy()
-    gap = np.abs(np.subtract(arr, mirror, out=scratch), out=scratch).max(axis=(-2, -1))
-    if mixed:
-        gap *= np.where(halve_first, 2.0, 1.0)
-    # every matrix's tolerance is at least _ASYMMETRY_RTOL
-    if float(gap.max()) > _ASYMMETRY_RTOL and (gap > _ASYMMETRY_RTOL * np.maximum(1.0, scale)).any():
-        raise ValueError(f"{what} is not symmetric: max |M - M^T| = {float(gap.max()):.3g}")
+    if halve_first:
+        arr *= 0.5
+    mirror = arr.T.copy()
+    gap = float(np.abs(arr - mirror).max()) * (2.0 if halve_first else 1.0)
+    if gap > _ASYMMETRY_RTOL * max(1.0, scale):
+        raise ValueError(f"{what} is not symmetric: max |M - M^T| = {gap:.3g}")
     arr += mirror
-    if mixed:
-        arr *= np.where(halve_first, 1.0, 0.5)[..., None, None]
-    else:
+    if not halve_first:
         arr *= 0.5
     arr.flags.writeable = False
     return arr
@@ -404,11 +389,13 @@ def invert(m: MatrixLike) -> MatrixLike:
     A precision returns the covariance it keeps; a covariance is inverted
     by _spd_inverse from its factor. Either result is adopted, not copied
     (_validated). M @ invert(M) == I to ~1e-10 relative error for well
-    conditioned input.
+    conditioned input; an inverse that overflows raises ValueError.
     """
-    if isinstance(m, PrecisionMatrix):
-        return CovarianceMatrix._validated(m._sigma)
-    return PrecisionMatrix._validated(_spd_inverse(factorize(m).factor))
+    precision = isinstance(m, PrecisionMatrix)
+    # an overflowing product is rejected as non-finite by _validated
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = m._sigma if precision else _spd_inverse(factorize(m).factor)
+    return CovarianceMatrix._validated(inverse) if precision else PrecisionMatrix._validated(inverse)
 
 
 def _normalized_edge(edge: object) -> tuple[int, int]:

@@ -49,7 +49,6 @@ from .core import (
     EdgeSet,
     PrecisionMatrix,
     _check_adoptable,
-    _checked_size,
     _cholesky_lower,
     _log_det,
     _potrf,
@@ -65,7 +64,6 @@ from .errors import DimensionMismatch, InfeasibleStart, InvalidParameters
 from .serialization import matrix_doc
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "project_remove_edge",
     "project_remove_star",
@@ -198,17 +196,6 @@ def nll_gradient(theta: PrecisionMatrix, sigma_hat: CovarianceMatrix) -> np.ndar
     return sigma_hat.matrix - theta._sigma
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """The iteration cap of the constrained fit, an integer (never a bool).
-    A fit stops on its duality gap, which needs no setting (fit_graph_mle)."""
-
-    max_iterations: int = 5000
-
-    def __post_init__(self) -> None:
-        _checked_size("max_iterations", self.max_iterations, 1)
-
-
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Constrained-MLE output: fitted precision plus convergence diagnostics.
@@ -217,8 +204,9 @@ class FitResult:
     lower bound on every feasible objective (fit_graph_mle), +inf when no
     bound was found. termination says why the fit stopped: its gap was
     certified, in "closed_form" (iterations is 0) or after Newton steps in
-    "tolerance"; "max_iterations" came first; or "stalled" (a Newton step
-    with decrement below 1/4 did not reduce the gap).
+    "tolerance"; "max_iterations", a fixed cap of 5000 Newton steps, came
+    first; or "stalled" (a Newton step with decrement below 1/4 did not
+    reduce the gap).
 
     objective_trace holds the objective at the start and after every
     Newton step, non-increasing up to rounding. It is diagnostic only and
@@ -250,6 +238,9 @@ _EPSILON = float(np.finfo(float).eps)
 # on the Newton steps (Cholesky factorizations) spent reaching it.
 _SECULAR_TOLERANCE = 1e-15
 _SECULAR_STEPS = 50
+# A Newton run stops here with termination "max_iterations"; no fit comes
+# near it (a run that cannot certify its gap stalls within tens of steps).
+_MAX_ITERATIONS = 5000
 
 
 def _hessian(rows: np.ndarray, cols: np.ndarray, scale: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -534,7 +525,7 @@ def _closed_form_fits(
     return fits
 
 
-def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: float, opts: FitOptions) -> FitResult:
+def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: float) -> FitResult:
     # support and scale are one slot's run of a _BatchPlan
     p = sig.shape[0]
     rows, cols = np.divmod(support % (p * p), p)
@@ -544,7 +535,7 @@ def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: 
     # norm and the norm of its inverse are finite
     point = at(_into_ball(scale * np.diag(1.0 / np.diag(sig))[rows, cols], gamma))
     trace, iterations, nu = [point.objective], 0, 0.0
-    while not point.certified and iterations < opts.max_iterations:
+    while not point.certified and iterations < _MAX_ITERATIONS:
         newton = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)
         if newton is None:
             break
@@ -558,14 +549,14 @@ def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: 
         if decrement < 0.25 and previous.gap <= point.gap:
             break
     converged = point.certified
-    if converged and iterations < opts.max_iterations:
+    if converged and iterations < _MAX_ITERATIONS:
         newton = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)
         cand = None if newton is None else at(point.coords + newton[0])
         if cand is not None and cand.certified:
             point = cand
             trace.append(point.objective)
             iterations += 1
-    stopped = "tolerance" if converged else "max_iterations" if iterations >= opts.max_iterations else "stalled"
+    stopped = "tolerance" if converged else "max_iterations" if iterations >= _MAX_ITERATIONS else "stalled"
     _check_adoptable(point.theta)
     return FitResult(PrecisionMatrix._validated(point.theta, point.lower, point.cov), point.objective, iterations,
                      converged, point.gap, stopped, tuple(trace))
@@ -575,7 +566,6 @@ def _fit_graphs(
     sigma_hat: CovarianceMatrix,
     graphs: tuple[EdgeSet, ...],
     gamma: float,
-    opts: FitOptions = FitOptions(),
 ) -> list[FitResult]:
     """fit_graph_mle of every graph on one sigma_hat: one batched closed
     form and one stacked check for all the chordal graphs, then a Newton
@@ -621,7 +611,7 @@ def _fit_graphs(
     for slot, fit in enumerate(fits):
         if fit is None:
             run = slice(offsets[slot], offsets[slot + 1])
-            fits[slot] = _newton_fit(sig, plan.support[run], plan.scale[run], gamma, opts)
+            fits[slot] = _newton_fit(sig, plan.support[run], plan.scale[run], gamma)
     return fits
 
 
@@ -629,7 +619,6 @@ def fit_graph_mle(
     sigma_hat: CovarianceMatrix,
     graph: EdgeSet,
     gamma: float,
-    opts: FitOptions = FitOptions(),
 ) -> FitResult:
     """Minimize nll over PD matrices supported on `graph` (plus diagonal)
     with Frobenius norm at most gamma. gamma=inf disables the ball.
@@ -682,10 +671,12 @@ def fit_graph_mle(
     gap pins the objective, but the point only to about sqrt(eps): so one
     undamped Newton step follows a certified Newton iterate, kept, and
     counted as an iteration, if certified too (so it raises nll by
-    rounding at most). A Newton run also stops, converged=False, at
-    max_iterations, or "stalled" when a step taken with lam < 1/4, where
-    Newton converges quadratically, does not reduce the gap: rounding, or
-    a likelihood with no maximizer, whose gap stays +inf.
+    rounding at most). A Newton run also stops, converged=False, at a
+    fixed cap of 5000 steps ("max_iterations"; the fit has no setting), or
+    "stalled" when a step taken with lam < 1/4, where Newton converges
+    quadratically, does not reduce the gap: rounding, or a likelihood with
+    no maximizer, whose gap stays +inf. A stalled run ends within tens of
+    steps, far below the cap.
 
     The Newton run starts from diag(1 / sigma_hat diagonal), rescaled into
     the ball if needed. That start depends on no graph, so it is checked
@@ -697,4 +688,4 @@ def fit_graph_mle(
     for the whole call or not at all (a singular sigma_hat raises
     nothing), and a non-converged run returns its last iterate.
     """
-    return _fit_graphs(sigma_hat, (graph,), gamma, opts)[0]
+    return _fit_graphs(sigma_hat, (graph,), gamma)[0]

@@ -8,7 +8,7 @@ from typing import Iterable, Optional
 
 from .core import CovarianceMatrix, EdgeSet, _checked_size, _is_real
 from .errors import DimensionMismatch, InvalidParameters
-from .projection import FitOptions, FitResult, _fit_graphs
+from .projection import FitResult, _fit_graphs
 
 __all__ = [
     "CandidateCollection",
@@ -83,7 +83,6 @@ def select_graph(
     collection: CandidateCollection,
     sigma_hat: CovarianceMatrix,
     gamma: float,
-    opts: FitOptions = FitOptions(),
 ) -> SelectionResult:
     """Fit every candidate and return the minimum-score graph.
 
@@ -94,7 +93,9 @@ def select_graph(
     whose closed form fails its check, take the Newton path one by one on
     their slot of the same plan. Each candidate's fit is bit for bit
     fit_graph_mle's, and its fitted precision keeps the Cholesky factor
-    its fit computed.
+    its fit computed. A fit takes no setting: it stops on its duality gap,
+    as fit_graph_mle's does, and unconverged lists each candidate whose
+    gap was not certified.
     Results are in index order, so repeated calls with identical inputs
     produce identical results.
 
@@ -107,7 +108,7 @@ def select_graph(
     scaled into the ball. Nothing else raises, also on a singular
     sigma_hat: a candidate whose closed form fails takes Newton alone.
     """
-    fits = tuple(_fit_graphs(sigma_hat, collection.graphs, gamma, opts))
+    fits = tuple(_fit_graphs(sigma_hat, collection.graphs, gamma))
     scores = tuple(fit.objective for fit in fits)
     best = min(range(len(scores)), key=scores.__getitem__)
     unconverged = tuple(idx for idx, fit in enumerate(fits) if not fit.converged)

@@ -28,7 +28,7 @@ import dataclasses
 import io
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
@@ -64,7 +64,7 @@ from .errors import (
     NoMissingEdge,
     NotPositiveDefinite,
 )
-from .projection import FitOptions, _sever, project_remove_star
+from .projection import _sever, project_remove_star
 from .selection import CandidateCollection, select_graph
 from .serialization import dumps, number_from_doc
 
@@ -182,13 +182,20 @@ def sample_covariance(theta: PrecisionMatrix, n: int, seed: int) -> CovarianceMa
     r[np.diag_indices(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
     # solve L^T v = R^T, as sample solves L^T x = z, so that V V^T = n * estimate
     v = _trtrs(theta._factor.T, r.T, lower=False, overwrite_b=True)
-    return CovarianceMatrix._validated(v @ v.T / n)
+    # an overflowing product is rejected as non-finite by _validated
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = v @ v.T / n
+    return CovarianceMatrix._validated(estimate)
 
 
 def empirical_covariance(x: SampleMatrix) -> CovarianceMatrix:
     """Known-zero-mean estimate (1/n) * sum of outer products, no mean
-    subtraction. PSD always; singular whenever n < p."""
-    return CovarianceMatrix._validated(x.rows.T @ x.rows / x.n)
+    subtraction. PSD always; singular whenever n < p. ValueError if it
+    overflows."""
+    # an overflowing product is rejected as non-finite by _validated
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = x.rows.T @ x.rows / x.n
+    return CovarianceMatrix._validated(estimate)
 
 
 def corrected_covariance(sigma_hat: CovarianceMatrix, true_diag: Iterable[float]) -> CovarianceMatrix:
@@ -348,15 +355,6 @@ def _omega_inf_entries(p: int, alpha: float, h: float, rng: np.random.Generator,
     return arr
 
 
-def _known_keys(what: str, doc: Mapping, cls: type) -> dict:
-    """doc as keyword arguments of the dataclass cls; ValueError names any
-    key that is not one of its fields."""
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return dict(doc)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared configuration for the randomized experiment drivers.
@@ -365,9 +363,11 @@ class ExperimentConfig:
     (single) model order for the selection sweep; sample_sizes is the
     n-grid for selection. Unused fields are ignored by a given driver.
     base_seed, trials and the grids take integers (numpy integers too, never
-    bools or floats), the flags bools, the reals ints or floats, fit a
-    FitOptions. Construction is the one check of every field, its type and
-    its range: InvalidParameters names the field that fails.
+    bools or floats), the flags bools, the reals ints or floats.
+    Construction is the one check of every field, its type and its range:
+    InvalidParameters names the field that fails. The fits take no setting
+    (fit_graph_mle), and the lower-bound driver's perturbation step is the
+    constant _PERTURBATION_SCALE.
     """
 
     base_seed: int = 0
@@ -377,10 +377,8 @@ class ExperimentConfig:
     gamma: float = 10.0
     use_true_diagonal: bool = False
     include_population: bool = True
-    perturbation_scale: float = 0.25
     chain_diagonal: float = 2.0
     chain_coupling: float = 1.0
-    fit: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self) -> None:
         _checked_size("base_seed", self.base_seed, 0)
@@ -397,32 +395,25 @@ class ExperimentConfig:
         for name in ("use_true_diagonal", "include_population"):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidParameters(f"{name} must be a bool, got {getattr(self, name)!r}")
-        for name in ("gamma", "perturbation_scale", "chain_diagonal", "chain_coupling"):
+        for name in ("gamma", "chain_diagonal", "chain_coupling"):
             if not _is_real(getattr(self, name)):
                 raise InvalidParameters(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not self.gamma > 0:
             raise InvalidParameters(f"gamma must be positive, got {self.gamma!r}")
-        if not 0 <= self.perturbation_scale < math.inf:
-            raise InvalidParameters(f"perturbation_scale must be finite and >= 0, got {self.perturbation_scale!r}")
-        if not isinstance(self.fit, FitOptions):
-            raise InvalidParameters(f"fit takes a FitOptions only, got {type(self.fit).__name__}")
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
         """Parse a JSON config document (dumps' strings for non-finite
-        floats read back). ValueError names an unknown key, in the config or
-        its fit object, and a fit that is not an object; construction checks
-        every value, so InvalidParameters names a bad type or range."""
-        kwargs = {key: number_from_doc(value) for key, value in _known_keys("config", doc, cls).items()}
-        if "fit" in kwargs:
-            if not isinstance(kwargs["fit"], Mapping):
-                raise ValueError("fit must be an object of fit options")
-            kwargs["fit"] = FitOptions(**_known_keys("fit", kwargs["fit"], FitOptions))
-        return cls(**kwargs)
+        floats read back). ValueError names an unknown key; construction
+        checks every value, so InvalidParameters names a bad type or range."""
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**{key: number_from_doc(value) for key, value in doc.items()})
 
     def to_dict(self) -> dict:
         # dataclasses.asdict's dict, without its recursive deep copy
-        return {**vars(self), "fit": dict(vars(self.fit))}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,7 +540,10 @@ _LOWER_BOUND_METHODS = (
 
 _EXTREMAL_SIGNAL_RATIOS = (0.9, 0.99, 0.999)
 
-# step halvings a perturbed candidate gets before the plain projection is kept
+# a perturbed candidate's first step, as a multiple of its projection's
+# mean absolute entry, and the halvings it gets before the plain
+# projection is kept
+_PERTURBATION_SCALE = 0.25
 _PERTURBATION_HALVINGS = 60
 
 
@@ -605,7 +599,7 @@ def _perturbed_candidates(base: np.ndarray, noise: np.ndarray, scale: float) -> 
     return np.concatenate(passed), np.concatenate(candidates), np.array(factors).reshape(-1, *base.shape[1:])
 
 
-def _lower_bound_trials(cfg: ExperimentConfig, p: int, seeds: list[int]) -> list[dict]:
+def _lower_bound_trials(p: int, seeds: list[int]) -> list[dict]:
     """The record fields of every lower-bound trial at one p, as one stack.
 
     Trial t draws from its own generator, seeded by seeds[t], in this
@@ -644,7 +638,7 @@ def _lower_bound_trials(cfg: ExperimentConfig, p: int, seeds: list[int]) -> list
         noise = 0.5 * (noise + noise.swapaxes(-1, -2))
         index = np.arange(perturbed.size)
         noise[index, v[perturbed], u[perturbed]] = noise[index, u[perturbed], v[perturbed]] = 0.0
-        done, candidates, factors = _perturbed_candidates(theta[perturbed], noise, cfg.perturbation_scale)
+        done, candidates, factors = _perturbed_candidates(theta[perturbed], noise, _PERTURBATION_SCALE)
         theta, lower = theta.copy(), lower.copy()
         theta[perturbed[done]], lower[perturbed[done]] = candidates, factors
 
@@ -722,8 +716,7 @@ def run_lower_bound_experiment(cfg: ExperimentConfig, progress: _Progress = None
     true edge.
     """
     return _run_grid(
-        "lower-bound", cfg, "p", cfg.dimensions,
-        lambda p, seeds: _lower_bound_trials(cfg, p, seeds),
+        "lower-bound", cfg, "p", cfg.dimensions, _lower_bound_trials,
         _lower_bound_aggregate, _lower_bound_extras, progress,
         lambda rows: f"{len(rows)} trials",
     )
@@ -783,7 +776,7 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
         sigma_hat = sample_covariance(theta_star, n, seed)
         if cfg.use_true_diagonal:
             sigma_hat = corrected_covariance(sigma_hat, np.diag(sigma_star.matrix))
-        result = select_graph(collection, sigma_hat, cfg.gamma, cfg.fit)
+        result = select_graph(collection, sigma_hat, cfg.gamma)
         unconverged += len(result.unconverged)
         return {
             "selected_index": result.selected_index,
@@ -807,7 +800,7 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
         nonlocal unconverged
         doc: dict = {"separation_constant": c_theta_star(theta_star)}
         if cfg.include_population:
-            population = select_graph(collection, sigma_star, cfg.gamma, cfg.fit)
+            population = select_graph(collection, sigma_star, cfg.gamma)
             unconverged += len(population.unconverged)
             gaps = [s - population.scores[0] for s in population.scores[1:]]
             doc["population"] = {

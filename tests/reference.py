@@ -99,7 +99,8 @@ def lower_bound_trial_by_trial(cfg):
     """run_lower_bound_experiment as it ran before the trials of one p were
     stacked: each trial alone, through the public one-matrix API. A
     perturbed trial keeps its first candidate that PrecisionMatrix accepts,
-    which already misses the removed edge, without projecting it again.
+    which already misses the removed edge, without projecting it again; its
+    first step is scaled by simulation._PERTURBATION_SCALE, read per call.
     Returns the report, built by the library's grid skeleton, aggregate and
     extras, and the number of times a perturbed candidate failed to factor
     and halved its step."""
@@ -149,7 +150,7 @@ def lower_bound_trial_by_trial(cfg):
         else:
             removed = edges[int(rng.integers(len(edges)))]
         if method == "perturbed_reprojection":
-            theta = perturbed_missing_edge(theta_star, removed, rng, cfg.perturbation_scale)
+            theta = perturbed_missing_edge(theta_star, removed, rng, simulation._PERTURBATION_SCALE)
         else:
             theta = project_remove_edge(theta_star, removed)
         report = verify_separation(theta_star, theta)

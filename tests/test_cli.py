@@ -168,27 +168,29 @@ class TestFitAndSelect:
         fitted = np.array(doc["theta_hat"]["entries"]).reshape(4, 4)
         assert np.max(np.abs(fitted - theta.matrix)) < 1e-5
 
+    @staticmethod
+    def _one_draw_sigma_path(tmp_path):
+        # one draw at p=3: on K3 at gamma = inf the likelihood has no
+        # maximizer, so the fit stalls with no bound on its gap
+        sigma = empirical_covariance(sample(chain_precision(3), 1, 3))
+        return write_json(tmp_path / "sigma.json", matrix_doc(sigma))
+
     def test_fit_not_converged_exits_4_but_writes(self, tmp_path, capsys):
-        theta = random_sparse_precision(5, np.random.default_rng(3))
-        sigma_path = write_json(tmp_path / "sigma.json", matrix_doc(invert(theta)))
-        # the 5-cycle is not chordal, so the fit iterates and one step cannot converge
-        cycle = EdgeSet(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        graph_path = write_json(tmp_path / "graph.json", edge_set_doc(cycle))
+        sigma_path = self._one_draw_sigma_path(tmp_path)
+        graph_path = write_json(tmp_path / "graph.json", edge_set_doc(EdgeSet.complete(3)))
         out_path = tmp_path / "fit.json"
-        code, _, _ = run(capsys, "fit", sigma_path, graph_path,
-                         "--gamma", "inf", "--max-iterations", "1", "--out", out_path)
+        code, _, _ = run(capsys, "fit", sigma_path, graph_path, "--gamma", "inf", "--out", out_path)
         assert code == 4
-        assert json.loads(out_path.read_text())["converged"] is False
+        doc = json.loads(out_path.read_text())
+        assert doc["converged"] is False and doc["termination"] == "stalled"
+        assert doc["duality_gap"] == "Infinity"
 
     def test_select_with_unconverged_candidate_exits_4_but_writes(self, tmp_path, capsys):
-        theta = random_sparse_precision(5, np.random.default_rng(3))
-        sigma_path = write_json(tmp_path / "sigma.json", matrix_doc(invert(theta)))
-        cycle = EdgeSet(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        candidates = [cycle, EdgeSet(5)]
+        sigma_path = self._one_draw_sigma_path(tmp_path)
+        candidates = [EdgeSet.complete(3), EdgeSet(3)]
         cand_path = write_json(tmp_path / "candidates.json", [edge_set_doc(g) for g in candidates])
         out_path = tmp_path / "select.json"
-        code, _, _ = run(capsys, "select", sigma_path, cand_path,
-                         "--gamma", "inf", "--max-iterations", "1", "--out", out_path)
+        code, _, _ = run(capsys, "select", sigma_path, cand_path, "--gamma", "inf", "--out", out_path)
         assert code == 4
         assert json.loads(out_path.read_text())["unconverged"] == [0]
 
@@ -203,14 +205,17 @@ class TestFitAndSelect:
         assert "DimensionMismatch" in err and "orders differ" in err
 
     @pytest.mark.parametrize("command", ["fit", "select"])
-    def test_fit_flag_out_of_range_exits_2_naming_it(self, tmp_path, capsys, command):
+    def test_max_iterations_is_an_unknown_flag(self, tmp_path, capsys, command):
+        # the iteration cap is a constant that no fit comes near
         sigma_path = write_json(tmp_path / "sigma.json", {"p": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
         graph = {"p": 2, "edges": []}
         graph_path = write_json(tmp_path / "graph.json", graph if command == "fit" else [graph])
-        code, out, err = run(capsys, command, sigma_path, graph_path, "--gamma", "inf", "--max-iterations", "0")
-        assert code == 2
-        assert out == ""
-        assert "max_iterations" in err
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(sigma_path), str(graph_path), "--gamma", "inf", "--max-iterations", "5000"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-iterations 5000" in captured.err
 
     @pytest.mark.parametrize("command", ["fit", "select"])
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "1e-8"])
@@ -325,8 +330,7 @@ class TestExperiment:
     def test_selection_files(self, tmp_path, capsys):
         config = write_json(
             tmp_path / "config.json",
-            {"trials": 3, "dimensions": [4], "sample_sizes": [60], "gamma": 8.0,
-             "fit": {"max_iterations": 5000}},
+            {"trials": 3, "dimensions": [4], "sample_sizes": [60], "gamma": 8.0},
         )
         out_dir = tmp_path / "results"
         code, _, _ = run(capsys, "experiment", "selection", config, "--out", out_dir, "--quiet")
@@ -337,12 +341,8 @@ class TestExperiment:
         assert report["extras"]["population"]["success"] is True
 
     @pytest.mark.parametrize("doc, named", [
-        ({"fit": {"bogus": 1}}, "bogus"),
-        ({"fit": {"armijo_constant": 1e-4}}, "armijo_constant"),
         ({"gamma": "inf"}, "gamma"),
         ({"trials": 2.5}, "trials"),
-        ({"fit": {"max_iterations": 2.0}}, "max_iterations"),
-        ({"fit": {"max_iterations": True}}, "max_iterations"),
     ])
     def test_invalid_selection_config_exits_2_naming_the_key(self, tmp_path, capsys, doc, named):
         config = write_json(tmp_path / "config.json", doc)
@@ -387,13 +387,20 @@ class TestExperiment:
         assert code == 2
 
     @pytest.mark.parametrize("kind", ["selection", "lower-bound"])
-    @pytest.mark.parametrize("value", [1e-8, math.inf, math.nan])
-    def test_gradient_tolerance_is_an_unknown_fit_key(self, tmp_path, capsys, kind, value):
-        config = write_json(tmp_path / "config.json", {"fit": {"gradient_tolerance": value}})
+    @pytest.mark.parametrize("doc", [
+        {"fit": {"max_iterations": 5000}},
+        {"fit": {"gradient_tolerance": 1e-8}},
+        {"fit": {}},
+        {"perturbation_scale": 0.25},
+        {"perturbation_scale": -1},
+    ], ids=["fit", "fit-gradient-tolerance", "fit-empty", "perturbation-scale", "perturbation-scale-negative"])
+    def test_removed_settings_are_unknown_config_keys(self, tmp_path, capsys, kind, doc):
+        # the fits and the perturbation step take no setting
+        config = write_json(tmp_path / "config.json", doc)
         code, out, err = run(capsys, "experiment", kind, config, "--out", tmp_path / "o", "--quiet")
         assert code == 2
         assert out == ""
-        assert "unknown fit keys: ['gradient_tolerance']" in err
+        assert f"unknown config keys: {sorted(doc)}" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind, doc, named", [
@@ -402,8 +409,6 @@ class TestExperiment:
         ("lower-bound", {"dimensions": []}, "dimensions"),
         ("selection", {"sample_sizes": [0]}, "sample_sizes"),
         ("selection", {"gamma": 0}, "gamma"),
-        ("lower-bound", {"perturbation_scale": -1}, "perturbation_scale"),
-        ("selection", {"fit": {"max_iterations": 0}}, "max_iterations"),
         ("counterexample", {"d_values": [0]}, "d_values"),
         ("counterexample", {"d_values": []}, "d_values"),
         ("selection", {"gamma": 1.0, "dimensions": [4]}, "gamma"),
@@ -411,8 +416,6 @@ class TestExperiment:
         ("selection", {"chain_coupling": 0, "dimensions": [4]}, "chain_coupling"),
         ("selection", {"chain_coupling": -1e-12, "dimensions": [4]}, "chain_coupling"),
         ("selection", {"chain_diagonal": math.nan}, "chain_diagonal"),
-        ("lower-bound", {"trials": 4, "dimensions": [4], "perturbation_scale": math.nan}, "perturbation_scale"),
-        ("lower-bound", {"trials": 4, "dimensions": [4], "perturbation_scale": math.inf}, "perturbation_scale"),
     ])
     def test_out_of_range_config_value_exits_2_naming_the_key(self, tmp_path, capsys, kind, doc, named):
         config = write_json(tmp_path / "config.json", doc)

@@ -37,7 +37,7 @@ from ggmsep import (
     sample,
 )
 from ggmsep import core
-from ggmsep.core import _check_adoptable, _log_det, _potrf, _potrs, _symmetrize_in_place, _trtrs
+from ggmsep.core import _check_adoptable, _frozen_symmetric, _log_det, _potrf, _potrs, _trtrs
 from reference import in_omega_inf, schur_complement
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,11 +45,10 @@ COUNTEREXAMPLE_D2 = [[2.0, 1.0, -1.0], [1.0, 2.0, -1.0], [-1.0, -1.0, 1.0]]
 
 
 def symmetrized_in_place(entries):
-    """The check that both constructors and the projections share, applied
-    to a buffer the caller owns."""
-    arr = np.array(entries, dtype=float)
-    out = _symmetrize_in_place(arr, "matrix")
-    assert out is arr and not arr.flags.writeable
+    """The check that both constructors share, applied to entries alone:
+    _frozen_symmetric symmetrizes its own copy in place and freezes it."""
+    out = _frozen_symmetric(entries, "matrix")
+    assert not out.flags.writeable
     return SimpleNamespace(matrix=out, p=out.shape[0])
 
 
@@ -97,6 +96,24 @@ class TestMatrixTypes:
         assert np.array_equal(m.matrix, entries)
         # kept, but below the edge rule's 1e-12
         assert edge_set_of(m) == EdgeSet(2)
+
+    @pytest.mark.parametrize("cls", [CovarianceMatrix, PrecisionMatrix, symmetrized_in_place])
+    def test_huge_entries_are_held_to_the_relative_asymmetry_rule(self, cls):
+        # halved before the check and the gap doubled back: an asymmetry of
+        # 1.5e-8 of the largest entry is rejected, one of 0.5e-8 averaged away
+        big = 1.5e308
+        with pytest.raises(ValueError, match=r"not symmetric: max \|M - M\^T\| = 2\.25e\+300"):
+            cls([[big, 1e300], [1e300 + 1.5e-8 * big, big]])
+        m = cls([[big, 1e300], [1e300 + 0.5e-8 * big, big]])
+        assert m.matrix[0, 1] == m.matrix[1, 0] == 0.5 * 1e300 + 0.5 * (1e300 + 0.5e-8 * big)
+
+    @pytest.mark.parametrize("cls", [CovarianceMatrix, symmetrized_in_place])
+    def test_tiny_entries_are_held_to_an_absolute_asymmetry_of_1e_8(self, cls):
+        # the rule is relative to the larger of 1 and the largest entry
+        m = cls([[1e-300, 1e-9], [0.0, 1e-300]])
+        assert m.matrix[0, 1] == m.matrix[1, 0] == 5e-10
+        with pytest.raises(ValueError, match="not symmetric"):
+            cls([[1e-3, 2e-8], [0.0, 1e-3]])
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8))

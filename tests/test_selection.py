@@ -15,7 +15,6 @@ from ggmsep import (
     CovarianceMatrix,
     DimensionMismatch,
     EdgeSet,
-    FitOptions,
     InfeasibleStart,
     InvalidParameters,
     c_theta_star,
@@ -136,10 +135,10 @@ class TestSelectGraph:
         good = EdgeSet(4, [(2, 3)])
         real_fits = selection_module._fit_graphs
 
-        def stalling_fits(sigma_hat, graphs, gamma, opts=FitOptions()):
+        def stalling_fits(sigma_hat, graphs, gamma):
             return [
                 dataclasses.replace(r, converged=False, termination="stalled") if g == stalled else r
-                for g, r in zip(graphs, real_fits(sigma_hat, graphs, gamma, opts))
+                for g, r in zip(graphs, real_fits(sigma_hat, graphs, gamma))
             ]
 
         monkeypatch.setattr(selection_module, "_fit_graphs", stalling_fits)
@@ -227,20 +226,19 @@ class TestBatchedSelection:
         square = EdgeSet(p, [(0, 1), (1, 2), (2, 3), (0, 3)]) if p >= 4 else EdgeSet(p, [(0, 1), (1, 2)])
         pool = [chain, square, EdgeSet.complete(p), EdgeSet(p), edge_set_of(truth), chain.without((0, 1))]
         collection = CandidateCollection([pool[k] for k in picks])
-        opts = FitOptions(max_iterations=60)
         fits, raised = [], 0
         for graph in collection:
             try:
-                fits.append(fit_graph_mle(sigma, graph, gamma, opts))
+                fits.append(fit_graph_mle(sigma, graph, gamma))
             except InfeasibleStart:
                 raised += 1
         # the start depends on no graph: every fit raises or none does
         assert raised == (0 if start == "kept" else len(collection))
         if raised:
             with pytest.raises(InfeasibleStart):
-                select_graph(collection, sigma, gamma, opts)
+                select_graph(collection, sigma, gamma)
             return
-        _assert_same_as_single_fits(select_graph(collection, sigma, gamma, opts), fits)
+        _assert_same_as_single_fits(select_graph(collection, sigma, gamma), fits)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -264,9 +262,8 @@ class TestBatchedSelection:
         truth = random_sparse_precision(p, np.random.default_rng(seed))
         sigma = empirical_covariance(sample(truth, n, seed))
         gamma = shrink * float(np.linalg.norm(truth.matrix))
-        opts = FitOptions(max_iterations=60)
-        result = select_graph(collection, sigma, gamma, opts)
-        _assert_same_as_single_fits(result, [fit_graph_mle(sigma, graph, gamma, opts) for graph in collection])
+        result = select_graph(collection, sigma, gamma)
+        _assert_same_as_single_fits(result, [fit_graph_mle(sigma, graph, gamma) for graph in collection])
 
     def test_a_singular_conditioning_block_sends_only_its_candidate_to_newton(self):
         # vertices 0 and 1 are perfectly correlated: the triangle regresses 2

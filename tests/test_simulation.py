@@ -19,7 +19,6 @@ from ggmsep import (
     CandidateCollection,
     CovarianceMatrix,
     ExperimentConfig,
-    FitOptions,
     InvalidDiagonal,
     InvalidParameters,
     PrecisionMatrix,
@@ -32,6 +31,8 @@ from ggmsep import (
     empirical_covariance,
     fit_graph_mle,
     invert,
+    kl_gaussian,
+    nll_gradient,
     omega_inf_lower_bound,
     one_edge_lower_bound,
     project_remove_edge,
@@ -236,16 +237,28 @@ class TestAdoptedMatrices:
         for built in covariances:
             assert_adopted(built, CovarianceMatrix)
 
-    @pytest.mark.parametrize("build", [
-        lambda theta: sample_covariance(theta, 1000, 1),
-        lambda theta: empirical_covariance(sample(theta, 1000, 1)),
-        invert,
-    ], ids=["sample_covariance", "empirical_covariance", "invert"])
-    def test_an_overflowing_result_is_still_rejected(self, build):
-        # the covariance of a precision with 1e-310 on its diagonal is ~1e310
+    @pytest.mark.parametrize("build, what", [
+        (lambda theta: sample_covariance(theta, 1000, 1), "covariance"),
+        (lambda theta: empirical_covariance(sample(theta, 1000, 1)), "covariance"),
+        (invert, "covariance"),
+        (lambda theta: invert(CovarianceMatrix(theta.matrix)), "precision"),
+    ], ids=["sample_covariance", "empirical_covariance", "invert", "invert_covariance"])
+    def test_an_overflowing_result_is_still_rejected(self, build, what):
+        # the inverse of a matrix with 1e-310 on its diagonal is ~1e310; the
+        # suite turns warnings into errors, so the overflow must not warn
         theta = PrecisionMatrix(1e-310 * np.eye(3))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="covariance matrix has non-finite"):
+        with pytest.raises(ValueError, match=f"{what} matrix has non-finite"):
             build(theta)
+
+    @pytest.mark.parametrize("use", [
+        lambda theta: kl_gaussian(theta, PrecisionMatrix(np.eye(3))),
+        lambda theta: nll_gradient(theta, CovarianceMatrix(np.eye(3))),
+    ], ids=["kl_gaussian", "nll_gradient"])
+    def test_an_overflowing_covariance_still_warns_where_nothing_rejects_it(self, use):
+        # only a builder whose finiteness check follows the product at once
+        # silences its overflow
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            use(PrecisionMatrix(1e-310 * np.eye(3)))
 
 
 class TestCounterexamplePrecision:
@@ -404,7 +417,6 @@ class TestExperimentConfig:
         {"use_true_diagonal": "yes"},
         {"include_population": 1},
         {"gamma": "x"},
-        {"perturbation_scale": "0.25"},
         {"chain_diagonal": True},
         {"chain_coupling": None},
         {"base_seed": 1.5},
@@ -417,9 +429,9 @@ class TestExperimentConfig:
     def test_flags_take_bools_and_reals_take_numbers(self, bad):
         # every field of the wrong type, in the constructor, the JSON parser
         # and the config entry point alike: construction is the one check,
-        # and its message names the field. Of the first six, direct
-        # construction accepted all but gamma and perturbation_scale, which
-        # raised TypeError; from_dict raised ValueError for every case
+        # and its message names the field. Of the first five, direct
+        # construction once accepted all but gamma, which raised TypeError;
+        # from_dict raised ValueError for every case
         (name,) = bad
         with pytest.raises(InvalidParameters, match=name):
             ExperimentConfig(**bad)
@@ -428,15 +440,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"invalid lower-bound config value: {name}"):
             run_experiment("lower-bound", bad)
 
-    @pytest.mark.parametrize("fit", [{"max_iterations": 5}, None, FitOptions])
-    def test_fit_takes_fit_options_only(self, fit):
-        # a dict constructed and then failed mid-run with AttributeError
-        with pytest.raises(InvalidParameters, match="fit takes a FitOptions"):
-            ExperimentConfig(fit=fit)
+    @pytest.mark.parametrize("key, value", [("fit", {"max_iterations": 5000}), ("perturbation_scale", 0.25)])
+    def test_removed_settings_are_not_fields(self, key, value):
+        # the fits and the perturbation step take no setting
+        with pytest.raises(TypeError, match=key):
+            ExperimentConfig(**{key: value})
+
+    def test_the_report_echoes_every_field_and_nothing_else(self):
+        names = [field.name for field in dataclasses.fields(ExperimentConfig)]
+        assert names == [
+            "base_seed", "trials", "dimensions", "sample_sizes", "gamma",
+            "use_true_diagonal", "include_population", "chain_diagonal", "chain_coupling",
+        ]
+        assert list(run_lower_bound_experiment(ExperimentConfig(trials=4, dimensions=(3,))).config) == names
 
     def test_reals_accept_integers_and_numpy_floats(self):
-        cfg = ExperimentConfig(gamma=10, perturbation_scale=np.float64(0.5), chain_diagonal=3, chain_coupling=-1)
-        assert cfg.gamma == 10 and cfg.perturbation_scale == 0.5
+        cfg = ExperimentConfig(gamma=10, chain_diagonal=np.float64(3.5), chain_coupling=-1)
+        assert cfg.gamma == 10 and cfg.chain_diagonal == 3.5
         assert ExperimentConfig(gamma=math.inf).gamma == math.inf
 
     @settings(max_examples=50, deadline=None)
@@ -445,18 +465,16 @@ class TestExperimentConfig:
         dimensions=st.lists(st.integers(2, 50), min_size=1, max_size=4),
         sample_sizes=st.lists(st.integers(1, 10**5), min_size=1, max_size=4).map(np.array),
         gamma=st.floats(1e-3, math.inf), use_true_diagonal=st.booleans(),
-        max_iterations=st.integers(1, 10**4),
     )
-    def test_to_dict_is_dataclasses_asdict(self, dimensions, max_iterations, **kwargs):
-        fit = FitOptions(max_iterations=max_iterations)
-        cfg = ExperimentConfig(dimensions=dimensions, fit=fit, **kwargs)
+    def test_to_dict_is_dataclasses_asdict(self, dimensions, trials, **kwargs):
+        cfg = ExperimentConfig(dimensions=dimensions, trials=trials, **kwargs)
         doc = cfg.to_dict()
         assert doc == dataclasses.asdict(cfg)
         assert list(doc) == list(dataclasses.asdict(cfg))
         assert type(doc["dimensions"]) is tuple and type(doc["sample_sizes"]) is tuple
-        # a fresh dict at both levels: editing the echo leaves the config alone
-        doc["fit"]["max_iterations"] = -1
-        assert cfg.fit.max_iterations == max_iterations and cfg.to_dict()["fit"] is not doc["fit"]
+        # a fresh dict: editing the echo leaves the config alone
+        doc["trials"] = -1
+        assert cfg.trials == trials
 
     def test_from_dict_roundtrip(self):
         cfg = ExperimentConfig(base_seed=7, trials=3, dimensions=(4,), sample_sizes=(50, 100))
@@ -466,14 +484,10 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"trails": 5})
-        with pytest.raises(ValueError, match="unknown fit keys"):
-            ExperimentConfig.from_dict({"fit": {"bogus": 1}})
-        with pytest.raises(ValueError, match="fit must be an object"):
-            ExperimentConfig.from_dict({"fit": 5})
-
-    def test_from_dict_parses_nested_fit(self):
-        cfg = ExperimentConfig.from_dict({"fit": {"max_iterations": 99}})
-        assert cfg.fit == FitOptions(max_iterations=99)
+        # the fits and the perturbation step take no setting
+        for key, value in (("fit", {"max_iterations": 99}), ("perturbation_scale", 0.25)):
+            with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+                ExperimentConfig.from_dict({key: value})
 
 
 class TestCounterexampleExperiment:
@@ -588,8 +602,9 @@ class TestLowerBoundExperiment:
         (tuple(range(3, 11)), 13, 20.0),  # candidates that fail to factor and halve their step
         ((3, 6), 9, 1e20),                # candidates that never factor: the projection is kept
     ])
-    def test_stacked_trials_keep_the_bits_of_one_trial_at_a_time(self, dimensions, trials, scale):
-        cfg = ExperimentConfig(base_seed=4242, trials=trials, dimensions=dimensions, perturbation_scale=scale)
+    def test_stacked_trials_keep_the_bits_of_one_trial_at_a_time(self, dimensions, trials, scale, monkeypatch):
+        monkeypatch.setattr(simulation, "_PERTURBATION_SCALE", scale)
+        cfg = ExperimentConfig(base_seed=4242, trials=trials, dimensions=dimensions)
         expected, halvings = lower_bound_trial_by_trial(cfg)
         report = run_lower_bound_experiment(cfg)
         assert report.to_json().encode() == expected.to_json().encode()
@@ -601,7 +616,8 @@ class TestLowerBoundExperiment:
             assert (halvings > 0) == (scale > 1.0)
 
     def test_each_perturbed_candidate_is_factored_once_and_never_projected(self, monkeypatch):
-        cfg = ExperimentConfig(base_seed=4242, trials=13, dimensions=(3, 6), perturbation_scale=20.0)
+        monkeypatch.setattr(simulation, "_PERTURBATION_SCALE", 20.0)
+        cfg = ExperimentConfig(base_seed=4242, trials=13, dimensions=(3, 6))
         _, halvings = lower_bound_trial_by_trial(cfg)
         calls = {"_potrf": 0, "_sever": 0}
         for name in calls:
@@ -645,7 +661,6 @@ class TestSelectionExperiment:
             dimensions=(4,),
             sample_sizes=(60, 240),
             gamma=8.0,
-            fit=FitOptions(max_iterations=2000),
         )
         settings.update(overrides)
         return ExperimentConfig(**settings)
@@ -664,10 +679,10 @@ class TestSelectionExperiment:
     def test_unconverged_fits_are_counted(self, monkeypatch):
         real_fits = selection_module._fit_graphs
 
-        def stalling_fits(sigma_hat, graphs, gamma, opts=FitOptions()):
+        def stalling_fits(sigma_hat, graphs, gamma):
             return [
                 dataclasses.replace(r, converged=False, termination="stalled") if len(g) == 0 else r
-                for g, r in zip(graphs, real_fits(sigma_hat, graphs, gamma, opts))
+                for g, r in zip(graphs, real_fits(sigma_hat, graphs, gamma))
             ]
 
         # the p=2 chain has one rival, the empty graph, and only its fits stall
@@ -717,7 +732,7 @@ class TestSelectionExperiment:
         report = run_selection_experiment(cfg)
         assert len(report.records) == 8
         for record in report.records:
-            result = select_graph(collection, sample_covariance(truth, record["n"], record["seed"]), cfg.gamma, cfg.fit)
+            result = select_graph(collection, sample_covariance(truth, record["n"], record["seed"]), cfg.gamma)
             assert result.selected_index == record["selected_index"]
             assert (min(result.scores[1:]) - result.scores[0]).hex() == record["score_margin"].hex()
 
