@@ -18,7 +18,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Submodule -> the public names it defines.
+# Submodule -> the public names it defines: its __all__, to which simulation
+# adds run_experiment and EXPERIMENT_KINDS (the CLI imports them from there).
 _EXPORTS = {
     "core": (
         "CovarianceMatrix",

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -44,15 +45,7 @@ from .errors import (
     SameVertex,
 )
 
-__all__ = [
-    "PrecisionMatrix",
-    "CovarianceMatrix",
-    "SpdFactorization",
-    "EdgeSet",
-    "factorize",
-    "invert",
-    "edge_set_of",
-]
+__all__ = list(_EXPORTS["core"])
 
 # Largest relative asymmetry accepted at construction; anything below is
 # averaged away so the stored entries are bit-for-bit symmetric.
@@ -270,7 +263,7 @@ class PrecisionMatrix:
 
     It also has one slot for its covariance inv(matrix), empty until a KL
     from this precision, nll_gradient at it or invert of it first asks for
-    it, then filled once by _spd_inverse and kept, read-only: p^2 more
+    it, then filled by _spd_inverse, if finite, and kept, read-only: p^2 more
     floats (320 KB at p=200) for as long as the precision lives. Two
     threads that ask at once may both compute it; they keep the same bits.
 
@@ -312,11 +305,14 @@ class PrecisionMatrix:
 
     @property
     def _sigma(self) -> np.ndarray:
-        """inv(matrix), read-only: _spd_inverse of the kept factor, computed
-        on first use and kept."""
-        if self._covariance is None:
-            self._covariance = _spd_inverse(self._factor)
-        return self._covariance
+        """inv(matrix), read-only: _spd_inverse of the kept factor, kept once
+        computed if finite (an overflowing one warns again on each use)."""
+        covariance = self._covariance
+        if covariance is None:
+            covariance = _spd_inverse(self._factor)
+            if np.isfinite(covariance).all():
+                self._covariance = covariance
+        return covariance
 
     @property
     def p(self) -> int:

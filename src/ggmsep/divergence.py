@@ -7,6 +7,8 @@ The KL trace is sum((theta2 - theta1) * inv(theta1)) with that covariance
 (core's _spd_inverse, O(p^3) once per first argument, then O(p^2) per
 KL); the block CMI's triangular solve calls LAPACK's dtrtrs through core's
 boundary (_trtrs), and log-determinants come from core's _log_det.
+c_theta_star is the least of the edgewise _separation_ratios, and the
+lower-bound driver deletes the first edge that attains it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     PrecisionMatrix,
     _cholesky_lower,
@@ -36,16 +39,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-__all__ = [
-    "BoundReport",
-    "kl_gaussian",
-    "conditional_mutual_info",
-    "block_conditional_mutual_info",
-    "c_theta_star",
-    "one_edge_lower_bound",
-    "omega_inf_lower_bound",
-    "verify_separation",
-]
+__all__ = list(_EXPORTS["divergence"])
 
 
 @dataclass(frozen=True)
@@ -113,11 +107,8 @@ def conditional_mutual_info(theta: PrecisionMatrix, i: int, j: int) -> float:
     evaluated as -0.5 * log1p(-t_ij^2 / (t_ii t_jj)) so a zero coupling
     gives exactly 0.
     """
-    return _pair_information(theta.matrix, *_vertex_pair(theta.p, i, j))
-
-
-def _pair_information(arr: np.ndarray, i: int, j: int) -> float:
-    # conditional_mutual_info on the entries of a precision, unchecked
+    i, j = _vertex_pair(theta.p, i, j)
+    arr = theta.matrix
     a = arr[i, i] * arr[j, j]
     b = arr[i, j] ** 2
     if b >= a:
@@ -158,16 +149,18 @@ def c_theta_star(theta: PrecisionMatrix) -> float:
     mask = _edge_mask(theta.matrix)
     if not np.any(mask):
         raise NoEdges("matrix has no off-diagonal support")
-    return float(_separation_constants(theta.matrix[None], mask[None])[0])
+    return float(_separation_ratios(theta.matrix[None], mask[None]).min())
 
 
-def _separation_constants(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """c_theta_star of each matrix of a (k, p, p) stack over the edges that
-    the (k, pairs) mask marks among _upper_pairs(p), at least one each."""
+def _separation_ratios(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """The (k, pairs) ratios t_ii t_jj / (t_ii t_jj - t_ij^2) of a (k, p, p)
+    stack over _upper_pairs(p), inf off the edges that the (k, pairs) mask
+    marks: a row's minimum is its c_theta_star, and the first pair that
+    attains it is the edge whose deletion meets the one-edge bound."""
     rows, cols = _upper_pairs(arr.shape[-1])
     diag = np.diagonal(arr, axis1=-2, axis2=-1)
     a = diag[:, rows] * diag[:, cols]
-    return np.min(np.where(edge, a / (a - arr[:, rows, cols] ** 2), np.inf), axis=-1)
+    return np.where(edge, a / (a - arr[:, rows, cols] ** 2), np.inf)
 
 
 def one_edge_lower_bound(theta_star: PrecisionMatrix) -> float:

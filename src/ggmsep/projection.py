@@ -44,6 +44,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     CovarianceMatrix,
     EdgeSet,
@@ -63,14 +64,7 @@ from .core import (
 from .errors import DimensionMismatch, InfeasibleStart, InvalidParameters
 from .serialization import matrix_doc
 
-__all__ = [
-    "FitResult",
-    "project_remove_edge",
-    "project_remove_star",
-    "nll",
-    "nll_gradient",
-    "fit_graph_mle",
-]
+__all__ = list(_EXPORTS["projection"])
 
 
 def _sever(arr: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,34 +1,31 @@
-"""Likelihood scores over candidate edge sets and the minimum-score selector."""
+"""Likelihood scores over candidate edge sets and the minimum-score selector.
+
+A CandidateCollection takes only its graphs: its sparsity bound s, the
+selection report's s column, is the largest candidate's edge count.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
+from . import _EXPORTS
 from .core import CovarianceMatrix, EdgeSet, _checked_size, _is_real
 from .errors import DimensionMismatch, InvalidParameters
 from .projection import FitResult, _fit_graphs
 
-__all__ = [
-    "CandidateCollection",
-    "SelectionResult",
-    "select_graph",
-    "sample_size_bound",
-]
+__all__ = list(_EXPORTS["selection"])
 
 
 class CandidateCollection:
-    """Ordered candidate graphs sharing a vertex count, with sparsity bound s.
-
-    s counts edges only (the always-present diagonal is added internally
-    wherever a formula needs p + s); it is an integer no smaller than the
-    largest candidate's edge count, which is its default.
-    """
+    """Ordered candidate graphs sharing a vertex count, with sparsity bound s:
+    the largest candidate's edge count (the always-present diagonal is
+    added wherever a formula needs p + s)."""
 
     __slots__ = ("graphs", "s")
 
-    def __init__(self, graphs: Iterable[EdgeSet], s: Optional[int] = None) -> None:
+    def __init__(self, graphs: Iterable[EdgeSet]) -> None:
         graphs = tuple(graphs)
         if not graphs:
             raise ValueError("candidate collection must contain at least one graph")
@@ -36,9 +33,8 @@ class CandidateCollection:
         for g in graphs[1:]:
             if g.p != p:
                 raise DimensionMismatch(f"candidates mix vertex counts {p} and {g.p}")
-        max_edges = max(len(g) for g in graphs)
         self.graphs = graphs
-        self.s = max_edges if s is None else _checked_size("s", s, max_edges)
+        self.s = max(len(g) for g in graphs)
 
     @property
     def p(self) -> int:

@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     CovarianceMatrix,
     PrecisionMatrix,
@@ -51,8 +52,7 @@ from .core import (
 )
 from .divergence import (
     _kl_divergences,
-    _pair_information,
-    _separation_constants,
+    _separation_ratios,
     c_theta_star,
     kl_gaussian,
     omega_inf_lower_bound,
@@ -68,25 +68,7 @@ from .projection import _sever, project_remove_star
 from .selection import CandidateCollection, select_graph
 from .serialization import dumps, number_from_doc
 
-__all__ = [
-    "SampleMatrix",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "trial_seed",
-    "sample",
-    "sample_covariance",
-    "empirical_covariance",
-    "corrected_covariance",
-    "counterexample_precision",
-    "chain_precision",
-    "random_sparse_precision",
-    "random_omega_inf_member",
-    "run_counterexample_experiment",
-    "run_lower_bound_experiment",
-    "run_selection_experiment",
-    "EXPERIMENT_KINDS",
-    "run_experiment",
-]
+__all__ = [*_EXPORTS["simulation"], "EXPERIMENT_KINDS", "run_experiment"]
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 
@@ -547,26 +529,6 @@ _PERTURBATION_SCALE = 0.25
 _PERTURBATION_HALVINGS = 60
 
 
-def _weakest_edges(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """For each matrix of a (k, p, p) stack, the index into _upper_pairs of
-    the first edge (edge is the (k, pairs) support mask) with the smallest
-    conditional_mutual_info, as min(sorted edges, key=...) picks it.
-
-    The information increases with t_ij^2 / (t_ii t_jj). One pass over that
-    ratio keeps the edges within 1e-12 relative of each matrix's minimum, a
-    margin far above rounding; their informations can round to a tie, so
-    only they are ranked by the information itself.
-    """
-    rows, cols = _upper_pairs(arr.shape[-1])
-    diag = np.diagonal(arr, axis1=-2, axis2=-1)
-    ratio = np.where(edge, arr[:, rows, cols] ** 2 / (diag[:, rows] * diag[:, cols]), np.inf)
-    near = ratio <= ratio.min(axis=1, keepdims=True) * (1.0 + 1e-12)
-    weakest = np.argmax(near, axis=1)
-    for k in np.flatnonzero(near.sum(axis=1) > 1):
-        weakest[k] = min(np.flatnonzero(near[k]), key=lambda e: _pair_information(arr[k], rows[e], cols[e]))
-    return weakest
-
-
 def _perturbed_candidates(base: np.ndarray, noise: np.ndarray, scale: float) -> tuple[np.ndarray, ...]:
     """Random feasible points near a stack of edge-deleted projections that
     miss the deleted edge, with their lower Cholesky factors.
@@ -623,7 +585,8 @@ def _lower_bound_trials(p: int, seeds: list[int]) -> list[dict]:
 
     rows, cols = _upper_pairs(p)
     edge = _edge_mask(star)
-    weakest = _weakest_edges(star, edge)
+    ratios = _separation_ratios(star, edge)
+    weakest = np.argmin(ratios, axis=1)
     removed = weakest.copy()
     for t, (method, rng) in enumerate(zip(methods, rngs)):
         if method in ("project_random_edge", "perturbed_reprojection"):
@@ -646,7 +609,7 @@ def _lower_bound_trials(p: int, seeds: list[int]) -> list[dict]:
     if not (edge & ~_edge_mask(theta)).any(axis=1).all():
         raise NoMissingEdge("every edge of theta_star is present in theta")
     kls = _kl_divergences(star, np.stack([_spd_inverse(l) for l in star_lower]), star_lower, theta, lower)
-    bounds = [0.5 * math.log(c) for c in _separation_constants(star, edge).tolist()]
+    bounds = [0.5 * math.log(c) for c in ratios.min(axis=1).tolist()]
     alphas = np.min(np.where(edge, np.abs(star[:, rows, cols]), np.inf), axis=1).tolist()
     heights = np.max(np.diagonal(star, axis1=-2, axis2=-1), axis=1).tolist()
     fields = []
@@ -697,8 +660,9 @@ def run_lower_bound_experiment(cfg: ExperimentConfig, progress: _Progress = None
     half the log separation constant in KL.
 
     Four generation methods cycle per trial: delete a random true edge by
-    projection, delete the edge attaining the separation constant (the
-    slack is then ~0), a random feasible point near the random edge's
+    projection, delete the first edge whose ratio attains the separation
+    constant (the argmin of the ratios whose minimum is c_theta_star, so
+    the slack is then ~0), a random feasible point near the random edge's
     projection that misses the same edge (method perturbed_reprojection),
     and a high-signal member whose coupling sits close to its diagonal
     bound (the class bound grows without cap there). Each record carries

@@ -21,7 +21,6 @@ from scipy.linalg import cho_solve, lapack
 from ggmsep import (
     NotPositiveDefinite,
     PrecisionMatrix,
-    conditional_mutual_info,
     edge_set_of,
     factorize,
     omega_inf_lower_bound,
@@ -95,6 +94,19 @@ def severed_by_validating_a_copy(theta, v, s):
     return PrecisionMatrix(theta2)
 
 
+def least_ratio_edge(theta):
+    """The first of theta's sorted edges with the least ratio t_ii t_jj /
+    (t_ii t_jj - t_ij^2), each ratio computed in Python floats."""
+    arr = theta.matrix.tolist()
+
+    def ratio(edge):
+        i, j = edge
+        a = arr[i][i] * arr[j][j]
+        return a / (a - arr[i][j] ** 2)
+
+    return min(sorted(edge_set_of(theta)), key=ratio)
+
+
 def lower_bound_trial_by_trial(cfg):
     """run_lower_bound_experiment as it ran before the trials of one p were
     stacked: each trial alone, through the public one-matrix API. A
@@ -124,15 +136,6 @@ def lower_bound_trial_by_trial(cfg):
             return perturbed
         return base
 
-    def weakest_edge(theta, edges):
-        rows, cols = np.array(edges).T
-        arr = theta.matrix
-        ratio = arr[rows, cols] ** 2 / (arr[rows, rows] * arr[cols, cols])
-        near = np.flatnonzero(ratio <= ratio.min() * (1.0 + 1e-12))
-        if near.size == 1:
-            return edges[near[0]]
-        return min((edges[k] for k in near), key=lambda e: conditional_mutual_info(theta, *e))
-
     def trial(p, index, seed):
         rng = np.random.default_rng(seed)
         methods = ("project_random_edge", "project_argmin_edge", "perturbed_reprojection", "extremal_high_signal")
@@ -144,7 +147,7 @@ def lower_bound_trial_by_trial(cfg):
         else:
             theta_star = random_sparse_precision(p, rng)
         edges = sorted(edge_set_of(theta_star))
-        argmin_edge = weakest_edge(theta_star, edges)
+        argmin_edge = least_ratio_edge(theta_star)
         if method in ("project_argmin_edge", "extremal_high_signal"):
             removed = argmin_edge
         else:

@@ -44,19 +44,9 @@ class TestCandidateCollection:
         assert coll.p == 4
         assert len(coll) == 2
 
-    def test_explicit_bound_validated(self):
-        with pytest.raises(InvalidParameters):
-            CandidateCollection([EdgeSet(3, [(0, 1), (1, 2)])], s=1)
-
-    @pytest.mark.parametrize("s", [3.7, 3.0, True, "3"])
-    def test_explicit_bound_takes_integers_only(self, s):
-        # s=3.7 was kept as 3
-        with pytest.raises(InvalidParameters, match="integer"):
-            CandidateCollection([EdgeSet(3, [(0, 1)])], s=s)
-
-    def test_explicit_bound_accepts_numpy_integers(self):
-        coll = CandidateCollection([EdgeSet(3, [(0, 1)])], s=np.int64(3))
-        assert coll.s == 3 and type(coll.s) is int
+    def test_the_bound_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            CandidateCollection([EdgeSet(3, [(0, 1)])], s=3)
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(DimensionMismatch):

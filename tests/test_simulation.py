@@ -23,6 +23,7 @@ from ggmsep import (
     InvalidParameters,
     PrecisionMatrix,
     SampleMatrix,
+    c_theta_star,
     chain_precision,
     conditional_mutual_info,
     corrected_covariance,
@@ -48,18 +49,20 @@ from ggmsep import (
 )
 from ggmsep import core, simulation
 from ggmsep import selection as selection_module
+from ggmsep.divergence import _separation_ratios
 from ggmsep.serialization import dumps
-from ggmsep.simulation import ExperimentReport, _weakest_edges, run_experiment
-from reference import in_omega_inf, lower_bound_trial_by_trial
+from ggmsep.simulation import ExperimentReport, run_experiment
+from reference import in_omega_inf, least_ratio_edge, lower_bound_trial_by_trial
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
 
 
 def weakest_edge(theta):
-    """_weakest_edges on a stack of one, as an (i, j) pair."""
+    """The edge the lower-bound driver deletes by its argmin method: the
+    first minimum of _separation_ratios on a stack of one, as an (i, j) pair."""
     rows, cols = np.triu_indices(theta.p, k=1)
     edge = np.abs(theta.matrix[rows, cols]) > 1e-12
-    k = _weakest_edges(theta.matrix[None], edge[None])[0]
+    k = np.argmin(_separation_ratios(theta.matrix[None], edge[None]), axis=1)[0]
     return (int(rows[k]), int(cols[k]))
 
 
@@ -259,6 +262,20 @@ class TestAdoptedMatrices:
         # silences its overflow
         with pytest.warns(RuntimeWarning, match="overflow"):
             use(PrecisionMatrix(1e-310 * np.eye(3)))
+
+    def test_a_rejected_covariance_is_not_kept(self):
+        # the precision's slot keeps only a finite covariance, so a later KL
+        # warns as it does from a fresh precision instead of returning inf
+        theta = PrecisionMatrix(1e-310 * np.eye(3))
+        with pytest.raises(ValueError, match="covariance matrix has non-finite"):
+            invert(theta)
+        assert theta._covariance is None
+        warned = []
+        for precision in (PrecisionMatrix(1e-310 * np.eye(3)), theta):
+            with pytest.warns(RuntimeWarning, match="overflow") as record:
+                kl_gaussian(precision, PrecisionMatrix(2.0 * np.eye(3)))
+            warned.append([(w.category, str(w.message)) for w in record])
+        assert warned[0] == warned[1]
 
 
 class TestCounterexamplePrecision:
@@ -563,12 +580,12 @@ class TestLowerBoundExperiment:
 
     @settings(max_examples=100, deadline=None)
     @given(p=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), tied=st.booleans())
-    def test_weakest_edge_is_the_first_minimum_of_conditional_mutual_info(self, p, seed, tied):
+    def test_weakest_edge_is_the_first_minimum_ratio_and_attains_the_bound(self, p, seed, tied):
         rng = np.random.default_rng(seed)
         theta = random_sparse_precision(p, rng)
         if tied:
             # couplings of two magnitudes, and diagonals one ulp apart, so the
-            # informations tie exactly or round to a tie
+            # ratios tie exactly or nearly
             rows, cols = np.triu_indices(p, k=1)
             on = rng.random(rows.size) < 0.6
             on[0] = True
@@ -578,42 +595,31 @@ class TestLowerBoundExperiment:
             base = 0.5 * p + 1.0
             arr[np.diag_indices(p)] = rng.choice([base, np.nextafter(base, math.inf)], size=p)
             theta = PrecisionMatrix(arr)
-        edges = sorted(edge_set_of(theta))
-        expected = min(edges, key=lambda e: conditional_mutual_info(theta, *e))
-        assert weakest_edge(theta) == expected
+        chosen = weakest_edge(theta)
+        assert chosen == least_ratio_edge(theta)
+        # deleting it meets the bound: its information is 0.5 log c*, up to
+        # log1p's rounding of its argument, about c* eps
+        gap = abs(conditional_mutual_info(theta, *chosen) - one_edge_lower_bound(theta))
+        assert gap <= c_theta_star(theta) * np.finfo(float).eps
 
-    @pytest.mark.parametrize("coupling", [0.648062, 0.666969])
-    def test_weakest_edge_keeps_a_tie_that_rounding_makes(self, coupling):
-        # (0, 1) has the larger ratio t_ij^2 / (t_ii t_jj), by one ulp, but
-        # both informations round to the same double, so (0, 1) comes first
-        down = float(np.nextafter(1.0, 0.0))
-        theta = PrecisionMatrix(
-            [[1.0, coupling, 0, 0], [coupling, down, 0, 0], [0, 0, 1.0, coupling], [0, 0, coupling, 1.0]]
-        )
-        assert conditional_mutual_info(theta, 0, 1) == conditional_mutual_info(theta, 2, 3)
-        arr = theta.matrix
-        assert arr[0, 1] ** 2 / (arr[0, 0] * arr[1, 1]) > arr[2, 3] ** 2 / (arr[2, 2] * arr[3, 3])
-        assert weakest_edge(theta) == (0, 1)
-
-    @pytest.mark.parametrize("dimensions, trials, scale", [
-        ((2,), 13, 0.25),                 # no rest block
-        (tuple(range(3, 11)), 13, 0.25),  # a trial count that is not a multiple of 4
-        ((12, 40), 9, 0.25),              # at p=40 the KL trace takes two blocks
-        (tuple(range(3, 11)), 13, 20.0),  # candidates that fail to factor and halve their step
-        ((3, 6), 9, 1e20),                # candidates that never factor: the projection is kept
+    @pytest.mark.parametrize("base_seed, dimensions, trials, scale, halvings", [
+        (4242, (2,), 13, 0.25, 0),                  # no rest block
+        (4242, tuple(range(3, 11)), 13, 0.25, 0),   # a trial count that is not a multiple of 4
+        (4242, (12, 40), 9, 0.25, 0),               # at p=40 the KL trace takes two blocks
+        (1, (2, 3, 4), 400, 0.25, 1),               # at the shipped scale, trial 394 at p=4 halves once
+        (4242, tuple(range(3, 11)), 13, 20.0, 105), # candidates that fail to factor and halve their step
+        (4242, (3, 6), 9, 1e20, 240),               # 4 never factor in 60 halvings: the projection is kept
     ])
-    def test_stacked_trials_keep_the_bits_of_one_trial_at_a_time(self, dimensions, trials, scale, monkeypatch):
+    def test_stacked_trials_keep_the_bits_of_one_trial_at_a_time(
+        self, base_seed, dimensions, trials, scale, halvings, monkeypatch
+    ):
         monkeypatch.setattr(simulation, "_PERTURBATION_SCALE", scale)
-        cfg = ExperimentConfig(base_seed=4242, trials=trials, dimensions=dimensions)
-        expected, halvings = lower_bound_trial_by_trial(cfg)
+        cfg = ExperimentConfig(base_seed=base_seed, trials=trials, dimensions=dimensions)
+        expected, halved = lower_bound_trial_by_trial(cfg)
         report = run_lower_bound_experiment(cfg)
         assert report.to_json().encode() == expected.to_json().encode()
         assert report.to_csv().encode() == expected.to_csv().encode()
-        perturbed = sum(r["method"] == "perturbed_reprojection" for r in report.records)
-        if scale == 1e20:
-            assert halvings == 60 * perturbed
-        else:
-            assert (halvings > 0) == (scale > 1.0)
+        assert halved == halvings
 
     def test_each_perturbed_candidate_is_factored_once_and_never_projected(self, monkeypatch):
         monkeypatch.setattr(simulation, "_PERTURBATION_SCALE", 20.0)
