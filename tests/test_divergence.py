@@ -41,6 +41,7 @@ from ggmsep import (
 )
 from ggmsep import core, divergence
 from ggmsep.core import _upper_pairs
+from ggmsep.divergence import _separation_ratios
 from reference import kl_by_one_triangular_solve, schur_complement
 
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -401,6 +402,29 @@ class TestSeparationConstant:
         rng = np.random.default_rng(31)
         for _ in range(20):
             assert c_theta_star(random_sparse_precision(5, rng)) > 1.0
+
+    @pytest.mark.parametrize("p", [2, 5, 12])
+    def test_stacked_ratios_are_each_matrixs_own_and_end_in_c_theta_star(self, p):
+        # one row per matrix of the stack, inf off its edges, each edge's
+        # ratio computed as in Python floats, and the row's minimum is the
+        # matrix's c_theta_star, so a stack gives the bits of one at a time
+        rng = np.random.default_rng(37 + p)
+        thetas = [random_sparse_precision(p, rng) for _ in range(6)]
+        rows, cols = _upper_pairs(p)
+        arr = np.stack([theta.matrix for theta in thetas])
+        edge = np.abs(arr[:, rows, cols]) > 1e-12
+        ratios = _separation_ratios(arr, edge)
+        assert ratios.shape == (len(thetas), rows.size)
+        for k, theta in enumerate(thetas):
+            t = theta.matrix.tolist()
+            expected = []
+            for i, j, on in zip(rows.tolist(), cols.tolist(), edge[k].tolist()):
+                a = t[i][i] * t[j][j]
+                expected.append(a / (a - t[i][j] * t[i][j]) if on else math.inf)
+            assert ratios[k].tolist() == expected
+            assert ratios[k].tolist() == _separation_ratios(arr[k : k + 1], edge[k : k + 1])[0].tolist()
+            if edge[k].any():
+                assert ratios[k].min() == c_theta_star(theta)
 
 
 class TestOneEdgeLowerBound:

@@ -82,6 +82,16 @@ class TestLazyNamespace:
         monkeypatch.undo()
         assert ggmsep.kl_gaussian is original
 
+    def test_every_table_entry_is_its_modules_all(self):
+        # each module reads its __all__ from the table; run_experiment and
+        # EXPERIMENT_KINDS stay out of the package namespace, because the
+        # CLI imports them from ggmsep.simulation
+        module_only = {"simulation": {"run_experiment", "EXPERIMENT_KINDS"}}
+        for module, names in ggmsep._EXPORTS.items():
+            exported = getattr(importlib.import_module(f"ggmsep.{module}"), "__all__", None)
+            if exported is not None:
+                assert sorted(names) == sorted(set(exported) - module_only.get(module, set())), module
+
     def test_a_fetched_name_is_not_stored_in_the_package(self):
         ggmsep.kl_gaussian
         assert "kl_gaussian" not in vars(ggmsep)

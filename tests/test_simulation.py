@@ -602,6 +602,22 @@ class TestLowerBoundExperiment:
         gap = abs(conditional_mutual_info(theta, *chosen) - one_edge_lower_bound(theta))
         assert gap <= c_theta_star(theta) * np.finfo(float).eps
 
+    @pytest.mark.parametrize("coupling, expected", [(0.648062, (2, 3)), (0.666969, (0, 1))])
+    def test_weakest_edge_on_a_tie_that_rounding_makes(self, coupling, expected):
+        # both informations round to the same double, but the ratios do not
+        # tie: the deleted edge is the one whose ratio is c*, although
+        # t_ij^2 / (t_ii t_jj) is larger on (0, 1) in both cases
+        down = float(np.nextafter(1.0, 0.0))
+        theta = PrecisionMatrix(
+            [[1.0, coupling, 0, 0], [coupling, down, 0, 0], [0, 0, 1.0, coupling], [0, 0, coupling, 1.0]]
+        )
+        assert conditional_mutual_info(theta, 0, 1) == conditional_mutual_info(theta, 2, 3)
+        arr = theta.matrix
+        assert arr[0, 1] ** 2 / (arr[0, 0] * arr[1, 1]) > arr[2, 3] ** 2 / (arr[2, 2] * arr[3, 3])
+        assert weakest_edge(theta) == least_ratio_edge(theta) == expected
+        i, j = expected
+        assert arr[i, i] * arr[j, j] / (arr[i, i] * arr[j, j] - arr[i, j] ** 2) == c_theta_star(theta)
+
     @pytest.mark.parametrize("base_seed, dimensions, trials, scale, halvings", [
         (4242, (2,), 13, 0.25, 0),                  # no rest block
         (4242, tuple(range(3, 11)), 13, 0.25, 0),   # a trial count that is not a multiple of 4
