@@ -124,10 +124,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .simulation import run_experiment
+    from .simulation import _DRIVERS, run_experiment
 
-    if args.seed is not None and args.kind == "counterexample":
-        raise ValueError("--seed does not apply to counterexample, which draws nothing at random")
+    if args.seed is not None and args.kind in _DRIVERS and "base_seed" not in _DRIVERS[args.kind][0]:
+        raise ValueError(f"--seed does not apply to {args.kind}, which draws nothing at random")
     doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise ValueError("experiment config must be a JSON object")

@@ -341,9 +341,11 @@ def _omega_inf_entries(p: int, alpha: float, h: float, rng: np.random.Generator,
 class ExperimentConfig:
     """Shared configuration for the randomized experiment drivers.
 
-    dimensions is the p-grid for the lower-bound sweep and supplies the
-    (single) model order for the selection sweep; sample_sizes is the
-    n-grid for selection. Unused fields are ignored by a given driver.
+    dimensions is the p-grid for the lower-bound sweep and holds the one
+    model order of the selection sweep; sample_sizes is the n-grid for
+    selection. The lower-bound driver reads only base_seed, trials and
+    dimensions, and raises InvalidParameters naming any other field that
+    is not at its default; selection reads every field (_DRIVERS).
     base_seed, trials and the grids take integers (numpy integers too, never
     bools or floats), the flags bools, the reals ints or floats.
     Construction is the one check of every field, its type and its range:
@@ -459,7 +461,17 @@ def _run_grid(
     {key: value, "trial": t, "seed": seed, **fields[t]}, in grid-then-trial
     order. Each grid value then gets the aggregate row {key: value,
     **aggregate(value, rows)} over its own records and one progress line
-    ending in tally(rows); extras(records) runs last."""
+    ending in tally(rows); extras(records) runs last. The report echoes
+    the config keys that kind reads (_DRIVERS); a field it does not read
+    and that is not at its default raises InvalidParameters naming it,
+    before any trial runs."""
+    reads = _DRIVERS[kind][0]
+    config = cfg.to_dict()
+    for field in dataclasses.fields(cfg):
+        if field.name not in reads and config[field.name] != field.default:
+            raise InvalidParameters(
+                f"{field.name}={config[field.name]!r} is not read by {kind}, which reads {', '.join(reads)}"
+            )
     records: list = []
     aggregates: list = []
     for grid_index, value in enumerate(values):
@@ -472,7 +484,8 @@ def _run_grid(
         aggregates.append({key: value, **aggregate(value, rows)})
         if progress is not None:
             progress(f"{kind}: {key}={value} done ({tally(rows)})")
-    return ExperimentReport(kind, cfg.to_dict(), tuple(records), tuple(aggregates), extras(records))
+    echo = {name: config[name] for name in reads}
+    return ExperimentReport(kind, echo, tuple(records), tuple(aggregates), extras(records))
 
 
 def run_counterexample_experiment(d_values: Iterable[int]) -> ExperimentReport:
@@ -698,7 +711,7 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) 
 def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) -> ExperimentReport:
     """Sample-size sweep of the likelihood selector on a chain model.
 
-    The true model is a chain on p = dimensions[0] vertices; the rivals
+    The true model is a chain on the one p that dimensions holds; the rivals
     are its single-edge deletions, each missing exactly one true edge.
     They are nested in the truth, so the truth never scores worse than a
     rival and success is 1.0 at every n: the sweep checks score margins
@@ -713,7 +726,8 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
     succeed outright. Extras count the candidate fits that returned
     converged=False (unconverged_fits), population pass included. A chain that is not positive definite, has
     no edge (|chain_coupling| <= 1e-12) or lies outside the gamma-ball
-    raises InvalidParameters naming the keys.
+    raises InvalidParameters naming the keys, checked at p = dimensions[0];
+    then so do dimensions that hold more than one p.
     """
     p = cfg.dimensions[0]
     try:
@@ -730,6 +744,8 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
     true_graph = edge_set_of(theta_star)
     if not len(true_graph):
         raise InvalidParameters(f"chain_coupling={cfg.chain_coupling} gives a chain with no edge at p={p}")
+    if len(cfg.dimensions) != 1:
+        raise InvalidParameters(f"dimensions must hold one p for selection, got {list(cfg.dimensions)}")
     alternatives = [true_graph.without(edge) for edge in sorted(true_graph)]
     collection = CandidateCollection((true_graph, *alternatives))
     sigma_star = invert(theta_star)
@@ -784,15 +800,24 @@ def run_selection_experiment(cfg: ExperimentConfig, progress: _Progress = None) 
 
 
 def _counterexample_from_doc(doc: Mapping, progress: _Progress) -> ExperimentReport:
-    if set(doc) != {"d_values"} or not isinstance(doc["d_values"], list):
-        raise ValueError(f"counterexample config takes only d_values (integers), got keys {sorted(doc)}")
-    return run_counterexample_experiment(doc["d_values"])
+    # run_experiment has rejected every key but d_values
+    d_values = doc.get("d_values")
+    if not isinstance(d_values, list):
+        raise ValueError(f"counterexample config needs d_values, a list of integers, got {d_values!r}")
+    return run_counterexample_experiment(d_values)
 
 
-_DRIVERS: dict[str, Callable[[Mapping, _Progress], ExperimentReport]] = {
-    "counterexample": _counterexample_from_doc,
-    "lower-bound": lambda doc, progress: run_lower_bound_experiment(ExperimentConfig.from_dict(doc), progress),
-    "selection": lambda doc, progress: run_selection_experiment(ExperimentConfig.from_dict(doc), progress),
+# kind -> (the config keys it reads, its runner on a document of those keys)
+_DRIVERS: dict[str, tuple[tuple[str, ...], Callable[[Mapping, _Progress], ExperimentReport]]] = {
+    "counterexample": (("d_values",), _counterexample_from_doc),
+    "lower-bound": (
+        ("base_seed", "trials", "dimensions"),
+        lambda doc, progress: run_lower_bound_experiment(ExperimentConfig.from_dict(doc), progress),
+    ),
+    "selection": (
+        tuple(field.name for field in dataclasses.fields(ExperimentConfig)),
+        lambda doc, progress: run_selection_experiment(ExperimentConfig.from_dict(doc), progress),
+    ),
 }
 EXPERIMENT_KINDS = tuple(_DRIVERS)
 
@@ -800,16 +825,22 @@ EXPERIMENT_KINDS = tuple(_DRIVERS)
 def run_experiment(kind: str, doc: Mapping, progress: _Progress = None) -> ExperimentReport:
     """Run one experiment of EXPERIMENT_KINDS from its JSON config document.
 
-    counterexample takes {"d_values": [...]}, the other kinds the fields of
-    ExperimentConfig. ValueError names an unknown kind or key and an invalid
-    config value: one of the wrong type or out of range, including a
-    selection chain that the chain keys or gamma rule out. Each value is
+    Each kind takes only the keys it reads: counterexample {"d_values":
+    [...]}, lower-bound base_seed, trials and dimensions, and selection
+    every ExperimentConfig field, its dimensions holding one p.
+    ValueError names an unknown kind, a key the kind does not read, and an
+    invalid config value: one of the wrong type or out of range, including
+    a selection chain that the chain keys or gamma rule out. Each value is
     checked once, where the config or the driver first uses it, and every
     InvalidParameters that the run raises becomes that ValueError.
     """
     if kind not in _DRIVERS:
         raise ValueError(f"unknown experiment kind {kind!r}; the kinds are {', '.join(EXPERIMENT_KINDS)}")
+    reads, runner = _DRIVERS[kind]
+    unknown = set(doc) - set(reads)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}; {kind} reads {', '.join(reads)}")
     try:
-        return _DRIVERS[kind](doc, progress)
+        return runner(doc, progress)
     except InvalidParameters as exc:
         raise ValueError(f"invalid {kind} config value: {exc}") from None

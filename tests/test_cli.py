@@ -5,6 +5,7 @@ import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +386,62 @@ class TestExperiment:
         config = write_json(tmp_path / "config.json", {"d_values": [1], "bogus": 3})
         code, _, _ = run(capsys, "experiment", "counterexample", config, "--out", tmp_path / "o")
         assert code == 2
+
+    # the keys each kind reads, a smallest config of each kind, and a valid
+    # value of every key
+    READS = {
+        "counterexample": {"d_values"},
+        "lower-bound": {"base_seed", "trials", "dimensions"},
+        "selection": {"base_seed", "trials", "dimensions", "sample_sizes", "gamma", "use_true_diagonal",
+                      "include_population", "chain_diagonal", "chain_coupling"},
+    }
+    SMALLEST = {
+        "counterexample": {"d_values": [1]},
+        "lower-bound": {"trials": 1, "dimensions": [3]},
+        "selection": {"trials": 1, "dimensions": [4], "sample_sizes": [20]},
+    }
+    VALUES = {
+        "base_seed": 3, "trials": 1, "dimensions": [4], "sample_sizes": [20], "gamma": 8.0,
+        "use_true_diagonal": True, "include_population": False, "chain_diagonal": 2.5,
+        "chain_coupling": 0.5, "d_values": [2],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(READS))
+    @pytest.mark.parametrize("key", list(VALUES))
+    def test_a_kind_runs_the_keys_it_reads_and_refuses_the_rest(self, tmp_path, capsys, kind, key):
+        config = write_json(tmp_path / "config.json", {**self.SMALLEST[kind], key: self.VALUES[key]})
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, "experiment", kind, config, "--out", out_dir, "--quiet")
+        if key in self.READS[kind]:
+            assert code == 0, err
+            report = json.loads((out_dir / f"{kind}_report.json").read_text())
+            assert set(report["config"]) == self.READS[kind]
+            assert report["config"][key] == self.VALUES[key]
+        else:
+            assert code == 2
+            assert f"unknown config keys: ['{key}']" in err and kind in err
+            assert out == ""
+            assert not out_dir.exists()
+
+    def test_selection_takes_one_dimension(self, tmp_path, capsys):
+        # it ran p=4 alone and echoed both
+        config = write_json(tmp_path / "config.json", {"trials": 1, "dimensions": [4, 20], "sample_sizes": [20]})
+        code, out, err = run(capsys, "experiment", "selection", config, "--out", tmp_path / "o", "--quiet")
+        assert code == 2
+        assert "dimensions" in err and "[4, 20]" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_the_readme_example_config_runs_as_selection(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("Experiment configs:"):]
+        doc = json.loads(section[section.index("```json") + len("```json"):section.index("```\n", section.index("```json") + 1)])
+        doc["trials"] = 1
+        config = write_json(tmp_path / "config.json", doc)
+        code, _, err = run(capsys, "experiment", "selection", config, "--out", tmp_path / "o", "--quiet")
+        assert code == 0, err
+        report = json.loads((tmp_path / "o" / "selection_report.json").read_text())
+        assert {key: report["config"][key] for key in doc} == doc
 
     @pytest.mark.parametrize("kind", ["selection", "lower-bound"])
     @pytest.mark.parametrize("doc", [

@@ -423,11 +423,11 @@ class TestExperimentConfig:
         ):
             with pytest.raises(InvalidParameters):
                 ExperimentConfig(**bad)
-        cfg = ExperimentConfig(base_seed=np.int64(3), trials=np.int32(2), dimensions=(np.int64(3),),
-                               sample_sizes=np.array([50, 60]))
-        assert cfg.dimensions == (3,) and cfg.sample_sizes == (50, 60)
+        assert ExperimentConfig(sample_sizes=np.array([50, 60])).sample_sizes == (50, 60)
+        cfg = ExperimentConfig(base_seed=np.int64(3), trials=np.int32(2), dimensions=(np.int64(3),))
+        assert cfg.dimensions == (3,)
         assert run_lower_bound_experiment(cfg).to_json() == run_lower_bound_experiment(
-            ExperimentConfig(base_seed=3, trials=2, dimensions=(3,), sample_sizes=(50, 60))
+            ExperimentConfig(base_seed=3, trials=2, dimensions=(3,))
         ).to_json()
 
     @pytest.mark.parametrize("bad", [
@@ -454,8 +454,9 @@ class TestExperimentConfig:
             ExperimentConfig(**bad)
         with pytest.raises(InvalidParameters, match=name):
             ExperimentConfig.from_dict(bad)
-        with pytest.raises(ValueError, match=f"invalid lower-bound config value: {name}"):
-            run_experiment("lower-bound", bad)
+        kind = "lower-bound" if name in ("base_seed", "trials", "dimensions") else "selection"
+        with pytest.raises(ValueError, match=f"invalid {kind} config value: {name}"):
+            run_experiment(kind, bad)
 
     @pytest.mark.parametrize("key, value", [("fit", {"max_iterations": 5000}), ("perturbation_scale", 0.25)])
     def test_removed_settings_are_not_fields(self, key, value):
@@ -463,13 +464,40 @@ class TestExperimentConfig:
         with pytest.raises(TypeError, match=key):
             ExperimentConfig(**{key: value})
 
-    def test_the_report_echoes_every_field_and_nothing_else(self):
-        names = [field.name for field in dataclasses.fields(ExperimentConfig)]
-        assert names == [
-            "base_seed", "trials", "dimensions", "sample_sizes", "gamma",
-            "use_true_diagonal", "include_population", "chain_diagonal", "chain_coupling",
-        ]
-        assert list(run_lower_bound_experiment(ExperimentConfig(trials=4, dimensions=(3,))).config) == names
+    @pytest.mark.parametrize("kind, report, echoed", [
+        ("counterexample", lambda: run_counterexample_experiment([1, 2]), ["d_values"]),
+        ("lower-bound", lambda: run_lower_bound_experiment(ExperimentConfig(trials=4, dimensions=(3,))),
+         ["base_seed", "trials", "dimensions"]),
+        ("selection", lambda: run_selection_experiment(ExperimentConfig(trials=1, dimensions=(4,), sample_sizes=(40,))),
+         ["base_seed", "trials", "dimensions", "sample_sizes", "gamma",
+          "use_true_diagonal", "include_population", "chain_diagonal", "chain_coupling"]),
+    ])
+    def test_the_report_echoes_the_keys_its_kind_reads_and_nothing_else(self, kind, report, echoed):
+        if kind == "selection":
+            assert [field.name for field in dataclasses.fields(ExperimentConfig)] == echoed
+        assert list(report().config) == echoed
+
+    @pytest.mark.parametrize("unread", [
+        {"gamma": 3.0}, {"sample_sizes": (50,)}, {"use_true_diagonal": True}, {"include_population": False},
+        {"chain_diagonal": 2.5}, {"chain_coupling": 0.5},
+    ])
+    def test_the_lower_bound_driver_refuses_a_field_it_does_not_read(self, unread):
+        # it ran, and echoed the field into its report
+        (name,) = unread
+        with pytest.raises(InvalidParameters, match=f"{name}=.* is not read by lower-bound"):
+            run_lower_bound_experiment(ExperimentConfig(trials=1, dimensions=(3,), **unread))
+        # at its default the field is not read, and not echoed
+        default = {name: getattr(ExperimentConfig(), name)}
+        assert name not in run_lower_bound_experiment(ExperimentConfig(trials=1, dimensions=(3,), **default)).config
+
+    def test_selection_takes_one_dimension_after_the_chain_checks(self):
+        with pytest.raises(InvalidParameters, match=r"dimensions must hold one p for selection, got \[4, 20\]"):
+            run_selection_experiment(ExperimentConfig(trials=1, dimensions=(4, 20), sample_sizes=(20,)))
+        # the chain and gamma-ball messages still come first
+        with pytest.raises(InvalidParameters, match="gamma=1.0 excludes"):
+            run_selection_experiment(ExperimentConfig(trials=1, dimensions=(4, 20), gamma=1.0))
+        with pytest.raises(InvalidParameters, match="chain_coupling=0 gives a chain with no edge"):
+            run_selection_experiment(ExperimentConfig(trials=1, dimensions=(4, 20), chain_coupling=0))
 
     def test_reals_accept_integers_and_numpy_floats(self):
         cfg = ExperimentConfig(gamma=10, chain_diagonal=np.float64(3.5), chain_coupling=-1)
@@ -772,24 +800,25 @@ class TestGridSkeleton:
     """What the lower-bound and selection drivers share: seeding, record
     order, one progress line per grid point, and the CSV columns."""
 
-    CONFIG = ExperimentConfig(base_seed=41, trials=3, dimensions=(4, 3), sample_sizes=(40, 80), gamma=8.0)
+    LOWER_BOUND = ExperimentConfig(base_seed=41, trials=3, dimensions=(4, 3))
+    SELECTION = ExperimentConfig(base_seed=41, trials=3, dimensions=(4,), sample_sizes=(40, 80), gamma=8.0)
 
-    @pytest.mark.parametrize("driver, key, grid", [
-        (run_lower_bound_experiment, "p", CONFIG.dimensions),
-        (run_selection_experiment, "n", CONFIG.sample_sizes),
+    @pytest.mark.parametrize("driver, cfg, key, grid", [
+        (run_lower_bound_experiment, LOWER_BOUND, "p", LOWER_BOUND.dimensions),
+        (run_selection_experiment, SELECTION, "n", SELECTION.sample_sizes),
     ])
-    def test_records_are_seeded_per_grid_index_and_trial(self, driver, key, grid):
-        report = driver(self.CONFIG)
+    def test_records_are_seeded_per_grid_index_and_trial(self, driver, cfg, key, grid):
+        report = driver(cfg)
         expected = [(value, t, trial_seed(41, g, t)) for g, value in enumerate(grid) for t in range(3)]
         assert [(r[key], r["trial"], r["seed"]) for r in report.records] == expected
         assert [row[key] for row in report.aggregates] == list(grid)
 
     def test_progress_once_per_grid_point(self):
         lines = []
-        run_lower_bound_experiment(self.CONFIG, progress=lines.append)
+        run_lower_bound_experiment(self.LOWER_BOUND, progress=lines.append)
         assert lines == ["lower-bound: p=4 done (3 trials)", "lower-bound: p=3 done (3 trials)"]
         lines.clear()
-        report = run_selection_experiment(self.CONFIG, progress=lines.append)
+        report = run_selection_experiment(self.SELECTION, progress=lines.append)
         successes = [sum(r["success"] for r in report.records if r["n"] == n) for n in (40, 80)]
         assert lines == [f"selection: n={n} done ({k}/3 successes)" for n, k in zip((40, 80), successes)]
 
@@ -801,8 +830,8 @@ class TestGridSkeleton:
         }
         reports = (
             run_counterexample_experiment([1, 2]),
-            run_lower_bound_experiment(self.CONFIG),
-            run_selection_experiment(self.CONFIG),
+            run_lower_bound_experiment(self.LOWER_BOUND),
+            run_selection_experiment(self.SELECTION),
         )
         for report in reports:
             lines = report.to_csv().splitlines()
