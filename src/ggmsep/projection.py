@@ -270,11 +270,6 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.dot(x, x))
 
 
-def _into_ball(coords: np.ndarray, gamma: float) -> np.ndarray:
-    norm = _norm(coords)
-    return coords * (gamma / norm) if norm > gamma else coords
-
-
 class _Iterate(NamedTuple):
     """A feasible point with what the Newton run needs of it, and its
     precision matrix with the lower Cholesky factor that checked it."""
@@ -519,15 +514,17 @@ def _closed_form_fits(
     return fits
 
 
-def _newton_fit(sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: float) -> FitResult:
-    # support and scale are one slot's run of a _BatchPlan
+def _newton_fit(
+    sig: np.ndarray, support: np.ndarray, scale: np.ndarray, gamma: float, start: np.ndarray
+) -> FitResult:
+    # support and scale are one slot's run of a _BatchPlan; start is the
+    # diagonal that _fit_graphs scaled into the ball and checked
     p = sig.shape[0]
     rows, cols = np.divmod(support % (p * p), p)
     at = functools.partial(_iterate_at, rows, cols, scale, sig, gamma)
     hessian = functools.partial(_hessian, rows, cols, scale)
-    # _fit_graphs has checked that this start is positive and that its
-    # norm and the norm of its inverse are finite
-    point = at(_into_ball(scale * np.diag(1.0 / np.diag(sig))[rows, cols], gamma))
+    # a diagonal coordinate's basis scale is 1
+    point = at(np.where(rows == cols, start[rows], 0.0))
     trace, iterations, nu = [point.objective], 0, 0.0
     while not point.certified and iterations < _MAX_ITERATIONS:
         newton = _newton_step(hessian(point.cov), point.grad, point.coords, gamma, nu)
@@ -583,12 +580,12 @@ def _fit_graphs(
     if not gamma > 0:
         raise InvalidParameters(f"gamma must be positive (inf allowed), got {gamma}")
     sig = sigma_hat.matrix
-    # Newton's start on every graph, scaled into the ball as _into_ball does
-    # it. It is infeasible when its norm is inf (an entry or the norm
-    # overflows), when an entry is not positive (a nonpositive diagonal
+    # Newton's start on every graph, the diagonal 1 / sigma_hat's scaled
+    # into the ball. It is infeasible when its norm is inf (an entry or the
+    # norm overflows), when an entry is not positive (a nonpositive diagonal
     # entry), or when the norm of its inverse overflows (an entry, or the
-    # dot product that _into_ball's norm takes): Newton's first gradient,
-    # gap and Hessian are built from that inverse and would overflow.
+    # dot product that _norm takes): Newton's first gradient, gap and
+    # Hessian are built from that inverse and would overflow.
     with np.errstate(divide="ignore", over="ignore"):
         start = 1.0 / np.diagonal(sig)
         norm = _norm(start)
@@ -605,7 +602,7 @@ def _fit_graphs(
     for slot, fit in enumerate(fits):
         if fit is None:
             run = slice(offsets[slot], offsets[slot + 1])
-            fits[slot] = _newton_fit(sig, plan.support[run], plan.scale[run], gamma)
+            fits[slot] = _newton_fit(sig, plan.support[run], plan.scale[run], gamma, start)
     return fits
 
 
