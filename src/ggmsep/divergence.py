@@ -8,7 +8,9 @@ The KL trace is sum((theta2 - theta1) * inv(theta1)) with that covariance
 KL); the block CMI's triangular solve calls LAPACK's dtrtrs through core's
 boundary (_trtrs), and log-determinants come from core's _log_det.
 c_theta_star is the least of the edgewise _separation_ratios, and the
-lower-bound driver deletes the first edge that attains it.
+lower-bound driver deletes the first edge that attains it;
+one_edge_lower_bound is the least edgewise conditional mutual
+information, from the least _squared_partial_correlations.
 """
 
 from __future__ import annotations
@@ -146,10 +148,15 @@ def c_theta_star(theta: PrecisionMatrix) -> float:
     (an edge with t_ij^2 / (t_ii t_jj) below about 1e-16 gives exactly 1),
     and equals exp(2 * min edgewise conditional mutual information).
     """
+    return float(_separation_ratios(theta.matrix[None], _edges(theta)).min())
+
+
+def _edges(theta: PrecisionMatrix) -> np.ndarray:
+    # the (1, pairs) edge mask of theta, which must have an edge
     mask = _edge_mask(theta.matrix)
     if not np.any(mask):
         raise NoEdges("matrix has no off-diagonal support")
-    return float(_separation_ratios(theta.matrix[None], mask[None]).min())
+    return mask[None]
 
 
 def _separation_ratios(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
@@ -163,14 +170,27 @@ def _separation_ratios(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
     return np.where(edge, a / (a - arr[:, rows, cols] ** 2), np.inf)
 
 
+def _squared_partial_correlations(arr: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """The (k, pairs) ratios t_ij^2 / (t_ii t_jj) of a (k, p, p) stack over
+    _upper_pairs(p), formed as conditional_mutual_info forms them, inf off
+    the edges that the (k, pairs) mask marks: -0.5 * log1p(-x) of a row's
+    least x is its least edgewise conditional mutual information."""
+    rows, cols = _upper_pairs(arr.shape[-1])
+    diag = np.diagonal(arr, axis1=-2, axis2=-1)
+    return np.where(edge, arr[:, rows, cols] ** 2 / (diag[:, rows] * diag[:, cols]), np.inf)
+
+
 def one_edge_lower_bound(theta_star: PrecisionMatrix) -> float:
     """Guaranteed KL gap (nats) when any single true edge is missing.
 
-    Equal to 0.5 * log of the separation constant of theta_star; positive
-    whenever theta_star has at least one edge, up to the rounding that
-    c_theta_star describes.
+    Equal to 0.5 * log of the separation constant of theta_star, and
+    computed as the least conditional_mutual_info over its edges, bit for
+    bit: -0.5 * log1p(-x) for the least t_ij^2 / (t_ii t_jj) over the
+    edges, so a weak edge's bound is not the log of a ratio rounded near
+    1. NoEdges without an edge.
     """
-    return 0.5 * math.log(c_theta_star(theta_star))
+    x = float(_squared_partial_correlations(theta_star.matrix[None], _edges(theta_star)).min())
+    return -0.5 * math.log1p(-x)
 
 
 def omega_inf_lower_bound(alpha: float, h: float) -> float:

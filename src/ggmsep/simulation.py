@@ -53,6 +53,7 @@ from .core import (
 from .divergence import (
     _kl_divergences,
     _separation_ratios,
+    _squared_partial_correlations,
     c_theta_star,
     kl_gaussian,
     omega_inf_lower_bound,
@@ -622,7 +623,7 @@ def _lower_bound_trials(p: int, seeds: list[int]) -> list[dict]:
     if not (edge & ~_edge_mask(theta)).any(axis=1).all():
         raise NoMissingEdge("every edge of theta_star is present in theta")
     kls = _kl_divergences(star, np.stack([_spd_inverse(l) for l in star_lower]), star_lower, theta, lower)
-    bounds = [0.5 * math.log(c) for c in ratios.min(axis=1).tolist()]
+    bounds = [-0.5 * math.log1p(-x) for x in _squared_partial_correlations(star, edge).min(axis=1).tolist()]
     alphas = np.min(np.where(edge, np.abs(star[:, rows, cols]), np.inf), axis=1).tolist()
     heights = np.max(np.diagonal(star, axis1=-2, axis2=-1), axis=1).tolist()
     fields = []

@@ -440,6 +440,14 @@ class TestOneEdgeLowerBound:
         theta = PrecisionMatrix([[2.0, -1.0], [-1.0, 1.0]])
         assert_allclose(one_edge_lower_bound(theta), HALF_LOG_2, atol=1e-15)
 
+    def test_weak_edges_are_as_accurate_as_their_information(self):
+        # a coupling of 1e-6 against unit diagonals: c* = 1 / (1 - 1e-12)
+        # rounds to within eps of 1, so 0.5 log c* kept about four digits
+        # (it is exactly the least edgewise information: TestLowerBoundExperiment)
+        theta = PrecisionMatrix([[1.0, 1e-6], [1e-6, 1.0]])
+        assert one_edge_lower_bound(theta) == conditional_mutual_info(theta, 0, 1)
+        assert abs(one_edge_lower_bound(theta) - 5e-13) <= 1e-24
+
 
 class TestOmegaInfLowerBound:
     def test_value(self):

@@ -625,10 +625,12 @@ class TestLowerBoundExperiment:
             theta = PrecisionMatrix(arr)
         chosen = weakest_edge(theta)
         assert chosen == least_ratio_edge(theta)
-        # deleting it meets the bound: its information is 0.5 log c*, up to
-        # log1p's rounding of its argument, about c* eps
-        gap = abs(conditional_mutual_info(theta, *chosen) - one_edge_lower_bound(theta))
-        assert gap <= c_theta_star(theta) * np.finfo(float).eps
+        # the bound is the least edgewise information, bit for bit (0.5 log
+        # c* of the rounded ratio was up to 366 ulps off it), and deleting
+        # the chosen edge meets it, up to the rounding of c*, about c* eps
+        bound = one_edge_lower_bound(theta)
+        assert bound == min(conditional_mutual_info(theta, i, j) for i, j in edge_set_of(theta))
+        assert abs(conditional_mutual_info(theta, *chosen) - bound) <= c_theta_star(theta) * np.finfo(float).eps
 
     @pytest.mark.parametrize("coupling, expected", [(0.648062, (2, 3)), (0.666969, (0, 1))])
     def test_weakest_edge_on_a_tie_that_rounding_makes(self, coupling, expected):
@@ -639,7 +641,7 @@ class TestLowerBoundExperiment:
         theta = PrecisionMatrix(
             [[1.0, coupling, 0, 0], [coupling, down, 0, 0], [0, 0, 1.0, coupling], [0, 0, coupling, 1.0]]
         )
-        assert conditional_mutual_info(theta, 0, 1) == conditional_mutual_info(theta, 2, 3)
+        assert one_edge_lower_bound(theta) == conditional_mutual_info(theta, 0, 1) == conditional_mutual_info(theta, 2, 3)
         arr = theta.matrix
         assert arr[0, 1] ** 2 / (arr[0, 0] * arr[1, 1]) > arr[2, 3] ** 2 / (arr[2, 2] * arr[3, 3])
         assert weakest_edge(theta) == least_ratio_edge(theta) == expected
