@@ -435,7 +435,7 @@ class TestExperiment:
     def test_the_readme_example_config_runs_as_selection(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme[readme.index("Experiment configs:"):]
-        doc = json.loads(section[section.index("```json") + len("```json"):section.index("```\n", section.index("```json") + 1)])
+        doc = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
         doc["trials"] = 1
         config = write_json(tmp_path / "config.json", doc)
         code, _, err = run(capsys, "experiment", "selection", config, "--out", tmp_path / "o", "--quiet")
